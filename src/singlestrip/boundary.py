@@ -235,27 +235,41 @@ def euler_strip(
         records.append(rec)
         midpoint[e] = rec.midpoint
 
-    def subtree_crossings(t: int, pkey: tuple[int, int], enter_v: int) -> list[tuple[int, int]]:
-        """Crossing sequence through t's fan, from half (enter_v, m) around
-        to the other half, descending into doubled children on the way."""
-        m = midpoint[pkey]
-        exit_v = pkey[0] if pkey[1] == enter_v else pkey[1]
-        apex = next(x for x in mesh.triangles[t] if x not in pkey)
-        walk: list[tuple[str, int, tuple[int, int] | None]] = [("v", enter_v, None)]
-        for a, b in ((enter_v, apex), (apex, exit_v)):
-            ek = edge_key(a, b)
-            if ek in child_edges.get(t, ()):
-                walk.append(("m", midpoint[ek], ek))
-            walk.append(("v", b, None))
-        out = [edge_key(enter_v, m)]
-        for i in range(1, len(walk)):
+    def subtree_crossings(t: int, pkey: tuple[int, int], enter_v: int, out: list) -> None:
+        """Append the crossing sequence through t's fan, from half (enter_v, m)
+        around to the other half, descending into doubled children on the way.
+
+        Iterative, so that deep dual trees do not exhaust the call stack: each
+        stack frame is [t, m, exit_v, walk, i], with i the next walk step.
+        """
+
+        def enter(t, pkey, enter_v):
+            m = midpoint[pkey]
+            exit_v = pkey[0] if pkey[1] == enter_v else pkey[1]
+            apex = next(x for x in mesh.triangles[t] if x not in pkey)
+            walk: list[tuple[str, int, tuple[int, int] | None]] = [("v", enter_v, None)]
+            for a, b in ((enter_v, apex), (apex, exit_v)):
+                ek = edge_key(a, b)
+                if ek in child_edges.get(t, ()):
+                    walk.append(("m", midpoint[ek], ek))
+                walk.append(("v", b, None))
+            out.append(edge_key(enter_v, m))
+            return [t, m, exit_v, walk, 1]
+
+        stack = [enter(t, pkey, enter_v)]
+        while stack:
+            frame = stack[-1]
+            t, m, exit_v, walk, i = frame
+            if i == len(walk):
+                out.append(edge_key(m, exit_v))
+                stack.pop()
+                continue
+            frame[4] = i + 1
             kind, point, ek = walk[i]
             if kind == "m":
-                out.extend(subtree_crossings(child_edges[t][ek], ek, walk[i - 1][1]))
+                stack.append(enter(child_edges[t][ek], ek, walk[i - 1][1]))
             elif i < len(walk) - 1:
                 out.append(edge_key(m, point))
-        out.append(edge_key(m, exit_v))
-        return out
 
     crossings: list[tuple[int, int]] = []
     for i in range(1, len(spine)):
@@ -273,7 +287,7 @@ def euler_strip(
         shared = set(prev_key) & set(ckey)
         if len(shared) != 1:
             raise PipelineError(f"spine edge {prev_key} and child edge {ckey} share {len(shared)} vertices")
-        crossings.extend(subtree_crossings(child, ckey, shared.pop()))
+        subtree_crossings(child, ckey, shared.pop(), crossings)
 
     strip = [spine[0]]
     cur = spine[0]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
@@ -117,13 +118,21 @@ def _cmd_stripify_boundary(args) -> int:
 def _cmd_sfc(args) -> int:
     input_path = Path(args.input)
     result = stripify(load_mesh(input_path))
+    t0 = time.perf_counter()
     dc = direct_cycle(result.mesh, result.order)
     curve = generate_curve(result.mesh, dc, args.depth)
+    t1 = time.perf_counter()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / f"{input_path.stem}.curve.{args.curve_format}"
     export_curve(curve, curve_path, fmt=args.curve_format)
+    t2 = time.perf_counter()
     stats = dict(result.stats)
+    stats["elapsed_ms"] = dict(
+        stats["elapsed_ms"],
+        curve=round((t1 - t0) * 1000.0, 3),
+        export=round((t2 - t1) * 1000.0, 3),
+    )
     stats["curve_depth"] = args.depth
     stats["curve_points"] = len(curve.points)
     write_stats(

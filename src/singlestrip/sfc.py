@@ -1,12 +1,25 @@
 """Space-filling curves over a directed Hamiltonian triangle cycle.
 
 Each triangle is entered and left at the midpoints of its strip edges. At
-depth 0 the curve visits the centroid between them; deeper levels split the
-triangle at its edge midpoints into four half-size cells and thread the four
-sub-curves so that consecutive cells connect at the midpoint of a shared
-edge, or at a shared vertex where two corner cells meet only in a point.
-Every depth-d cell contributes its centroid, so the curve comes within one
-cell diameter (2^-d of the triangle's) of every surface point.
+depth 0 the curve visits the centroid between them; deeper levels split every
+cell at its edge midpoints into four half-size cells and thread them so that
+consecutive cells connect at the midpoint of a shared edge, or at a shared
+vertex where two corner cells meet only in a point. Every depth-d cell
+contributes its centroid, so the curve comes within one cell diameter (2^-d
+of the triangle's) of every surface point.
+
+A cell (a, b, c) has six boundary labels: the corners a, b, c and the edge
+midpoints ab, bc, ca. How a cell is threaded depends only on its state, the
+pair (entry label, exit label), because midpoint subdivision is affine: which
+sub-cells touch, and where, is the same in every non-degenerate triangle.
+The threading table is derived once, at import, on integer positions of a
+reference triangle. For each of the 30 states it holds the order of the four
+sub-cells and their four states. `generate_curve` then subdivides the cells
+of all triangles at once, one level at a time, with numpy. The children of a
+cell stay contiguous, so the flat cell array is always in depth-first curve
+order. The float steps are those of a per-cell recursion: midpoints as
+(p + q) / 2, centroids as (a + b + c) / 3, and each exit point read off its
+leaf cell by its label.
 """
 
 from __future__ import annotations
@@ -15,6 +28,8 @@ import json
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
+
+import numpy as np
 
 from .mesh import Mesh, edge_key
 
@@ -71,73 +86,95 @@ def direct_cycle(mesh: Mesh, cycle: list[int]) -> DirectedCycle:
     return DirectedCycle(triangles=list(cycle), entry=entry, exit=shared)
 
 
-def _mid(p: Point, q: Point) -> Point:
-    return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, (p[2] + q[2]) / 2.0)
-
-
-def _centroid(cell: tuple[Point, Point, Point]) -> Point:
-    a, b, c = cell
-    return (
-        (a[0] + b[0] + c[0]) / 3.0,
-        (a[1] + b[1] + c[1]) / 3.0,
-        (a[2] + b[2] + c[2]) / 3.0,
-    )
-
-
-def _cells_of(cell):
-    """Midpoint subdivision: three corner cells plus the center cell."""
-    a, b, c = cell
-    mab, mbc, mca = _mid(a, b), _mid(b, c), _mid(c, a)
-    corners = ((a, mab, mca), (b, mbc, mab), (c, mca, mbc))
-    return corners, (mab, mbc, mca)
-
-
-def _boundary_points(cell) -> set[Point]:
-    a, b, c = cell
-    return {a, b, c, _mid(a, b), _mid(b, c), _mid(c, a)}
-
-
-def _touch_point(c1, c2) -> Point | None:
-    """Connector between two sub-cells: midpoint of a shared edge, or the
-    shared vertex when they touch only in a point."""
-    common = [p for p in c1 if p in c2]
-    if len(common) == 2:
-        return _mid(common[0], common[1])
-    if len(common) == 1:
-        return common[0]
-    return None
-
-
+# boundary labels of a cell (a, b, c): corners a, b, c, then midpoints ab, bc,
+# ca; each label is the midpoint of two cell vertices (a corner of itself)
+_LABEL_ENDS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
+# a cell's state: (entry label, exit label)
+STATES = tuple((i, o) for i in range(6) for o in range(6) if i != o)
+_STATE_INDEX = {s: k for k, s in enumerate(STATES)}
+# the four sub-cells as vertex triples of parent labels: the corner cells at
+# a, b and c, then the centre cell
+_CHILDREN = ((0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5))
 # try corner, center, corner, corner threadings first: that is the regular
 # pattern; other orders only occur where a connector would degenerate
 _PERM_ORDER = sorted(permutations(range(4)), key=lambda p: (p.index(3) != 1, p))
 
 
-def _subcurve(cell, p_in: Point, p_out: Point, depth: int, out: list[Point]) -> None:
-    """Append the cell's curve points; p_in was emitted by the predecessor."""
-    if depth == 0:
-        out.append(_centroid(cell))
-        out.append(p_out)
-        return
-    corners, center = _cells_of(cell)
-    cells = list(corners) + [center]
-    for perm in _PERM_ORDER:
-        seq = [cells[i] for i in perm]
-        if p_in not in _boundary_points(seq[0]) or p_out not in _boundary_points(seq[-1]):
-            continue
-        conns = []
-        for i in range(3):
-            touch = _touch_point(seq[i], seq[i + 1])
-            if touch is None:
-                break
-            conns.append(touch)
-        else:
-            waypoints = [p_in, *conns, p_out]
+def _threading_table() -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the sub-cell order and the sub-cell states, shape (30, 4) each.
+
+    Positions are integer barycentric coordinates on a reference triangle
+    scaled by 4, so every label of every sub-cell is exact. Per state the
+    first order in `_PERM_ORDER` wins whose first cell holds the entry point,
+    whose last cell holds the exit point, and whose waypoints (entry, the
+    three connectors, exit) are five distinct points.
+    """
+
+    def mid(p, q):
+        return tuple((x + y) // 2 for x, y in zip(p, q))
+
+    def labels(cell):
+        return [mid(cell[u], cell[v]) for u, v in _LABEL_ENDS]
+
+    def touch(c1, c2):
+        # every two sub-cells touch: the centre and a corner cell in an
+        # edge, two corner cells in a vertex
+        common = [p for p in c1 if p in c2]
+        return mid(*common) if len(common) == 2 else common[0]
+
+    parent = labels(((4, 0, 0), (0, 4, 0), (0, 0, 4)))
+    cells = [tuple(parent[i] for i in child) for child in _CHILDREN]
+    order, child_states = [], []
+    for entry, exit_ in STATES:
+        for perm in _PERM_ORDER:
+            seq = [cells[i] for i in perm]
+            seq_labels = [labels(cell) for cell in seq]
+            if parent[entry] not in seq_labels[0] or parent[exit_] not in seq_labels[3]:
+                continue
+            waypoints = [parent[entry], *(touch(seq[k], seq[k + 1]) for k in range(3)), parent[exit_]]
             if len(set(waypoints)) == 5:
-                for i in range(4):
-                    _subcurve(seq[i], waypoints[i], waypoints[i + 1], depth - 1, out)
-                return
-    raise CurveError("no valid traversal of the four sub-cells (unreachable for strip input)")
+                break
+        else:
+            raise AssertionError(f"state {(entry, exit_)} has no threading")
+        order.append(perm)
+        child_states.append(
+            [
+                _STATE_INDEX[seq_labels[k].index(waypoints[k]), seq_labels[k].index(waypoints[k + 1])]
+                for k in range(4)
+            ]
+        )
+    return np.array(order), np.array(child_states)
+
+
+_ORDER, _CHILD_STATE = _threading_table()
+# per state, the parent labels of its children's vertices in curve order
+_CHILD_VERTICES = np.array(_CHILDREN)[_ORDER]
+_EXIT_ENDS = np.array([_LABEL_ENDS[o] for _, o in STATES])
+
+
+def _edge_label(tri: tuple[int, int, int], e: tuple[int, int]) -> int | None:
+    a, b, c = tri
+    return {frozenset((a, b)): 3, frozenset((b, c)): 4, frozenset((c, a)): 5}.get(frozenset(e))
+
+
+def _curve_points(cells: np.ndarray, states: np.ndarray, depth: int) -> np.ndarray:
+    """Curve points of cells (m, 3, 3) in given states, shape (2 * m * 4**depth, 3).
+
+    Per leaf cell, in curve order: its centroid, then its exit point.
+    """
+    for _ in range(depth):
+        a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
+        points = np.stack((a, b, c, (a + b) / 2, (b + c) / 2, (c + a) / 2), axis=1)
+        rows = np.arange(len(cells))[:, None, None]
+        cells = points[rows, _CHILD_VERTICES[states]].reshape(-1, 3, 3)
+        states = _CHILD_STATE[states].ravel()
+    rows = np.arange(len(cells))
+    ends = _EXIT_ENDS[states]
+    p, q = cells[rows, ends[:, 0]], cells[rows, ends[:, 1]]
+    out = np.empty((len(cells), 2, 3))
+    out[:, 0] = (cells[:, 0] + cells[:, 1] + cells[:, 2]) / 3
+    out[:, 1] = np.where((ends[:, 0] == ends[:, 1])[:, None], p, (p + q) / 2)
+    return out.reshape(-1, 3)
 
 
 def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
@@ -150,35 +187,48 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
         raise CurveError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise CurveError(f"depth {depth} exceeds the guard of {MAX_DEPTH}")
-    points: list[Point] = []
-    for i, t in enumerate(dc.triangles):
-        cell = tuple(mesh.vertices[v] for v in mesh.triangles[t])
-        e_in, e_out = dc.entry[i], dc.exit[i]
-        p_in = _mid(mesh.vertices[e_in[0]], mesh.vertices[e_in[1]])
-        p_out = _mid(mesh.vertices[e_out[0]], mesh.vertices[e_out[1]])
-        _subcurve(cell, p_in, p_out, depth, points)
-    return CurvePolyline(points=points, closed=True)
+    tris = [mesh.triangles[t] for t in dc.triangles]
+    states = []
+    for t, tri, e_in, e_out in zip(dc.triangles, tris, dc.entry, dc.exit):
+        entry, exit_ = _edge_label(tri, e_in), _edge_label(tri, e_out)
+        if entry is None or exit_ is None:
+            raise CurveError(f"entry {e_in} or exit {e_out} is not an edge of triangle {t}")
+        if entry == exit_:
+            raise CurveError(f"triangle {t} enters and exits by the same edge")
+        states.append(_STATE_INDEX[entry, exit_])
+    cells = np.asarray(mesh.vertices, dtype=float)[np.array(tris, dtype=np.intp).reshape(-1, 3)]
+    pts = _curve_points(cells, np.array(states, dtype=np.intp), depth)
+    return CurvePolyline(points=list(zip(*(pts[:, k].tolist() for k in range(3)))), closed=True)
 
 
 # -- export -------------------------------------------------------------------
 
+_CHUNK = 1 << 15
 
-def dumps_curve_obj(curve: CurvePolyline) -> str:
+
+def _export_points(curve: CurvePolyline) -> list[Point]:
     points = _dedupe(curve.points)
     if not points:
         raise CurveError("cannot export an empty curve")
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in points]
-    refs = list(range(1, len(points) + 1))
-    if curve.closed:
-        refs.append(1)
-    lines.append("l " + " ".join(str(r) for r in refs))
-    return "\n".join(lines) + "\n"
+    return points
+
+
+def _obj_chunks(points: list[Point], closed: bool):
+    """OBJ text in pieces: one vertex line per point, then one line element."""
+    for i in range(0, len(points), _CHUNK):
+        yield "".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in points[i : i + _CHUNK]])
+    n = len(points)
+    for i in range(1, n + 1, _CHUNK):
+        yield ("l " if i == 1 else " ") + " ".join(map(str, range(i, min(i + _CHUNK, n + 1))))
+    yield " 1\n" if closed else "\n"
+
+
+def dumps_curve_obj(curve: CurvePolyline) -> str:
+    return "".join(_obj_chunks(_export_points(curve), curve.closed))
 
 
 def dumps_curve_json(curve: CurvePolyline) -> str:
-    points = _dedupe(curve.points)
-    if not points:
-        raise CurveError("cannot export an empty curve")
+    points = _export_points(curve)
     return json.dumps({"closed": curve.closed, "points": [list(p) for p in points]})
 
 
@@ -189,7 +239,9 @@ def export_curve(curve: CurvePolyline, path, fmt: str | None = None) -> None:
         fmt = path.suffix.lstrip(".").lower()
     fmt = fmt.lower()
     if fmt == "obj":
-        path.write_text(dumps_curve_obj(curve))
+        points = _export_points(curve)
+        with path.open("w") as f:
+            f.writelines(_obj_chunks(points, curve.closed))
     elif fmt == "json":
         path.write_text(dumps_curve_json(curve))
     else:

@@ -251,3 +251,71 @@ def graphs_isomorphic_small(a: dict[int, set[int]], b: dict[int, set[int]]) -> b
         ):
             return True
     return False
+
+
+# -- recursive space-filling-curve search ---------------------------------------
+#
+# The per-cell search the library used before its threading table: at every
+# cell and depth, try the four sub-cells in each of the 24 orders and keep the
+# first whose connectors (shared-edge midpoints or shared vertices, compared
+# as floats) give five distinct waypoints from the entry to the exit point.
+
+
+def _sfc_mid(p, q):
+    return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, (p[2] + q[2]) / 2.0)
+
+
+def _sfc_boundary_points(cell) -> set:
+    a, b, c = cell
+    return {a, b, c, _sfc_mid(a, b), _sfc_mid(b, c), _sfc_mid(c, a)}
+
+
+def _sfc_touch_point(c1, c2):
+    common = [p for p in c1 if p in c2]
+    if len(common) == 2:
+        return _sfc_mid(common[0], common[1])
+    if len(common) == 1:
+        return common[0]
+    return None
+
+
+SFC_PERM_ORDER = sorted(itertools.permutations(range(4)), key=lambda p: (p.index(3) != 1, p))
+
+
+def sfc_subcurve(cell, p_in, p_out, depth: int, out: list) -> None:
+    """Append the cell's curve points (centroid and exit per leaf cell)."""
+    a, b, c = cell
+    if depth == 0:
+        out.append(((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0, (a[2] + b[2] + c[2]) / 3.0))
+        out.append(p_out)
+        return
+    mab, mbc, mca = _sfc_mid(a, b), _sfc_mid(b, c), _sfc_mid(c, a)
+    cells = [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+    for perm in SFC_PERM_ORDER:
+        seq = [cells[i] for i in perm]
+        if p_in not in _sfc_boundary_points(seq[0]) or p_out not in _sfc_boundary_points(seq[-1]):
+            continue
+        conns = []
+        for i in range(3):
+            touch = _sfc_touch_point(seq[i], seq[i + 1])
+            if touch is None:
+                break
+            conns.append(touch)
+        else:
+            waypoints = [p_in, *conns, p_out]
+            if len(set(waypoints)) == 5:
+                for i in range(4):
+                    sfc_subcurve(seq[i], waypoints[i], waypoints[i + 1], depth - 1, out)
+                return
+    raise ValueError("no valid traversal of the four sub-cells")
+
+
+def sfc_curve_points(mesh, dc, depth: int) -> list:
+    """The curve through a directed cycle, one recursive search per triangle."""
+    out: list = []
+    for t, e_in, e_out in zip(dc.triangles, dc.entry, dc.exit):
+        cell = tuple(mesh.vertices[v] for v in mesh.triangles[t])
+        p_in = _sfc_mid(mesh.vertices[e_in[0]], mesh.vertices[e_in[1]])
+        p_out = _sfc_mid(mesh.vertices[e_out[0]], mesh.vertices[e_out[1]])
+        sfc_subcurve(cell, p_in, p_out, depth, out)
+    return out

@@ -21,6 +21,8 @@ from singlestrip.boundary import (
     strip_with_boundary,
 )
 from singlestrip.generators import fan, torus
+from singlestrip.cli import main
+from singlestrip.fileio import load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import DualGraph, Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import verify_order
 
@@ -245,3 +247,30 @@ def test_strip_with_boundary_input_untouched():
     mesh = gen_mk(3)
     strip_with_boundary(mesh)
     assert mesh.n_triangles == mk_triangle_count(3)
+
+
+def _open_grid(w, h):
+    """Planar w x h grid of cells, two triangles per cell."""
+    vertices = [(float(x), float(y), 0.0) for y in range(h + 1) for x in range(w + 1)]
+    triangles = []
+    for y in range(h):
+        for x in range(w):
+            v = y * (w + 1) + x
+            triangles += [(v, v + 1, v + w + 2), (v, v + w + 2, v + w + 1)]
+    return Mesh(vertices, triangles)
+
+
+def test_strip_with_boundary_deep_dual_tree(tmp_path):
+    # a 3 x 2000 strip: the doubled subtrees nest thousands of levels deep
+    mesh = _open_grid(3, 2000)
+    res = strip_with_boundary(mesh)
+    assert verify_order(res.mesh, res.order, closed=False) == (True, None)
+    assert len(res.order) == 12000 + 2 * res.stats["splits"]
+
+    path = tmp_path / "strip.off"
+    save_mesh(mesh, path)
+    out = tmp_path / "out"
+    assert main(["stripify-boundary", str(path), "--out", str(out)]) == 0
+    order, closed = read_strip_order(out / "strip.strip.txt")
+    assert not closed
+    assert verify_order(load_mesh(out / "strip.strip.obj"), order, closed=False) == (True, None)

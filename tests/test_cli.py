@@ -2,6 +2,7 @@
 
 import json
 
+from singlestrip import cli
 from singlestrip.cli import main
 from singlestrip.fileio import load_mesh, read_strip_order, read_stats, save_mesh
 from singlestrip.generators import fan, torus
@@ -92,6 +93,24 @@ def test_sfc_curve_artifact(tmp_path):
     assert len(curve.points) == 4 * 2 * 16
     stats = read_stats(out / "tet.stats.json")
     assert stats["curve_depth"] == 2
+
+
+def test_sfc_stats_time_curve_and_export(tmp_path, monkeypatch):
+    real_stripify, results = cli.stripify, []
+
+    def stripify_spy(mesh):
+        results.append(real_stripify(mesh))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "stripify", stripify_spy)
+    mesh_path = tmp_path / "tet.off"
+    main(["gen", "tetrahedron", "-o", str(mesh_path)])
+    out = tmp_path / "out"
+    assert main(["sfc", str(mesh_path), "--depth", "1", "--out", str(out)]) == 0
+    elapsed = read_stats(out / "tet.stats.json")["elapsed_ms"]
+    assert elapsed["curve"] >= 0.0 and elapsed["export"] >= 0.0
+    assert set(results[0].stats["elapsed_ms"]) < set(elapsed)
+    assert "curve" not in results[0].stats["elapsed_ms"]
 
 
 def test_sfc_obj_polyline(tmp_path):

@@ -1,11 +1,17 @@
-"""Directed cycles and recursive space-filling curves."""
+"""Directed cycles, the threading table and space-filling curves."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singlestrip.generators import tetrahedron, torus
+from oracles import sfc_curve_points, sfc_subcurve
+from singlestrip import sfc
+from singlestrip.cli import main
+from singlestrip.generators import icosphere, tetrahedron, torus
 from singlestrip.mesh import edge_key
 from singlestrip.sfc import (
     CurveError,
@@ -16,6 +22,10 @@ from singlestrip.sfc import (
     generate_curve,
     load_curve_json,
     CurvePolyline,
+    STATES,
+    _CHILD_STATE,
+    _ORDER,
+    _curve_points,
 )
 from singlestrip.striploop import stripify
 
@@ -195,3 +205,131 @@ def test_export_collapses_consecutive_duplicates():
     curve = CurvePolyline(points=[(0, 0, 0), (0, 0, 0), (1, 0, 0)], closed=False)
     text = dumps_curve_obj(curve)
     assert sum(1 for ln in text.splitlines() if ln.startswith("v ")) == 2
+
+
+# -- threading table and bit-identity with the recursive search ------------------
+
+# a cell's labels: corners a, b, c, then midpoints ab, bc, ca, as pairs of
+# cell vertices; sub-cells (a,mab,mca), (b,mbc,mab), (c,mca,mbc), (mab,mbc,mca)
+LABEL_ENDS = ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))
+SUB_CELLS = ((0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5))
+
+
+def _label_points(cell, mid):
+    return [cell[u] if u == v else mid(cell[u], cell[v]) for u, v in LABEL_ENDS]
+
+
+def test_threading_table_covers_every_state():
+    assert len(STATES) == 30 == len(set(STATES))
+    assert all(i != o and 0 <= i < 6 and 0 <= o < 6 for i, o in STATES)
+    assert _ORDER.shape == _CHILD_STATE.shape == (30, 4)
+
+
+@pytest.mark.parametrize("state", range(30))
+def test_threading_table_chains_exactly(state):
+    # dyadic reference triangle: every label of every sub-cell is an exact
+    # integer point
+    def mid(p, q):
+        assert all((x + y) % 2 == 0 for x, y in zip(p, q))
+        return tuple((x + y) // 2 for x, y in zip(p, q))
+
+    parent = _label_points(((8, 0, 0), (0, 8, 0), (0, 0, 8)), mid)
+    entry, exit_ = STATES[state]
+    order = [int(k) for k in _ORDER[state]]
+    assert sorted(order) == [0, 1, 2, 3]
+    waypoints = [parent[entry]]
+    for k, child in enumerate(order):
+        labels = _label_points([parent[i] for i in SUB_CELLS[child]], mid)
+        c_in, c_out = STATES[_CHILD_STATE[state][k]]
+        assert labels[c_in] == waypoints[-1], f"child {k} does not enter where child {k - 1} left"
+        waypoints.append(labels[c_out])
+    assert waypoints[-1] == parent[exit_]
+    assert len(set(waypoints)) == 5
+
+
+@pytest.fixture(scope="module")
+def ico_strip():
+    return stripify(icosphere(1))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["tetra_strip", "torus_strip", "ico_strip"])
+def test_curve_equals_recursive_search(request, name, depth):
+    res = request.getfixturevalue(name)
+    dc = direct_cycle(res.mesh, res.order)
+    for directed in (dc, dc.reversed()):
+        points = generate_curve(res.mesh, directed, depth).points
+        assert all(type(x) is float for x in points[0])
+        assert points == sfc_curve_points(res.mesh, directed, depth)
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_point = st.tuples(_coord, _coord, _coord)
+
+
+def _non_degenerate(cell):
+    a, b, c = (np.asarray(p) for p in cell)
+    edges = [np.linalg.norm(b - a), np.linalg.norm(c - b), np.linalg.norm(a - c)]
+    area2 = np.linalg.norm(np.cross(b - a, c - a))
+    return min(edges) > 1e-3 and area2 > 1e-3 * max(edges) ** 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cell=st.tuples(_point, _point, _point).filter(_non_degenerate),
+    state=st.integers(0, 29),
+    depth=st.integers(0, 3),
+)
+def test_curve_points_equal_recursive_search_in_any_state(cell, state, depth):
+    def mid(p, q):
+        return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0, (p[2] + q[2]) / 2.0)
+
+    labels = _label_points(cell, mid)
+    entry, exit_ = STATES[state]
+    expected = []
+    sfc_subcurve(cell, labels[entry], labels[exit_], depth, expected)
+    got = _curve_points(np.array([cell], dtype=float), np.array([state]), depth)
+    assert len(got) == 2 * 4**depth
+    assert list(map(tuple, got.tolist())) == expected
+
+
+def test_generate_curve_rejects_foreign_edges(tetra_strip):
+    res = tetra_strip
+    dc = direct_cycle(res.mesh, res.order)
+    a, b, c = res.mesh.triangles[dc.triangles[0]]
+    foreign = next(v for v in range(res.mesh.n_vertices) if v not in (a, b, c))
+    dc.exit[0] = edge_key(a, foreign)
+    for depth in (0, 2):
+        with pytest.raises(CurveError, match="not an edge"):
+            generate_curve(res.mesh, dc, depth)
+
+
+# sha256 of `sfc torus(8,6) --depth 3`, as written by the recursive search
+GOLDEN_SFC = {
+    "obj": "cce9ae709fa5b9b40b4c0b0af36f7d6e8eee69dc32fdce5d429106698441931e",
+    "json": "b0d098a448c46e294a7c8a83abea8922b9b1ac4fdfc1edff4cbc763361209b61",
+}
+
+
+@pytest.mark.parametrize("fmt", ["obj", "json"])
+def test_sfc_output_bytes_are_pinned(tmp_path, fmt):
+    mesh_path = tmp_path / "t86.off"
+    assert main(["gen", "torus(8,6)", "-o", str(mesh_path)]) == 0
+    out = tmp_path / "out"
+    argv = ["sfc", str(mesh_path), "--depth", "3", "--out", str(out), "--curve-format", fmt]
+    assert main(argv) == 0
+    digest = hashlib.sha256((out / f"t86.curve.{fmt}").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SFC[fmt]
+
+
+def test_export_obj_written_in_chunks(tmp_path, torus_strip, monkeypatch):
+    dc = direct_cycle(torus_strip.mesh, torus_strip.order)
+    curve = generate_curve(torus_strip.mesh, dc, 1)
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in curve.points]
+    lines.append("l " + " ".join(map(str, range(1, len(curve.points) + 1))) + " 1")
+    expected = "\n".join(lines) + "\n"
+    monkeypatch.setattr(sfc, "_CHUNK", 7)
+    path = tmp_path / "curve.obj"
+    export_curve(curve, path)
+    assert path.read_text() == expected
+    assert dumps_curve_obj(curve) == expected
