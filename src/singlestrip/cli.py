@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage, 2 parse/load failure, 3 validation failure,
-4 pipeline or verification failure.
+4 pipeline or verification failure. An OS error while reading an input (a
+missing file, a directory, no permission) is a load failure, exit 2. One
+while writing the outputs means the --out, --stats or gen -o path is unusable
+(an existing file where a directory is wanted, no permission), exit 1.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -74,19 +78,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class OutputError(Exception):
+    """An output path cannot be written."""
+
+
+@contextmanager
+def _writing():
+    """Report an OS error raised inside the block as an OutputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
+
+
 def _write_result(result: StripResult, input_path: Path, out_dir: Path, stats_path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = input_path.stem
-    save_mesh(result.mesh, out_dir / f"{stem}.strip.obj")
-    write_strip_order(out_dir / f"{stem}.strip.txt", result.order, result.closed)
-    write_stats(Path(stats_path) if stats_path else out_dir / f"{stem}.stats.json", result.stats)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_mesh(result.mesh, out_dir / f"{stem}.strip.obj")
+        write_strip_order(out_dir / f"{stem}.strip.txt", result.order, result.closed)
+        write_stats(Path(stats_path) if stats_path else out_dir / f"{stem}.stats.json", result.stats)
 
 
 def _cmd_gen(args) -> int:
     spec = parse_spec(args.spec)
     mesh = generate(spec)
     out = Path(args.out) if args.out else Path(f"{spec}.{args.format}")
-    save_mesh(mesh, out, fmt=args.format)
+    with _writing():
+        save_mesh(mesh, out, fmt=args.format)
     print(f"wrote {out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
     return EXIT_OK
 
@@ -123,9 +142,10 @@ def _cmd_sfc(args) -> int:
     curve = generate_curve(result.mesh, dc, args.depth)
     t1 = time.perf_counter()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / f"{input_path.stem}.curve.{args.curve_format}"
-    export_curve(curve, curve_path, fmt=args.curve_format)
+    with _writing():
+        out_dir.mkdir(parents=True, exist_ok=True)
+        export_curve(curve, curve_path, fmt=args.curve_format)
     t2 = time.perf_counter()
     stats = dict(result.stats)
     stats["elapsed_ms"] = dict(
@@ -135,9 +155,10 @@ def _cmd_sfc(args) -> int:
     )
     stats["curve_depth"] = args.depth
     stats["curve_points"] = len(curve.points)
-    write_stats(
-        Path(args.stats) if args.stats else out_dir / f"{input_path.stem}.stats.json", stats
-    )
+    with _writing():
+        write_stats(
+            Path(args.stats) if args.stats else out_dir / f"{input_path.stem}.stats.json", stats
+        )
     print(f"wrote {curve_path}: {len(curve.points)} points at depth {args.depth}")
     return EXIT_OK
 
@@ -191,10 +212,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, MeshError, ValueError) as exc:
+    except OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ParseError, MeshError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -31,6 +32,18 @@ def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _tri_key(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Duplicate-detection key of a triangle with distinct vertices: the
+    vertex triple sorted ascending."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return (a, b, c)
+
+
 def _rotate_to(tri: tuple[int, int, int], v: int) -> tuple[int, int, int]:
     """Cyclic rotation of a triangle tuple so it starts at vertex v."""
     i = tri.index(v)
@@ -43,20 +56,49 @@ class Mesh:
     `triangles[t]` keeps its vertex triple even after t is removed; `alive[t]`
     says whether the slot is live. `edge_map` indexes live triangles only.
     Vertex triples are stored counter-clockwise with respect to a consistent
-    surface orientation (checked by `validate`, not by the constructor).
+    surface orientation (checked by `validate`, not by the constructor). The
+    constructor rejects non-finite coordinates and triangles that are out of
+    range, repeat a vertex or duplicate an earlier triangle.
     """
 
     def __init__(self, vertices, triangles):
-        self.vertices: list[tuple[float, float, float]] = [
-            (float(p[0]), float(p[1]), float(p[2])) for p in vertices
-        ]
-        self.triangles: list[tuple[int, int, int]] = []
-        self.alive: list[bool] = []
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
-        self._live_sets: set[frozenset[int]] = set()
-        self._n_alive = 0
+        verts = [(float(p[0]), float(p[1]), float(p[2])) for p in vertices]
+        for vid, (x, y, z) in enumerate(verts):
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise MeshError(f"vertex {vid} has a non-finite coordinate: {(x, y, z)}")
+        n = len(verts)
+        tris: list[tuple[int, int, int]] = []
+        edge_map: dict[tuple[int, int], list[int]] = {}
+        live_sets: set[tuple[int, int, int]] = set()
+        get = edge_map.get
         for tri in triangles:
-            self.add_triangle(tri)
+            a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+                raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
+            if a == b or b == c or a == c:
+                raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
+            key = _tri_key(a, b, c)
+            if key in live_sets:
+                raise MeshError(f"duplicate triangle {(a, b, c)}")
+            live_sets.add(key)
+            tid = len(tris)
+            tris.append((a, b, c))
+            for e in (
+                (a, b) if a < b else (b, a),
+                (b, c) if b < c else (c, b),
+                (c, a) if c < a else (a, c),
+            ):
+                incid = get(e)
+                if incid is None:
+                    edge_map[e] = [tid]
+                else:
+                    incid.append(tid)
+        self.vertices: list[tuple[float, float, float]] = verts
+        self.triangles: list[tuple[int, int, int]] = tris
+        self.alive: list[bool] = [True] * len(tris)
+        self.edge_map: dict[tuple[int, int], list[int]] = edge_map
+        self._live_sets: set[tuple[int, int, int]] = live_sets
+        self._n_alive = len(tris)
 
     # -- counts ----------------------------------------------------------
 
@@ -85,7 +127,7 @@ class Mesh:
             raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
         if a == b or b == c or a == c:
             raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
-        key = frozenset((a, b, c))
+        key = _tri_key(a, b, c)
         if key in self._live_sets:
             raise MeshError(f"duplicate triangle {(a, b, c)}")
         tid = len(self.triangles)
@@ -106,13 +148,13 @@ class Mesh:
             if not incid:
                 del self.edge_map[e]
         self.alive[tid] = False
-        self._live_sets.discard(frozenset(self.triangles[tid]))
+        self._live_sets.discard(_tri_key(*self.triangles[tid]))
         self._n_alive -= 1
 
     def revive_triangle(self, tid: int) -> None:
         if self.alive[tid]:
             raise MeshError(f"triangle {tid} is already alive")
-        key = frozenset(self.triangles[tid])
+        key = _tri_key(*self.triangles[tid])
         if key in self._live_sets:
             raise MeshError(f"reviving {tid} would duplicate a live triangle")
         self.alive[tid] = True
@@ -122,9 +164,6 @@ class Mesh:
             self.edge_map.setdefault(e, []).append(tid)
 
     # -- queries ---------------------------------------------------------
-
-    def triangle(self, tid: int) -> tuple[int, int, int]:
-        return self.triangles[tid]
 
     def triangle_edges(self, tid: int) -> tuple[tuple[int, int], ...]:
         a, b, c = self.triangles[tid]
@@ -152,9 +191,6 @@ class Mesh:
         return incid
 
     # -- geometry --------------------------------------------------------
-
-    def point(self, vid: int) -> np.ndarray:
-        return np.asarray(self.vertices[vid], dtype=float)
 
     def triangle_points(self, tid: int) -> np.ndarray:
         return np.array([self.vertices[v] for v in self.triangles[tid]], dtype=float)

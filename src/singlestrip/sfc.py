@@ -34,6 +34,9 @@ import numpy as np
 from .mesh import Mesh, edge_key
 
 MAX_DEPTH = 12
+# Largest curve generate_curve will build: 2**23 points are 192 MiB as float64
+# and several times that as the tuples of CurvePolyline.points.
+MAX_POINTS = 1 << 23
 
 Point = tuple[float, float, float]
 
@@ -187,6 +190,12 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
         raise CurveError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise CurveError(f"depth {depth} exceeds the guard of {MAX_DEPTH}")
+    n_points = len(dc) * 2 * 4**depth
+    if n_points > MAX_POINTS:
+        raise CurveError(
+            f"a depth-{depth} curve through {len(dc)} triangles needs {n_points} points,"
+            f" over the budget of {MAX_POINTS}"
+        )
     tris = [mesh.triangles[t] for t in dc.triangles]
     states = []
     for t, tri, e_in, e_out in zip(dc.triangles, tris, dc.entry, dc.exit):

@@ -428,6 +428,11 @@ class StripResult:
     matching of the dual after three-cycle elimination, with its greedy and
     augmentation counters. Restoration, nodal merging and splits work on a
     copy of its partner map, so no later stage touches it.
+
+    ``work_mesh`` is the closed pipeline's working mesh, with its dead slots,
+    on whose ids ``splits`` are numbered. The open pipeline never builds one
+    and leaves it ``None``: its ``splits`` are numbered as `split_pair` would
+    number them on a copy of the input mesh.
     """
 
     mesh: Mesh

@@ -2,12 +2,15 @@
 
 Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
-exhaustive search, tree statistics from per-edge BFS.
+exhaustive search, tree statistics from per-edge BFS. The two former
+library paths kept here as references (the recursive curve search and the
+Euler strip by mesh edits) share only the mesh primitives they were built on.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
 
 
@@ -319,3 +322,65 @@ def sfc_curve_points(mesh, dc, depth: int) -> list:
         p_out = _sfc_mid(mesh.vertices[e_out[0]], mesh.vertices[e_out[1]])
         sfc_subcurve(cell, p_in, p_out, depth, out)
     return out
+
+
+# -- Euler strip by mesh edits --------------------------------------------------
+#
+# The open-strip construction as the library ran it before it replayed the
+# subdivision on plain lists: one `split_pair` edit of a copy of the mesh per
+# doubled tree edge, the crossing walk on that edited copy, then `compact`.
+
+
+def euler_strip_by_splits(mesh, tree, spine):
+    """(strip, records, out) of the Euler construction, by mesh edits."""
+    from singlestrip.mesh import edge_key, split_pair
+
+    def shared_tree_edge(a, b):
+        return tree.parent_edge[a] if tree.parent[a] == b else tree.parent_edge[b]
+
+    work = mesh.copy()
+    doubled = []  # (anchor, child) with anchor nearer the spine
+    depth = {s: 0 for s in spine}
+    queue = deque(spine)
+    while queue:
+        t = queue.popleft()
+        nbrs = list(tree.children[t]) + ([tree.parent[t]] if tree.parent[t] is not None else [])
+        for nb in nbrs:
+            if nb not in depth:
+                depth[nb] = depth[t] + 1
+                doubled.append((t, nb))
+                queue.append(nb)
+    doubled.sort(key=lambda pair: (depth[pair[0]], pair[0], pair[1]))
+    child_edges = {}
+    for anchor, child in doubled:
+        child_edges.setdefault(anchor, {})[shared_tree_edge(anchor, child)] = child
+
+    records = [split_pair(work, shared_tree_edge(anchor, child)) for anchor, child in doubled]
+    midpoint = {rec.edge: rec.midpoint for rec in records}
+
+    def sweep(t, pkey, enter_v, out):
+        m = midpoint[pkey]
+        exit_v = pkey[0] if pkey[1] == enter_v else pkey[1]
+        apex = next(x for x in work.triangles[t] if x not in pkey)
+        out.append(edge_key(enter_v, m))
+        for a, b in ((enter_v, apex), (apex, exit_v)):
+            ek = edge_key(a, b)
+            if ek in child_edges.get(t, ()):
+                sweep(child_edges[t][ek], ek, a, out)
+            out.append(edge_key(m, b))
+
+    crossings = []
+    for i in range(1, len(spine)):
+        crossings.append(shared_tree_edge(spine[i - 1], spine[i]))
+        kids = child_edges.get(spine[i])
+        if kids:
+            assert i < len(spine) - 1 and len(kids) == 1
+            ckey, child = next(iter(kids.items()))
+            (v,) = set(shared_tree_edge(spine[i - 1], spine[i])) & set(ckey)
+            sweep(child, ckey, v, crossings)
+
+    strip = [spine[0]]
+    for e in crossings:
+        strip.append(work.other_triangle(e, strip[-1]))
+    out, remap = work.compact()
+    return [remap[t] for t in strip], records, out

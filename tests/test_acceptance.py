@@ -205,7 +205,6 @@ def test_criterion_7_boundary_tight_bound():
 def test_criterion_8_coplanarity():
     checked = 0
     cases = [stripify(m) for _n, m in _closed_matrix() if m.n_triangles <= 2000]
-    cases.append(strip_with_boundary(gen_mk(6)))
     for res in cases:
         work = res.work_mesh
         for rec in res.splits:
@@ -215,6 +214,21 @@ def test_criterion_8_coplanarity():
                 d = work.plane_distance(parent, mid)
                 assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
                 checked += 1
+    # the open pipeline keeps no working mesh: every doubled edge is an edge
+    # of the input, and each parent lies in the plane of one of the two
+    # input triangles on it
+    mesh = gen_mk(6)
+    res = strip_with_boundary(mesh)
+    assert res.work_mesh is None and res.splits
+    for rec in res.splits:
+        planes = mesh.edge_triangles(rec.edge)
+        assert len(planes) == len(rec.parents) == 2
+        scale = max(mesh.triangle_diameter(t) for t in planes)
+        mid = res.mesh.vertices[rec.midpoint]
+        for t in planes:
+            d = mesh.plane_distance(t, mid)
+            assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
+            checked += 1
     assert checked > 0
     _report(8, f"{checked} split children coplanar with parents within 1e-12")
 

@@ -1,12 +1,17 @@
 """Polygon family generator, balance edge, spine, Euler strip."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dual_by_shared_vertices,
+    euler_strip_by_splits,
     longest_path_in_tree,
     prufer_tree,
     tree_edge_splits,
@@ -38,6 +43,51 @@ def _tree_as_dual(adj):
 
 def _path_tree(n):
     return {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+
+
+def _open_grid(w, h, period=0):
+    """Planar w x h grid of cells, two triangles per cell. With a period
+    p >= 3, the interior cells (x, y) with x % p == y % p == 1 are holes."""
+    vertices = [(float(x), float(y), 0.0) for y in range(h + 1) for x in range(w + 1)]
+    triangles = []
+    for y in range(h):
+        for x in range(w):
+            if period and x % period == y % period == 1 and x < w - 1 and y < h - 1:
+                continue
+            v = y * (w + 1) + x
+            triangles += [(v, v + 1, v + w + 2), (v, v + w + 2, v + w + 1)]
+    return Mesh(vertices, triangles)
+
+
+def _relabel(mesh, rng):
+    """The same surface with shuffled vertex ids, triangle order and
+    starting corners; orientation is kept."""
+    ids = list(range(mesh.n_vertices))
+    rng.shuffle(ids)
+    vertices = [None] * len(ids)
+    for old, new in enumerate(ids):
+        vertices[new] = mesh.vertices[old]
+    triangles = []
+    for t in mesh.alive_ids():
+        a, b, c = (ids[v] for v in mesh.triangles[t])
+        triangles.append([(a, b, c), (b, c, a), (c, a, b)][rng.randrange(3)])
+    rng.shuffle(triangles)
+    return Mesh(vertices, triangles)
+
+
+def _snapshot(mesh):
+    return (
+        list(mesh.vertices),
+        list(mesh.triangles),
+        list(mesh.alive),
+        {e: list(ts) for e, ts in mesh.edge_map.items()},
+        mesh.n_triangles,
+    )
+
+
+def _euler_inputs(mesh):
+    tree = dual_spanning_tree(build_dual(mesh))
+    return tree, spine_path(tree, balance_edge(tree))
 
 
 # -- generator -------------------------------------------------------------------
@@ -163,10 +213,10 @@ def test_euler_strip_m1_is_6():
     dual = build_dual(mesh)
     tree = dual_spanning_tree(dual)
     spine = spine_path(tree, balance_edge(tree))
-    strip, records = euler_strip(mesh, tree, spine)
+    strip, records, out = euler_strip(mesh, tree, spine)
     assert len(records) == 1
     assert len(strip) == 6 == 3 * 4 - 2 - 2 * 2
-    assert verify_order(mesh, strip, closed=False) == (True, None)
+    assert verify_order(out, strip, closed=False) == (True, None)
 
 
 def test_euler_strip_count_identity_and_tree_only_crossings():
@@ -179,9 +229,16 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
     tree = dual_spanning_tree(dual)
     tree_pairs = {frozenset(p) for p in tree.tree_edges()}
     spine = spine_path(tree, balance_edge(tree))
-    strip, records = euler_strip(mesh, tree, spine)
+    before = _snapshot(mesh)
+    strip, records, out = euler_strip(mesh, tree, spine)
+    assert _snapshot(mesh) == before
     assert len(strip) == n + 2 * len(records)
-    assert verify_order(mesh, strip, closed=False) == (True, None)
+    assert verify_order(out, strip, closed=False) == (True, None)
+    # `out` numbers the live cells of the split mesh in id order
+    parents = {p for rec in records for p in rec.parents}
+    children = {c for rec in records for c in rec.children}
+    work_ids = sorted((set(mesh.alive_ids()) | children) - parents)
+    assert len(work_ids) == out.n_triangles
     # trace every crossing back to original triangles: only tree edges used
     origin = {t: t for t in range(len(mesh.triangles))}
     for rec in records:
@@ -190,10 +247,45 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
                 origin[child] = origin[parent]
     crossed = set()
     for a, b in zip(strip, strip[1:]):
-        oa, ob = origin[a], origin[b]
+        oa, ob = origin[work_ids[a]], origin[work_ids[b]]
         if oa != ob:
             crossed.add(frozenset((oa, ob)))
     assert crossed <= tree_pairs
+
+
+_open_meshes = st.one_of(
+    st.builds(_open_grid, st.integers(1, 10), st.integers(1, 10), st.sampled_from([0, 3, 4])),
+    st.builds(fan, st.integers(3, 30)),
+    st.builds(_open_grid, st.integers(1, 2), st.integers(2, 60)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
+def test_euler_strip_matches_split_pair_oracle(mesh, seed):
+    mesh = _relabel(mesh, random.Random(seed))
+    if mesh.n_triangles < 3:
+        return
+    tree, spine = _euler_inputs(mesh)
+    before = _snapshot(mesh)
+    strip, records, out = euler_strip(mesh, tree, spine)
+    assert _snapshot(mesh) == before
+    want_strip, want_records, want_out = euler_strip_by_splits(mesh, tree, spine)
+    assert records == want_records
+    assert strip == want_strip
+    assert out.triangles == want_out.triangles
+    assert out.vertices == want_out.vertices
+    assert verify_order(out, strip, closed=False) == (True, None)
+
+
+def test_euler_strip_matches_oracle_with_dead_slots():
+    mesh = _open_grid(6, 5)
+    mesh.kill_triangle(0)
+    mesh.kill_triangle(1)
+    tree, spine = _euler_inputs(mesh)
+    strip, records, out = euler_strip(mesh, tree, spine)
+    want_strip, want_records, want_out = euler_strip_by_splits(mesh, tree, spine)
+    assert (strip, records, out.triangles) == (want_strip, want_records, want_out.triangles)
 
 
 # -- orchestrator ------------------------------------------------------------------
@@ -249,17 +341,6 @@ def test_strip_with_boundary_input_untouched():
     assert mesh.n_triangles == mk_triangle_count(3)
 
 
-def _open_grid(w, h):
-    """Planar w x h grid of cells, two triangles per cell."""
-    vertices = [(float(x), float(y), 0.0) for y in range(h + 1) for x in range(w + 1)]
-    triangles = []
-    for y in range(h):
-        for x in range(w):
-            v = y * (w + 1) + x
-            triangles += [(v, v + 1, v + w + 2), (v, v + w + 2, v + w + 1)]
-    return Mesh(vertices, triangles)
-
-
 def test_strip_with_boundary_deep_dual_tree(tmp_path):
     # a 3 x 2000 strip: the doubled subtrees nest thousands of levels deep
     mesh = _open_grid(3, 2000)
@@ -274,3 +355,47 @@ def test_strip_with_boundary_deep_dual_tree(tmp_path):
     order, closed = read_strip_order(out / "strip.strip.txt")
     assert not closed
     assert verify_order(load_mesh(out / "strip.strip.obj"), order, closed=False) == (True, None)
+
+
+# sha256 of the `stripify-boundary` outputs (strip OBJ, strip order, stats
+# without timings as sorted JSON), pinned while the strip was still built by
+# `split_pair` edits of a mesh copy
+GOLDEN_BOUNDARY = {
+    "mk4.obj": (
+        "f42bf7a2c2914d2131495d593726ea27b913d1a693563ff59446f06952b8a61f",
+        "f033e8a3045de2d6da30f47bfb18f5fb6b6afb588c1557911fec3fcd8241e334",
+        "4120e17eacc709cb23352a6151e545ee0fdd34e48d1150bc1eda5a098d1c3180",
+    ),
+    "fan12.off": (
+        "4b19ab9a98d6d7c37e58f95906a52b3f0ab3444dfe39d5e21e52f59a6fdb7415",
+        "db93e64c877e9406a1e7970683feb4017e62c6ae2f8c1e4bbefc8f3c678bf0e1",
+        "b4aedb1b25b65fa655fb2a2a1823ceb99dde1fe711962ed280e24f46ff16acda",
+    ),
+    "holes.off": (
+        "89575b6aad2eccda627d33d105de6711c55bfd32c3893ba2525d6c2a8089cc69",
+        "088d8503152cb6be7907dfae37fa8607c048d8caf9d280e83da17051deeebdda",
+        "183fc6f6c8c95ae3c1b817de89c6f3962daea5a6807f88435283ab301bfd67b5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BOUNDARY))
+def test_stripify_boundary_output_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / name
+    if name == "mk4.obj":
+        assert main(["gen", "mk(4)", "-o", str(path), "--format", "obj"]) == 0
+    elif name == "fan12.off":
+        assert main(["gen", "fan(12)", "-o", str(path)]) == 0
+    else:
+        save_mesh(_relabel(_open_grid(9, 7, 3), random.Random(5)), path)
+    out = tmp_path / "out"
+    assert main(["stripify-boundary", str(path), "--out", str(out)]) == 0
+    stem = path.stem
+    stats = json.loads((out / f"{stem}.stats.json").read_text())
+    del stats["elapsed_ms"]
+    digests = (
+        hashlib.sha256((out / f"{stem}.strip.obj").read_bytes()).hexdigest(),
+        hashlib.sha256((out / f"{stem}.strip.txt").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest(),
+    )
+    assert digests == GOLDEN_BOUNDARY[name]

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from singlestrip import cli
 from singlestrip.cli import main
-from singlestrip.fileio import load_mesh, read_strip_order, read_stats, save_mesh
+from singlestrip.fileio import ParseError, load_mesh, read_strip_order, read_stats, save_mesh
 from singlestrip.generators import fan, torus
 from singlestrip.sfc import load_curve_json
 
@@ -143,3 +145,63 @@ def test_stats_reports_invalid(tmp_path, capsys):
     assert main(["stats", str(path)]) == 3
     info = json.loads(capsys.readouterr().out)
     assert not info["valid"]
+
+
+# -- OS errors end in an exit code, never a traceback -----------------------------
+
+
+def test_directory_as_input_is_parse_error(tmp_path, capsys):
+    mesh_path = tmp_path / "t.off"
+    main(["gen", "torus(4,3)", "-o", str(mesh_path)])
+    assert main(["stripify", str(tmp_path), "--out", str(tmp_path / "a")]) == 2
+    assert main(["stripify-boundary", str(tmp_path), "--out", str(tmp_path / "b")]) == 2
+    assert main(["verify", str(tmp_path), str(mesh_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_path_that_is_a_file_is_usage_error(tmp_path, capsys):
+    mesh_path = tmp_path / "t.off"
+    main(["gen", "torus(4,3)", "-o", str(mesh_path)])
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["stripify", str(mesh_path), "--out", str(taken)]) == 1
+    assert main(["sfc", str(mesh_path), "--depth", "1", "--out", str(taken)]) == 1
+    assert "cannot write output" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+# -- non-finite coordinates --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+def test_non_finite_vertex_is_parse_error(tmp_path, capsys, bad, fmt):
+    rows = [("0", "0", "0"), ("1", "0", "0"), ("0", bad, "0"), ("0", "0", "1")]
+    faces = [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]
+    if fmt == "off":
+        text = "OFF\n4 4 0\n" + "".join(" ".join(r) + "\n" for r in rows)
+        text += "".join(f"3 {a} {b} {c}\n" for a, b, c in faces)
+    else:
+        text = "".join("v " + " ".join(r) + "\n" for r in rows)
+        text += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces)
+    path = tmp_path / f"tet.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="vertex 2 has a non-finite coordinate"):
+        load_mesh(path)
+    assert main(["stripify", str(path), "--out", str(tmp_path / "a")]) == 2
+    assert main(["sfc", str(path), "--out", str(tmp_path / "b")]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+# -- the sfc point budget -----------------------------------------------------------
+
+
+def test_sfc_over_the_point_budget_is_pipeline_error(tmp_path, capsys):
+    # 4 triangles * 2 * 4**12 = 134M points: refused before anything is allocated
+    mesh_path = tmp_path / "tet.off"
+    main(["gen", "tetrahedron", "-o", str(mesh_path)])
+    out = tmp_path / "out"
+    assert main(["sfc", str(mesh_path), "--depth", "12", "--out", str(out)]) == 4
+    assert "over the budget" in capsys.readouterr().err
+    assert not out.exists()

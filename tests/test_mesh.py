@@ -43,6 +43,25 @@ def test_constructor_rejects_degenerate():
 def test_constructor_rejects_duplicate():
     with pytest.raises(MeshError, match="duplicate"):
         Mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (2, 0, 1)])
+    with pytest.raises(MeshError, match="duplicate"):
+        Mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2), (1, 0, 2)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_constructor_rejects_non_finite_coordinates(bad):
+    with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+        Mesh([(0, 0, 0), (1, 0, 0), (0, 1, bad), (bad, 0, 1)], [(0, 1, 2)])
+
+
+def test_kill_and_revive_track_duplicates_by_vertex_set():
+    mesh = Mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    mesh.kill_triangle(0)
+    t = mesh.add_triangle((2, 1, 0))
+    with pytest.raises(MeshError, match="would duplicate"):
+        mesh.revive_triangle(0)
+    mesh.kill_triangle(t)
+    mesh.revive_triangle(0)
+    assert mesh.alive_ids() == [0]
 
 
 def test_validate_tetrahedron_closed(tetra):

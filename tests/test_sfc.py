@@ -333,3 +333,14 @@ def test_export_obj_written_in_chunks(tmp_path, torus_strip, monkeypatch):
     export_curve(curve, path)
     assert path.read_text() == expected
     assert dumps_curve_obj(curve) == expected
+
+
+def test_point_budget_refuses_before_allocating(tetra_strip, monkeypatch):
+    dc = direct_cycle(tetra_strip.mesh, tetra_strip.order)
+    # 4 * 2 * 4**12 = 134M points; refused at once, without allocating them
+    with pytest.raises(CurveError, match="over the budget"):
+        generate_curve(tetra_strip.mesh, dc, sfc.MAX_DEPTH)
+    monkeypatch.setattr(sfc, "MAX_POINTS", 4 * 2 * 4)
+    assert len(generate_curve(tetra_strip.mesh, dc, 1).points) == 32
+    with pytest.raises(CurveError, match="needs 128 points"):
+        generate_curve(tetra_strip.mesh, dc, 2)
