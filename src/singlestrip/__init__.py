@@ -20,7 +20,6 @@ from .matching import (
     MatchingError,
     MatchState,
     blossom_maximum_matching,
-    greedy_reduce,
     perfect_match_dual,
     replay_reductions,
     validate_matching,
@@ -84,7 +83,6 @@ __all__ = [
     "UnionFind",
     "MatchState",
     "MatchingError",
-    "greedy_reduce",
     "replay_reductions",
     "blossom_maximum_matching",
     "perfect_match_dual",

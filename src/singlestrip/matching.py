@@ -32,6 +32,7 @@ class MatchState:
 
     partner: dict[int, int]
     greedy_matched: int = 0
+    greedy_picks: int = 0
     augmentations: int = 0
 
     @property
@@ -51,12 +52,20 @@ def _adjacency(graph) -> dict[int, set[int]]:
 
 
 def validate_matching(graph, partner: dict[int, int]) -> None:
-    """Raise unless partner is symmetric and matches only adjacent nodes."""
-    adj = _adjacency(graph)
+    """Raise unless partner is symmetric and matches only adjacent nodes.
+
+    A DualGraph is read as it is: each pair is checked against the <= 3
+    labelled neighbours of one side, with no set adjacency built first.
+    """
+    if isinstance(graph, DualGraph):
+        dual, adj = graph.adjacency, None
+    else:
+        dual, adj = None, _adjacency(graph)
     for v, u in partner.items():
         if partner.get(u) != v:
             raise MatchingError(f"matching is not symmetric at {v}<->{u}")
-        if u not in adj.get(v, ()):
+        nbrs = adj.get(v, ()) if dual is None else [n for n, _ in dual.get(v, ())]
+        if u not in nbrs:
             raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
 
 
@@ -120,19 +129,6 @@ def _apply_reductions(adj, partner, log, seeds=None) -> None:
             if len(adj[u]) <= 2:
                 queue.append(u)
         # deg >= 3: stale entry, skip
-
-
-def greedy_reduce(graph):
-    """Forced reductions only: returns (reduced adjacency, partner map, log).
-
-    The reduced graph has minimum degree >= 3 or is empty; replaying the log
-    in reverse lifts any matching of the reduced graph to the input graph.
-    """
-    adj = _adjacency(graph)
-    partner: dict[int, int] = {}
-    log: list[tuple] = []
-    _apply_reductions(adj, partner, log)
-    return adj, partner, log
 
 
 def _greedy_consume(adj) -> tuple[dict[int, int], list[tuple], int]:
@@ -203,7 +199,10 @@ def blossom_maximum_matching(graph, seed: dict[int, int] | None = None) -> dict[
     One alternating BFS forest is grown per exposed node; odd cycles are
     contracted on the fly through a union-find that tracks blossom bases.
     """
-    adj = {v: sorted(ns) for v, ns in _adjacency(graph).items()}
+    if isinstance(graph, DualGraph):
+        adj = {v: sorted(n for n, _ in nbrs) for v, nbrs in graph.adjacency.items()}
+    else:
+        adj = {v: sorted(ns) for v, ns in _adjacency(graph).items()}
     match: dict[int, int] = {}
     if seed:
         validate_matching(graph, seed)
@@ -217,11 +216,16 @@ def blossom_maximum_matching(graph, seed: dict[int, int] | None = None) -> dict[
 def _augment_from(adj, match, root) -> bool:
     parent: dict[int, int] = {}
     uf = UnionFind()
+    in_blossom = uf.parent
     base_of: dict = {}
     used = {root}
     queue = deque([root])
 
     def fbase(x):
+        # base_of is keyed by union-find roots, so a node never put in a
+        # blossom is its own base
+        if x not in in_blossom:
+            return x
         r = uf.find(x)
         return base_of.get(r, r)
 
@@ -288,22 +292,27 @@ def _augment_from(adj, match, root) -> bool:
 def perfect_match_dual(dual: DualGraph) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
-    Raises MatchingError (with the unmatched node set) if the result is not
-    perfect, which signals a violated precondition: the dual must be
-    3-regular and bridgeless.
+    The set adjacency is built once, for the greedy phase to consume; the
+    blossom phase reads the dual itself and checks the replayed seed before
+    it augments. Raises MatchingError (with the unmatched node set) if the
+    result is not perfect, which signals a violated precondition: the dual
+    must be 3-regular and bridgeless.
     """
-    nodes = sorted(dual.adjacency)
-    partner, log, _picks = _greedy_consume(_adjacency(dual))
+    partner, log, picks = _greedy_consume(_adjacency(dual))
     partner = replay_reductions(partner, log)
-    validate_matching(dual, partner)
     greedy_matched = len(partner)
     match = blossom_maximum_matching(dual, partner)
     augmentations = (len(match) - greedy_matched) // 2
-    unmatched = [v for v in nodes if v not in match]
+    unmatched = [v for v in sorted(dual.adjacency) if v not in match]
     if unmatched:
         raise MatchingError(
             f"no perfect matching: {len(unmatched)} node(s) left unmatched "
             f"(dual not 3-regular/bridgeless?)",
             unmatched=unmatched,
         )
-    return MatchState(partner=match, greedy_matched=greedy_matched, augmentations=augmentations)
+    return MatchState(
+        partner=match,
+        greedy_matched=greedy_matched,
+        greedy_picks=picks,
+        augmentations=augmentations,
+    )

@@ -343,6 +343,12 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
 
     `closed` mode additionally flags boundary (1-incident) edges. Degenerate
     and duplicate triangles are rejected at construction, not here.
+
+    Vertex links are not checked, since that would cost every mesh a pass
+    over its vertex fans: a pinched vertex, whose incident triangles form
+    several fans, is accepted. `stripify` still returns a verified cycle for
+    such a mesh; `merge_nodal` never toggles around that vertex, because
+    `_fan_order` finds no single closed fan there.
     """
     if mode not in ("closed", "with_boundary"):
         raise ValueError(f"unknown validation mode {mode!r}")

@@ -143,18 +143,19 @@ def restore_three_cycles(
 
 @dataclass
 class CycleSet:
-    """Disjoint unmatched-edge cycles partitioning the triangles."""
+    """Disjoint unmatched-edge cycles partitioning the triangles.
+
+    ``cycles[i]`` starts at its smallest triangle id and cycles are listed
+    in ascending order of that id; ``cycle_of`` maps each triangle to the
+    index of its cycle.
+    """
 
     cycles: list[list[int]]
     cycle_of: dict[int, int]
-    membership: UnionFind
 
     @property
     def count(self) -> int:
         return len(self.cycles)
-
-    def lengths(self) -> list[int]:
-        return [len(c) for c in self.cycles]
 
 
 def _unmatched_neighbors(dual: DualGraph, partner: dict[int, int], t: int) -> list[int]:
@@ -165,7 +166,6 @@ def extract_cycles(dual: DualGraph, partner: dict[int, int]) -> CycleSet:
     """Partition triangles into cycles by walking unmatched dual edges."""
     cycles: list[list[int]] = []
     cycle_of: dict[int, int] = {}
-    membership = UnionFind()
     for start in sorted(dual.adjacency):
         if start in cycle_of:
             continue
@@ -181,7 +181,6 @@ def extract_cycles(dual: DualGraph, partner: dict[int, int]) -> CycleSet:
         while True:
             cycle.append(cur)
             cycle_of[cur] = idx
-            membership.union(start, cur)
             nbrs = _unmatched_neighbors(dual, partner, cur)
             if len(nbrs) != 2:
                 raise PipelineError(
@@ -194,7 +193,7 @@ def extract_cycles(dual: DualGraph, partner: dict[int, int]) -> CycleSet:
             if len(cycle) > dual.n:
                 raise PipelineError("unmatched-edge walk does not close")
         cycles.append(cycle)
-    return CycleSet(cycles=cycles, cycle_of=cycle_of, membership=membership)
+    return CycleSet(cycles=cycles, cycle_of=cycle_of)
 
 
 # -- nodal merging ------------------------------------------------------------
@@ -240,47 +239,54 @@ def merge_nodal(
     A vertex with 2m incident triangles qualifies when its fan edges
     alternate matched/unmatched and the m unmatched pairs lie on m distinct
     cycles; toggling then merges those cycles into one without any split.
-    Vertices are scanned in ascending id, repeatedly, until a full pass
-    accepts none. Returns the rebuilt cycle set and the (vertex, m) merges.
+    Vertices are tried once each, in ascending id. Trying them again, pass
+    after pass, would accept nothing more: a toggle at u leaves every vertex
+    w of u's fan rejected, because the two fan triangles on edge uw are
+    either now unmatched, with partners outside w's fan, or matched to each
+    other, leaving two unmatched pairs of w's fan on the one merged cycle;
+    and only such toggles change a partner in w's fan. A vertex whose link
+    is several fans (a pinched vertex) never qualifies, as `_fan_order`
+    finds no single closed fan. Returns the rebuilt cycle set and the
+    (vertex, m) merges.
     """
     incid = mesh.vertex_triangles()
-    uf = cycleset.membership
+    cycle_of = cycleset.cycle_of
+    uf = UnionFind()  # over cycle indices
     merges: list[tuple[int, int]] = []
     expected = cycleset.count
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(incid):
-            fan = incid[v]
-            k = len(fan)
-            if k < 4 or k % 2 != 0:
-                continue
-            result = _fan_order(mesh, v, fan)
-            if result is None:
-                continue
-            ordered, _links = result
-            flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
-            if sum(flags) != k // 2:
-                continue
-            if any(flags[i] == flags[(i + 1) % k] for i in range(k)):
-                continue
-            m = k // 2
-            roots = {uf.find(ordered[i]) for i in range(k) if not flags[i]}
-            if len(roots) != m:
-                continue
-            # toggle: previously unmatched fan pairs become the new matches
-            for i in range(k):
-                if not flags[i]:
-                    s, t = ordered[i], ordered[(i + 1) % k]
-                    partner[s] = t
-                    partner[t] = s
-            root_iter = iter(roots)
-            first = next(root_iter)
-            for other in root_iter:
-                uf.union(first, other)
-            merges.append((v, m))
-            expected -= m - 1
-            changed = True
+    for v in sorted(incid):
+        fan = incid[v]
+        k = len(fan)
+        if k < 4 or k % 2 != 0:
+            continue
+        # alternation matches every fan triangle inside the fan
+        if any(partner.get(t) not in fan for t in fan):
+            continue
+        result = _fan_order(mesh, v, fan)
+        if result is None:
+            continue
+        ordered, _links = result
+        flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
+        if sum(flags) != k // 2:
+            continue
+        if any(flags[i] == flags[(i + 1) % k] for i in range(k)):
+            continue
+        m = k // 2
+        roots = {uf.find(cycle_of[ordered[i]]) for i in range(k) if not flags[i]}
+        if len(roots) != m:
+            continue
+        # toggle: previously unmatched fan pairs become the new matches
+        for i in range(k):
+            if not flags[i]:
+                s, t = ordered[i], ordered[(i + 1) % k]
+                partner[s] = t
+                partner[t] = s
+        root_iter = iter(roots)
+        first = next(root_iter)
+        for other in root_iter:
+            uf.union(first, other)
+        merges.append((v, m))
+        expected -= m - 1
     rebuilt = extract_cycles(dual, partner)
     if rebuilt.count != expected:
         raise PipelineError(
@@ -304,25 +310,25 @@ def spanning_tree_splits(
     """
     if cycleset.count <= 1:
         return []
-    rep = {}
-    for idx, cycle in enumerate(cycleset.cycles):
-        rep[cycleset.membership.find(cycle[0])] = idx
-
-    graph: dict[int, list[tuple[tuple[int, int], int, int, int]]] = {r: [] for r in rep}
+    cycles, cycle_of = cycleset.cycles, cycleset.cycle_of
+    # edges sort by their mesh edge, which is unique, so the tree does not
+    # depend on how cycles are numbered
+    graph: list[list[tuple[tuple[int, int], int, int, int]]] = [[] for _ in cycles]
     for t in sorted(dual.adjacency):
         u = partner.get(t)
         if u is None or u < t:
             continue
         e = next(e for n, e in dual.adjacency[t] if n == u)
-        rt, ru = cycleset.membership.find(t), cycleset.membership.find(u)
-        if rt == ru:
+        ct, cu = cycle_of[t], cycle_of[u]
+        if ct == cu:
             continue
-        graph[rt].append((e, ru, t, u))
-        graph[ru].append((e, rt, t, u))
-    for edges in graph.values():
+        graph[ct].append((e, cu, t, u))
+        graph[cu].append((e, ct, t, u))
+    for edges in graph:
         edges.sort()
 
-    start = max(rep, key=lambda r: (cycleset.membership.group_size(r), -r))
+    # the longest cycle; ties go to the one holding the smallest triangle id
+    start = max(range(len(cycles)), key=lambda i: (len(cycles[i]), -cycles[i][0]))
     visited = {start}
     queue = deque([start])
     tree: list[tuple[tuple[int, int], int, int]] = []
@@ -508,6 +514,7 @@ def stripify(mesh: Mesh) -> StripResult:
         "nodal_merges": len(merges),
         "greedy_matched": match_state.greedy_matched,
         "greedy_coverage": round(match_state.greedy_matched / max(1, n_matched_dual), 4),
+        "greedy_picks": match_state.greedy_picks,
         "augmentations": match_state.augmentations,
         "verified": True,
         "elapsed_ms": timings,

@@ -39,9 +39,3 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return ra
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
-
-    def group_size(self, x) -> int:
-        return self.size[self.find(x)]

@@ -2,9 +2,12 @@
 
 Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
-exhaustive search, tree statistics from per-edge BFS. The two former
-library paths kept here as references (the recursive curve search and the
-Euler strip by mesh edits) share only the mesh primitives they were built on.
+exhaustive search, tree statistics from per-edge BFS. The former library
+paths kept here as references (the recursive curve search, the Euler strip
+by mesh edits and the full-sweep nodal merge) share only the primitives
+they were built on. The test helpers at the end (`relabel`, `cycle_lengths`
+and `greedy_reduce`, the forced reductions on their own) are not oracles:
+only tests use them, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -384,3 +387,97 @@ def euler_strip_by_splits(mesh, tree, spine):
         strip.append(work.other_triangle(e, strip[-1]))
     out, remap = work.compact()
     return [remap[t] for t in strip], records, out
+
+
+# -- test meshes and former library helpers -------------------------------------
+
+
+def relabel(mesh, rng):
+    """The same surface with shuffled vertex ids, triangle order and
+    starting corners; orientation is kept."""
+    from singlestrip.mesh import Mesh
+
+    ids = list(range(mesh.n_vertices))
+    rng.shuffle(ids)
+    vertices = [None] * len(ids)
+    for old, new in enumerate(ids):
+        vertices[new] = mesh.vertices[old]
+    triangles = []
+    for t in mesh.alive_ids():
+        a, b, c = (ids[v] for v in mesh.triangles[t])
+        triangles.append([(a, b, c), (b, c, a), (c, a, b)][rng.randrange(3)])
+    rng.shuffle(triangles)
+    return Mesh(vertices, triangles)
+
+
+def cycle_lengths(cycleset) -> list[int]:
+    """Length of each cycle of a `CycleSet`, in cycle order."""
+    return [len(c) for c in cycleset.cycles]
+
+
+def greedy_reduce(graph):
+    """Forced reductions only: returns (reduced adjacency, partner map, log).
+
+    The reduced graph has minimum degree >= 3 or is empty; replaying the log
+    in reverse lifts any matching of the reduced graph to the input graph.
+    """
+    from singlestrip.matching import _adjacency, _apply_reductions
+
+    adj = _adjacency(graph)
+    partner: dict[int, int] = {}
+    log: list[tuple] = []
+    _apply_reductions(adj, partner, log)
+    return adj, partner, log
+
+
+# -- nodal merging by full sweeps -------------------------------------------------
+#
+# `merge_nodal` as the library ran it before its worklist: every vertex is
+# tried in ascending id, pass after pass, until a whole pass accepts no
+# toggle, with cycle membership kept by a union-find over triangle ids.
+
+
+def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
+    """The (vertex, m) merges of the full-sweep nodal merge; mutates partner."""
+    from singlestrip.striploop import _fan_order
+    from singlestrip.unionfind import UnionFind
+
+    uf = UnionFind()
+    for cycle in cycleset.cycles:
+        for t in cycle:
+            uf.union(cycle[0], t)
+    incid = mesh.vertex_triangles()
+    merges: list[tuple[int, int]] = []
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(incid):
+            fan = incid[v]
+            k = len(fan)
+            if k < 4 or k % 2 != 0:
+                continue
+            result = _fan_order(mesh, v, fan)
+            if result is None:
+                continue
+            ordered, _links = result
+            flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
+            if sum(flags) != k // 2:
+                continue
+            if any(flags[i] == flags[(i + 1) % k] for i in range(k)):
+                continue
+            m = k // 2
+            roots = {uf.find(ordered[i]) for i in range(k) if not flags[i]}
+            if len(roots) != m:
+                continue
+            for i in range(k):
+                if not flags[i]:
+                    s, t = ordered[i], ordered[(i + 1) % k]
+                    partner[s] = t
+                    partner[t] = s
+            root_iter = iter(roots)
+            first = next(root_iter)
+            for other in root_iter:
+                uf.union(first, other)
+            merges.append((v, m))
+            changed = True
+    return merges

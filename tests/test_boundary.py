@@ -14,6 +14,7 @@ from oracles import (
     euler_strip_by_splits,
     longest_path_in_tree,
     prufer_tree,
+    relabel,
     tree_edge_splits,
 )
 from singlestrip.boundary import (
@@ -56,22 +57,6 @@ def _open_grid(w, h, period=0):
                 continue
             v = y * (w + 1) + x
             triangles += [(v, v + 1, v + w + 2), (v, v + w + 2, v + w + 1)]
-    return Mesh(vertices, triangles)
-
-
-def _relabel(mesh, rng):
-    """The same surface with shuffled vertex ids, triangle order and
-    starting corners; orientation is kept."""
-    ids = list(range(mesh.n_vertices))
-    rng.shuffle(ids)
-    vertices = [None] * len(ids)
-    for old, new in enumerate(ids):
-        vertices[new] = mesh.vertices[old]
-    triangles = []
-    for t in mesh.alive_ids():
-        a, b, c = (ids[v] for v in mesh.triangles[t])
-        triangles.append([(a, b, c), (b, c, a), (c, a, b)][rng.randrange(3)])
-    rng.shuffle(triangles)
     return Mesh(vertices, triangles)
 
 
@@ -263,7 +248,7 @@ _open_meshes = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
 def test_euler_strip_matches_split_pair_oracle(mesh, seed):
-    mesh = _relabel(mesh, random.Random(seed))
+    mesh = relabel(mesh, random.Random(seed))
     if mesh.n_triangles < 3:
         return
     tree, spine = _euler_inputs(mesh)
@@ -387,7 +372,7 @@ def test_stripify_boundary_output_bytes_are_pinned(tmp_path, name):
     elif name == "fan12.off":
         assert main(["gen", "fan(12)", "-o", str(path)]) == 0
     else:
-        save_mesh(_relabel(_open_grid(9, 7, 3), random.Random(5)), path)
+        save_mesh(relabel(_open_grid(9, 7, 3), random.Random(5)), path)
     out = tmp_path / "out"
     assert main(["stripify-boundary", str(path), "--out", str(out)]) == 0
     stem = path.stem

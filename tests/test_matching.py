@@ -3,30 +3,34 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
+    greedy_reduce,
     max_matching_size,
     path_graph,
     petersen_graph,
+    relabel,
     unmatched_cycles,
 )
 from singlestrip.boundary import gen_mk
-from singlestrip.generators import octahedron, tetrahedron, torus
+from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import (
     MatchingError,
     blossom_maximum_matching,
-    greedy_reduce,
     perfect_match_dual,
     replay_reductions,
     validate_matching,
     _greedy_consume,
     _adjacency,
 )
-from singlestrip.mesh import build_dual
+from singlestrip.mesh import DualGraph, build_dual, insert_centroid
 
 
 def test_greedy_reduce_path4_all_forced():
@@ -98,6 +102,78 @@ def test_blossom_oracle_equivalence_random_graphs():
         match = blossom_maximum_matching(adj)
         validate_matching(adj, match)
         assert len(match) // 2 == max_matching_size(adj)
+
+
+def _random_graph(rng, n, degree):
+    adj = {i: set() for i in range(n)}
+    for _ in range(n * degree // 2):
+        i, j = rng.sample(range(n), 2)
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def _perturbed_dual(rng, kind, cut):
+    """The dual of a relabelled torus or icosphere with a few centroid splits,
+    less `cut` random dual edges, so that it need not be cubic or perfectly
+    matchable."""
+    if kind == "torus":
+        mesh = torus(rng.randint(3, 10), rng.randint(3, 10))
+    else:
+        mesh = icosphere(rng.randint(0, 2))
+    for t in rng.sample(range(mesh.n_triangles), rng.randint(0, 6)):
+        insert_centroid(mesh, t)
+    adjacency = build_dual(relabel(mesh, rng)).adjacency
+    for _ in range(cut):
+        t = rng.choice(sorted(adjacency))
+        if adjacency[t]:
+            u, _e = adjacency[t][rng.randrange(len(adjacency[t]))]
+            adjacency[t] = [(n, e) for n, e in adjacency[t] if n != u]
+            adjacency[u] = [(n, e) for n, e in adjacency[u] if n != t]
+    return DualGraph(adjacency=adjacency)
+
+
+def _random_seed_matching(rng, adj):
+    """A valid (not necessarily maximal) matching from shuffled edges."""
+    edges = [(v, u) for v in adj for u in adj[v] if v < u]
+    rng.shuffle(edges)
+    seed = {}
+    for v, u in edges[: len(edges) // 2]:
+        if v not in seed and u not in seed:
+            seed[v] = u
+            seed[u] = v
+    return seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "torus", "icosphere"]),
+    n=st.integers(2, 300),
+    degree=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blossom_size_matches_networkx(kind, n, degree, seed):
+    # random graphs have n nodes and about n * degree / 2 edges; the
+    # perturbed duals lose degree - 1 edges
+    rng = random.Random(seed)
+    if kind == "random":
+        adj = _random_graph(rng, n, degree)
+        labelled = {v: [(u, (min(u, v), max(u, v))) for u in sorted(ns)] for v, ns in adj.items()}
+        dual = DualGraph(adjacency=labelled)
+    else:
+        dual = _perturbed_dual(rng, kind, degree - 1)
+        adj = {t: {u for u, _e in nbrs} for t, nbrs in dual.adjacency.items()}
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(adj)
+    nx_graph.add_edges_from((v, u) for v in adj for u in adj[v])
+    size = len(nx.max_weight_matching(nx_graph, maxcardinality=True))
+    for start in (None, _random_seed_matching(rng, adj)):
+        match = blossom_maximum_matching(dual, start)
+        assert match == blossom_maximum_matching(adj, start)
+        assert len(match) // 2 == size
+        assert all(v in match for v in start or ())
+        validate_matching(dual, match)
+        validate_matching(adj, match)
 
 
 def test_blossom_respects_seed():

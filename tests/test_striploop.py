@@ -1,16 +1,29 @@
 """Three-cycle elimination, cycle extraction, nodal merging, tree splits,
 and the assembled Hamiltonian cycle."""
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_perfect_matchings, unmatched_cycles
+from oracles import (
+    all_perfect_matchings,
+    cycle_lengths,
+    merge_nodal_full_sweep,
+    relabel,
+    unmatched_cycles,
+)
+from singlestrip.cli import main
+from singlestrip.fileio import save_mesh
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
-from singlestrip.matching import perfect_match_dual, validate_matching
-from singlestrip.mesh import ValidationError, build_dual, insert_centroid, validate
+from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
+from singlestrip.mesh import Mesh, ValidationError, build_dual, insert_centroid, validate
 from singlestrip.striploop import (
     PipelineError,
+    _fan_order,
     assemble_cycle,
     eliminate_three_cycles,
     extract_cycles,
@@ -25,6 +38,17 @@ from singlestrip.striploop import (
 
 def _live_triangle_sets(mesh):
     return {frozenset(mesh.triangles[t]) for t in mesh.alive_ids()}
+
+
+def _before_nodal(mesh):
+    """(work mesh, dual, partner, cycle set) as `stripify` has them just
+    before nodal merging."""
+    work = mesh.copy()
+    stack = [] if work.n_triangles == 4 else eliminate_three_cycles(work)
+    partner = dict(perfect_match_dual(build_dual(work)).partner)
+    restore_three_cycles(work, partner, stack)
+    dual = build_dual(work)
+    return work, dual, partner, extract_cycles(dual, partner)
 
 
 # -- elimination ----------------------------------------------------------------
@@ -129,7 +153,7 @@ def test_extract_tetra_single_4cycle(tetra):
     dual = build_dual(tetra)
     partner = perfect_match_dual(dual).partner
     cs = extract_cycles(dual, partner)
-    assert cs.lengths() == [4]
+    assert cycle_lengths(cs) == [4]
 
 
 def test_extract_cube_graph_both_matching_classes(octa):
@@ -142,9 +166,9 @@ def test_extract_cube_graph_both_matching_classes(octa):
     seen = set()
     for partner in matchings:
         cs = extract_cycles(dual, partner)
-        seen.add(tuple(sorted(cs.lengths())))
+        seen.add(tuple(sorted(cycle_lengths(cs))))
         oracle = sorted(len(c) for c in unmatched_cycles(adj, partner))
-        assert sorted(cs.lengths()) == oracle
+        assert sorted(cycle_lengths(cs)) == oracle
     assert seen == {(4, 4), (8,)}
 
 
@@ -152,7 +176,7 @@ def test_extract_partitions_all_triangles(torus400):
     dual = build_dual(torus400)
     partner = perfect_match_dual(dual).partner
     cs = extract_cycles(dual, partner)
-    assert sum(cs.lengths()) == 400
+    assert sum(cycle_lengths(cs)) == 400
     assert sorted(t for c in cs.cycles for t in c) == sorted(dual.nodes())
 
 
@@ -202,7 +226,59 @@ def test_merge_nodal_preserves_matching_and_counts():
         cs, merges = merge_nodal(mesh, dual, partner, cs)
         validate_matching(dual, partner)
         assert cs.count == before - sum(m - 1 for _, m in merges)
-        assert sum(cs.lengths()) == mesh.n_triangles
+        assert sum(cycle_lengths(cs)) == mesh.n_triangles
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("torus"), st.integers(3, 16), st.integers(3, 16)),
+        st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
+    ),
+    splits=st.integers(0, 12),
+    any_matching=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed):
+    kind, a, b = shape
+    mesh = torus(a, b) if kind == "torus" else icosphere(a)
+    rng = random.Random(seed)
+    for t in rng.sample(range(mesh.n_triangles), min(splits, mesh.n_triangles)):
+        insert_centroid(mesh, t)
+    work, dual, partner, cs = _before_nodal(relabel(mesh, rng))
+    if any_matching:
+        # some other perfect matching, grown from a random one-sided start
+        # (it may leave unmatched three-cycles; nodal merging need not care)
+        start = {}
+        for t in rng.sample(sorted(partner), len(partner) // 2):
+            u = rng.choice(dual.neighbors(t))
+            if t not in start and u not in start:
+                start[t] = u
+                start[u] = t
+        partner = blossom_maximum_matching(dual, start)
+        assert len(partner) == dual.n
+        cs = extract_cycles(dual, partner)
+    oracle_partner = dict(partner)
+    oracle_merges = merge_nodal_full_sweep(work, oracle_partner, cs)
+    _cs, merges = merge_nodal(work, dual, partner, cs)
+    assert merges == oracle_merges
+    assert partner == oracle_partner
+
+
+def test_pinched_vertex_is_accepted_and_never_toggled():
+    # torus(8,4) with the far-apart vertices 0 and 18 identified: every edge
+    # still has two triangles, but the link of vertex 0 is two separate fans
+    base = torus(8, 4)
+    mesh = Mesh(base.vertices, [tuple(0 if v == 18 else v for v in t) for t in base.triangles])
+    assert validate(mesh, "closed").ok
+    fan = mesh.vertex_triangles()[0]
+    assert len(fan) == 12
+    assert _fan_order(mesh, 0, fan) is None
+    res = stripify(mesh)
+    assert verify_cycle(res.mesh, res.order) == (True, None)
+    work, dual, partner, cs = _before_nodal(mesh)
+    _cs, merges = merge_nodal(work, dual, partner, cs)
+    assert all(v != 0 for v, _m in merges)
 
 
 # -- spanning tree splits -----------------------------------------------------------
@@ -318,6 +394,14 @@ def test_stripify_match_state_is_the_matching_stage_output(torus400):
     validate_matching(dual, partner)
 
 
+def test_stripify_reports_greedy_picks(torus400):
+    res = stripify(torus400)
+    picks = res.stats["greedy_picks"]
+    assert isinstance(picks, int)
+    assert picks == res.match_state.greedy_picks
+    assert picks <= res.stats["greedy_matched"] // 2
+
+
 def test_stripify_match_state_is_the_matching_after_elimination():
     mesh = torus(20, 10)
     insert_centroid(mesh, 0)
@@ -372,3 +456,58 @@ def test_split_children_coplanar_with_parents():
         mid = work.vertices[rec.midpoint]
         for parent in rec.parents:
             assert work.plane_distance(parent, mid) <= 1e-12
+
+
+# sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats
+# below as sorted JSON), pinned while `merge_nodal` still swept every vertex
+# until a whole pass accepted nothing
+GOLDEN_STATS_KEYS = (
+    "input_triangles", "output_triangles", "percent_increase", "cycles_initial",
+    "cycles_after_nodal", "splits", "nodal_merges", "greedy_matched",
+    "greedy_coverage", "augmentations", "verified",
+)
+GOLDEN_CLOSED = {
+    "torus20x10": (
+        "d8480e3dae815a550fc26d0f5c17c7951df0f00c33ada898759b28d4a9a96702",
+        "39333273a70cac96ad08b224f228c792fa50f98e7ac7a2d917fdc73740cfec38",
+        "172335bfc31e59a44d037afa585df9b3b60b3bc23cdcc58090b1b0dbeae96584",
+    ),
+    "icosphere3": (
+        "682e6d027514495e0dbba4ad9d02ee1cd211615818095723088f37537e56a8b6",
+        "fc275e8e476d8adbad898566c1fca62d57f7441724b0897c01b8b96249a56c5e",
+        "3ddf321f155302e253320d1312a839dfdf5e62c20de61f5de17ee348997dd423",
+    ),
+    "octahedron": (
+        "469d41b8177bdecfab5a8ab001375c1bd18527f6bbec3bb1f1e56065fdcb5d2d",
+        "c6c9c39d7092e711c6cef1daed975e49e340f0e2243a92956b5a497a452a42d1",
+        "c83cd54a6ae76eb5d89dc6e4bd4c2bfc5084f83f5c663720fb8c0fa7268681b0",
+    ),
+}
+
+
+def _golden_closed_mesh(name):
+    if name == "torus20x10":
+        mesh = torus(20, 10)
+        rng = random.Random(3)
+        for t in rng.sample(range(mesh.n_triangles), 12):
+            insert_centroid(mesh, t)
+        return relabel(mesh, random.Random(3))
+    if name == "icosphere3":
+        return relabel(icosphere(3), random.Random(3))
+    return octahedron()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLOSED))
+def test_stripify_output_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / f"{name}.off"
+    save_mesh(_golden_closed_mesh(name), path)
+    out = tmp_path / "out"
+    assert main(["stripify", str(path), "--out", str(out)]) == 0
+    stats = json.loads((out / f"{name}.stats.json").read_text())
+    kept = {k: stats[k] for k in GOLDEN_STATS_KEYS}
+    digests = (
+        hashlib.sha256((out / f"{name}.strip.obj").read_bytes()).hexdigest(),
+        hashlib.sha256((out / f"{name}.strip.txt").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest(),
+    )
+    assert digests == GOLDEN_CLOSED[name]
