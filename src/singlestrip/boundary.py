@@ -11,7 +11,6 @@ n + 2 * (non-spine tree edges) = 3n - 2 - 2|P|.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .mesh import (
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
 # wraps this module's binding of split_pair.
 from .mesh import split_pair  # noqa: F401
-from .striploop import PipelineError, StripResult, verify_order
+from .striploop import PipelineError, StageTimer, StripResult, verify_order
 
 
 # -- the M_k lower-bound family ------------------------------------------------
@@ -234,7 +233,7 @@ def euler_strip(
         child_edges.setdefault(anchor, {})[shared_edge[(anchor, child)]] = child
 
     records, vertices, triangles, alive = _split_edges(
-        mesh, [shared_edge[pair] for pair in doubled]
+        mesh, [(shared_edge[pair], pair) for pair in doubled]
     )
     midpoint = {rec.edge: rec.midpoint for rec in records}
 
@@ -306,28 +305,25 @@ def euler_strip(
     return strip, records, out
 
 
-def _split_edges(mesh: Mesh, edges: list[tuple[int, int]]):
-    """Replay `split_pair` on each edge in turn, on copies of the mesh lists.
+def _split_edges(mesh: Mesh, edges: list[tuple[tuple[int, int], tuple[int, int]]]):
+    """Replay `split_pair` on each (edge, its two triangles) in turn, on
+    copies of the mesh lists.
 
     Returns (records, vertices, triangles, alive) exactly as that many
     `split_pair` calls would leave them on a copy of `mesh`. Only the
-    incidence lists of edges still to be split are tracked: a cell
-    (x, y, w) split on (x, y) hands edge (w, x) to its child (x, m, w) and
-    edge (y, w) to its child (m, y, w), removed and appended in the order
-    `kill_triangle` and `add_triangle` use, so later splits list their
-    parents in the same order.
+    incidence lists of edges still to be split are tracked, each starting in
+    listing order: a cell (x, y, w) split on (x, y) hands edge (w, x) to its
+    child (x, m, w) and edge (y, w) to its child (m, y, w), and a child is
+    listed after every older triangle, so later splits list their parents
+    in the same order.
     """
     vertices = list(mesh.vertices)
     triangles = list(mesh.triangles)
     alive = list(mesh.alive)
-    incident = {e: list(mesh.edge_triangles(e)) for e in edges}
+    incident = {e: mesh.listing_order(pair) for e, pair in edges}
     records: list[SplitRecord] = []
-    for e in edges:
+    for e, _pair in edges:
         cells = incident.pop(e)
-        if len(cells) != 2:
-            raise MeshError(
-                f"edge {e} is incident to {len(cells)} triangle(s); need exactly 2 to split"
-            )
         a, b = e
         pa = vertices[a]
         pb = vertices[b]
@@ -372,43 +368,37 @@ def _shared_tree_edge(tree: DualSpanningTree, a: int, b: int) -> tuple[int, int]
 def strip_with_boundary(mesh: Mesh) -> StripResult:
     """Full open-strip pipeline for a connected mesh with boundary edges; the
     input mesh is left untouched."""
-    timings: dict[str, float] = {}
+    timer = StageTimer()
+    with timer("validate"):
+        report = validate(mesh, "with_boundary")
+        if not report.ok:
+            raise ValidationError(report)
+        if not mesh.boundary_edges():
+            raise ValidationError(_closed_report(mesh))
+        n_input = mesh.n_triangles
 
-    def tick(stage, t0):
-        timings[stage] = round((time.perf_counter() - t0) * 1000.0, 3)
-        return time.perf_counter()
+    with timer("strip"):
+        records: list[SplitRecord] = []
+        if n_input <= 2:
+            out = Mesh(mesh.vertices, [mesh.triangles[t] for t in mesh.alive_ids()])
+            strip = list(range(n_input))
+            spine_len = n_input - 1
+        else:
+            dual = build_dual(mesh)
+            tree = dual_spanning_tree(dual)
+            e = balance_edge(tree)
+            spine = spine_path(tree, e)
+            spine_len = len(spine) - 1
+            strip, records, out = euler_strip(mesh, tree, spine)
 
-    t0 = time.perf_counter()
-    report = validate(mesh, "with_boundary")
-    if not report.ok:
-        raise ValidationError(report)
-    if not mesh.boundary_edges():
-        raise ValidationError(_closed_report(mesh))
-    n_input = mesh.n_triangles
-    t0 = tick("validate", t0)
-
-    records: list[SplitRecord] = []
-    if n_input <= 2:
-        out = Mesh(mesh.vertices, [mesh.triangles[t] for t in mesh.alive_ids()])
-        strip = list(range(n_input))
-        spine_len = n_input - 1
-    else:
-        dual = build_dual(mesh)
-        tree = dual_spanning_tree(dual)
-        e = balance_edge(tree)
-        spine = spine_path(tree, e)
-        spine_len = len(spine) - 1
-        strip, records, out = euler_strip(mesh, tree, spine)
-    t0 = tick("strip", t0)
-
-    ok, why = verify_order(out, strip, closed=False)
-    if not ok:
-        raise PipelineError(f"open strip failed verification: {why}")
-    if len(strip) != n_input + 2 * len(records):
-        raise PipelineError(
-            f"strip length {len(strip)} != {n_input} + 2*{len(records)} splits"
-        )
-    t0 = tick("verify", t0)
+    with timer("verify"):
+        ok, why = verify_order(out, strip, closed=False)
+        if not ok:
+            raise PipelineError(f"open strip failed verification: {why}")
+        if len(strip) != n_input + 2 * len(records):
+            raise PipelineError(
+                f"strip length {len(strip)} != {n_input} + 2*{len(records)} splits"
+            )
 
     n_output = out.n_triangles
     bound = 3 * n_input - 4 * math.log2(n_input) if n_input > 0 else 0.0
@@ -423,7 +413,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         "bound_3n_minus_4log2n": round(bound, 3),
         "bound_gap": round(n_output - bound, 3),
         "verified": True,
-        "elapsed_ms": timings,
+        "elapsed_ms": timer.ms,
     }
     return StripResult(mesh=out, order=strip, closed=False, splits=records, stats=stats)
 

@@ -48,7 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a test mesh, e.g. 'torus(20,10)'")
-    p.add_argument("spec", help="one of tetrahedron, octahedron, icosphere(s), torus(p,q), fan(m), mk(k)")
+    p.add_argument(
+        "spec",
+        help="one of tetrahedron, octahedron, icosphere(s), torus(p,q), fan(m), mk(k); "
+        "torus and fan stop at 2^20 triangles",
+    )
     p.add_argument("--out", "-o", default=None, help="output file (default: <spec>.<format>)")
     p.add_argument("--format", choices=("off", "obj"), default="off")
 
@@ -183,7 +187,7 @@ def _cmd_stats(args) -> int:
     info = {
         "vertices": mesh.n_vertices,
         "triangles": mesh.n_triangles,
-        "edges": len(mesh.edge_map),
+        "edges": mesh.n_edges,
         "boundary_edges": boundary,
         "mode": mode,
         "valid": report.ok,

@@ -74,6 +74,8 @@ def loads_off(text: str) -> Mesh:
         nv, nf = int(counts[0]), int(counts[1])
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad OFF counts line: {counts}") from exc
+    if nv < 0 or nf < 0:
+        raise ParseError(f"negative OFF counts: {nv} vertices, {nf} faces")
     if len(body) < nv + nf:
         raise ParseError(f"OFF file truncated: expected {nv} vertices + {nf} faces")
     vertices = []
@@ -132,7 +134,7 @@ def loads_obj(text: str) -> Mesh:
 
 def dumps_off(mesh: Mesh) -> str:
     ids = mesh.alive_ids()
-    lines = ["OFF", f"{mesh.n_vertices} {len(ids)} {len(mesh.edge_map)}"]
+    lines = ["OFF", f"{mesh.n_vertices} {len(ids)} {mesh.n_edges}"]
     for x, y, z in mesh.vertices:
         lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}")
     for t in ids:

@@ -22,6 +22,11 @@ class GenSpec:
         return f"{self.kind}({','.join(str(a) for a in self.args)})"
 
 
+# The most triangles `torus` and `fan` build: above torus(600,320)'s 384k,
+# and refused before any allocation, so that a typo such as
+# torus(100000,100000) ends in a ValueError rather than in memory exhaustion.
+MAX_TRIANGLES = 1 << 20
+
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([0-9,\s]*)\s*\))?\s*$")
 
 _ARITY = {
@@ -143,10 +148,13 @@ def torus(p: int, q: int) -> Mesh:
     """Genus-1 torus on a p x q wrapped vertex grid, 2pq triangles.
 
     Quads are split along a consistent diagonal; p, q >= 3 keeps the
-    triangulation simple (smaller wraps create doubled edges).
+    triangulation simple (smaller wraps create doubled edges). More than
+    MAX_TRIANGLES triangles raise ValueError.
     """
     if p < 3 or q < 3:
         raise ValueError("torus needs p >= 3 and q >= 3")
+    if 2 * p * q > MAX_TRIANGLES:
+        raise ValueError(f"torus({p},{q}) would have {2 * p * q} triangles, over {MAX_TRIANGLES}")
     major, minor = 2.0, 0.75
     vertices = []
     for i in range(p):
@@ -170,9 +178,12 @@ def torus(p: int, q: int) -> Mesh:
 
 
 def fan(m: int) -> Mesh:
-    """Open fan of m triangles around one hub vertex; its dual is a path."""
+    """Open fan of m triangles around one hub vertex; its dual is a path.
+    More than MAX_TRIANGLES triangles raise ValueError."""
     if m < 1:
         raise ValueError("fan needs at least 1 triangle")
+    if m > MAX_TRIANGLES:
+        raise ValueError(f"fan({m}) would have {m} triangles, over {MAX_TRIANGLES}")
     vertices = [(0.0, 0.0, 0.0)]
     for i in range(m + 1):
         angle = math.pi * i / m

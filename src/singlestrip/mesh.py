@@ -1,5 +1,6 @@
-"""Triangle mesh core: indexed storage with stable triangle ids, manifold
-validation, the triangle-adjacency (dual) graph, and midpoint splitting.
+"""Triangle mesh core: indexed storage with stable triangle ids, a
+dual-neighbour table, manifold validation, the triangle-adjacency (dual)
+graph, and midpoint splitting.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
 subdivision appends fresh ids, so records built by the pipeline (matchings,
@@ -8,9 +9,8 @@ split records, removed configurations) stay valid across edits.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from math import isfinite
+from itertools import chain
 
 import numpy as np
 
@@ -32,73 +32,172 @@ def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _tri_key(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Duplicate-detection key of a triangle with distinct vertices: the
-    vertex triple sorted ascending."""
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return (a, b, c)
-
-
 def _rotate_to(tri: tuple[int, int, int], v: int) -> tuple[int, int, int]:
     """Cyclic rotation of a triangle tuple so it starts at vertex v."""
     i = tri.index(v)
     return (tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
 
 
+def _slot(tri: tuple[int, int, int], u: int, v: int) -> int:
+    """The i with {tri[i], tri[i + 1 mod 3]} = {u, v}, or -1."""
+    a, b, c = tri
+    for i, (p, q) in enumerate(((a, b), (b, c), (c, a))):
+        if (p == u and q == v) or (p == v and q == u):
+            return i
+    return -1
+
+
+# -- array checks and the edge sort -------------------------------------------
+
+
+def _point_array(vertices) -> np.ndarray:
+    try:
+        pts = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MeshError("vertices must be (x, y, z) triples") from exc
+    if pts.size == 0:
+        return pts.reshape(0, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise MeshError("vertices must be (x, y, z) triples")
+    return pts
+
+
+def _index_array(triangles, n: int) -> np.ndarray:
+    """Triangles as an (m, 3) int64 array. Indices beyond int64 are clipped
+    to -1 or n: they are out of range either way, and the checks name the
+    triangle from the caller's own values."""
+    try:
+        tri = np.asarray(triangles, dtype=np.int64)
+    except OverflowError:
+        tri = np.array(
+            [[min(max(int(v), -1), n) for v in t] for t in triangles], dtype=np.int64
+        )
+    except (TypeError, ValueError) as exc:
+        raise MeshError("triangles must be vertex index triples") from exc
+    if tri.size == 0:
+        return tri.reshape(0, 3)
+    if tri.ndim != 2 or tri.shape[1] != 3:
+        raise MeshError("triangles must be vertex index triples")
+    return tri
+
+
+def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
+    """Raise MeshError for the first triangle that is out of range, repeats
+    a vertex or has the vertex set of an earlier triangle, checked in that
+    order. Duplicates are found by a lexicographic sort of the sorted
+    triples, which no vertex count can overflow. `source` holds the
+    caller's own triangles, for the message (default: `tri`)."""
+    if not len(tri):
+        return
+    out = ((tri < 0) | (tri >= n)).any(axis=1)
+    repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
+    s = np.sort(tri, axis=1)
+    order = np.lexsort((s[:, 2], s[:, 1], s[:, 0]))
+    same = (s[order[1:]] == s[order[:-1]]).all(axis=1)
+    duplicate = np.zeros(len(tri), dtype=bool)
+    duplicate[order[1:][same]] = True
+    bad = out | repeated | duplicate
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    abc = tuple(int(v) for v in (tri if source is None else source)[i])
+    if out[i]:
+        raise MeshError(f"triangle {abc} references a vertex out of range (have {n})")
+    if repeated[i]:
+        raise MeshError(f"degenerate triangle with repeated vertex: {abc}")
+    raise MeshError(f"duplicate triangle {abc}")
+
+
+def _triangle_array(mesh: "Mesh", ids: list[int]) -> np.ndarray:
+    tris = mesh.triangles
+    flat = chain.from_iterable(tris[t] for t in ids)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(ids)).reshape(-1, 3)
+
+
+def _edge_sort(tri: np.ndarray, n: int):
+    """Sort the 3m edge slots of an (m, 3) triangle array by undirected edge.
+
+    Slot 3r + i is edge (tri[r, i], tri[r, i + 1 mod 3]). Returns (order,
+    start, size, lo, hi): `order` lists the slots grouped by edge, each
+    group in row order; group g occupies order[start[g] : start[g] +
+    size[g]]; `lo` and `hi` are each slot's edge endpoints. The packed key
+    lo * n + hi fits in int64 for any vertex count below 3e9.
+    """
+    u = tri.ravel()
+    v = tri[:, [1, 2, 0]].ravel()
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    order = np.argsort(lo * max(n, 1) + hi, kind="stable")
+    ko_lo, ko_hi = lo[order], hi[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ko_lo[1:] != ko_lo[:-1]) | (ko_hi[1:] != ko_hi[:-1])
+    start = np.flatnonzero(head)
+    size = np.diff(np.append(start, len(order)))
+    return order, start, size, lo, hi
+
+
+def _first_others(order: np.ndarray, start: np.ndarray, size: np.ndarray, rows) -> np.ndarray:
+    """Per slot, the triangle across its edge: the group's first-listed
+    triangle, or for that one the second, or -1 when it is alone. `rows`
+    maps row index to triangle id."""
+    first = np.repeat(start, size)
+    pos = np.arange(len(order))
+    other = np.where(pos == first, first + 1, first)
+    across = rows[order[np.minimum(other, len(order) - 1)] // 3]
+    across[np.repeat(size == 1, size)] = -1
+    table = np.empty(len(order), dtype=np.int64)
+    table[order] = across
+    return table
+
+
 class Mesh:
-    """Indexed triangle mesh with an unordered-edge incidence map.
+    """Indexed triangle mesh with a dual-neighbour table.
 
     `triangles[t]` keeps its vertex triple even after t is removed; `alive[t]`
-    says whether the slot is live. `edge_map` indexes live triangles only.
+    says whether the slot is live. `neighbours` is the dual-neighbour table,
+    an (n, 3) table kept flat: `neighbours[3 * t + i]` is the live triangle
+    across edge (tri[i], tri[i + 1 mod 3]) of live triangle t, or -1 on the
+    boundary. Where more than two triangles share an edge, each lists the
+    first of them, and the first lists the second, in the order they were
+    last added or revived (the constructor adds in id order). Rows of dead
+    triangles are stale.
+
     Vertex triples are stored counter-clockwise with respect to a consistent
     surface orientation (checked by `validate`, not by the constructor). The
     constructor rejects non-finite coordinates and triangles that are out of
-    range, repeat a vertex or duplicate an earlier triangle.
+    range, repeat a vertex or duplicate an earlier triangle; it builds the
+    table with one sort of the edge slots. `neighbours`, when given, is
+    taken as that table instead (as `compact` passes it) and is not checked.
+
+    `kill_triangle`, `add_triangle`, `revive_triangle`, `edge_triangles` and
+    `split_pair` without known parents find the triangles on an edge through
+    a vertex-to-triangles index built on their first use. The pipeline's own
+    edits (three-cycle elimination and restoration, splits of a known pair)
+    rewrite the rows they touch and never build it.
     """
 
-    def __init__(self, vertices, triangles):
-        verts = [(float(p[0]), float(p[1]), float(p[2])) for p in vertices]
-        for vid, (x, y, z) in enumerate(verts):
-            if not (isfinite(x) and isfinite(y) and isfinite(z)):
-                raise MeshError(f"vertex {vid} has a non-finite coordinate: {(x, y, z)}")
-        n = len(verts)
-        tris: list[tuple[int, int, int]] = []
-        edge_map: dict[tuple[int, int], list[int]] = {}
-        live_sets: set[tuple[int, int, int]] = set()
-        get = edge_map.get
-        for tri in triangles:
-            a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
-            if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-                raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
-            if a == b or b == c or a == c:
-                raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
-            key = _tri_key(a, b, c)
-            if key in live_sets:
-                raise MeshError(f"duplicate triangle {(a, b, c)}")
-            live_sets.add(key)
-            tid = len(tris)
-            tris.append((a, b, c))
-            for e in (
-                (a, b) if a < b else (b, a),
-                (b, c) if b < c else (c, b),
-                (c, a) if c < a else (a, c),
-            ):
-                incid = get(e)
-                if incid is None:
-                    edge_map[e] = [tid]
-                else:
-                    incid.append(tid)
-        self.vertices: list[tuple[float, float, float]] = verts
-        self.triangles: list[tuple[int, int, int]] = tris
-        self.alive: list[bool] = [True] * len(tris)
-        self.edge_map: dict[tuple[int, int], list[int]] = edge_map
-        self._live_sets: set[tuple[int, int, int]] = live_sets
-        self._n_alive = len(tris)
+    def __init__(self, vertices, triangles, neighbours=None):
+        pts = _point_array(vertices)
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            vid = int(bad.argmax())
+            raise MeshError(f"vertex {vid} has a non-finite coordinate: {tuple(pts[vid].tolist())}")
+        n = len(pts)
+        if not isinstance(triangles, np.ndarray):
+            triangles = list(triangles)
+        tri = _index_array(triangles, n)
+        _check_triangles(tri, n, triangles)
+        m = len(tri)
+        if neighbours is None:
+            neighbours = _first_others(*_edge_sort(tri, n)[:3], np.arange(m)).tolist()
+        self.vertices: list[tuple[float, float, float]] = list(map(tuple, pts.tolist()))
+        self.triangles: list[tuple[int, int, int]] = list(map(tuple, tri.tolist()))
+        self.alive: list[bool] = [True] * m
+        self.neighbours: list[int] = neighbours
+        self._stamp: list[int] = list(range(m))  # when each triangle was last added or revived
+        self._clock = m
+        self._n_alive = m
+        self._at_vertex: list[list[int]] | None = None
 
     # -- counts ----------------------------------------------------------
 
@@ -111,6 +210,15 @@ class Mesh:
         """Number of live triangles."""
         return self._n_alive
 
+    @property
+    def n_edges(self) -> int:
+        """Number of distinct edges of the live triangles."""
+        ids = self.alive_ids()
+        if not ids:
+            return 0
+        _order, start, *_ = _edge_sort(_triangle_array(self, ids), self.n_vertices)
+        return len(start)
+
     def alive_ids(self) -> list[int]:
         return [t for t, a in enumerate(self.alive) if a]
 
@@ -118,6 +226,8 @@ class Mesh:
 
     def add_vertex(self, point) -> int:
         self.vertices.append((float(point[0]), float(point[1]), float(point[2])))
+        if self._at_vertex is not None:
+            self._at_vertex.append([])
         return len(self.vertices) - 1
 
     def add_triangle(self, tri) -> int:
@@ -127,60 +237,119 @@ class Mesh:
             raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
         if a == b or b == c or a == c:
             raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
-        key = _tri_key(a, b, c)
-        if key in self._live_sets:
+        if self._live_twin((a, b, c)):
             raise MeshError(f"duplicate triangle {(a, b, c)}")
-        tid = len(self.triangles)
-        self.triangles.append((a, b, c))
-        self.alive.append(True)
-        self._live_sets.add(key)
-        self._n_alive += 1
-        for e in self.triangle_edges(tid):
-            self.edge_map.setdefault(e, []).append(tid)
+        tid = self._append((a, b, c), [-1, -1, -1])
+        self._link_rows(tid)
         return tid
 
     def kill_triangle(self, tid: int) -> None:
         if not self.alive[tid]:
             raise MeshError(f"triangle {tid} is already dead")
-        for e in self.triangle_edges(tid):
-            incid = self.edge_map[e]
-            incid.remove(tid)
-            if not incid:
-                del self.edge_map[e]
-        self.alive[tid] = False
-        self._live_sets.discard(_tri_key(*self.triangles[tid]))
-        self._n_alive -= 1
+        self._retire(tid)
+        self._link_rows(tid)
 
     def revive_triangle(self, tid: int) -> None:
         if self.alive[tid]:
             raise MeshError(f"triangle {tid} is already alive")
-        key = _tri_key(*self.triangles[tid])
-        if key in self._live_sets:
+        if self._live_twin(self.triangles[tid]):
             raise MeshError(f"reviving {tid} would duplicate a live triangle")
-        self.alive[tid] = True
-        self._live_sets.add(key)
+        self._reinstate(tid)
+        self._link_rows(tid)
+
+    # Row-level edits for callers that re-point the rows themselves.
+
+    def _append(self, tri: tuple[int, int, int], row: list[int]) -> int:
+        tid = len(self.triangles)
+        self.triangles.append(tri)
+        self.alive.append(True)
+        self.neighbours += row
+        self._stamp.append(self._clock)
+        self._clock += 1
         self._n_alive += 1
+        if self._at_vertex is not None:
+            for v in tri:
+                self._at_vertex[v].append(tid)
+        return tid
+
+    def _retire(self, tid: int) -> None:
+        self.alive[tid] = False
+        self._n_alive -= 1
+
+    def _reinstate(self, tid: int) -> None:
+        self.alive[tid] = True
+        self._stamp[tid] = self._clock
+        self._clock += 1
+        self._n_alive += 1
+
+    def _repoint(self, tid: int, old: int, new: int) -> None:
+        """In tid's row, replace neighbour `old` by `new`; -1 is left alone."""
+        if tid >= 0:
+            nb = self.neighbours
+            nb[nb.index(old, 3 * tid, 3 * tid + 3)] = new
+
+    # Edge lookups through the vertex index.
+
+    def _vertex_index(self) -> list[list[int]]:
+        if self._at_vertex is None:
+            index: list[list[int]] = [[] for _ in self.vertices]
+            for t, tri in enumerate(self.triangles):
+                for v in tri:
+                    index[v].append(t)
+            self._at_vertex = index
+        return self._at_vertex
+
+    def _link(self, u: int, v: int) -> None:
+        """Rewrite the rows of the live triangles on edge uv."""
+        on = self.edge_triangles((u, v))
+        for t in on:
+            other = on[0] if t != on[0] else (on[1] if len(on) > 1 else -1)
+            self.neighbours[3 * t + _slot(self.triangles[t], u, v)] = other
+
+    def _link_rows(self, tid: int) -> None:
         for e in self.triangle_edges(tid):
-            self.edge_map.setdefault(e, []).append(tid)
+            self._link(*e)
+
+    def _live_twin(self, tri) -> bool:
+        key = set(tri)
+        tris, alive = self.triangles, self.alive
+        return any(alive[t] and set(tris[t]) == key for t in self._vertex_index()[tri[0]])
 
     # -- queries ---------------------------------------------------------
+
+    def listing_order(self, tids) -> list[int]:
+        """Triangle ids in the order they were last added or revived: the
+        order in which an edge lists its triangles."""
+        return sorted(tids, key=self._stamp.__getitem__)
 
     def triangle_edges(self, tid: int) -> tuple[tuple[int, int], ...]:
         a, b, c = self.triangles[tid]
         return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
 
     def edge_triangles(self, e: tuple[int, int]) -> list[int]:
-        return self.edge_map.get(e, [])
+        """The live triangles on edge e, in listing order."""
+        u, v = e
+        tris, alive = self.triangles, self.alive
+        return self.listing_order(t for t in self._vertex_index()[u] if alive[t] and v in tris[t])
 
     def other_triangle(self, e: tuple[int, int], tid: int) -> int | None:
-        """The live triangle across edge e from tid, or None on a boundary."""
-        for t in self.edge_map.get(e, ()):
-            if t != tid:
-                return t
-        return None
+        """The live triangle across edge e from live triangle tid, or None on
+        a boundary (or if e is not an edge of tid)."""
+        i = _slot(self.triangles[tid], e[0], e[1])
+        o = self.neighbours[3 * tid + i] if i >= 0 else -1
+        return o if o >= 0 else None
 
     def boundary_edges(self) -> list[tuple[int, int]]:
-        return [e for e, ts in self.edge_map.items() if len(ts) == 1]
+        """Edges with one live triangle, by triangle id and then slot."""
+        out = []
+        nb, tris = self.neighbours, self.triangles
+        for t in self.alive_ids():
+            if -1 in nb[3 * t : 3 * t + 3]:
+                a, b, c = tris[t]
+                for i, e in enumerate(((a, b), (b, c), (c, a))):
+                    if nb[3 * t + i] < 0:
+                        out.append(edge_key(*e))
+        return out
 
     def vertex_triangles(self) -> dict[int, set[int]]:
         """Vertex id -> set of live triangles incident on it."""
@@ -219,21 +388,28 @@ class Mesh:
     # -- structure -------------------------------------------------------
 
     def copy(self) -> "Mesh":
-        """Deep copy preserving triangle ids and dead slots."""
+        """Deep copy preserving triangle ids, dead slots and the table."""
         m = Mesh.__new__(Mesh)
         m.vertices = list(self.vertices)
         m.triangles = list(self.triangles)
         m.alive = list(self.alive)
-        m.edge_map = {e: list(ts) for e, ts in self.edge_map.items()}
-        m._live_sets = set(self._live_sets)
+        m.neighbours = list(self.neighbours)
+        m._stamp = list(self._stamp)
+        m._clock = self._clock
         m._n_alive = self._n_alive
+        m._at_vertex = None
         return m
 
     def compact(self) -> tuple["Mesh", dict[int, int]]:
-        """Fresh mesh holding only live triangles, plus the old->new id map."""
+        """Fresh mesh holding only live triangles, plus the old->new id map.
+        The table's rows are renumbered, not rebuilt."""
         ids = self.alive_ids()
-        remap = {old: new for new, old in enumerate(ids)}
-        return Mesh(self.vertices, [self.triangles[t] for t in ids]), remap
+        renumber = np.full(len(self.triangles) + 1, -1)  # the last entry maps -1 to -1
+        renumber[ids] = np.arange(len(ids))
+        table = np.fromiter(self.neighbours, dtype=np.int64, count=len(self.neighbours))
+        rows = renumber[table.reshape(-1, 3)[ids]].ravel().tolist()
+        mesh = Mesh(self.vertices, [self.triangles[t] for t in ids], neighbours=rows)
+        return mesh, {old: new for new, old in enumerate(ids)}
 
 
 @dataclass(frozen=True)
@@ -251,40 +427,60 @@ class SplitRecord:
     children: tuple[int, int, int, int]
 
 
-def split_pair(mesh: Mesh, e: tuple[int, int]) -> SplitRecord:
+def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int] | None = None) -> SplitRecord:
     """Split both triangles incident to edge e at its midpoint.
 
     Each parent (x, y, w), with {x, y} = e, becomes (x, m, w) and (m, y, w),
     preserving winding. The mesh gains one vertex and a net two triangles.
+    The parents are taken in listing order. The children's rows are built
+    from the parents' rows, and the parents' outer neighbours re-pointed.
+
+    `pair` gives the two triangles on e when the caller knows them; no edge
+    of either may then have more than two triangles. Otherwise they are
+    looked up, and the parents' outer edges are relinked through the vertex
+    index, which also covers edges with more than two triangles.
     """
-    incident = list(mesh.edge_triangles(e))
-    if len(incident) != 2:
-        raise MeshError(
-            f"edge {e} is incident to {len(incident)} triangle(s); need exactly 2 to split"
-        )
+    if pair is None:
+        pair = mesh.edge_triangles(e)
+        if len(pair) != 2:
+            raise MeshError(
+                f"edge {e} is incident to {len(pair)} triangle(s); need exactly 2 to split"
+            )
+    parents = mesh.listing_order(pair)
     a, b = e
     pa = mesh.vertices[a]
     pb = mesh.vertices[b]
     mid = mesh.add_vertex(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
-    children: list[int] = []
-    for tid in incident:
+    nb = mesh.neighbours
+    halves = []
+    for tid in parents:
         tri = mesh.triangles[tid]
-        # rotate so the split edge is (tri[0], tri[1])
-        for shift in range(3):
-            if edge_key(tri[shift], tri[(shift + 1) % 3]) == e:
-                x, y, w = tri[shift], tri[(shift + 1) % 3], tri[(shift + 2) % 3]
-                break
-        else:
+        # rotate so the split edge is (tri[s], tri[s + 1])
+        s = _slot(tri, a, b)
+        if s < 0:
             raise MeshError(f"edge {e} not found in triangle {tid}")
-        mesh.kill_triangle(tid)
-        children.append(mesh.add_triangle((x, mid, w)))
-        children.append(mesh.add_triangle((mid, y, w)))
-    return SplitRecord(
-        edge=e,
-        midpoint=mid,
-        parents=(incident[0], incident[1]),
-        children=(children[0], children[1], children[2], children[3]),
-    )
+        halves.append((tri[s], tri[(s + 1) % 3], tri[(s + 2) % 3],
+                       nb[3 * tid + (s + 1) % 3], nb[3 * tid + (s + 2) % 3]))
+    first = len(mesh.triangles)
+    children = (first, first + 1, first + 2, first + 3)
+    for k, (tid, (x, y, w, n_yw, n_wx)) in enumerate(zip(parents, halves)):
+        mesh._retire(tid)
+        c0, c1 = children[2 * k], children[2 * k + 1]
+        # the other parent's child on the half-edge (x, m) is the one holding x
+        ox = halves[1 - k][0]
+        across_x, across_y = (children[2 - 2 * k], children[3 - 2 * k])
+        if ox != x:
+            across_x, across_y = across_y, across_x
+        mesh._append((x, mid, w), [across_x, c1, n_wx])
+        mesh._append((mid, y, w), [across_y, n_yw, c0])
+        if mesh._at_vertex is None:
+            mesh._repoint(n_wx, tid, c0)
+            mesh._repoint(n_yw, tid, c1)
+    if mesh._at_vertex is not None:
+        for x, y, w, _n_yw, _n_wx in halves:
+            mesh._link(y, w)
+            mesh._link(w, x)
+    return SplitRecord(edge=e, midpoint=mid, parents=(parents[0], parents[1]), children=children)
 
 
 def insert_centroid(mesh: Mesh, tid: int) -> tuple[int, tuple[int, int, int]]:
@@ -344,6 +540,14 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     `closed` mode additionally flags boundary (1-incident) edges. Degenerate
     and duplicate triangles are rejected at construction, not here.
 
+    One sort of the live triangles' edge slots groups them by edge. Edges
+    are reported in the order of their first slot, by triangle id and then
+    position in the triangle, and the triangles on an edge in listing order.
+    Connectivity is a search over the rows of the neighbour table from the
+    smallest live id. No two triangles can share two edges: they would share
+    all three vertices, which the constructor, `add_triangle` and
+    `revive_triangle` reject as a duplicate.
+
     Vertex links are not checked, since that would cost every mesh a pass
     over its vertex fans: a pinched vertex, whose incident triangles form
     several fans, is accepted. `stripify` still returns a verified cycle for
@@ -353,60 +557,51 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     if mode not in ("closed", "with_boundary"):
         raise ValueError(f"unknown validation mode {mode!r}")
     report = ValidationReport(mode=mode)
-    if mesh.n_triangles == 0:
+    live = mesh.alive_ids()
+    if not live:
         report.add("empty", "mesh has no triangles")
         return report
 
-    shared_pairs: dict[tuple[int, int], int] = {}
-    for e, tris in mesh.edge_map.items():
-        if len(tris) > 2:
-            report.add("non_manifold", f"edge {e} has {len(tris)} incident triangles")
-            continue
-        if len(tris) == 1:
-            if mode == "closed":
-                report.add("open_edge", f"edge {e} is incident to only triangle {tris[0]}")
-            continue
-        t1, t2 = tris
-        pair = (t1, t2) if t1 < t2 else (t2, t1)
-        shared_pairs[pair] = shared_pairs.get(pair, 0) + 1
-        # consistent orientation: the shared edge must run in opposite
-        # directions in its two triangles
-        a, b = e
-        d1 = _edge_direction(mesh.triangles[t1], a, b)
-        d2 = _edge_direction(mesh.triangles[t2], a, b)
-        if d1 == d2:
-            report.add("orientation", f"edge {e} has the same winding in triangles {t1} and {t2}")
+    rows = np.array(mesh.listing_order(live))
+    tri = _triangle_array(mesh, rows.tolist())
+    order, start, size, lo, hi = _edge_sort(tri, mesh.n_vertices)
+    member = rows[order // 3]
+    # each group's rank: its first slot by triangle id, then position
+    id_slot = 3 * member + order % 3
+    groups = np.argsort(np.minimum.reduceat(id_slot, start))
+    second = np.minimum(start + 1, len(order) - 1)  # read only where size > 1
+    t1, t2 = member[start], member[second]
+    forward = tri.ravel() < tri[:, [1, 2, 0]].ravel()  # slot runs from lo to hi
+    same_winding = (size == 2) & (forward[order[start]] == forward[order[second]])
+    flagged = (size > 2) | same_winding | ((size == 1) & (mode == "closed"))
+    for g in groups[flagged[groups]].tolist():
+        s = order[start[g]]
+        e = (int(lo[s]), int(hi[s]))
+        if size[g] > 2:
+            report.add("non_manifold", f"edge {e} has {size[g]} incident triangles")
+        elif size[g] == 1:
+            report.add("open_edge", f"edge {e} is incident to only triangle {t1[g]}")
+        else:
+            report.add("orientation", f"edge {e} has the same winding in triangles {t1[g]} and {t2[g]}")
 
-    for (t1, t2), shared in shared_pairs.items():
-        if shared > 1:
-            report.add("double_adjacency", f"triangles {t1} and {t2} share {shared} edges")
-
-    alive = mesh.alive_ids()
-    seen = {alive[0]}
-    queue = deque([alive[0]])
-    while queue:
-        t = queue.popleft()
-        for e in mesh.triangle_edges(t):
-            o = mesh.other_triangle(e, t)
-            if o is not None and o not in seen:
-                seen.add(o)
-                queue.append(o)
-    if len(seen) != len(alive):
+    nb = mesh.neighbours
+    seen = bytearray(len(mesh.triangles) + 1)
+    seen[-1] = 1  # a boundary slot's -1 reads as seen
+    seen[live[0]] = 1
+    stack = [live[0]]
+    while stack:
+        t = 3 * stack.pop()
+        for o in (nb[t], nb[t + 1], nb[t + 2]):
+            if not seen[o]:
+                seen[o] = 1
+                stack.append(o)
+    reached = sum(seen) - 1
+    if reached != len(live):
         report.add(
             "disconnected_dual",
-            f"dual graph has {len(alive) - len(seen)} triangle(s) unreachable from {alive[0]}",
+            f"dual graph has {len(live) - reached} triangle(s) unreachable from {live[0]}",
         )
     return report
-
-
-def _edge_direction(tri: tuple[int, int, int], a: int, b: int) -> int:
-    """+1 if the triangle traverses a->b, -1 for b->a."""
-    for i in range(3):
-        if tri[i] == a and tri[(i + 1) % 3] == b:
-            return 1
-        if tri[i] == b and tri[(i + 1) % 3] == a:
-            return -1
-    raise MeshError(f"edge ({a}, {b}) not in triangle {tri}")
 
 
 # -- dual graph -------------------------------------------------------------
@@ -415,7 +610,9 @@ def _edge_direction(tri: tuple[int, int, int], a: int, b: int) -> int:
 @dataclass
 class DualGraph:
     """Triangle adjacency graph: one node per live triangle, one edge per
-    interior mesh edge, labelled with the shared edge key."""
+    interior mesh edge, labelled with the shared edge key. `build_dual`
+    reads it off the mesh's neighbour table, row by row; each list follows
+    the triangle's slot order."""
 
     adjacency: dict[int, list[tuple[int, tuple[int, int]]]]
 
@@ -444,11 +641,16 @@ class DualGraph:
 
 def build_dual(mesh: Mesh) -> DualGraph:
     adjacency: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    nb, tris = mesh.neighbours, mesh.triangles
     for t in mesh.alive_ids():
+        a, b, c = tris[t]
+        o0, o1, o2 = nb[3 * t : 3 * t + 3]
         nbrs = []
-        for e in mesh.triangle_edges(t):
-            o = mesh.other_triangle(e, t)
-            if o is not None:
-                nbrs.append((o, e))
+        if o0 >= 0:
+            nbrs.append((o0, (a, b) if a < b else (b, a)))
+        if o1 >= 0:
+            nbrs.append((o1, (b, c) if b < c else (c, b)))
+        if o2 >= 0:
+            nbrs.append((o2, (c, a) if c < a else (a, c)))
         adjacency[t] = nbrs
     return DualGraph(adjacency=adjacency)

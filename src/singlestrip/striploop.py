@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .matching import MatchingError, MatchState, perfect_match_dual
 from .mesh import (
-    DualGraph,
     Mesh,
     SplitRecord,
     ValidationError,
@@ -54,10 +54,13 @@ def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedCo
     """Remove every interior vertex with exactly three incident triangles.
 
     Mutates the mesh in place and returns the removal stack (LIFO order for
-    restoration). Removal cascades: replacing a fan can drop a ring vertex's
-    incidence count to three. Stops rather than shrink the mesh to fewer
-    than `min_triangles` triangles (a tetrahedron remains matchable as K4).
+    restoration). The replacement's row takes the fan's outer neighbours,
+    which are re-pointed to it. Removal cascades: replacing a fan can drop a
+    ring vertex's incidence count to three. Stops rather than shrink the mesh
+    to fewer than `min_triangles` triangles (a tetrahedron remains matchable
+    as K4).
     """
+    nb, tris = mesh.neighbours, mesh.triangles
     incid = mesh.vertex_triangles()
     queue = deque(sorted(v for v, ts in incid.items() if len(ts) == 3))
     stack: list[RemovedConfig] = []
@@ -68,22 +71,28 @@ def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedCo
         if mesh.n_triangles - 2 < min_triangles:
             break
         t0 = min(incid[v])
-        _, a, b = _rotate_to(mesh.triangles[t0], v)
-        t1 = mesh.other_triangle(edge_key(v, b), t0)
-        if t1 is None or t1 not in incid[v]:
+        i0 = tris[t0].index(v)
+        _, a, b = _rotate_to(tris[t0], v)
+        t1 = nb[3 * t0 + (i0 + 2) % 3]  # across (b, v)
+        if t1 < 0 or t1 not in incid[v]:
             raise PipelineError(f"vertex {v} has 3 triangles but no closed fan")
-        _, b2, c = _rotate_to(mesh.triangles[t1], v)
+        i1 = tris[t1].index(v)
+        _, b2, c = _rotate_to(tris[t1], v)
         if b2 != b:
             raise PipelineError(f"inconsistent winding around vertex {v}")
         t2 = (incid[v] - {t0, t1}).pop()
-        _, c2, a2 = _rotate_to(mesh.triangles[t2], v)
+        i2 = tris[t2].index(v)
+        _, c2, a2 = _rotate_to(tris[t2], v)
         if c2 != c or a2 != a:
             raise PipelineError(f"fan around vertex {v} does not close on ring ({a},{b},{c})")
 
-        mesh.kill_triangle(t0)
-        mesh.kill_triangle(t1)
-        mesh.kill_triangle(t2)
-        replacement = mesh.add_triangle((a, b, c))
+        # the ring edges (a, b), (b, c), (c, a) follow v in t0, t1, t2
+        outer = [nb[3 * t + (i + 1) % 3] for t, i in ((t0, i0), (t1, i1), (t2, i2))]
+        for t in (t0, t1, t2):
+            mesh._retire(t)
+        replacement = mesh._append((a, b, c), outer)
+        for x, t in zip(outer, (t0, t1, t2)):
+            mesh._repoint(x, t, replacement)
         stack.append(
             RemovedConfig(
                 vertex=v,
@@ -112,24 +121,25 @@ def restore_three_cycles(
 
     The fan triangle owning the edge across which the replacement was matched
     inherits that match; the other two fan triangles are matched together, so
-    no unmatched three-cycle appears. Mutates mesh and partner in place.
+    no unmatched three-cycle appears. Each fan triangle gets back the
+    replacement's neighbour across its ring edge, which is re-pointed to it.
+    Mutates mesh and partner in place.
     """
+    nb, tris = mesh.neighbours, mesh.triangles
     for cfg in reversed(stack):
         r = cfg.replacement
         x = partner.pop(r, None)
         if x is None:
             raise PipelineError(f"replacement triangle {r} is unmatched; matching not perfect")
-        matched_edge = None
-        for e in mesh.triangle_edges(r):
-            if mesh.other_triangle(e, r) == x:
-                matched_edge = e
-                break
-        if matched_edge is None:
+        outer = nb[3 * r : 3 * r + 3]
+        if x not in outer:
             raise PipelineError(f"replacement {r} is matched to non-neighbor {x}")
-        owner = cfg.edge_owner[matched_edge]
-        mesh.kill_triangle(r)
-        for t in cfg.parents:
-            mesh.revive_triangle(t)
+        owner = cfg.edge_owner[mesh.triangle_edges(r)[outer.index(x)]]
+        mesh._retire(r)
+        for t, o in zip(cfg.parents, outer):
+            nb[3 * t + (tris[t].index(cfg.vertex) + 1) % 3] = o
+            mesh._repoint(o, r, t)
+            mesh._reinstate(t)
         partner[owner] = x
         partner[x] = owner
         rest = [t for t in cfg.parents if t != owner]
@@ -158,39 +168,34 @@ class CycleSet:
         return len(self.cycles)
 
 
-def _unmatched_neighbors(dual: DualGraph, partner: dict[int, int], t: int) -> list[int]:
-    return [n for n, _ in dual.adjacency[t] if partner.get(t) != n]
-
-
-def extract_cycles(dual: DualGraph, partner: dict[int, int]) -> CycleSet:
-    """Partition triangles into cycles by walking unmatched dual edges."""
+def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
+    """Partition the live triangles into cycles by walking unmatched dual
+    edges, read off the mesh's neighbour table."""
+    nb = mesh.neighbours
+    n = mesh.n_triangles
     cycles: list[list[int]] = []
     cycle_of: dict[int, int] = {}
-    for start in sorted(dual.adjacency):
+    for start in mesh.alive_ids():
         if start in cycle_of:
             continue
-        nbrs = _unmatched_neighbors(dual, partner, start)
-        if len(nbrs) != 2:
-            raise PipelineError(
-                f"triangle {start} has {len(nbrs)} unmatched dual edges (need 2); "
-                "matching is not perfect on a 3-regular dual"
-            )
         idx = len(cycles)
         cycle = []
         prev, cur = None, start
         while True:
+            p = partner.get(cur)
+            nbrs = [o for o in nb[3 * cur : 3 * cur + 3] if o >= 0 and o != p]
+            if len(nbrs) != 2:
+                hint = "; matching is not perfect on a 3-regular dual" if cur == start else ""
+                raise PipelineError(
+                    f"triangle {cur} has {len(nbrs)} unmatched dual edges (need 2){hint}"
+                )
             cycle.append(cur)
             cycle_of[cur] = idx
-            nbrs = _unmatched_neighbors(dual, partner, cur)
-            if len(nbrs) != 2:
-                raise PipelineError(
-                    f"triangle {cur} has {len(nbrs)} unmatched dual edges (need 2)"
-                )
             nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
             prev, cur = cur, nxt
             if cur == start:
                 break
-            if len(cycle) > dual.n:
+            if len(cycle) > n:
                 raise PipelineError("unmatched-edge walk does not close")
         cycles.append(cycle)
     return CycleSet(cycles=cycles, cycle_of=cycle_of)
@@ -199,40 +204,38 @@ def extract_cycles(dual: DualGraph, partner: dict[int, int]) -> CycleSet:
 # -- nodal merging ------------------------------------------------------------
 
 
-def _fan_order(mesh: Mesh, v: int, fan: set[int]):
-    """Incident triangles of v in cyclic fan order, with the linking edges.
-
-    Returns (ordered, links) where links[i] is the mesh edge shared by
-    ordered[i] and ordered[(i+1) % len], or None if the fan does not close
-    over exactly the incident set (boundary or non-manifold neighborhood).
-    """
+def _fan_order(mesh: Mesh, v: int, fan: set[int]) -> list[int] | None:
+    """Incident triangles of v in cyclic fan order, or None if the fan does
+    not close over exactly the incident set (boundary or non-manifold
+    neighborhood). Consecutive triangles share an edge (v, w)."""
+    nb, tris = mesh.neighbours, mesh.triangles
     t0 = min(fan)
-    _, _, far = _rotate_to(mesh.triangles[t0], v)
+    i = tris[t0].index(v)
+    far = tris[t0][(i + 2) % 3]
+    slot = 3 * t0 + (i + 2) % 3  # edge (far, v)
     ordered = [t0]
-    links = []
-    cur = t0
     while True:
-        e = edge_key(v, far)
-        nxt = mesh.other_triangle(e, cur)
-        if nxt is None:
+        nxt = nb[slot]
+        if nxt < 0:
             return None
-        links.append(e)
         if nxt == t0:
             break
         if nxt not in fan or len(ordered) > len(fan):
             return None
         ordered.append(nxt)
-        _, near, far = _rotate_to(mesh.triangles[nxt], v)
-        if near != links[-1][0] and near != links[-1][1]:
+        tri = tris[nxt]
+        i = tri.index(v)
+        if tri[(i + 1) % 3] != far:
             return None
-        cur = nxt
+        far = tri[(i + 2) % 3]
+        slot = 3 * nxt + (i + 2) % 3
     if len(ordered) != len(fan):
         return None
-    return ordered, links
+    return ordered
 
 
 def merge_nodal(
-    mesh: Mesh, dual: DualGraph, partner: dict[int, int], cycleset: CycleSet
+    mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
 ) -> tuple[CycleSet, list[tuple[int, int]]]:
     """Toggle matched/unmatched fan edges around every nodal vertex.
 
@@ -262,10 +265,9 @@ def merge_nodal(
         # alternation matches every fan triangle inside the fan
         if any(partner.get(t) not in fan for t in fan):
             continue
-        result = _fan_order(mesh, v, fan)
-        if result is None:
+        ordered = _fan_order(mesh, v, fan)
+        if ordered is None:
             continue
-        ordered, _links = result
         flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
         if sum(flags) != k // 2:
             continue
@@ -287,7 +289,7 @@ def merge_nodal(
             uf.union(first, other)
         merges.append((v, m))
         expected -= m - 1
-    rebuilt = extract_cycles(dual, partner)
+    rebuilt = extract_cycles(mesh, partner)
     if rebuilt.count != expected:
         raise PipelineError(
             f"nodal merging bookkeeping is off: expected {expected} cycles, "
@@ -300,7 +302,7 @@ def merge_nodal(
 
 
 def spanning_tree_splits(
-    mesh: Mesh, dual: DualGraph, partner: dict[int, int], cycleset: CycleSet
+    mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
 ) -> list[SplitRecord]:
     """Split the matched pairs on a spanning tree of the cycle graph.
 
@@ -311,17 +313,19 @@ def spanning_tree_splits(
     if cycleset.count <= 1:
         return []
     cycles, cycle_of = cycleset.cycles, cycleset.cycle_of
+    nb, tris = mesh.neighbours, mesh.triangles
     # edges sort by their mesh edge, which is unique, so the tree does not
     # depend on how cycles are numbered
     graph: list[list[tuple[tuple[int, int], int, int, int]]] = [[] for _ in cycles]
-    for t in sorted(dual.adjacency):
+    for t in mesh.alive_ids():
         u = partner.get(t)
         if u is None or u < t:
             continue
-        e = next(e for n, e in dual.adjacency[t] if n == u)
         ct, cu = cycle_of[t], cycle_of[u]
         if ct == cu:
             continue
+        i = nb.index(u, 3 * t, 3 * t + 3) - 3 * t
+        e = edge_key(tris[t][i], tris[t][(i + 1) % 3])
         graph[ct].append((e, cu, t, u))
         graph[cu].append((e, ct, t, u))
     for edges in graph:
@@ -334,10 +338,10 @@ def spanning_tree_splits(
     tree: list[tuple[tuple[int, int], int, int]] = []
     while queue:
         c = queue.popleft()
-        for e, nb, t, u in graph[c]:
-            if nb not in visited:
-                visited.add(nb)
-                queue.append(nb)
+        for e, nb_cycle, t, u in graph[c]:
+            if nb_cycle not in visited:
+                visited.add(nb_cycle)
+                queue.append(nb_cycle)
                 tree.append((e, t, u))
     if len(tree) != cycleset.count - 1:
         raise PipelineError(
@@ -347,7 +351,7 @@ def spanning_tree_splits(
 
     records = []
     for e, t, u in tree:
-        rec = split_pair(mesh, e)
+        rec = split_pair(mesh, e, (t, u))
         del partner[t]
         del partner[u]
         c0, c1, c2, c3 = rec.children
@@ -364,24 +368,19 @@ def spanning_tree_splits(
 
 def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
     """Walk the single unmatched-edge cycle over all live triangles."""
+    nb = mesh.neighbours
     n = mesh.n_triangles
-    start = min(mesh.alive_ids())
+    start = mesh.alive.index(True)
     order = [start]
-    enter = None
-    cur = start
+    prev, cur = -1, start
     while True:
-        step = None
-        for e in mesh.triangle_edges(cur):
-            if e == enter:
-                continue
-            o = mesh.other_triangle(e, cur)
-            if o is None or partner.get(cur) == o:
-                continue
-            step = (e, o)
-            break
-        if step is None:
+        p = partner.get(cur)
+        for o in nb[3 * cur : 3 * cur + 3]:
+            if o >= 0 and o != prev and o != p:
+                break
+        else:
             raise PipelineError(f"triangle {cur} has no unmatched exit edge")
-        enter, cur = step
+        prev, cur = cur, o
         if cur == start:
             break
         order.append(cur)
@@ -426,9 +425,27 @@ def verify_cycle(mesh: Mesh, cycle: list[int]) -> tuple[bool, str | None]:
 # -- orchestrator ---------------------------------------------------------------
 
 
+class StageTimer:
+    """Wall time of each pipeline stage: the block under
+    `with timer("match"):` is recorded, in milliseconds, as `timer.ms["match"]`."""
+
+    def __init__(self):
+        self.ms: dict[str, float] = {}
+
+    @contextmanager
+    def __call__(self, stage: str):
+        t0 = time.perf_counter()
+        yield
+        self.ms[stage] = round((time.perf_counter() - t0) * 1000.0, 3)
+
+
 @dataclass
 class StripResult:
     """Pipeline output: the subdivided mesh and the triangle order over it.
+
+    ``mesh`` is built once, through the constructor, from the live triangles
+    in id order; the closed pipeline hands it the working mesh's neighbour
+    table, renumbered, rather than having it sorted again.
 
     ``match_state`` is a snapshot of the matching stage's output: the perfect
     matching of the dual after three-cycle elimination, with its greedy and
@@ -439,6 +456,9 @@ class StripResult:
     on whose ids ``splits`` are numbered. The open pipeline never builds one
     and leaves it ``None``: its ``splits`` are numbered as `split_pair` would
     number them on a copy of the input mesh.
+
+    ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
+    the whole call.
     """
 
     mesh: Mesh
@@ -451,80 +471,80 @@ class StripResult:
 
 
 def stripify(mesh: Mesh) -> StripResult:
-    """Full closed-manifold pipeline; the input mesh is left untouched."""
-    timings: dict[str, float] = {}
+    """Full closed-manifold pipeline; the input mesh is left untouched.
 
-    def tick(stage, t0):
-        timings[stage] = round((time.perf_counter() - t0) * 1000.0, 3)
-        return time.perf_counter()
+    Every stage after validation works on one copy of the mesh and edits its
+    neighbour table in place; the dual graph is built once, for matching.
+    """
+    timer = StageTimer()
+    with timer("validate"):
+        report = validate(mesh, "closed")
+        if not report.ok:
+            raise ValidationError(report)
+        n_input = mesh.n_triangles
+        work = mesh.copy()
 
-    t0 = time.perf_counter()
-    report = validate(mesh, "closed")
-    if not report.ok:
-        raise ValidationError(report)
-    n_input = mesh.n_triangles
-    work = mesh.copy()
-    t0 = tick("validate", t0)
+    with timer("eliminate"):
+        # a tetrahedron would be consumed by elimination; its K4 dual already
+        # yields a single 4-cycle, so skip straight to matching
+        stack = [] if n_input == 4 else eliminate_three_cycles(work)
 
-    # a tetrahedron would be consumed by elimination; its K4 dual already
-    # yields a single 4-cycle, so skip straight to matching
-    stack = [] if n_input == 4 else eliminate_three_cycles(work)
-    t0 = tick("eliminate", t0)
-
-    dual = build_dual(work)
-    n_matched_dual = dual.n
-    match_state = perfect_match_dual(dual)
-    # the later stages rewrite the working map; match_state keeps the matching
-    partner = dict(match_state.partner)
-    t0 = tick("match", t0)
-
-    restore_three_cycles(work, partner, stack)
-    if stack:
+    with timer("match"):
         dual = build_dual(work)
-    t0 = tick("restore", t0)
+        n_matched_dual = dual.n
+        match_state = perfect_match_dual(dual)
+        # the later stages rewrite the working map; match_state keeps the matching
+        partner = dict(match_state.partner)
+        del dual  # no later stage reads it
 
-    cycleset = extract_cycles(dual, partner)
-    cycles_initial = cycleset.count
-    if any(len(c) == 3 for c in cycleset.cycles):
-        raise PipelineError("an unmatched three-cycle survived elimination")
-    t0 = tick("cycles", t0)
+    with timer("restore"):
+        restore_three_cycles(work, partner, stack)
 
-    cycleset, merges = merge_nodal(work, dual, partner, cycleset)
-    cycles_after = cycleset.count
-    t0 = tick("nodal", t0)
+    with timer("cycles"):
+        cycleset = extract_cycles(work, partner)
+        cycles_initial = cycleset.count
+        if any(len(c) == 3 for c in cycleset.cycles):
+            raise PipelineError("an unmatched three-cycle survived elimination")
 
-    records = spanning_tree_splits(work, dual, partner, cycleset)
-    t0 = tick("splits", t0)
+    with timer("nodal"):
+        cycleset, merges = merge_nodal(work, partner, cycleset)
+        cycles_after = cycleset.count
 
-    order = assemble_cycle(work, partner)
-    ok, why = verify_cycle(work, order)
-    if not ok:
-        raise PipelineError(f"assembled cycle failed verification: {why}")
-    t0 = tick("assemble", t0)
+    with timer("splits"):
+        records = spanning_tree_splits(work, partner, cycleset)
 
-    final, remap = work.compact()
-    n_output = final.n_triangles
-    stats = {
-        "input_triangles": n_input,
-        "output_triangles": n_output,
-        "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
-        "cycles_initial": cycles_initial,
-        "cycles_after_nodal": cycles_after,
-        "splits": len(records),
-        "nodal_merges": len(merges),
-        "greedy_matched": match_state.greedy_matched,
-        "greedy_coverage": round(match_state.greedy_matched / max(1, n_matched_dual), 4),
-        "greedy_picks": match_state.greedy_picks,
-        "augmentations": match_state.augmentations,
-        "verified": True,
-        "elapsed_ms": timings,
-    }
-    return StripResult(
-        mesh=final,
-        order=[remap[t] for t in order],
-        closed=True,
-        splits=records,
-        stats=stats,
-        work_mesh=work,
-        match_state=match_state,
-    )
+    with timer("assemble"):
+        order = assemble_cycle(work, partner)
+        ok, why = verify_cycle(work, order)
+        if not ok:
+            raise PipelineError(f"assembled cycle failed verification: {why}")
+
+    # the stats hold timer.ms itself, so "output" appears once the block ends
+    with timer("output"):
+        final, remap = work.compact()
+        n_output = final.n_triangles
+        stats = {
+            "input_triangles": n_input,
+            "output_triangles": n_output,
+            "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
+            "cycles_initial": cycles_initial,
+            "cycles_after_nodal": cycles_after,
+            "splits": len(records),
+            "nodal_merges": len(merges),
+            "greedy_matched": match_state.greedy_matched,
+            "greedy_coverage": round(match_state.greedy_matched / max(1, n_matched_dual), 4),
+            "greedy_picks": match_state.greedy_picks,
+            "augmentations": match_state.augmentations,
+            "verified": True,
+            "elapsed_ms": timer.ms,
+        }
+        result = StripResult(
+            mesh=final,
+            order=[remap[t] for t in order],
+            closed=True,
+            splits=records,
+            stats=stats,
+            work_mesh=work,
+            match_state=match_state,
+        )
+    return result

@@ -4,8 +4,8 @@ Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the Euler strip
-by mesh edits and the full-sweep nodal merge) share only the primitives
-they were built on. The test helpers at the end (`relabel`, `cycle_lengths`
+by mesh edits, the full-sweep nodal merge and the dict-based mesh) share
+only the primitives they were built on. The test helpers (`relabel`, `cycle_lengths`, `mesh_edges`
 and `greedy_reduce`, the forced reductions on their own) are not oracles:
 only tests use them, so they live here rather than in the library.
 """
@@ -459,7 +459,7 @@ def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
             result = _fan_order(mesh, v, fan)
             if result is None:
                 continue
-            ordered, _links = result
+            ordered = result
             flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
             if sum(flags) != k // 2:
                 continue
@@ -481,3 +481,202 @@ def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
             merges.append((v, m))
             changed = True
     return merges
+
+
+# -- the dict-based mesh -------------------------------------------------------
+#
+# `Mesh` as the library kept it before its dual-neighbour table: an edge-key
+# -> incidence-list map, updated by every edit, with duplicates tracked in a
+# set of sorted vertex triples. Each incidence list holds its live triangles
+# in the order they were last added or revived; the map keeps edges in the
+# order they were last created. `dict_validate`, `dict_neighbours` and
+# `dict_split_pair` are the library's former `validate`, `build_dual`
+# (neighbour lists only) and `split_pair` on it.
+
+
+class DictMesh:
+    """Indexed triangle mesh with an unordered-edge incidence map."""
+
+    def __init__(self, vertices, triangles):
+        from math import isfinite
+
+        from singlestrip.mesh import MeshError
+
+        verts = [(float(p[0]), float(p[1]), float(p[2])) for p in vertices]
+        for vid, (x, y, z) in enumerate(verts):
+            if not (isfinite(x) and isfinite(y) and isfinite(z)):
+                raise MeshError(f"vertex {vid} has a non-finite coordinate: {(x, y, z)}")
+        self.vertices = verts
+        self.triangles: list[tuple[int, int, int]] = []
+        self.alive: list[bool] = []
+        self.edge_map: dict[tuple[int, int], list[int]] = {}
+        self._live_sets: set[tuple[int, int, int]] = set()
+        for tri in triangles:
+            self.add_triangle(tri)
+
+    @property
+    def n_triangles(self) -> int:
+        return sum(self.alive)
+
+    def alive_ids(self) -> list[int]:
+        return [t for t, a in enumerate(self.alive) if a]
+
+    def add_vertex(self, point) -> int:
+        self.vertices.append((float(point[0]), float(point[1]), float(point[2])))
+        return len(self.vertices) - 1
+
+    def add_triangle(self, tri) -> int:
+        from singlestrip.mesh import MeshError
+
+        a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
+        n = len(self.vertices)
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
+        if a == b or b == c or a == c:
+            raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
+        key = tuple(sorted((a, b, c)))
+        if key in self._live_sets:
+            raise MeshError(f"duplicate triangle {(a, b, c)}")
+        tid = len(self.triangles)
+        self.triangles.append((a, b, c))
+        self.alive.append(True)
+        self._live_sets.add(key)
+        for e in self.triangle_edges(tid):
+            self.edge_map.setdefault(e, []).append(tid)
+        return tid
+
+    def kill_triangle(self, tid: int) -> None:
+        from singlestrip.mesh import MeshError
+
+        if not self.alive[tid]:
+            raise MeshError(f"triangle {tid} is already dead")
+        for e in self.triangle_edges(tid):
+            incid = self.edge_map[e]
+            incid.remove(tid)
+            if not incid:
+                del self.edge_map[e]
+        self.alive[tid] = False
+        self._live_sets.discard(tuple(sorted(self.triangles[tid])))
+
+    def revive_triangle(self, tid: int) -> None:
+        from singlestrip.mesh import MeshError
+
+        if self.alive[tid]:
+            raise MeshError(f"triangle {tid} is already alive")
+        key = tuple(sorted(self.triangles[tid]))
+        if key in self._live_sets:
+            raise MeshError(f"reviving {tid} would duplicate a live triangle")
+        self.alive[tid] = True
+        self._live_sets.add(key)
+        for e in self.triangle_edges(tid):
+            self.edge_map.setdefault(e, []).append(tid)
+
+    def triangle_edges(self, tid: int) -> tuple[tuple[int, int], ...]:
+        from singlestrip.mesh import edge_key
+
+        a, b, c = self.triangles[tid]
+        return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
+
+    def edge_triangles(self, e: tuple[int, int]) -> list[int]:
+        return self.edge_map.get(e, [])
+
+    def other_triangle(self, e: tuple[int, int], tid: int) -> int | None:
+        for t in self.edge_map.get(e, ()):
+            if t != tid:
+                return t
+        return None
+
+    def boundary_edges(self) -> list[tuple[int, int]]:
+        return [e for e, ts in self.edge_map.items() if len(ts) == 1]
+
+
+def dict_neighbours(mesh) -> dict[int, list[int]]:
+    """Per live triangle, the triangles across its edges in slot order."""
+    out = {}
+    for t in mesh.alive_ids():
+        out[t] = [o for e in mesh.triangle_edges(t) if (o := mesh.other_triangle(e, t)) is not None]
+    return out
+
+
+def dict_split_pair(mesh, e):
+    """(edge, midpoint, parents, children) of a split on the dict mesh."""
+    from singlestrip.mesh import MeshError, edge_key
+
+    incident = list(mesh.edge_triangles(e))
+    if len(incident) != 2:
+        raise MeshError(
+            f"edge {e} is incident to {len(incident)} triangle(s); need exactly 2 to split"
+        )
+    a, b = e
+    pa = mesh.vertices[a]
+    pb = mesh.vertices[b]
+    mid = mesh.add_vertex(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
+    children: list[int] = []
+    for tid in incident:
+        tri = mesh.triangles[tid]
+        for shift in range(3):
+            if edge_key(tri[shift], tri[(shift + 1) % 3]) == e:
+                x, y, w = tri[shift], tri[(shift + 1) % 3], tri[(shift + 2) % 3]
+                break
+        else:
+            raise MeshError(f"edge {e} not found in triangle {tid}")
+        mesh.kill_triangle(tid)
+        children.append(mesh.add_triangle((x, mid, w)))
+        children.append(mesh.add_triangle((mid, y, w)))
+    return e, mid, (incident[0], incident[1]), tuple(children)
+
+
+def dict_validate(mesh, mode: str = "closed") -> list[tuple[str, str]]:
+    """The violations `validate` reported on the dict mesh, in order."""
+    violations: list[tuple[str, str]] = []
+    alive = mesh.alive_ids()
+    if not alive:
+        return [("empty", "mesh has no triangles")]
+
+    def direction(tri, a, b):
+        for i in range(3):
+            if tri[i] == a and tri[(i + 1) % 3] == b:
+                return 1
+            if tri[i] == b and tri[(i + 1) % 3] == a:
+                return -1
+
+    shared_pairs: dict[tuple[int, int], int] = {}
+    for e, tris in mesh.edge_map.items():
+        if len(tris) > 2:
+            violations.append(("non_manifold", f"edge {e} has {len(tris)} incident triangles"))
+            continue
+        if len(tris) == 1:
+            if mode == "closed":
+                violations.append(("open_edge", f"edge {e} is incident to only triangle {tris[0]}"))
+            continue
+        t1, t2 = tris
+        pair = (t1, t2) if t1 < t2 else (t2, t1)
+        shared_pairs[pair] = shared_pairs.get(pair, 0) + 1
+        if direction(mesh.triangles[t1], *e) == direction(mesh.triangles[t2], *e):
+            violations.append(
+                ("orientation", f"edge {e} has the same winding in triangles {t1} and {t2}")
+            )
+    for (t1, t2), shared in shared_pairs.items():
+        if shared > 1:
+            violations.append(("double_adjacency", f"triangles {t1} and {t2} share {shared} edges"))
+
+    seen = {alive[0]}
+    queue = deque([alive[0]])
+    while queue:
+        t = queue.popleft()
+        for e in mesh.triangle_edges(t):
+            o = mesh.other_triangle(e, t)
+            if o is not None and o not in seen:
+                seen.add(o)
+                queue.append(o)
+    if len(seen) != len(alive):
+        violations.append(
+            ("disconnected_dual",
+             f"dual graph has {len(alive) - len(seen)} triangle(s) unreachable from {alive[0]}")
+        )
+    return violations
+
+
+def mesh_edges(mesh) -> list[tuple[int, int]]:
+    """The distinct edges of the live triangles, by triangle id and slot."""
+    return list(dict.fromkeys(e for t in mesh.alive_ids() for e in mesh.triangle_edges(t)))

@@ -139,7 +139,7 @@ def test_criterion_5_no_unmatched_three_cycles():
             assert len(others) <= 1
             if others:
                 partner[t] = others[0]
-        cs = extract_cycles(dual, partner) if len(partner) == dual.n else None
+        cs = extract_cycles(res.mesh, partner) if len(partner) == dual.n else None
         if cs is not None:
             assert all(len(c) >= 4 for c in cs.cycles), f"{name}: 3-cycle in output"
         # and on the pipeline's own intermediate state: rerun the stages
@@ -151,7 +151,7 @@ def test_criterion_5_no_unmatched_three_cycles():
         partner2 = perfect_match_dual(d2).partner
         restore_three_cycles(work, partner2, stack)
         d2 = build_dual(work)
-        cs2 = extract_cycles(d2, partner2)
+        cs2 = extract_cycles(work, partner2)
         assert all(len(c) >= 4 for c in cs2.cycles), f"{name}: 3-cycle after restore"
         assert cs2.count <= d2.n / 4
     _report(5, f"no unmatched 3-cycles after restore on {len(meshes)} meshes "
@@ -176,9 +176,9 @@ def test_criterion_6_nodal_merge_soundness():
         partner = perfect_match_dual(d).partner
         restore_three_cycles(work, partner, stack)
         d = build_dual(work)
-        cs = extract_cycles(d, partner)
+        cs = extract_cycles(work, partner)
         initial = cs.count
-        cs2, merges = merge_nodal(work, d, partner, cs)
+        cs2, merges = merge_nodal(work, partner, cs)
         validate_matching(d, partner)
         assert len(partner) == d.n, f"{name}: matching not perfect after merging"
         assert all(m >= 2 for _v, m in merges)

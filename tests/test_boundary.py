@@ -65,7 +65,7 @@ def _snapshot(mesh):
         list(mesh.vertices),
         list(mesh.triangles),
         list(mesh.alive),
-        {e: list(ts) for e, ts in mesh.edge_map.items()},
+        list(mesh.neighbours),
         mesh.n_triangles,
     )
 

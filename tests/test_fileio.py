@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import mesh_edges
 from singlestrip.fileio import (
     ParseError,
     dumps_obj,
@@ -33,8 +34,8 @@ def test_load_off_tetrahedron(tmp_path):
     path.write_text(TETRA_OFF)
     mesh = load_mesh(path)
     assert mesh.n_triangles == 4
-    assert len(mesh.edge_map) == 6
-    assert all(len(ts) == 2 for ts in mesh.edge_map.values())
+    assert mesh.n_edges == 6
+    assert all(len(mesh.edge_triangles(e)) == 2 for e in mesh_edges(mesh))
 
 
 def test_off_header_variants():
@@ -56,6 +57,13 @@ def test_off_missing_header():
 def test_off_truncated():
     with pytest.raises(ParseError, match="truncated"):
         loads_off("OFF\n4 4 0\n0 0 0\n")
+
+
+@pytest.mark.parametrize("counts", ["-1 1 0", "3 -1 0"])
+def test_off_negative_counts_are_parse_errors(counts):
+    # a negative count used to slice from the end of the body
+    with pytest.raises(ParseError, match="negative OFF counts"):
+        loads_off(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
 
 
 def test_off_polygon_face_rejected():

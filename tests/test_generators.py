@@ -2,8 +2,10 @@
 
 import pytest
 
+from singlestrip.cli import main
 from singlestrip.fileio import dumps_obj
 from singlestrip.generators import (
+    MAX_TRIANGLES,
     GenSpec,
     fan,
     generate,
@@ -17,7 +19,7 @@ from singlestrip.mesh import validate
 
 
 def _euler(mesh):
-    return mesh.n_vertices - len(mesh.edge_map) + mesh.n_triangles
+    return mesh.n_vertices - mesh.n_edges + mesh.n_triangles
 
 
 def test_torus_counts_and_genus():
@@ -66,6 +68,17 @@ def test_parameter_bounds():
         fan(0)
     with pytest.raises(ValueError):
         icosphere(-1)
+
+
+@pytest.mark.parametrize("spec", ["torus(100000,100000)", "torus(3,174763)", "fan(1048577)"])
+def test_oversized_specs_are_refused_before_allocating(tmp_path, spec):
+    # each would allocate millions of triangles; the cap refuses it at once
+    with pytest.raises(ValueError, match="triangles, over"):
+        generate(spec)
+    assert main(["gen", spec, "-o", str(tmp_path / "m.off")]) == 2
+    assert not (tmp_path / "m.off").exists()
+    # the largest mesh of the benchmark matrix stays within the cap
+    assert 2 * 600 * 320 <= MAX_TRIANGLES
 
 
 def test_parse_spec():

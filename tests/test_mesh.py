@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from oracles import cube_graph, dual_by_shared_vertices, graphs_isomorphic_small, longest_path_in_tree
+from oracles import (
+    cube_graph,
+    dual_by_shared_vertices,
+    graphs_isomorphic_small,
+    longest_path_in_tree,
+    mesh_edges,
+)
 from singlestrip.boundary import gen_mk
 from singlestrip.generators import fan, octahedron, tetrahedron, torus
 from singlestrip.mesh import (
@@ -26,8 +32,8 @@ def test_edge_key_canonical():
 def test_tetrahedron_counts(tetra):
     assert tetra.n_vertices == 4
     assert tetra.n_triangles == 4
-    assert len(tetra.edge_map) == 6
-    assert all(len(ts) == 2 for ts in tetra.edge_map.values())
+    assert tetra.n_edges == 6
+    assert all(len(tetra.edge_triangles(e)) == 2 for e in mesh_edges(tetra))
 
 
 def test_constructor_rejects_bad_index():
@@ -139,7 +145,7 @@ def test_dual_closed_mesh_is_bridgeless():
 
 
 def test_split_pair_counts(tetra):
-    e = next(iter(tetra.edge_map))
+    e = mesh_edges(tetra)[0]
     record = split_pair(tetra, e)
     assert tetra.n_vertices == 5
     assert tetra.n_triangles == 6
@@ -158,7 +164,7 @@ def test_split_pair_midpoint_exact():
 
 def test_split_pair_children_coplanar_and_area_preserving(torus400):
     mesh = torus400
-    for e in list(mesh.edge_map)[:25]:
+    for e in mesh_edges(mesh)[:25]:
         parent_areas = {}
         parent_pts = {}
         for t in mesh.edge_triangles(e):
@@ -183,7 +189,7 @@ def test_split_pair_children_coplanar_and_area_preserving(torus400):
 
 def test_split_pair_preserves_orientation(torus400):
     mesh = torus400
-    e = next(iter(mesh.edge_map))
+    e = mesh_edges(mesh)[0]
     split_pair(mesh, e)
     assert validate(mesh, "closed").ok
 
@@ -198,7 +204,7 @@ def test_split_pair_rejects_boundary_edge():
 def test_euler_bookkeeping_over_splits(octa):
     v0, t0 = octa.n_vertices, octa.n_triangles
     for s in range(1, 6):
-        e = sorted(octa.edge_map)[s]
+        e = sorted(mesh_edges(octa))[s]
         split_pair(octa, e)
         assert octa.n_vertices == v0 + s
         assert octa.n_triangles == t0 + 2 * s
@@ -206,7 +212,7 @@ def test_euler_bookkeeping_over_splits(octa):
 
 def test_split_then_collapse_recovers_dual(octa):
     before = {t: set(build_dual(octa).neighbors(t)) for t in octa.alive_ids()}
-    e = sorted(octa.edge_map)[0]
+    e = sorted(mesh_edges(octa))[0]
     record = split_pair(octa, e)
     # collapse: children -> parents, then compare adjacency to the original
     owner = {}
@@ -234,7 +240,7 @@ def test_insert_centroid_creates_degree3_vertex(ico):
 
 def test_compact_remaps_and_preserves():
     mesh = tetrahedron()
-    split_pair(mesh, sorted(mesh.edge_map)[0])
+    split_pair(mesh, sorted(mesh_edges(mesh))[0])
     compacted, remap = mesh.compact()
     assert compacted.n_triangles == mesh.n_triangles
     assert sorted(remap) == mesh.alive_ids()
@@ -245,6 +251,6 @@ def test_compact_remaps_and_preserves():
 
 def test_copy_is_independent(tetra):
     clone = tetra.copy()
-    split_pair(clone, sorted(clone.edge_map)[0])
+    split_pair(clone, sorted(mesh_edges(clone))[0])
     assert tetra.n_triangles == 4
     assert clone.n_triangles == 6

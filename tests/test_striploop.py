@@ -4,6 +4,7 @@ and the assembled Hamiltonian cycle."""
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from oracles import (
     relabel,
     unmatched_cycles,
 )
+from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import save_mesh
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
@@ -48,7 +50,7 @@ def _before_nodal(mesh):
     partner = dict(perfect_match_dual(build_dual(work)).partner)
     restore_three_cycles(work, partner, stack)
     dual = build_dual(work)
-    return work, dual, partner, extract_cycles(dual, partner)
+    return work, dual, partner, extract_cycles(work, partner)
 
 
 # -- elimination ----------------------------------------------------------------
@@ -140,7 +142,7 @@ def test_restore_leaves_no_unmatched_three_cycle():
     partner = perfect_match_dual(dual).partner
     restore_three_cycles(mesh, partner, stack)
     dual = build_dual(mesh)
-    cycles = extract_cycles(dual, partner)
+    cycles = extract_cycles(mesh, partner)
     assert all(len(c) >= 4 for c in cycles.cycles)
     # after elimination there can be at most n/4 cycles
     assert cycles.count <= dual.n / 4
@@ -152,7 +154,7 @@ def test_restore_leaves_no_unmatched_three_cycle():
 def test_extract_tetra_single_4cycle(tetra):
     dual = build_dual(tetra)
     partner = perfect_match_dual(dual).partner
-    cs = extract_cycles(dual, partner)
+    cs = extract_cycles(tetra, partner)
     assert cycle_lengths(cs) == [4]
 
 
@@ -165,7 +167,7 @@ def test_extract_cube_graph_both_matching_classes(octa):
     assert len(matchings) == 9
     seen = set()
     for partner in matchings:
-        cs = extract_cycles(dual, partner)
+        cs = extract_cycles(octa, partner)
         seen.add(tuple(sorted(cycle_lengths(cs))))
         oracle = sorted(len(c) for c in unmatched_cycles(adj, partner))
         assert sorted(cycle_lengths(cs)) == oracle
@@ -175,7 +177,7 @@ def test_extract_cube_graph_both_matching_classes(octa):
 def test_extract_partitions_all_triangles(torus400):
     dual = build_dual(torus400)
     partner = perfect_match_dual(dual).partner
-    cs = extract_cycles(dual, partner)
+    cs = extract_cycles(torus400, partner)
     assert sum(cycle_lengths(cs)) == 400
     assert sorted(t for c in cs.cycles for t in c) == sorted(dual.nodes())
 
@@ -183,7 +185,7 @@ def test_extract_partitions_all_triangles(torus400):
 def test_extract_rejects_broken_matching(tetra):
     dual = build_dual(tetra)
     with pytest.raises(PipelineError, match="unmatched dual edges"):
-        extract_cycles(dual, {})
+        extract_cycles(tetra, {})
 
 
 # -- nodal merging ----------------------------------------------------------------
@@ -197,9 +199,9 @@ def test_merge_nodal_octahedron_two_cycles_to_one(octa):
         if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
     )
     partner = dict(two_cycle)
-    cs = extract_cycles(dual, partner)
+    cs = extract_cycles(octa, partner)
     assert cs.count == 2
-    cs, merges = merge_nodal(octa, dual, partner, cs)
+    cs, merges = merge_nodal(octa, partner, cs)
     assert cs.count == 1
     assert sum(m - 1 for _, m in merges) == 1
     validate_matching(dual, partner)
@@ -210,8 +212,8 @@ def test_merge_nodal_rejects_odd_fans():
     mesh = icosphere(0)
     dual = build_dual(mesh)
     partner = perfect_match_dual(dual).partner
-    cs = extract_cycles(dual, partner)
-    cs2, merges = merge_nodal(mesh, dual, partner, cs)
+    cs = extract_cycles(mesh, partner)
+    cs2, merges = merge_nodal(mesh, partner, cs)
     assert merges == []
     assert cs2.count == cs.count
 
@@ -221,9 +223,9 @@ def test_merge_nodal_preserves_matching_and_counts():
         mesh = torus(p, q)
         dual = build_dual(mesh)
         partner = perfect_match_dual(dual).partner
-        cs = extract_cycles(dual, partner)
+        cs = extract_cycles(mesh, partner)
         before = cs.count
-        cs, merges = merge_nodal(mesh, dual, partner, cs)
+        cs, merges = merge_nodal(mesh, partner, cs)
         validate_matching(dual, partner)
         assert cs.count == before - sum(m - 1 for _, m in merges)
         assert sum(cycle_lengths(cs)) == mesh.n_triangles
@@ -257,10 +259,10 @@ def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed
                 start[u] = t
         partner = blossom_maximum_matching(dual, start)
         assert len(partner) == dual.n
-        cs = extract_cycles(dual, partner)
+        cs = extract_cycles(work, partner)
     oracle_partner = dict(partner)
     oracle_merges = merge_nodal_full_sweep(work, oracle_partner, cs)
-    _cs, merges = merge_nodal(work, dual, partner, cs)
+    _cs, merges = merge_nodal(work, partner, cs)
     assert merges == oracle_merges
     assert partner == oracle_partner
 
@@ -277,7 +279,7 @@ def test_pinched_vertex_is_accepted_and_never_toggled():
     res = stripify(mesh)
     assert verify_cycle(res.mesh, res.order) == (True, None)
     work, dual, partner, cs = _before_nodal(mesh)
-    _cs, merges = merge_nodal(work, dual, partner, cs)
+    _cs, merges = merge_nodal(work, partner, cs)
     assert all(v != 0 for v, _m in merges)
 
 
@@ -287,9 +289,9 @@ def test_pinched_vertex_is_accepted_and_never_toggled():
 def test_splits_no_op_for_single_cycle(tetra):
     dual = build_dual(tetra)
     partner = perfect_match_dual(dual).partner
-    cs = extract_cycles(dual, partner)
+    cs = extract_cycles(tetra, partner)
     assert cs.count == 1
-    records = spanning_tree_splits(tetra, dual, partner, cs)
+    records = spanning_tree_splits(tetra, partner, cs)
     assert records == []
     assert tetra.n_triangles == 4
 
@@ -302,8 +304,8 @@ def test_splits_merge_two_cycles(octa):
         if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
     )
     partner = dict(two_cycle)
-    cs = extract_cycles(dual, partner)
-    records = spanning_tree_splits(octa, dual, partner, cs)
+    cs = extract_cycles(octa, partner)
+    records = spanning_tree_splits(octa, partner, cs)
     assert len(records) == 1
     assert octa.n_triangles == 10
     order = assemble_cycle(octa, partner)
@@ -447,6 +449,24 @@ def test_stripify_deterministic(torus400):
     assert a.order == b.order
     assert a.stats["output_triangles"] == b.stats["output_triangles"]
     assert [r.edge for r in a.splits] == [r.edge for r in b.splits]
+
+
+@pytest.mark.parametrize("pipeline", ["closed", "open"])
+def test_stages_account_for_the_wall_time(pipeline):
+    if pipeline == "closed":
+        mesh = torus(30, 20)
+        for t in random.Random(8).sample(range(mesh.n_triangles), 30):
+            insert_centroid(mesh, t)
+        run = stripify
+    else:
+        mesh = gen_mk(8)
+        run = strip_with_boundary
+    results = []  # kept, so that no earlier result is freed inside the timing
+    for _ in range(3):
+        t0 = time.perf_counter()
+        results.append(run(mesh))
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        assert sum(results[-1].stats["elapsed_ms"].values()) >= 0.95 * wall_ms
 
 
 def test_split_children_coplanar_with_parents():
