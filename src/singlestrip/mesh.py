@@ -136,14 +136,13 @@ def _edge_sort(tri: np.ndarray, n: int):
     return order, start, size, lo, hi
 
 
-def _first_others(order: np.ndarray, start: np.ndarray, size: np.ndarray, rows) -> np.ndarray:
-    """Per slot, the triangle across its edge: the group's first-listed
-    triangle, or for that one the second, or -1 when it is alone. `rows`
-    maps row index to triangle id."""
+def _first_others(order: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Per slot, the row across its edge: the group's first-listed row, or
+    for that one the second, or -1 when it is alone."""
     first = np.repeat(start, size)
     pos = np.arange(len(order))
     other = np.where(pos == first, first + 1, first)
-    across = rows[order[np.minimum(other, len(order) - 1)] // 3]
+    across = order[np.minimum(other, len(order) - 1)] // 3
     across[np.repeat(size == 1, size)] = -1
     table = np.empty(len(order), dtype=np.int64)
     table[order] = across
@@ -189,7 +188,7 @@ class Mesh:
         _check_triangles(tri, n, triangles)
         m = len(tri)
         if neighbours is None:
-            neighbours = _first_others(*_edge_sort(tri, n)[:3], np.arange(m)).tolist()
+            neighbours = _first_others(*_edge_sort(tri, n)[:3]).tolist()
         self.vertices: list[tuple[float, float, float]] = list(map(tuple, pts.tolist()))
         self.triangles: list[tuple[int, int, int]] = list(map(tuple, tri.tolist()))
         self.alive: list[bool] = [True] * m

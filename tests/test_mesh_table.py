@@ -111,15 +111,15 @@ def test_table_mesh_matches_dict_oracle(seed, closed, steps):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), splits=st.integers(1, 6))
 def test_split_of_a_known_pair_matches_the_looked_up_split(seed, splits):
-    # the pipeline names the pair and skips the vertex index; on a closed
-    # manifold mesh the rows come out as the indexed path leaves them
+    # the pipeline names the pair and never builds the vertex index; on a
+    # closed manifold mesh the rows come out as the indexed path leaves them
     rng = random.Random(seed)
     vertices, triangles = _closed(rng)
     named, looked_up = Mesh(vertices, triangles), Mesh(vertices, triangles)
     for _ in range(splits):
         e = rng.choice(mesh_edges(named))
-        pair = tuple(rng.sample(named.edge_triangles(e), 2))
-        named._at_vertex = None  # edge_triangles built it; the pipeline never does
+        # ids agree on both meshes; asking `named` would build its vertex index
+        pair = tuple(rng.sample(looked_up.edge_triangles(e), 2))
         a = split_pair(named, e, pair)
         b = split_pair(looked_up, e)
         assert a == b
