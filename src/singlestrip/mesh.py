@@ -32,12 +32,6 @@ def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _rotate_to(tri: tuple[int, int, int], v: int) -> tuple[int, int, int]:
-    """Cyclic rotation of a triangle tuple so it starts at vertex v."""
-    i = tri.index(v)
-    return (tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
-
-
 def _slot(tri: tuple[int, int, int], u: int, v: int) -> int:
     """The i with {tri[i], tri[i + 1 mod 3]} = {u, v}, or -1."""
     a, b, c = tri

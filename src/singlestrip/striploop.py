@@ -24,7 +24,6 @@ from .mesh import (
     edge_key,
     split_pair,
     validate,
-    _rotate_to,
 )
 from .unionfind import UnionFind
 
@@ -40,14 +39,14 @@ class PipelineError(Exception):
 class RemovedConfig:
     """A removed degree-3 vertex: three fan triangles replaced by their ring.
 
-    `edge_owner` maps each ring edge to the fan triangle that contained it,
-    which is what restoration needs to re-route the replacement's match.
+    `parents[j]` held the replacement's ring edge j, from its vertex j to
+    vertex j + 1, which is what restoration needs to re-route the
+    replacement's match.
     """
 
     vertex: int
     parents: tuple[int, int, int]
     replacement: int
-    edge_owner: dict[tuple[int, int], int]
 
 
 def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedConfig]:
@@ -72,17 +71,17 @@ def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedCo
             break
         t0 = min(incid[v])
         i0 = tris[t0].index(v)
-        _, a, b = _rotate_to(tris[t0], v)
+        a, b = tris[t0][(i0 + 1) % 3], tris[t0][(i0 + 2) % 3]
         t1 = nb[3 * t0 + (i0 + 2) % 3]  # across (b, v)
         if t1 < 0 or t1 not in incid[v]:
             raise PipelineError(f"vertex {v} has 3 triangles but no closed fan")
         i1 = tris[t1].index(v)
-        _, b2, c = _rotate_to(tris[t1], v)
+        b2, c = tris[t1][(i1 + 1) % 3], tris[t1][(i1 + 2) % 3]
         if b2 != b:
             raise PipelineError(f"inconsistent winding around vertex {v}")
         t2 = (incid[v] - {t0, t1}).pop()
         i2 = tris[t2].index(v)
-        _, c2, a2 = _rotate_to(tris[t2], v)
+        c2, a2 = tris[t2][(i2 + 1) % 3], tris[t2][(i2 + 2) % 3]
         if c2 != c or a2 != a:
             raise PipelineError(f"fan around vertex {v} does not close on ring ({a},{b},{c})")
 
@@ -93,18 +92,7 @@ def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedCo
         replacement = mesh._append((a, b, c), outer)
         for x, t in zip(outer, (t0, t1, t2)):
             mesh._repoint(x, t, replacement)
-        stack.append(
-            RemovedConfig(
-                vertex=v,
-                parents=(t0, t1, t2),
-                replacement=replacement,
-                edge_owner={
-                    edge_key(a, b): t0,
-                    edge_key(b, c): t1,
-                    edge_key(c, a): t2,
-                },
-            )
-        )
+        stack.append(RemovedConfig(vertex=v, parents=(t0, t1, t2), replacement=replacement))
         del incid[v]
         for ring, dead in ((a, (t0, t2)), (b, (t0, t1)), (c, (t1, t2))):
             incid[ring].difference_update(dead)
@@ -134,7 +122,7 @@ def restore_three_cycles(
         outer = nb[3 * r : 3 * r + 3]
         if x not in outer:
             raise PipelineError(f"replacement {r} is matched to non-neighbor {x}")
-        owner = cfg.edge_owner[mesh.triangle_edges(r)[outer.index(x)]]
+        owner = cfg.parents[outer.index(x)]
         mesh._retire(r)
         for t, o in zip(cfg.parents, outer):
             nb[3 * t + (tris[t].index(cfg.vertex) + 1) % 3] = o

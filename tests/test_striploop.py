@@ -120,7 +120,8 @@ def test_restore_matches_owner_and_pairs_rest():
             e for e in mesh.triangle_edges(cfg.replacement)
             if mesh.other_triangle(e, cfg.replacement) == x
         )
-        owners[cfg.replacement] = (cfg.edge_owner[e], x, cfg)
+        owner = next(t for t in cfg.parents if set(e) <= set(mesh.triangles[t]))
+        owners[cfg.replacement] = (owner, x, cfg)
     restore_three_cycles(mesh, partner, stack)
     validate_matching(build_dual(mesh), partner)
     assert len(partner) == mesh.n_triangles
