@@ -33,7 +33,6 @@ from .mesh import (
     ValidationReport,
     build_dual,
     edge_key,
-    insert_centroid,
     split_pair,
     validate,
 )
@@ -57,7 +56,6 @@ from .striploop import (
     restore_three_cycles,
     spanning_tree_splits,
     stripify,
-    verify_cycle,
     verify_order,
 )
 from .unionfind import UnionFind
@@ -75,7 +73,6 @@ __all__ = [
     "validate",
     "build_dual",
     "split_pair",
-    "insert_centroid",
     "load_mesh",
     "save_mesh",
     "read_strip_order",
@@ -97,7 +94,6 @@ __all__ = [
     "merge_nodal",
     "spanning_tree_splits",
     "assemble_cycle",
-    "verify_cycle",
     "verify_order",
     "stripify",
     "gen_mk",

@@ -4,7 +4,9 @@ graph, and midpoint splitting.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
 subdivision appends fresh ids, so records built by the pipeline (matchings,
-split records, removed configurations) stay valid across edits.
+split records, removed configurations) stay valid across edits. The mesh is
+edited only by row edits of the neighbour table: three-cycle elimination
+and restoration, and `split_pair` on a pair its caller names.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ class Mesh:
     boundary. Where more than two triangles share an edge, each lists the
     first of them, and the first lists the second, in the order they were
     last added or revived (the constructor adds in id order). Rows of dead
-    triangles are stale.
+    triangles are stale. The edits assume that no edge they touch has more
+    than two triangles.
 
     Vertex triples are stored counter-clockwise with respect to a consistent
     surface orientation (checked by `validate`, not by the constructor). The
@@ -162,11 +165,8 @@ class Mesh:
     table with one sort of the edge slots. `neighbours`, when given, is
     taken as that table instead (as `compact` passes it) and is not checked.
 
-    `kill_triangle`, `add_triangle`, `revive_triangle`, `edge_triangles` and
-    `split_pair` without known parents find the triangles on an edge through
-    a vertex-to-triangles index built on their first use. The pipeline's own
-    edits (three-cycle elimination and restoration, splits of a known pair)
-    rewrite the rows they touch and never build it.
+    Edits go through `_append`, `_retire`, `_reinstate` and `_repoint`; each
+    caller rewrites the rows on both sides of the edges it changes.
     """
 
     def __init__(self, vertices, triangles, neighbours=None):
@@ -190,7 +190,6 @@ class Mesh:
         self._stamp: list[int] = list(range(m))  # when each triangle was last added or revived
         self._clock = m
         self._n_alive = m
-        self._at_vertex: list[list[int]] | None = None
 
     # -- counts ----------------------------------------------------------
 
@@ -219,38 +218,7 @@ class Mesh:
 
     def add_vertex(self, point) -> int:
         self.vertices.append((float(point[0]), float(point[1]), float(point[2])))
-        if self._at_vertex is not None:
-            self._at_vertex.append([])
         return len(self.vertices) - 1
-
-    def add_triangle(self, tri) -> int:
-        a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
-        n = len(self.vertices)
-        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-            raise MeshError(f"triangle {(a, b, c)} references a vertex out of range (have {n})")
-        if a == b or b == c or a == c:
-            raise MeshError(f"degenerate triangle with repeated vertex: {(a, b, c)}")
-        if self._live_twin((a, b, c)):
-            raise MeshError(f"duplicate triangle {(a, b, c)}")
-        tid = self._append((a, b, c), [-1, -1, -1])
-        self._link_rows(tid)
-        return tid
-
-    def kill_triangle(self, tid: int) -> None:
-        if not self.alive[tid]:
-            raise MeshError(f"triangle {tid} is already dead")
-        self._retire(tid)
-        self._link_rows(tid)
-
-    def revive_triangle(self, tid: int) -> None:
-        if self.alive[tid]:
-            raise MeshError(f"triangle {tid} is already alive")
-        if self._live_twin(self.triangles[tid]):
-            raise MeshError(f"reviving {tid} would duplicate a live triangle")
-        self._reinstate(tid)
-        self._link_rows(tid)
-
-    # Row-level edits for callers that re-point the rows themselves.
 
     def _append(self, tri: tuple[int, int, int], row: list[int]) -> int:
         tid = len(self.triangles)
@@ -260,9 +228,6 @@ class Mesh:
         self._stamp.append(self._clock)
         self._clock += 1
         self._n_alive += 1
-        if self._at_vertex is not None:
-            for v in tri:
-                self._at_vertex[v].append(tid)
         return tid
 
     def _retire(self, tid: int) -> None:
@@ -281,49 +246,12 @@ class Mesh:
             nb = self.neighbours
             nb[nb.index(old, 3 * tid, 3 * tid + 3)] = new
 
-    # Edge lookups through the vertex index.
-
-    def _vertex_index(self) -> list[list[int]]:
-        if self._at_vertex is None:
-            index: list[list[int]] = [[] for _ in self.vertices]
-            for t, tri in enumerate(self.triangles):
-                for v in tri:
-                    index[v].append(t)
-            self._at_vertex = index
-        return self._at_vertex
-
-    def _link(self, u: int, v: int) -> None:
-        """Rewrite the rows of the live triangles on edge uv."""
-        on = self.edge_triangles((u, v))
-        for t in on:
-            other = on[0] if t != on[0] else (on[1] if len(on) > 1 else -1)
-            self.neighbours[3 * t + _slot(self.triangles[t], u, v)] = other
-
-    def _link_rows(self, tid: int) -> None:
-        for e in self.triangle_edges(tid):
-            self._link(*e)
-
-    def _live_twin(self, tri) -> bool:
-        key = set(tri)
-        tris, alive = self.triangles, self.alive
-        return any(alive[t] and set(tris[t]) == key for t in self._vertex_index()[tri[0]])
-
     # -- queries ---------------------------------------------------------
 
     def listing_order(self, tids) -> list[int]:
         """Triangle ids in the order they were last added or revived: the
         order in which an edge lists its triangles."""
         return sorted(tids, key=self._stamp.__getitem__)
-
-    def triangle_edges(self, tid: int) -> tuple[tuple[int, int], ...]:
-        a, b, c = self.triangles[tid]
-        return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
-
-    def edge_triangles(self, e: tuple[int, int]) -> list[int]:
-        """The live triangles on edge e, in listing order."""
-        u, v = e
-        tris, alive = self.triangles, self.alive
-        return self.listing_order(t for t in self._vertex_index()[u] if alive[t] and v in tris[t])
 
     def other_triangle(self, e: tuple[int, int], tid: int) -> int | None:
         """The live triangle across edge e from live triangle tid, or None on
@@ -352,32 +280,6 @@ class Mesh:
                 incid.setdefault(v, set()).add(t)
         return incid
 
-    # -- geometry --------------------------------------------------------
-
-    def triangle_points(self, tid: int) -> np.ndarray:
-        return np.array([self.vertices[v] for v in self.triangles[tid]], dtype=float)
-
-    def triangle_area(self, tid: int) -> float:
-        p = self.triangle_points(tid)
-        return 0.5 * float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
-
-    def triangle_diameter(self, tid: int) -> float:
-        p = self.triangle_points(tid)
-        return max(
-            float(np.linalg.norm(p[0] - p[1])),
-            float(np.linalg.norm(p[1] - p[2])),
-            float(np.linalg.norm(p[2] - p[0])),
-        )
-
-    def plane_distance(self, tid: int, point) -> float:
-        """Unsigned distance of a point from the triangle's supporting plane."""
-        p = self.triangle_points(tid)
-        n = np.cross(p[1] - p[0], p[2] - p[0])
-        norm = float(np.linalg.norm(n))
-        if norm == 0.0:
-            raise MeshError(f"triangle {tid} has zero area")
-        return abs(float(np.dot(np.asarray(point, dtype=float) - p[0], n))) / norm
-
     # -- structure -------------------------------------------------------
 
     def copy(self) -> "Mesh":
@@ -390,7 +292,6 @@ class Mesh:
         m._stamp = list(self._stamp)
         m._clock = self._clock
         m._n_alive = self._n_alive
-        m._at_vertex = None
         return m
 
     def compact(self) -> tuple["Mesh", dict[int, int]]:
@@ -420,30 +321,18 @@ class SplitRecord:
     children: tuple[int, int, int, int]
 
 
-def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int] | None = None) -> SplitRecord:
-    """Split both triangles incident to edge e at its midpoint.
+def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> SplitRecord:
+    """Split the two triangles `pair` on edge e at its midpoint.
 
     Each parent (x, y, w), with {x, y} = e, becomes (x, m, w) and (m, y, w),
     preserving winding. The mesh gains one vertex and a net two triangles.
     The parents are taken in listing order. The children's rows are built
-    from the parents' rows, and the parents' outer neighbours re-pointed.
-
-    `pair` gives the two triangles on e when the caller knows them; no edge
-    of either may then have more than two triangles. Otherwise they are
-    looked up, and the parents' outer edges are relinked through the vertex
-    index, which also covers edges with more than two triangles.
+    from the parents' rows, and the parents' outer neighbours re-pointed, so
+    no edge of either parent may have more than two triangles. A parent
+    without edge e is rejected before the mesh is touched.
     """
-    if pair is None:
-        pair = mesh.edge_triangles(e)
-        if len(pair) != 2:
-            raise MeshError(
-                f"edge {e} is incident to {len(pair)} triangle(s); need exactly 2 to split"
-            )
     parents = mesh.listing_order(pair)
     a, b = e
-    pa = mesh.vertices[a]
-    pb = mesh.vertices[b]
-    mid = mesh.add_vertex(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
     nb = mesh.neighbours
     halves = []
     for tid in parents:
@@ -454,6 +343,9 @@ def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int] | None = No
             raise MeshError(f"edge {e} not found in triangle {tid}")
         halves.append((tri[s], tri[(s + 1) % 3], tri[(s + 2) % 3],
                        nb[3 * tid + (s + 1) % 3], nb[3 * tid + (s + 2) % 3]))
+    pa = mesh.vertices[a]
+    pb = mesh.vertices[b]
+    mid = mesh.add_vertex(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
     first = len(mesh.triangles)
     children = (first, first + 1, first + 2, first + 3)
     for k, (tid, (x, y, w, n_yw, n_wx)) in enumerate(zip(parents, halves)):
@@ -466,35 +358,9 @@ def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int] | None = No
             across_x, across_y = across_y, across_x
         mesh._append((x, mid, w), [across_x, c1, n_wx])
         mesh._append((mid, y, w), [across_y, n_yw, c0])
-        if mesh._at_vertex is None:
-            mesh._repoint(n_wx, tid, c0)
-            mesh._repoint(n_yw, tid, c1)
-    if mesh._at_vertex is not None:
-        for x, y, w, _n_yw, _n_wx in halves:
-            mesh._link(y, w)
-            mesh._link(w, x)
+        mesh._repoint(n_wx, tid, c0)
+        mesh._repoint(n_yw, tid, c1)
     return SplitRecord(edge=e, midpoint=mid, parents=(parents[0], parents[1]), children=children)
-
-
-def insert_centroid(mesh: Mesh, tid: int) -> tuple[int, tuple[int, int, int]]:
-    """Fan-split a triangle at its centroid, creating a degree-3 vertex.
-
-    Used to manufacture three-cycle configurations for tests and experiments.
-    """
-    a, b, c = mesh.triangles[tid]
-    pa, pb, pc = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
-    g = mesh.add_vertex(
-        (
-            (pa[0] + pb[0] + pc[0]) / 3.0,
-            (pa[1] + pb[1] + pc[1]) / 3.0,
-            (pa[2] + pb[2] + pc[2]) / 3.0,
-        )
-    )
-    mesh.kill_triangle(tid)
-    t0 = mesh.add_triangle((a, b, g))
-    t1 = mesh.add_triangle((b, c, g))
-    t2 = mesh.add_triangle((c, a, g))
-    return g, (t0, t1, t2)
 
 
 # -- validation ------------------------------------------------------------
@@ -537,9 +403,11 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     are reported in the order of their first slot, by triangle id and then
     position in the triangle, and the triangles on an edge in listing order.
     Connectivity is a search over the rows of the neighbour table from the
-    smallest live id. No two triangles can share two edges: they would share
-    all three vertices, which the constructor, `add_triangle` and
-    `revive_triangle` reject as a duplicate.
+    smallest live id. No two triangles can share two edges, as they would
+    share all three vertices: the constructor rejects duplicates; split
+    children hold a fresh midpoint; and an elimination ring (a, b, c) could
+    only duplicate a live triangle on the tetrahedron, whose four triangles
+    elimination never reduces.
 
     Vertex links are not checked, since that would cost every mesh a pass
     over its vertex fans: a pinched vertex, whose incident triangles form

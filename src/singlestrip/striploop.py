@@ -34,6 +34,10 @@ class PipelineError(Exception):
 
 # -- three-cycle elimination --------------------------------------------------
 
+# Elimination never shrinks the mesh below this many triangles: a
+# tetrahedron's K4 dual already yields a single 4-cycle.
+MIN_TRIANGLES = 4
+
 
 @dataclass(frozen=True)
 class RemovedConfig:
@@ -49,15 +53,14 @@ class RemovedConfig:
     replacement: int
 
 
-def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedConfig]:
+def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
     """Remove every interior vertex with exactly three incident triangles.
 
     Mutates the mesh in place and returns the removal stack (LIFO order for
     restoration). The replacement's row takes the fan's outer neighbours,
     which are re-pointed to it. Removal cascades: replacing a fan can drop a
     ring vertex's incidence count to three. Stops rather than shrink the mesh
-    to fewer than `min_triangles` triangles (a tetrahedron remains matchable
-    as K4).
+    below `MIN_TRIANGLES`, so a tetrahedron is left as it is.
     """
     nb, tris = mesh.neighbours, mesh.triangles
     incid = mesh.vertex_triangles()
@@ -67,7 +70,7 @@ def eliminate_three_cycles(mesh: Mesh, min_triangles: int = 4) -> list[RemovedCo
         v = queue.popleft()
         if len(incid.get(v, ())) != 3:
             continue
-        if mesh.n_triangles - 2 < min_triangles:
+        if mesh.n_triangles - 2 < MIN_TRIANGLES:
             break
         t0 = min(incid[v])
         i0 = tris[t0].index(v)
@@ -406,10 +409,6 @@ def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str 
     return True, None
 
 
-def verify_cycle(mesh: Mesh, cycle: list[int]) -> tuple[bool, str | None]:
-    return verify_order(mesh, cycle, closed=True)
-
-
 # -- orchestrator ---------------------------------------------------------------
 
 
@@ -473,9 +472,7 @@ def stripify(mesh: Mesh) -> StripResult:
         work = mesh.copy()
 
     with timer("eliminate"):
-        # a tetrahedron would be consumed by elimination; its K4 dual already
-        # yields a single 4-cycle, so skip straight to matching
-        stack = [] if n_input == 4 else eliminate_three_cycles(work)
+        stack = eliminate_three_cycles(work)
 
     with timer("match"):
         dual = build_dual(work)
@@ -503,7 +500,7 @@ def stripify(mesh: Mesh) -> StripResult:
 
     with timer("assemble"):
         order = assemble_cycle(work, partner)
-        ok, why = verify_cycle(work, order)
+        ok, why = verify_order(work, order, closed=True)
         if not ok:
             raise PipelineError(f"assembled cycle failed verification: {why}")
 

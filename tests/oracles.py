@@ -5,8 +5,9 @@ adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the Euler strip
 by mesh edits, the full-sweep nodal merge and the dict-based mesh) share
-only the primitives they were built on. The test helpers (`relabel`, `cycle_lengths`, `mesh_edges`
-and `greedy_reduce`, the forced reductions on their own) are not oracles:
+only the primitives they were built on. The test helpers (`relabel`,
+`cycle_lengths`, `mesh_edges`, `greedy_reduce`, the forced reductions on
+their own, and the mesh geometry, edge scans and edits) are not oracles:
 only tests use them, so they live here rather than in the library.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import lru_cache
+
+import numpy as np
 
 
 def dual_by_shared_vertices(mesh) -> dict[int, set[int]]:
@@ -331,7 +334,8 @@ def sfc_curve_points(mesh, dc, depth: int) -> list:
 #
 # The open-strip construction as the library ran it before it replayed the
 # subdivision on plain lists: one `split_pair` edit of a copy of the mesh per
-# doubled tree edge, the crossing walk on that edited copy, then `compact`.
+# doubled tree edge, on the two triangles `edge_triangles` finds on it in the
+# copy, the crossing walk on that edited copy, then `compact`.
 
 
 def euler_strip_by_splits(mesh, tree, spine):
@@ -358,7 +362,10 @@ def euler_strip_by_splits(mesh, tree, spine):
     for anchor, child in doubled:
         child_edges.setdefault(anchor, {})[shared_tree_edge(anchor, child)] = child
 
-    records = [split_pair(work, shared_tree_edge(anchor, child)) for anchor, child in doubled]
+    records = []
+    for anchor, child in doubled:
+        e = shared_tree_edge(anchor, child)
+        records.append(split_pair(work, e, edge_triangles(work, e)))
     midpoint = {rec.edge: rec.midpoint for rec in records}
 
     def sweep(t, pkey, enter_v, out):
@@ -430,6 +437,95 @@ def greedy_reduce(graph):
     return adj, partner, log
 
 
+# -- mesh geometry, edge scans and edits that only tests use --------------------
+#
+# Functions of a library `Mesh` and a triangle id. `edge_triangles` scans the
+# raw triangles, sharing nothing with the neighbour table. `insert_centroid`
+# and `punch_holes` edit the table by the row edits the pipeline uses:
+# `_retire`, `_append` and `_repoint`. Both assume that no edge of the
+# triangles they edit has more than two triangles.
+
+
+def triangle_points(mesh, tid: int) -> np.ndarray:
+    return np.array([mesh.vertices[v] for v in mesh.triangles[tid]], dtype=float)
+
+
+def triangle_area(mesh, tid: int) -> float:
+    p = triangle_points(mesh, tid)
+    return 0.5 * float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
+
+
+def triangle_diameter(mesh, tid: int) -> float:
+    p = triangle_points(mesh, tid)
+    return max(
+        float(np.linalg.norm(p[0] - p[1])),
+        float(np.linalg.norm(p[1] - p[2])),
+        float(np.linalg.norm(p[2] - p[0])),
+    )
+
+
+def plane_distance(mesh, tid: int, point) -> float:
+    """Unsigned distance of a point from the triangle's supporting plane."""
+    p = triangle_points(mesh, tid)
+    n = np.cross(p[1] - p[0], p[2] - p[0])
+    norm = float(np.linalg.norm(n))
+    assert norm > 0.0, f"triangle {tid} has zero area"
+    return abs(float(np.dot(np.asarray(point, dtype=float) - p[0], n))) / norm
+
+
+def triangle_edges(mesh, tid: int) -> tuple[tuple[int, int], ...]:
+    from singlestrip.mesh import edge_key
+
+    a, b, c = mesh.triangles[tid]
+    return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
+
+
+def edge_triangles(mesh, e: tuple[int, int]) -> list[int]:
+    """The live triangles on edge e, in listing order: the pair to hand
+    `split_pair` for a split of e."""
+    u, v = e
+    tris = mesh.triangles
+    return mesh.listing_order(t for t in mesh.alive_ids() if u in tris[t] and v in tris[t])
+
+
+def add_centroid(mesh, tid: int) -> int:
+    """Append the centroid of triangle tid as a new vertex; returns its id."""
+    a, b, c = mesh.triangles[tid]
+    pa, pb, pc = mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]
+    return mesh.add_vertex(
+        (
+            (pa[0] + pb[0] + pc[0]) / 3.0,
+            (pa[1] + pb[1] + pc[1]) / 3.0,
+            (pa[2] + pb[2] + pc[2]) / 3.0,
+        )
+    )
+
+
+def insert_centroid(mesh, tid: int) -> tuple[int, tuple[int, int, int]]:
+    """Fan-split a triangle at its centroid, creating a degree-3 vertex: the
+    inverse of one three-cycle elimination. Returns (vertex, fan ids)."""
+    a, b, c = mesh.triangles[tid]
+    g = add_centroid(mesh, tid)
+    outer = mesh.neighbours[3 * tid : 3 * tid + 3]  # across (a, b), (b, c), (c, a)
+    mesh._retire(tid)
+    t0 = len(mesh.triangles)
+    fan = (t0, t0 + 1, t0 + 2)
+    for k, tri in enumerate(((a, b, g), (b, c, g), (c, a, g))):
+        # the fan triangle after this one shares (tri[1], g), the one before (g, tri[0])
+        mesh._append(tri, [outer[k], fan[(k + 1) % 3], fan[(k + 2) % 3]])
+        mesh._repoint(outer[k], tid, fan[k])
+    return g, fan
+
+
+def punch_holes(mesh, tids) -> None:
+    """Remove live triangles, leaving boundary edges across them: the
+    triangles' slots stay dead and their neighbours' rows read -1 there."""
+    for t in tids:
+        mesh._retire(t)
+        for o in mesh.neighbours[3 * t : 3 * t + 3]:
+            mesh._repoint(o, t, -1)
+
+
 # -- nodal merging by full sweeps -------------------------------------------------
 #
 # `merge_nodal` as the library ran it before its worklist: every vertex is
@@ -491,7 +587,8 @@ def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
 # in the order they were last added or revived; the map keeps edges in the
 # order they were last created. `dict_validate`, `dict_neighbours` and
 # `dict_split_pair` are the library's former `validate`, `build_dual`
-# (neighbour lists only) and `split_pair` on it.
+# (neighbour lists only) and `split_pair` on it, and `dict_insert_centroid`
+# its former `insert_centroid`.
 
 
 class DictMesh:
@@ -541,7 +638,7 @@ class DictMesh:
         self.triangles.append((a, b, c))
         self.alive.append(True)
         self._live_sets.add(key)
-        for e in self.triangle_edges(tid):
+        for e in triangle_edges(self, tid):
             self.edge_map.setdefault(e, []).append(tid)
         return tid
 
@@ -550,7 +647,7 @@ class DictMesh:
 
         if not self.alive[tid]:
             raise MeshError(f"triangle {tid} is already dead")
-        for e in self.triangle_edges(tid):
+        for e in triangle_edges(self, tid):
             incid = self.edge_map[e]
             incid.remove(tid)
             if not incid:
@@ -568,14 +665,8 @@ class DictMesh:
             raise MeshError(f"reviving {tid} would duplicate a live triangle")
         self.alive[tid] = True
         self._live_sets.add(key)
-        for e in self.triangle_edges(tid):
+        for e in triangle_edges(self, tid):
             self.edge_map.setdefault(e, []).append(tid)
-
-    def triangle_edges(self, tid: int) -> tuple[tuple[int, int], ...]:
-        from singlestrip.mesh import edge_key
-
-        a, b, c = self.triangles[tid]
-        return (edge_key(a, b), edge_key(b, c), edge_key(c, a))
 
     def edge_triangles(self, e: tuple[int, int]) -> list[int]:
         return self.edge_map.get(e, [])
@@ -594,7 +685,7 @@ def dict_neighbours(mesh) -> dict[int, list[int]]:
     """Per live triangle, the triangles across its edges in slot order."""
     out = {}
     for t in mesh.alive_ids():
-        out[t] = [o for e in mesh.triangle_edges(t) if (o := mesh.other_triangle(e, t)) is not None]
+        out[t] = [o for e in triangle_edges(mesh, t) if (o := mesh.other_triangle(e, t)) is not None]
     return out
 
 
@@ -624,6 +715,14 @@ def dict_split_pair(mesh, e):
         children.append(mesh.add_triangle((x, mid, w)))
         children.append(mesh.add_triangle((mid, y, w)))
     return e, mid, (incident[0], incident[1]), tuple(children)
+
+
+def dict_insert_centroid(mesh, tid):
+    """`insert_centroid` on the dict mesh, by one kill and three adds."""
+    a, b, c = mesh.triangles[tid]
+    g = add_centroid(mesh, tid)
+    mesh.kill_triangle(tid)
+    return g, tuple(mesh.add_triangle(tri) for tri in ((a, b, g), (b, c, g), (c, a, g)))
 
 
 def dict_validate(mesh, mode: str = "closed") -> list[tuple[str, str]]:
@@ -664,7 +763,7 @@ def dict_validate(mesh, mode: str = "closed") -> list[tuple[str, str]]:
     queue = deque([alive[0]])
     while queue:
         t = queue.popleft()
-        for e in mesh.triangle_edges(t):
+        for e in triangle_edges(mesh, t):
             o = mesh.other_triangle(e, t)
             if o is not None and o not in seen:
                 seen.add(o)
@@ -679,4 +778,4 @@ def dict_validate(mesh, mode: str = "closed") -> list[tuple[str, str]]:
 
 def mesh_edges(mesh) -> list[tuple[int, int]]:
     """The distinct edges of the live triangles, by triangle id and slot."""
-    return list(dict.fromkeys(e for t in mesh.alive_ids() for e in mesh.triangle_edges(t)))
+    return list(dict.fromkeys(e for t in mesh.alive_ids() for e in triangle_edges(mesh, t)))

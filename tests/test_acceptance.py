@@ -15,15 +15,20 @@ from oracles import (
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
+    edge_triangles,
+    insert_centroid,
     max_matching_size,
     petersen_graph,
+    plane_distance,
+    triangle_diameter,
+    triangle_points,
 )
 from singlestrip.boundary import gen_mk, mk_triangle_count, strip_with_boundary
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
-from singlestrip.mesh import build_dual, insert_centroid
+from singlestrip.mesh import build_dual
 from singlestrip.sfc import direct_cycle, generate_curve
-from singlestrip.striploop import extract_cycles, merge_nodal, stripify, verify_cycle
+from singlestrip.striploop import extract_cycles, merge_nodal, stripify, verify_order
 
 
 def _report(num, text):
@@ -75,14 +80,14 @@ def test_criterion_3_hamiltonian_validity():
     checked = 0
     for name, mesh in _closed_matrix():
         res = stripify(mesh)
-        ok, why = verify_cycle(res.mesh, res.order)
+        ok, why = verify_order(res.mesh, res.order, closed=True)
         assert ok, f"{name}: {why}"
         checked += 1
     rng = random.Random(1234)
     for _ in range(100):
         p, q = rng.randint(3, 12), rng.randint(3, 12)
         res = stripify(torus(p, q))
-        ok, why = verify_cycle(res.mesh, res.order)
+        ok, why = verify_order(res.mesh, res.order, closed=True)
         assert ok, f"torus({p},{q}): {why}"
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -208,10 +213,10 @@ def test_criterion_8_coplanarity():
     for res in cases:
         work = res.work_mesh
         for rec in res.splits:
-            scale = max(work.triangle_diameter(p) for p in rec.parents)
+            scale = max(triangle_diameter(work, p) for p in rec.parents)
             mid = work.vertices[rec.midpoint]
             for pi, parent in enumerate(rec.parents):
-                d = work.plane_distance(parent, mid)
+                d = plane_distance(work, parent, mid)
                 assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
                 checked += 1
     # the open pipeline keeps no working mesh: every doubled edge is an edge
@@ -221,12 +226,12 @@ def test_criterion_8_coplanarity():
     res = strip_with_boundary(mesh)
     assert res.work_mesh is None and res.splits
     for rec in res.splits:
-        planes = mesh.edge_triangles(rec.edge)
+        planes = edge_triangles(mesh, rec.edge)
         assert len(planes) == len(rec.parents) == 2
-        scale = max(mesh.triangle_diameter(t) for t in planes)
+        scale = max(triangle_diameter(mesh, t) for t in planes)
         mid = res.mesh.vertices[rec.midpoint]
         for t in planes:
-            d = mesh.plane_distance(t, mid)
+            d = plane_distance(mesh, t, mid)
             assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
             checked += 1
     assert checked > 0
@@ -256,7 +261,7 @@ def test_criterion_9_space_filling_curves():
     t0 = time.perf_counter()
     for name, mesh in (("tetrahedron", tetrahedron()), ("torus(10,10)", torus(10, 10))):
         res = stripify(mesh)
-        dmax = max(mesh.triangle_diameter(t) for t in mesh.alive_ids())
+        dmax = max(triangle_diameter(mesh, t) for t in mesh.alive_ids())
         dc = direct_cycle(res.mesh, res.order)
         mids = {}
         for i in range(len(dc)):
@@ -279,7 +284,7 @@ def test_criterion_9_space_filling_curves():
             radius = 0.0
             for i, t in enumerate(dc.triangles):
                 pts = np.asarray(blocks[i])
-                cells = _oracle_cells(res.mesh.triangle_points(t), depth)
+                cells = _oracle_cells(triangle_points(res.mesh, t), depth)
                 cents = np.array([np.mean(np.asarray(c), axis=0) for c in cells])
                 dist = np.sqrt(
                     ((cents[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -308,7 +313,7 @@ def test_criterion_10_performance_96k():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"96k-triangle stripify took {elapsed:.1f}s (budget 60s)"
     assert len(res.match_state.partner) == 96000  # perfect matching achieved
-    ok, why = verify_cycle(res.mesh, res.order)
+    ok, why = verify_order(res.mesh, res.order, closed=True)
     assert ok, why
     _report(10, f"torus(300,160) with 96000 triangles stripified end-to-end in "
                 f"{elapsed:.1f}s (< 60s), matching perfect, "

@@ -14,6 +14,7 @@ from oracles import (
     euler_strip_by_splits,
     longest_path_in_tree,
     prufer_tree,
+    punch_holes,
     relabel,
     tree_edge_splits,
 )
@@ -207,8 +208,7 @@ def test_euler_strip_m1_is_6():
 def test_euler_strip_count_identity_and_tree_only_crossings():
     mesh = torus(6, 5).copy()
     # punch a hole: drop two adjacent triangles to create a boundary
-    mesh.kill_triangle(0)
-    mesh.kill_triangle(1)
+    punch_holes(mesh, (0, 1))
     n = mesh.n_triangles
     dual = build_dual(mesh)
     tree = dual_spanning_tree(dual)
@@ -265,8 +265,7 @@ def test_euler_strip_matches_split_pair_oracle(mesh, seed):
 
 def test_euler_strip_matches_oracle_with_dead_slots():
     mesh = _open_grid(6, 5)
-    mesh.kill_triangle(0)
-    mesh.kill_triangle(1)
+    punch_holes(mesh, (0, 1))
     tree, spine = _euler_inputs(mesh)
     strip, records, out = euler_strip(mesh, tree, spine)
     want_strip, want_records, want_out = euler_strip_by_splits(mesh, tree, spine)

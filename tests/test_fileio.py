@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import mesh_edges
+from oracles import edge_triangles, mesh_edges
 from singlestrip.fileio import (
     ParseError,
     dumps_obj,
@@ -35,7 +35,7 @@ def test_load_off_tetrahedron(tmp_path):
     mesh = load_mesh(path)
     assert mesh.n_triangles == 4
     assert mesh.n_edges == 6
-    assert all(len(mesh.edge_triangles(e)) == 2 for e in mesh_edges(mesh))
+    assert all(len(edge_triangles(mesh, e)) == 2 for e in mesh_edges(mesh))
 
 
 def test_off_header_variants():

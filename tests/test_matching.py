@@ -13,6 +13,7 @@ from oracles import (
     cube_graph,
     dual_by_shared_vertices,
     greedy_reduce,
+    insert_centroid,
     max_matching_size,
     path_graph,
     petersen_graph,
@@ -30,7 +31,7 @@ from singlestrip.matching import (
     _greedy_consume,
     _adjacency,
 )
-from singlestrip.mesh import DualGraph, build_dual, insert_centroid
+from singlestrip.mesh import DualGraph, build_dual
 
 
 def test_greedy_reduce_path4_all_forced():

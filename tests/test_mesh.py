@@ -1,15 +1,21 @@
 """Mesh core: construction, validation, dual graph, midpoint splits."""
 
 import math
+import re
 
 import pytest
 
 from oracles import (
     cube_graph,
     dual_by_shared_vertices,
+    edge_triangles,
     graphs_isomorphic_small,
+    insert_centroid,
     longest_path_in_tree,
     mesh_edges,
+    plane_distance,
+    triangle_area,
+    triangle_points,
 )
 from singlestrip.boundary import gen_mk
 from singlestrip.generators import fan, octahedron, tetrahedron, torus
@@ -18,7 +24,6 @@ from singlestrip.mesh import (
     MeshError,
     build_dual,
     edge_key,
-    insert_centroid,
     split_pair,
     validate,
 )
@@ -33,7 +38,7 @@ def test_tetrahedron_counts(tetra):
     assert tetra.n_vertices == 4
     assert tetra.n_triangles == 4
     assert tetra.n_edges == 6
-    assert all(len(tetra.edge_triangles(e)) == 2 for e in mesh_edges(tetra))
+    assert all(len(edge_triangles(tetra, e)) == 2 for e in mesh_edges(tetra))
 
 
 def test_constructor_rejects_bad_index():
@@ -57,17 +62,6 @@ def test_constructor_rejects_duplicate():
 def test_constructor_rejects_non_finite_coordinates(bad):
     with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
         Mesh([(0, 0, 0), (1, 0, 0), (0, 1, bad), (bad, 0, 1)], [(0, 1, 2)])
-
-
-def test_kill_and_revive_track_duplicates_by_vertex_set():
-    mesh = Mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
-    mesh.kill_triangle(0)
-    t = mesh.add_triangle((2, 1, 0))
-    with pytest.raises(MeshError, match="would duplicate"):
-        mesh.revive_triangle(0)
-    mesh.kill_triangle(t)
-    mesh.revive_triangle(0)
-    assert mesh.alive_ids() == [0]
 
 
 def test_validate_tetrahedron_closed(tetra):
@@ -146,7 +140,7 @@ def test_dual_closed_mesh_is_bridgeless():
 
 def test_split_pair_counts(tetra):
     e = mesh_edges(tetra)[0]
-    record = split_pair(tetra, e)
+    record = split_pair(tetra, e, edge_triangles(tetra, e))
     assert tetra.n_vertices == 5
     assert tetra.n_triangles == 6
     assert record.edge == e
@@ -158,7 +152,7 @@ def test_split_pair_midpoint_exact():
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
         [(0, 1, 2), (1, 0, 3), (0, 2, 3), (2, 1, 3)],
     )
-    record = split_pair(mesh, (0, 1))
+    record = split_pair(mesh, (0, 1), edge_triangles(mesh, (0, 1)))
     assert mesh.vertices[record.midpoint] == (1.0, 0.0, 0.0)
 
 
@@ -167,45 +161,48 @@ def test_split_pair_children_coplanar_and_area_preserving(torus400):
     for e in mesh_edges(mesh)[:25]:
         parent_areas = {}
         parent_pts = {}
-        for t in mesh.edge_triangles(e):
-            parent_areas[t] = mesh.triangle_area(t)
-            parent_pts[t] = mesh.triangle_points(t)
-        record = split_pair(mesh, e)
+        pair = edge_triangles(mesh, e)
+        for t in pair:
+            parent_areas[t] = triangle_area(mesh, t)
+            parent_pts[t] = triangle_points(mesh, t)
+        record = split_pair(mesh, e, pair)
         for pi, parent in enumerate(record.parents):
             kids = record.children[2 * pi : 2 * pi + 2]
-            kid_area = sum(mesh.triangle_area(k) for k in kids)
+            kid_area = sum(triangle_area(mesh, k) for k in kids)
             assert kid_area == pytest.approx(parent_areas[parent], rel=1e-12)
             for k in kids:
-                assert mesh.triangle_area(k) > 0
+                assert triangle_area(mesh, k) > 0
         mid = mesh.vertices[record.midpoint]
         for parent in record.parents:
-            p = parent_pts[parent]
-            import numpy as np
-
-            n = np.cross(p[1] - p[0], p[2] - p[0])
-            d = abs(float(np.dot(np.asarray(mid) - p[0], n))) / float(np.linalg.norm(n))
-            assert d <= 1e-12
+            # the parent is dead but keeps its vertex triple
+            assert plane_distance(mesh, parent, mid) <= 1e-12
 
 
 def test_split_pair_preserves_orientation(torus400):
     mesh = torus400
     e = mesh_edges(mesh)[0]
-    split_pair(mesh, e)
+    split_pair(mesh, e, edge_triangles(mesh, e))
     assert validate(mesh, "closed").ok
 
 
 def test_split_pair_rejects_boundary_edge():
     mesh = fan(3)
     boundary = mesh.boundary_edges()[0]
-    with pytest.raises(MeshError, match="incident to 1"):
-        split_pair(mesh, boundary)
+    (t,) = edge_triangles(mesh, boundary)
+    other = next(o for o in mesh.alive_ids() if o != t)
+    before = mesh.copy()
+    with pytest.raises(MeshError, match=re.escape(f"edge {boundary} not found in triangle {other}")):
+        split_pair(mesh, boundary, (t, other))
+    assert (mesh.vertices, mesh.alive, mesh.neighbours) == (
+        before.vertices, before.alive, before.neighbours
+    )
 
 
 def test_euler_bookkeeping_over_splits(octa):
     v0, t0 = octa.n_vertices, octa.n_triangles
     for s in range(1, 6):
         e = sorted(mesh_edges(octa))[s]
-        split_pair(octa, e)
+        split_pair(octa, e, edge_triangles(octa, e))
         assert octa.n_vertices == v0 + s
         assert octa.n_triangles == t0 + 2 * s
 
@@ -213,7 +210,7 @@ def test_euler_bookkeeping_over_splits(octa):
 def test_split_then_collapse_recovers_dual(octa):
     before = {t: set(build_dual(octa).neighbors(t)) for t in octa.alive_ids()}
     e = sorted(mesh_edges(octa))[0]
-    record = split_pair(octa, e)
+    record = split_pair(octa, e, edge_triangles(octa, e))
     # collapse: children -> parents, then compare adjacency to the original
     owner = {}
     for pi, parent in enumerate(record.parents):
@@ -240,7 +237,8 @@ def test_insert_centroid_creates_degree3_vertex(ico):
 
 def test_compact_remaps_and_preserves():
     mesh = tetrahedron()
-    split_pair(mesh, sorted(mesh_edges(mesh))[0])
+    e = sorted(mesh_edges(mesh))[0]
+    split_pair(mesh, e, edge_triangles(mesh, e))
     compacted, remap = mesh.compact()
     assert compacted.n_triangles == mesh.n_triangles
     assert sorted(remap) == mesh.alive_ids()
@@ -251,6 +249,7 @@ def test_compact_remaps_and_preserves():
 
 def test_copy_is_independent(tetra):
     clone = tetra.copy()
-    split_pair(clone, sorted(mesh_edges(clone))[0])
+    e = sorted(mesh_edges(clone))[0]
+    split_pair(clone, e, edge_triangles(clone, e))
     assert tetra.n_triangles == 4
     assert clone.n_triangles == 6

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sfc_curve_points, sfc_subcurve
+from oracles import sfc_curve_points, sfc_subcurve, triangle_points
 from singlestrip import sfc
 from singlestrip.cli import main
 from singlestrip.generators import icosphere, tetrahedron, torus
@@ -87,7 +87,7 @@ def test_depth0_tetra_eight_distinct_points(tetra_strip):
     mids = {_midpoint(res.mesh, e) for e in dc.exit}
     cents = set()
     for t in res.order:
-        p = res.mesh.triangle_points(t)
+        p = triangle_points(res.mesh, t)
         cents.add(tuple((p[0] + p[1] + p[2]) / 3.0))
     got = set(curve.points)
     assert mids <= got
@@ -125,7 +125,7 @@ def test_planarity_per_triangle(tetra_strip, depth):
     curve = generate_curve(res.mesh, dc, depth)
     block = 2 * 4**depth
     for i, t in enumerate(dc.triangles):
-        pts = res.mesh.triangle_points(t)
+        pts = triangle_points(res.mesh, t)
         n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         n = n / np.linalg.norm(n)
         scale = max(1.0, float(np.abs(pts).max()))
@@ -155,7 +155,7 @@ def test_every_cell_contains_a_curve_point(tetra_strip, depth):
     curve = generate_curve(res.mesh, dc, depth)
     block = 2 * 4**depth
     for i, t in enumerate(dc.triangles):
-        tri = tuple(tuple(p) for p in res.mesh.triangle_points(t))
+        tri = tuple(tuple(p) for p in triangle_points(res.mesh, t))
         pts = np.array(curve.points[i * block : (i + 1) * block])
         for cell in _oracle_cells(tri, depth):
             centroid = np.mean(np.array(cell), axis=0)

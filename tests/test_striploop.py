@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from oracles import (
     all_perfect_matchings,
     cycle_lengths,
+    insert_centroid,
     merge_nodal_full_sweep,
+    plane_distance,
     relabel,
+    triangle_edges,
     unmatched_cycles,
 )
 from singlestrip.boundary import gen_mk, strip_with_boundary
@@ -22,7 +25,7 @@ from singlestrip.cli import main
 from singlestrip.fileio import save_mesh
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
-from singlestrip.mesh import Mesh, ValidationError, build_dual, insert_centroid, validate
+from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import (
     PipelineError,
     _fan_order,
@@ -33,7 +36,6 @@ from singlestrip.striploop import (
     restore_three_cycles,
     spanning_tree_splits,
     stripify,
-    verify_cycle,
     verify_order,
 )
 
@@ -46,7 +48,7 @@ def _before_nodal(mesh):
     """(work mesh, dual, partner, cycle set) as `stripify` has them just
     before nodal merging."""
     work = mesh.copy()
-    stack = [] if work.n_triangles == 4 else eliminate_three_cycles(work)
+    stack = eliminate_three_cycles(work)
     partner = dict(perfect_match_dual(build_dual(work)).partner)
     restore_three_cycles(work, partner, stack)
     dual = build_dual(work)
@@ -117,7 +119,7 @@ def test_restore_matches_owner_and_pairs_rest():
     for cfg in stack:
         x = snapshot[cfg.replacement]
         e = next(
-            e for e in mesh.triangle_edges(cfg.replacement)
+            e for e in triangle_edges(mesh, cfg.replacement)
             if mesh.other_triangle(e, cfg.replacement) == x
         )
         owner = next(t for t in cfg.parents if set(e) <= set(mesh.triangles[t]))
@@ -278,7 +280,7 @@ def test_pinched_vertex_is_accepted_and_never_toggled():
     assert len(fan) == 12
     assert _fan_order(mesh, 0, fan) is None
     res = stripify(mesh)
-    assert verify_cycle(res.mesh, res.order) == (True, None)
+    assert verify_order(res.mesh, res.order, closed=True) == (True, None)
     work, dual, partner, cs = _before_nodal(mesh)
     _cs, merges = merge_nodal(work, partner, cs)
     assert all(v != 0 for v, _m in merges)
@@ -321,11 +323,11 @@ def test_assemble_tetra_cycle(tetra):
     partner = perfect_match_dual(dual).partner
     order = assemble_cycle(tetra, partner)
     assert sorted(order) == [0, 1, 2, 3]
-    assert verify_cycle(tetra, order) == (True, None)
+    assert verify_order(tetra, order, closed=True) == (True, None)
 
 
 def test_verify_rejects_duplicate(tetra):
-    ok, why = verify_cycle(tetra, [0, 1, 0, 2])
+    ok, why = verify_order(tetra, [0, 1, 0, 2], closed=True)
     assert not ok
     assert "more than once" in why
 
@@ -342,7 +344,7 @@ def test_verify_rejects_non_adjacent():
 
 
 def test_verify_rejects_wrong_count(tetra):
-    ok, why = verify_cycle(tetra, [0, 1, 2])
+    ok, why = verify_order(tetra, [0, 1, 2], closed=True)
     assert not ok
 
 
@@ -354,13 +356,13 @@ def test_stripify_tetrahedron(tetra):
     assert res.stats["input_triangles"] == 4
     assert res.stats["output_triangles"] == 4
     assert res.stats["splits"] == 0
-    assert verify_cycle(res.mesh, res.order) == (True, None)
+    assert verify_order(res.mesh, res.order, closed=True) == (True, None)
 
 
 def test_stripify_torus400_under_3_percent(torus400):
     res = stripify(torus400)
     assert res.stats["output_triangles"] <= 412
-    assert verify_cycle(res.mesh, res.order) == (True, None)
+    assert verify_order(res.mesh, res.order, closed=True) == (True, None)
 
 
 def test_stripify_rejects_open_mesh():
@@ -427,7 +429,7 @@ def test_stripify_theorem_bound_randomized():
         mesh = torus(p, q)
         res = stripify(mesh)
         assert res.stats["output_triangles"] < 1.5 * 2 * p * q
-        assert verify_cycle(res.mesh, res.order) == (True, None)
+        assert verify_order(res.mesh, res.order, closed=True) == (True, None)
 
 
 def test_stripify_with_seeded_degree3_vertices():
@@ -438,7 +440,7 @@ def test_stripify_with_seeded_degree3_vertices():
     n = mesh.n_triangles
     res = stripify(mesh)
     assert res.stats["input_triangles"] == n
-    assert verify_cycle(res.mesh, res.order) == (True, None)
+    assert verify_order(res.mesh, res.order, closed=True) == (True, None)
     # every cycle the pipeline saw had length >= 4 (asserted internally);
     # double-check: the final mesh's cycle has no length-3 signature anyway
     assert res.stats["output_triangles"] < 1.5 * n
@@ -476,7 +478,7 @@ def test_split_children_coplanar_with_parents():
     for rec in res.splits:
         mid = work.vertices[rec.midpoint]
         for parent in rec.parents:
-            assert work.plane_distance(parent, mid) <= 1e-12
+            assert plane_distance(work, parent, mid) <= 1e-12
 
 
 # sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats
@@ -503,6 +505,11 @@ GOLDEN_CLOSED = {
         "c6c9c39d7092e711c6cef1daed975e49e340f0e2243a92956b5a497a452a42d1",
         "c83cd54a6ae76eb5d89dc6e4bd4c2bfc5084f83f5c663720fb8c0fa7268681b0",
     ),
+    "tetrahedron": (
+        "bde941d5784f08e1cf84e5463078cfbf6e96f52ec5d85b0f8c2b9b23c12983da",
+        "4c6ac3c6708618caf0143af19f98282ca4a2a2b11cb162e2eb5b0e769fe87fd8",
+        "99a74ef2a0b504b7e16e81117ba8fcc276bf521b5efb40b7b8fc50c94c1a68e9",
+    ),
 }
 
 
@@ -515,6 +522,8 @@ def _golden_closed_mesh(name):
         return relabel(mesh, random.Random(3))
     if name == "icosphere3":
         return relabel(icosphere(3), random.Random(3))
+    if name == "tetrahedron":
+        return tetrahedron()
     return octahedron()
 
 
