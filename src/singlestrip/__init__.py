@@ -25,7 +25,6 @@ from .matching import (
     validate_matching,
 )
 from .mesh import (
-    DualGraph,
     Mesh,
     MeshError,
     SplitRecord,
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "ValidationReport",
-    "DualGraph",
     "SplitRecord",
     "edge_key",
     "validate",

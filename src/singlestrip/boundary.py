@@ -15,13 +15,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .mesh import (
-    DualGraph,
     Mesh,
     MeshError,
     SplitRecord,
     ValidationError,
+    ValidationReport,
     build_dual,
     edge_key,
+    shared_edge,
     validate,
 )
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
@@ -72,11 +73,8 @@ def mk_triangle_count(k: int) -> int:
 class DualSpanningTree:
     """BFS spanning tree of the dual, rooted at the smallest triangle id."""
 
-    root: int
     parent: dict[int, int | None]
-    parent_edge: dict[int, tuple[int, int]]
     children: dict[int, list[int]]
-    order: list[int]
     subtree: dict[int, int]
 
     @property
@@ -88,37 +86,30 @@ class DualSpanningTree:
         return [(t, p) for t, p in self.parent.items() if p is not None]
 
 
-def dual_spanning_tree(dual: DualGraph) -> DualSpanningTree:
-    root = min(dual.adjacency)
+def dual_spanning_tree(dual: dict[int, list[int]]) -> DualSpanningTree:
+    """BFS tree of a node -> neighbours mapping such as `build_dual`'s,
+    visiting each node's neighbours in list order."""
+    root = min(dual)
     parent: dict[int, int | None] = {root: None}
-    parent_edge: dict[int, tuple[int, int]] = {}
-    children: dict[int, list[int]] = {t: [] for t in dual.adjacency}
+    children: dict[int, list[int]] = {t: [] for t in dual}
     order = [root]
     queue = deque([root])
     while queue:
         t = queue.popleft()
-        for nb, e in dual.adjacency[t]:
+        for nb in dual[t]:
             if nb not in parent:
                 parent[nb] = t
-                parent_edge[nb] = e
                 children[t].append(nb)
                 order.append(nb)
                 queue.append(nb)
-    if len(parent) != dual.n:
+    if len(parent) != len(dual):
         raise PipelineError("dual graph is disconnected")
     subtree = {t: 1 for t in parent}
     for t in reversed(order):
         p = parent[t]
         if p is not None:
             subtree[p] += subtree[t]
-    return DualSpanningTree(
-        root=root,
-        parent=parent,
-        parent_edge=parent_edge,
-        children=children,
-        order=order,
-        subtree=subtree,
-    )
+    return DualSpanningTree(parent=parent, children=children, subtree=subtree)
 
 
 def balance_edge(tree: DualSpanningTree) -> tuple[int, int]:
@@ -220,21 +211,14 @@ def euler_strip(
             queue.append(nb)
     doubled.sort(key=lambda pair: (depth[pair[0]], pair[0], pair[1]))
 
-    shared_edge: dict[tuple[int, int], tuple[int, int]] = {}
-    for anchor, child in doubled:
-        e = tree.parent_edge[child] if tree.parent[child] == anchor else tree.parent_edge[anchor]
-        shared_edge[(anchor, child)] = e
-    spine_keys = [
-        _shared_tree_edge(tree, spine[i], spine[i + 1]) for i in range(len(spine) - 1)
-    ]
+    doubled_keys = [shared_edge(mesh, anchor, child) for anchor, child in doubled]
+    spine_keys = [shared_edge(mesh, spine[i], spine[i + 1]) for i in range(len(spine) - 1)]
 
     child_edges: dict[int, dict[tuple[int, int], int]] = {}
-    for anchor, child in doubled:
-        child_edges.setdefault(anchor, {})[shared_edge[(anchor, child)]] = child
+    for (anchor, child), e in zip(doubled, doubled_keys):
+        child_edges.setdefault(anchor, {})[e] = child
 
-    records, vertices, triangles, alive = _split_edges(
-        mesh, [(shared_edge[pair], pair) for pair in doubled]
-    )
+    records, vertices, triangles, alive = _split_edges(mesh, list(zip(doubled_keys, doubled)))
     midpoint = {rec.edge: rec.midpoint for rec in records}
 
     def subtree_crossings(t: int, pkey: tuple[int, int], enter_v: int, out: list) -> None:
@@ -354,14 +338,6 @@ def _split_edges(mesh: Mesh, edges: list[tuple[tuple[int, int], tuple[int, int]]
     return records, vertices, triangles, alive
 
 
-def _shared_tree_edge(tree: DualSpanningTree, a: int, b: int) -> tuple[int, int]:
-    if tree.parent[a] == b:
-        return tree.parent_edge[a]
-    if tree.parent[b] == a:
-        return tree.parent_edge[b]
-    raise PipelineError(f"{a} and {b} are not tree-adjacent")
-
-
 # -- orchestrator -----------------------------------------------------------------
 
 
@@ -418,9 +394,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
     return StripResult(mesh=out, order=strip, closed=False, splits=records, stats=stats)
 
 
-def _closed_report(mesh: Mesh):
-    from .mesh import ValidationReport
-
+def _closed_report(mesh: Mesh) -> ValidationReport:
     report = ValidationReport(mode="with_boundary")
     report.add("closed_mesh", "mesh has no boundary edges; use the closed-manifold pipeline")
     return report

@@ -184,7 +184,3 @@ def read_strip_order(path) -> tuple[list[int], bool]:
 
 def write_stats(path, stats: dict) -> None:
     Path(path).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-
-
-def read_stats(path) -> dict:
-    return json.loads(Path(path).read_text())

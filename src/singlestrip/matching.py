@@ -14,7 +14,6 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .mesh import DualGraph
 from .unionfind import UnionFind
 
 
@@ -41,31 +40,21 @@ class MatchState:
 
 
 def _adjacency(graph) -> dict[int, set[int]]:
-    """Normalize a DualGraph or a plain node->neighbors mapping."""
-    if isinstance(graph, DualGraph):
-        return {t: {n for n, _ in nbrs} for t, nbrs in graph.adjacency.items()}
-    adj: dict[int, set[int]] = {v: set(ns) for v, ns in graph.items()}
-    for v, ns in list(adj.items()):
-        for u in ns:
-            adj.setdefault(u, set()).add(v)
-    return adj
+    """A node -> neighbours mapping as sets, for the greedy phase to consume.
+
+    Every graph here is symmetric (u lists v whenever v lists u), as
+    `build_dual` returns it; no missing reverse edge is filled in.
+    """
+    return {v: set(ns) for v, ns in graph.items()}
 
 
 def validate_matching(graph, partner: dict[int, int]) -> None:
-    """Raise unless partner is symmetric and matches only adjacent nodes.
-
-    A DualGraph is read as it is: each pair is checked against the <= 3
-    labelled neighbours of one side, with no set adjacency built first.
-    """
-    if isinstance(graph, DualGraph):
-        dual, adj = graph.adjacency, None
-    else:
-        dual, adj = None, _adjacency(graph)
+    """Raise unless partner is symmetric and matches only adjacent nodes of
+    the node -> neighbours mapping `graph`."""
     for v, u in partner.items():
         if partner.get(u) != v:
             raise MatchingError(f"matching is not symmetric at {v}<->{u}")
-        nbrs = adj.get(v, ()) if dual is None else [n for n, _ in dual.get(v, ())]
-        if u not in nbrs:
+        if u not in graph.get(v, ()):
             raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
 
 
@@ -196,13 +185,11 @@ def replay_reductions(partner: dict[int, int], log: list[tuple]) -> dict[int, in
 def blossom_maximum_matching(graph, seed: dict[int, int] | None = None) -> dict[int, int]:
     """Edmonds' blossom algorithm: grow the seed matching to maximum size.
 
-    One alternating BFS forest is grown per exposed node; odd cycles are
-    contracted on the fly through a union-find that tracks blossom bases.
+    `graph` is a symmetric node -> neighbours mapping. One alternating BFS
+    forest is grown per exposed node; odd cycles are contracted on the fly
+    through a union-find that tracks blossom bases.
     """
-    if isinstance(graph, DualGraph):
-        adj = {v: sorted(n for n, _ in nbrs) for v, nbrs in graph.adjacency.items()}
-    else:
-        adj = {v: sorted(ns) for v, ns in _adjacency(graph).items()}
+    adj = {v: sorted(ns) for v, ns in graph.items()}
     match: dict[int, int] = {}
     if seed:
         validate_matching(graph, seed)
@@ -289,21 +276,21 @@ def _augment_from(adj, match, root) -> bool:
 # -- full pipeline -----------------------------------------------------------
 
 
-def perfect_match_dual(dual: DualGraph) -> MatchState:
+def perfect_match_dual(dual: dict[int, list[int]]) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
-    The set adjacency is built once, for the greedy phase to consume; the
-    blossom phase reads the dual itself and checks the replayed seed before
-    it augments. Raises MatchingError (with the unmatched node set) if the
-    result is not perfect, which signals a violated precondition: the dual
-    must be 3-regular and bridgeless.
+    `dual` is `build_dual`'s mapping. The greedy phase consumes a set copy
+    of it; the blossom phase reads the dual itself and checks the replayed
+    seed against it before it augments. Raises MatchingError (with the
+    unmatched node set) if the result is not perfect, which signals a
+    violated precondition: the dual must be 3-regular and bridgeless.
     """
     partner, log, picks = _greedy_consume(_adjacency(dual))
     partner = replay_reductions(partner, log)
     greedy_matched = len(partner)
     match = blossom_maximum_matching(dual, partner)
     augmentations = (len(match) - greedy_matched) // 2
-    unmatched = [v for v in sorted(dual.adjacency) if v not in match]
+    unmatched = [v for v in sorted(dual) if v not in match]
     if unmatched:
         raise MatchingError(
             f"no perfect matching: {len(unmatched)} node(s) left unmatched "

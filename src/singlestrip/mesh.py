@@ -1,6 +1,9 @@
 """Triangle mesh core: indexed storage with stable triangle ids, a
-dual-neighbour table, manifold validation, the triangle-adjacency (dual)
-graph, and midpoint splitting.
+dual-neighbour table, manifold validation, and midpoint splitting.
+
+The table is the mesh's one adjacency: `build_dual` reads the dual graph
+(triangle -> neighbouring triangles) straight off its rows, and
+`shared_edge` recovers the mesh edge between two neighbours from a row.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
 subdivision appends fresh ids, so records built by the pipeline (matchings,
@@ -468,50 +471,16 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
 # -- dual graph -------------------------------------------------------------
 
 
-@dataclass
-class DualGraph:
-    """Triangle adjacency graph: one node per live triangle, one edge per
-    interior mesh edge, labelled with the shared edge key. `build_dual`
-    reads it off the mesh's neighbour table, row by row; each list follows
-    the triangle's slot order."""
-
-    adjacency: dict[int, list[tuple[int, tuple[int, int]]]]
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
-
-    def nodes(self) -> list[int]:
-        return list(self.adjacency)
-
-    def degree(self, t: int) -> int:
-        return len(self.adjacency[t])
-
-    def neighbors(self, t: int) -> list[int]:
-        return [n for n, _ in self.adjacency[t]]
-
-    def edges(self) -> list[tuple[int, int, tuple[int, int]]]:
-        """Each dual edge once, as (u, v, shared mesh edge) with u < v."""
-        out = []
-        for u, nbrs in self.adjacency.items():
-            for v, e in nbrs:
-                if u < v:
-                    out.append((u, v, e))
-        return out
+def build_dual(mesh: Mesh) -> dict[int, list[int]]:
+    """The dual graph read off the neighbour table: each live triangle maps
+    to its live neighbours in slot order, one per interior edge. The mapping
+    is symmetric; `shared_edge` names the mesh edge behind a dual edge."""
+    nb = mesh.neighbours
+    return {t: [o for o in nb[3 * t : 3 * t + 3] if o >= 0] for t in mesh.alive_ids()}
 
 
-def build_dual(mesh: Mesh) -> DualGraph:
-    adjacency: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    nb, tris = mesh.neighbours, mesh.triangles
-    for t in mesh.alive_ids():
-        a, b, c = tris[t]
-        o0, o1, o2 = nb[3 * t : 3 * t + 3]
-        nbrs = []
-        if o0 >= 0:
-            nbrs.append((o0, (a, b) if a < b else (b, a)))
-        if o1 >= 0:
-            nbrs.append((o1, (b, c) if b < c else (c, b)))
-        if o2 >= 0:
-            nbrs.append((o2, (c, a) if c < a else (a, c)))
-        adjacency[t] = nbrs
-    return DualGraph(adjacency=adjacency)
+def shared_edge(mesh: Mesh, t: int, u: int) -> tuple[int, int]:
+    """Key of the edge of live triangle t across which u lies in t's row."""
+    i = mesh.neighbours.index(u, 3 * t, 3 * t + 3) - 3 * t
+    tri = mesh.triangles[t]
+    return edge_key(tri[i], tri[(i + 1) % 3])

@@ -257,11 +257,6 @@ def export_curve(curve: CurvePolyline, path, fmt: str | None = None) -> None:
         raise CurveError(f"unknown curve format {fmt!r}")
 
 
-def load_curve_json(path) -> CurvePolyline:
-    data = json.loads(Path(path).read_text())
-    return CurvePolyline(points=[tuple(p) for p in data["points"]], closed=data["closed"])
-
-
 def _dedupe(points: list[Point]) -> list[Point]:
     out: list[Point] = []
     for p in points:

@@ -15,13 +15,13 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .matching import MatchingError, MatchState, perfect_match_dual
+from .matching import MatchState, perfect_match_dual
 from .mesh import (
     Mesh,
     SplitRecord,
     ValidationError,
     build_dual,
-    edge_key,
+    shared_edge,
     split_pair,
     validate,
 )
@@ -304,7 +304,6 @@ def spanning_tree_splits(
     if cycleset.count <= 1:
         return []
     cycles, cycle_of = cycleset.cycles, cycleset.cycle_of
-    nb, tris = mesh.neighbours, mesh.triangles
     # edges sort by their mesh edge, which is unique, so the tree does not
     # depend on how cycles are numbered
     graph: list[list[tuple[tuple[int, int], int, int, int]]] = [[] for _ in cycles]
@@ -315,8 +314,7 @@ def spanning_tree_splits(
         ct, cu = cycle_of[t], cycle_of[u]
         if ct == cu:
             continue
-        i = nb.index(u, 3 * t, 3 * t + 3) - 3 * t
-        e = edge_key(tris[t][i], tris[t][(i + 1) % 3])
+        e = shared_edge(mesh, t, u)
         graph[ct].append((e, cu, t, u))
         graph[cu].append((e, ct, t, u))
     for edges in graph:
@@ -476,7 +474,7 @@ def stripify(mesh: Mesh) -> StripResult:
 
     with timer("match"):
         dual = build_dual(work)
-        n_matched_dual = dual.n
+        n_matched_dual = len(dual)
         match_state = perfect_match_dual(dual)
         # the later stages rewrite the working map; match_state keeps the matching
         partner = dict(match_state.partner)

@@ -7,15 +7,18 @@ paths kept here as references (the recursive curve search, the Euler strip
 by mesh edits, the full-sweep nodal merge and the dict-based mesh) share
 only the primitives they were built on. The test helpers (`relabel`,
 `cycle_lengths`, `mesh_edges`, `greedy_reduce`, the forced reductions on
-their own, and the mesh geometry, edge scans and edits) are not oracles:
-only tests use them, so they live here rather than in the library.
+their own, the stats and JSON curve readers, and the mesh geometry, edge
+scans and edits) are not oracles: only tests use them, so they live here
+rather than in the library.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -343,7 +346,10 @@ def euler_strip_by_splits(mesh, tree, spine):
     from singlestrip.mesh import edge_key, split_pair
 
     def shared_tree_edge(a, b):
-        return tree.parent_edge[a] if tree.parent[a] == b else tree.parent_edge[b]
+        # the raw vertex intersection, not the library's `shared_edge`
+        common = set(mesh.triangles[a]) & set(mesh.triangles[b])
+        assert len(common) == 2, (a, b, common)
+        return edge_key(*common)
 
     work = mesh.copy()
     doubled = []  # (anchor, child) with anchor nearer the spine
@@ -435,6 +441,19 @@ def greedy_reduce(graph):
     log: list[tuple] = []
     _apply_reductions(adj, partner, log)
     return adj, partner, log
+
+
+def read_stats(path) -> dict:
+    """The stats JSON the CLI writes next to its outputs."""
+    return json.loads(Path(path).read_text())
+
+
+def load_curve_json(path):
+    """A curve `export_curve` wrote as JSON, as a `CurvePolyline`."""
+    from singlestrip.sfc import CurvePolyline
+
+    data = json.loads(Path(path).read_text())
+    return CurvePolyline(points=[tuple(p) for p in data["points"]], closed=data["closed"])
 
 
 # -- mesh geometry, edge scans and edits that only tests use --------------------

@@ -4,12 +4,10 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines. Budgeted criteria assert their wall-clock limits too.
 """
 
-import math
 import random
 import time
 
 import numpy as np
-import pytest
 
 from oracles import (
     complete_graph,
@@ -139,12 +137,12 @@ def test_criterion_5_no_unmatched_three_cycles():
         for i in range(k):
             in_cycle.add(frozenset((res.order[i], res.order[(i + 1) % k])))
         partner = {}
-        for t in dual.nodes():
-            others = [n for n in dual.neighbors(t) if frozenset((t, n)) not in in_cycle]
+        for t, nbrs in dual.items():
+            others = [n for n in nbrs if frozenset((t, n)) not in in_cycle]
             assert len(others) <= 1
             if others:
                 partner[t] = others[0]
-        cs = extract_cycles(res.mesh, partner) if len(partner) == dual.n else None
+        cs = extract_cycles(res.mesh, partner) if len(partner) == len(dual) else None
         if cs is not None:
             assert all(len(c) >= 4 for c in cs.cycles), f"{name}: 3-cycle in output"
         # and on the pipeline's own intermediate state: rerun the stages
@@ -158,7 +156,7 @@ def test_criterion_5_no_unmatched_three_cycles():
         d2 = build_dual(work)
         cs2 = extract_cycles(work, partner2)
         assert all(len(c) >= 4 for c in cs2.cycles), f"{name}: 3-cycle after restore"
-        assert cs2.count <= d2.n / 4
+        assert cs2.count <= len(d2) / 4
     _report(5, f"no unmatched 3-cycles after restore on {len(meshes)} meshes "
                f"(incl. {sum(1 for ts in seeded.vertex_triangles().values() if len(ts) == 3)}"
                " seeded degree-3 vertices)")
@@ -185,7 +183,7 @@ def test_criterion_6_nodal_merge_soundness():
         initial = cs.count
         cs2, merges = merge_nodal(work, partner, cs)
         validate_matching(d, partner)
-        assert len(partner) == d.n, f"{name}: matching not perfect after merging"
+        assert len(partner) == len(d), f"{name}: matching not perfect after merging"
         assert all(m >= 2 for _v, m in merges)
         assert initial - cs2.count == sum(m - 1 for _v, m in merges), name
         total_checked += len(merges)

@@ -30,17 +30,13 @@ from singlestrip.boundary import (
 from singlestrip.generators import fan, torus
 from singlestrip.cli import main
 from singlestrip.fileio import load_mesh, read_strip_order, save_mesh
-from singlestrip.mesh import DualGraph, Mesh, ValidationError, build_dual, validate
+from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import verify_order
 
 
 def _tree_as_dual(adj):
-    """Wrap a plain tree adjacency as a DualGraph with dummy edge labels."""
-    return DualGraph(
-        adjacency={
-            v: [(u, (min(u, v), max(u, v))) for u in sorted(ns)] for v, ns in adj.items()
-        }
-    )
+    """A plain tree adjacency as a dual mapping, neighbours in id order."""
+    return {v: sorted(ns) for v, ns in adj.items()}
 
 
 def _path_tree(n):

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
+from oracles import load_curve_json, read_stats
 from singlestrip import cli
 from singlestrip.cli import main
-from singlestrip.fileio import ParseError, load_mesh, read_strip_order, read_stats, save_mesh
-from singlestrip.generators import fan, torus
-from singlestrip.sfc import load_curve_json
+from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh
+from singlestrip.generators import fan
 
 
 def test_gen_writes_mesh(tmp_path, capsys):

@@ -21,7 +21,7 @@ from oracles import (
     unmatched_cycles,
 )
 from singlestrip.boundary import gen_mk
-from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
+from singlestrip.generators import icosphere, torus
 from singlestrip.matching import (
     MatchingError,
     blossom_maximum_matching,
@@ -29,9 +29,8 @@ from singlestrip.matching import (
     replay_reductions,
     validate_matching,
     _greedy_consume,
-    _adjacency,
 )
-from singlestrip.mesh import DualGraph, build_dual
+from singlestrip.mesh import build_dual
 
 
 def test_greedy_reduce_path4_all_forced():
@@ -124,14 +123,14 @@ def _perturbed_dual(rng, kind, cut):
         mesh = icosphere(rng.randint(0, 2))
     for t in rng.sample(range(mesh.n_triangles), rng.randint(0, 6)):
         insert_centroid(mesh, t)
-    adjacency = build_dual(relabel(mesh, rng)).adjacency
+    dual = build_dual(relabel(mesh, rng))
     for _ in range(cut):
-        t = rng.choice(sorted(adjacency))
-        if adjacency[t]:
-            u, _e = adjacency[t][rng.randrange(len(adjacency[t]))]
-            adjacency[t] = [(n, e) for n, e in adjacency[t] if n != u]
-            adjacency[u] = [(n, e) for n, e in adjacency[u] if n != t]
-    return DualGraph(adjacency=adjacency)
+        t = rng.choice(sorted(dual))
+        if dual[t]:
+            u = dual[t][rng.randrange(len(dual[t]))]
+            dual[t] = [n for n in dual[t] if n != u]
+            dual[u] = [n for n in dual[u] if n != t]
+    return dual
 
 
 def _random_seed_matching(rng, adj):
@@ -159,11 +158,10 @@ def test_blossom_size_matches_networkx(kind, n, degree, seed):
     rng = random.Random(seed)
     if kind == "random":
         adj = _random_graph(rng, n, degree)
-        labelled = {v: [(u, (min(u, v), max(u, v))) for u in sorted(ns)] for v, ns in adj.items()}
-        dual = DualGraph(adjacency=labelled)
+        dual = {v: sorted(ns) for v, ns in adj.items()}
     else:
         dual = _perturbed_dual(rng, kind, degree - 1)
-        adj = {t: {u for u, _e in nbrs} for t, nbrs in dual.adjacency.items()}
+        adj = {t: set(nbrs) for t, nbrs in dual.items()}
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(adj)
     nx_graph.add_edges_from((v, u) for v in adj for u in adj[v])
@@ -211,8 +209,8 @@ def test_greedy_consume_is_maximal():
 def test_perfect_match_tetra_leaves_one_4cycle(tetra):
     dual = build_dual(tetra)
     state = perfect_match_dual(dual)
-    assert state.partner.keys() == set(dual.nodes())
-    cycles = unmatched_cycles({t: set(dual.neighbors(t)) for t in dual.nodes()}, state.partner)
+    assert state.partner.keys() == set(dual)
+    cycles = unmatched_cycles({t: set(nbrs) for t, nbrs in dual.items()}, state.partner)
     assert [len(c) for c in cycles] == [4]
 
 
@@ -250,14 +248,14 @@ def test_augmentation_accounting():
     mesh = torus(12, 9)
     dual = build_dual(mesh)
     state = perfect_match_dual(dual)
-    assert state.augmentations == (dual.n - state.greedy_matched) // 2
+    assert state.augmentations == (len(dual) - state.greedy_matched) // 2
 
 
 def test_greedy_coverage_on_large_torus():
     mesh = torus(100, 60)  # 12000 triangles
     dual = build_dual(mesh)
     state = perfect_match_dual(dual)
-    coverage = state.greedy_matched / dual.n
+    coverage = state.greedy_matched / len(dual)
     assert coverage >= 0.95
     print(f"greedy coverage on torus(100,60): {coverage:.4f}")
 

@@ -1,6 +1,5 @@
 """Mesh core: construction, validation, dual graph, midpoint splits."""
 
-import math
 import re
 
 import pytest
@@ -94,21 +93,21 @@ def test_validate_generators():
 
 def test_dual_tetrahedron_is_k4(tetra):
     dual = build_dual(tetra)
-    assert dual.n == 4
-    assert all(dual.degree(t) == 3 for t in dual.nodes())
-    assert all(set(dual.neighbors(t)) == set(dual.nodes()) - {t} for t in dual.nodes())
+    assert len(dual) == 4
+    assert all(len(nbrs) == 3 for nbrs in dual.values())
+    assert all(set(nbrs) == set(dual) - {t} for t, nbrs in dual.items())
 
 
 def test_dual_matches_bruteforce_oracle():
     for mesh in (tetrahedron(), octahedron(), torus(4, 3), gen_mk(2), fan(6)):
         dual = build_dual(mesh)
         oracle = dual_by_shared_vertices(mesh)
-        assert {t: set(dual.neighbors(t)) for t in dual.nodes()} == oracle
+        assert {t: set(nbrs) for t, nbrs in dual.items()} == oracle
 
 
 def test_dual_octahedron_is_cube_graph(octa):
     dual = build_dual(octa)
-    adj = {t: set(dual.neighbors(t)) for t in dual.nodes()}
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
     assert graphs_isomorphic_small(adj, cube_graph())
 
 
@@ -125,17 +124,17 @@ def test_dual_closed_mesh_is_bridgeless():
     # removing any single dual edge leaves the dual connected
     for mesh in (tetrahedron(), octahedron(), torus(4, 3)):
         dual = build_dual(mesh)
-        for u, v, _e in dual.edges():
+        for u, v in ((u, v) for u, nbrs in dual.items() for v in nbrs if u < v):
             seen = {u}
             stack = [u]
             while stack:
                 x = stack.pop()
-                for y in dual.neighbors(x):
+                for y in dual[x]:
                     if {x, y} == {u, v} or y in seen:
                         continue
                     seen.add(y)
                     stack.append(y)
-            assert len(seen) == dual.n, f"edge ({u},{v}) is a bridge"
+            assert len(seen) == len(dual), f"edge ({u},{v}) is a bridge"
 
 
 def test_split_pair_counts(tetra):
@@ -208,7 +207,7 @@ def test_euler_bookkeeping_over_splits(octa):
 
 
 def test_split_then_collapse_recovers_dual(octa):
-    before = {t: set(build_dual(octa).neighbors(t)) for t in octa.alive_ids()}
+    before = {t: set(nbrs) for t, nbrs in build_dual(octa).items()}
     e = sorted(mesh_edges(octa))[0]
     record = split_pair(octa, e, edge_triangles(octa, e))
     # collapse: children -> parents, then compare adjacency to the original
@@ -221,7 +220,7 @@ def test_split_then_collapse_recovers_dual(octa):
     for t in octa.alive_ids():
         src = owner.get(t, t)
         after.setdefault(src, set())
-        for n in dual.neighbors(t):
+        for n in dual[t]:
             tgt = owner.get(n, n)
             if tgt != src:
                 after[src].add(tgt)

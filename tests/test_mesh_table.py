@@ -25,7 +25,15 @@ from oracles import (
     triangle_edges,
 )
 from singlestrip.generators import octahedron, torus
-from singlestrip.mesh import Mesh, MeshError, _check_triangles, build_dual, split_pair, validate
+from singlestrip.mesh import (
+    Mesh,
+    MeshError,
+    _check_triangles,
+    build_dual,
+    shared_edge,
+    split_pair,
+    validate,
+)
 
 
 def _soup(rng):
@@ -64,7 +72,11 @@ def _assert_same(mesh, oracle, edited):
     assert mesh.n_triangles == oracle.n_triangles
     want = dict_neighbours(oracle)
     dual = build_dual(mesh)
-    assert {t: [o for o, _e in nbrs] for t, nbrs in dual.adjacency.items()} == want
+    assert dual == want
+    for t, nbrs in dual.items():
+        for u in nbrs:
+            common = set(mesh.triangles[t]) & set(mesh.triangles[u])
+            assert shared_edge(mesh, t, u) == tuple(sorted(common))
     for t in mesh.alive_ids():
         for e in triangle_edges(mesh, t):
             assert mesh.other_triangle(e, t) == oracle.other_triangle(e, t)

@@ -1,14 +1,13 @@
 """Directed cycles, the threading table and space-filling curves."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sfc_curve_points, sfc_subcurve, triangle_points
+from oracles import load_curve_json, sfc_curve_points, sfc_subcurve, triangle_points
 from singlestrip import sfc
 from singlestrip.cli import main
 from singlestrip.generators import icosphere, tetrahedron, torus
@@ -20,7 +19,6 @@ from singlestrip.sfc import (
     dumps_curve_obj,
     export_curve,
     generate_curve,
-    load_curve_json,
     CurvePolyline,
     STATES,
     _CHILD_STATE,

@@ -148,7 +148,7 @@ def test_restore_leaves_no_unmatched_three_cycle():
     cycles = extract_cycles(mesh, partner)
     assert all(len(c) >= 4 for c in cycles.cycles)
     # after elimination there can be at most n/4 cycles
-    assert cycles.count <= dual.n / 4
+    assert cycles.count <= len(dual) / 4
 
 
 # -- cycle extraction -------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_extract_cube_graph_both_matching_classes(octa):
     # by exhaustive oracle the octahedron dual (cube graph) has 9 perfect
     # matchings giving two 4-cycles or one 8-cycle
     dual = build_dual(octa)
-    adj = {t: set(dual.neighbors(t)) for t in dual.nodes()}
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
     matchings = all_perfect_matchings(adj)
     assert len(matchings) == 9
     seen = set()
@@ -182,7 +182,7 @@ def test_extract_partitions_all_triangles(torus400):
     partner = perfect_match_dual(dual).partner
     cs = extract_cycles(torus400, partner)
     assert sum(cycle_lengths(cs)) == 400
-    assert sorted(t for c in cs.cycles for t in c) == sorted(dual.nodes())
+    assert sorted(t for c in cs.cycles for t in c) == sorted(dual)
 
 
 def test_extract_rejects_broken_matching(tetra):
@@ -196,7 +196,7 @@ def test_extract_rejects_broken_matching(tetra):
 
 def test_merge_nodal_octahedron_two_cycles_to_one(octa):
     dual = build_dual(octa)
-    adj = {t: set(dual.neighbors(t)) for t in dual.nodes()}
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
     two_cycle = next(
         p for p in all_perfect_matchings(adj)
         if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
@@ -256,12 +256,12 @@ def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed
         # (it may leave unmatched three-cycles; nodal merging need not care)
         start = {}
         for t in rng.sample(sorted(partner), len(partner) // 2):
-            u = rng.choice(dual.neighbors(t))
+            u = rng.choice(dual[t])
             if t not in start and u not in start:
                 start[t] = u
                 start[u] = t
         partner = blossom_maximum_matching(dual, start)
-        assert len(partner) == dual.n
+        assert len(partner) == len(dual)
         cs = extract_cycles(work, partner)
     oracle_partner = dict(partner)
     oracle_merges = merge_nodal_full_sweep(work, oracle_partner, cs)
@@ -301,7 +301,7 @@ def test_splits_no_op_for_single_cycle(tetra):
 
 def test_splits_merge_two_cycles(octa):
     dual = build_dual(octa)
-    adj = {t: set(dual.neighbors(t)) for t in dual.nodes()}
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
     two_cycle = next(
         p for p in all_perfect_matchings(adj)
         if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
