@@ -4,15 +4,56 @@ Exit codes: 0 success, 1 usage, 2 parse/load failure, 3 validation failure,
 4 pipeline or verification failure. An OS error while reading an input (a
 missing file, a directory, no permission) is a load failure, exit 2. One
 while writing the outputs means the --out, --stats or gen -o path is unusable
-(an existing file where a directory is wanted, no permission), exit 1.
+(an existing file where a directory is wanted, no permission), exit 1. A
+pipeline error names the stage it failed in.
+
+Each command runs with the cyclic garbage collector off. The pipelines build
+millions of small acyclic containers, every collection walks all of them
+again, and a whole command leaves only a few hundred objects in cycles. The
+caller's setting is restored on return, so a caller that calls `main` in
+process keeps its own policy.
+
+Stats file (``stripify``, ``stripify-boundary`` and ``sfc``), schema 1:
+
+- ``schema_version``: 1.
+- ``input_triangles``, ``output_triangles``: triangle counts.
+- ``percent_increase``: 100 * (output - input) / input, in percent.
+- ``splits``: matched pairs split at an edge midpoint, each adding two
+  triangles.
+- ``verified``: always true; an order that fails verification is an error.
+- ``elapsed_ms``: wall time of each stage, in milliseconds. The stages
+  cover the whole command except parsing its arguments and writing the
+  stats file.
+  - ``stripify``: load, validate, eliminate, match, restore, cycles, nodal,
+    splits, assemble, output, write.
+  - ``stripify-boundary``: load, validate, strip, verify, write.
+  - ``sfc``: the stages of ``stripify`` up to output, then curve and
+    export.
+
+The closed pipeline (``stripify`` and ``sfc``) adds:
+
+- ``cycles_initial``: triangle cycles after matching and restoration.
+- ``cycles_after_nodal``: cycles left after nodal fan toggles.
+- ``nodal_merges``: fan toggles accepted. The nodal stage tries each vertex
+  once, so it always makes one pass and there is no pass counter.
+- ``greedy_matched``: dual nodes matched by the greedy phase and its
+  contraction replay; ``greedy_coverage`` is their share of all dual nodes.
+- ``greedy_picks``: smallest-id picks the greedy phase made when no node
+  had degree 1 or 2.
+- ``augmentations``: augmenting paths the blossom phase found.
+
+``stripify-boundary`` adds ``spine_edges`` (tree edges on the spine path,
+not doubled), ``bound_3n_minus_4log2n`` and ``bound_gap`` (output count
+minus that bound), and sets the two cycle counts to null. ``sfc`` adds
+``curve_depth`` and ``curve_points``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -30,7 +71,7 @@ from .generators import generate, parse_spec
 from .matching import MatchingError
 from .mesh import MeshError, ValidationError, validate
 from .sfc import CurveError, direct_cycle, export_curve, generate_curve
-from .striploop import PipelineError, StripResult, stripify, verify_order
+from .striploop import PipelineError, StageTimer, stripify, verify_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,13 +136,41 @@ def _writing():
         raise OutputError(str(exc)) from exc
 
 
-def _write_result(result: StripResult, input_path: Path, out_dir: Path, stats_path) -> None:
-    stem = input_path.stem
+def _load_and_run(input_path: Path, pipeline):
+    """Load the input and run `pipeline` on it, timing the load as a stage.
+
+    Returns the result, a copy of its stats whose ``elapsed_ms`` holds the
+    load and the pipeline's stages, and the timer whose `ms` is that
+    ``elapsed_ms``, for the command's own later stages. The pipeline's own
+    stats are left as they are.
+    """
+    timer = StageTimer()
+    with timer("load"):
+        mesh = load_mesh(input_path)
+    result = pipeline(mesh)
+    timer.ms.update(result.stats["elapsed_ms"])
+    return result, dict(result.stats, elapsed_ms=timer.ms), timer
+
+
+def _stats_path(args, input_path: Path, out_dir: Path) -> Path:
+    return Path(args.stats) if args.stats else out_dir / f"{input_path.stem}.stats.json"
+
+
+def _run_strip(args, pipeline) -> dict:
+    """Load, run `pipeline` and write the strip mesh, order and stats."""
+    input_path, out_dir = Path(args.input), Path(args.out)
+    result, stats, timer = _load_and_run(input_path, pipeline)
     with _writing():
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_mesh(result.mesh, out_dir / f"{stem}.strip.obj")
-        write_strip_order(out_dir / f"{stem}.strip.txt", result.order, result.closed)
-        write_stats(Path(stats_path) if stats_path else out_dir / f"{stem}.stats.json", result.stats)
+        with timer("write"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            save_mesh(result.mesh, out_dir / f"{input_path.stem}.strip.obj")
+            write_strip_order(
+                out_dir / f"{input_path.stem}.strip.txt", result.order, result.closed
+            )
+            # freeing the result is part of the command's time, so time it here
+            del result
+        write_stats(_stats_path(args, input_path, out_dir), stats)
+    return stats
 
 
 def _cmd_gen(args) -> int:
@@ -115,10 +184,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stripify(args) -> int:
-    input_path = Path(args.input)
-    result = stripify(load_mesh(input_path))
-    _write_result(result, input_path, Path(args.out), args.stats)
-    s = result.stats
+    s = _run_strip(args, stripify)
     print(
         f"cycle of {s['output_triangles']} triangles from {s['input_triangles']} "
         f"(+{s['percent_increase']}%, {s['splits']} splits)"
@@ -127,10 +193,7 @@ def _cmd_stripify(args) -> int:
 
 
 def _cmd_stripify_boundary(args) -> int:
-    input_path = Path(args.input)
-    result = strip_with_boundary(load_mesh(input_path))
-    _write_result(result, input_path, Path(args.out), args.stats)
-    s = result.stats
+    s = _run_strip(args, strip_with_boundary)
     print(
         f"strip of {s['output_triangles']} triangles from {s['input_triangles']} "
         f"({s['splits']} splits, spine {s['spine_edges']})"
@@ -139,31 +202,22 @@ def _cmd_stripify_boundary(args) -> int:
 
 
 def _cmd_sfc(args) -> int:
-    input_path = Path(args.input)
-    result = stripify(load_mesh(input_path))
-    t0 = time.perf_counter()
-    dc = direct_cycle(result.mesh, result.order)
-    curve = generate_curve(result.mesh, dc, args.depth)
-    t1 = time.perf_counter()
-    out_dir = Path(args.out)
-    curve_path = out_dir / f"{input_path.stem}.curve.{args.curve_format}"
-    with _writing():
-        out_dir.mkdir(parents=True, exist_ok=True)
-        export_curve(curve, curve_path, fmt=args.curve_format)
-    t2 = time.perf_counter()
-    stats = dict(result.stats)
-    stats["elapsed_ms"] = dict(
-        stats["elapsed_ms"],
-        curve=round((t1 - t0) * 1000.0, 3),
-        export=round((t2 - t1) * 1000.0, 3),
-    )
+    input_path, out_dir = Path(args.input), Path(args.out)
+    result, stats, timer = _load_and_run(input_path, stripify)
+    with timer("curve"):
+        dc = direct_cycle(result.mesh, result.order)
+        curve = generate_curve(result.mesh, dc, args.depth)
+        del result, dc  # freed inside a stage, as in _run_strip
     stats["curve_depth"] = args.depth
     stats["curve_points"] = len(curve.points)
+    curve_path = out_dir / f"{input_path.stem}.curve.{args.curve_format}"
     with _writing():
-        write_stats(
-            Path(args.stats) if args.stats else out_dir / f"{input_path.stem}.stats.json", stats
-        )
-    print(f"wrote {curve_path}: {len(curve.points)} points at depth {args.depth}")
+        with timer("export"):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            export_curve(curve, curve_path, fmt=args.curve_format)
+            del curve
+        write_stats(_stats_path(args, input_path, out_dir), stats)
+    print(f"wrote {curve_path}: {stats['curve_points']} points at depth {args.depth}")
     return EXIT_OK
 
 
@@ -208,13 +262,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # off before the parser is built, so that no collection starts outside
+    # the command's stages
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version, 2 for usage errors
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help/--version, 2 for usage errors
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
         return _COMMANDS[args.command](args)
     except OutputError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -226,8 +283,12 @@ def main(argv=None) -> int:
         print(f"validation failed:\n{exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (MatchingError, PipelineError, CurveError) as exc:
-        print(f"pipeline error: {exc}", file=sys.stderr)
+        where = f" in {exc.stage}" if getattr(exc, "stage", None) else ""
+        print(f"pipeline error{where}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

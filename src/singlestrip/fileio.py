@@ -182,5 +182,11 @@ def read_strip_order(path) -> tuple[list[int], bool]:
     return order, closed
 
 
+# Version of the stats file's keys and units, documented in `cli`.
+STATS_SCHEMA_VERSION = 1
+
+
 def write_stats(path, stats: dict) -> None:
-    Path(path).write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    """Write `stats` as sorted JSON, stamped with ``schema_version``."""
+    stamped = dict(stats, schema_version=STATS_SCHEMA_VERSION)
+    Path(path).write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")

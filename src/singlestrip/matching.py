@@ -18,7 +18,11 @@ from .unionfind import UnionFind
 
 
 class MatchingError(Exception):
-    """Matching invariant violated, or a perfect matching does not exist."""
+    """Matching invariant violated, or a perfect matching does not exist.
+    `stage` names the pipeline stage it failed in, once a `StageTimer` block
+    has seen it."""
+
+    stage: str | None = None
 
     def __init__(self, message: str, unmatched=()):
         super().__init__(message)

@@ -383,9 +383,6 @@ class ValidationReport:
     def add(self, code: str, detail: str) -> None:
         self.violations.append((code, detail))
 
-    def count(self, code: str) -> int:
-        return sum(1 for c, _ in self.violations if c == code)
-
     def __str__(self) -> str:
         if self.ok:
             return f"valid ({self.mode})"

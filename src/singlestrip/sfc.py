@@ -56,12 +56,6 @@ class DirectedCycle:
     def __len__(self) -> int:
         return len(self.triangles)
 
-    def reversed(self) -> "DirectedCycle":
-        ids = [self.triangles[0]] + self.triangles[:0:-1]
-        ent = [self.exit[0]] + self.exit[:0:-1]
-        ext = [self.entry[0]] + self.entry[:0:-1]
-        return DirectedCycle(triangles=ids, entry=ent, exit=ext)
-
 
 @dataclass
 class CurvePolyline:

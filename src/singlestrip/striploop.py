@@ -15,7 +15,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .matching import MatchState, perfect_match_dual
+from .matching import MatchingError, MatchState, perfect_match_dual
 from .mesh import (
     Mesh,
     SplitRecord,
@@ -29,7 +29,10 @@ from .unionfind import UnionFind
 
 
 class PipelineError(Exception):
-    """An internal pipeline invariant failed."""
+    """An internal pipeline invariant failed; `stage` names the stage it
+    failed in, once it has left a `StageTimer` block."""
+
+    stage: str | None = None
 
 
 # -- three-cycle elimination --------------------------------------------------
@@ -412,7 +415,11 @@ def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str 
 
 class StageTimer:
     """Wall time of each pipeline stage: the block under
-    `with timer("match"):` is recorded, in milliseconds, as `timer.ms["match"]`."""
+    `with timer("match"):` is recorded, in milliseconds, as `timer.ms["match"]`.
+
+    A `PipelineError` or `MatchingError` leaving the block is tagged with the
+    stage's name, unless an inner block already tagged it.
+    """
 
     def __init__(self):
         self.ms: dict[str, float] = {}
@@ -420,7 +427,12 @@ class StageTimer:
     @contextmanager
     def __call__(self, stage: str):
         t0 = time.perf_counter()
-        yield
+        try:
+            yield
+        except (PipelineError, MatchingError) as exc:
+            if exc.stage is None:
+                exc.stage = stage
+            raise
         self.ms[stage] = round((time.perf_counter() - t0) * 1000.0, 3)
 
 

@@ -428,6 +428,11 @@ def cycle_lengths(cycleset) -> list[int]:
     return [len(c) for c in cycleset.cycles]
 
 
+def violation_count(report, code: str) -> int:
+    """Violations of one kind in a `ValidationReport`."""
+    return sum(1 for c, _ in report.violations if c == code)
+
+
 def greedy_reduce(graph):
     """Forced reductions only: returns (reduced adjacency, partner map, log).
 
@@ -454,6 +459,18 @@ def load_curve_json(path):
 
     data = json.loads(Path(path).read_text())
     return CurvePolyline(points=[tuple(p) for p in data["points"]], closed=data["closed"])
+
+
+def reversed_cycle(dc):
+    """A `DirectedCycle` walked the other way round from the same first
+    triangle: each triangle's entry and exit edges swap."""
+    from singlestrip.sfc import DirectedCycle
+
+    return DirectedCycle(
+        triangles=[dc.triangles[0]] + dc.triangles[:0:-1],
+        entry=[dc.exit[0]] + dc.exit[:0:-1],
+        exit=[dc.entry[0]] + dc.entry[:0:-1],
+    )
 
 
 # -- mesh geometry, edge scans and edits that only tests use --------------------

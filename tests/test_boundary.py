@@ -373,6 +373,7 @@ def test_stripify_boundary_output_bytes_are_pinned(tmp_path, name):
     stem = path.stem
     stats = json.loads((out / f"{stem}.stats.json").read_text())
     del stats["elapsed_ms"]
+    assert stats.pop("schema_version") == 1
     digests = (
         hashlib.sha256((out / f"{stem}.strip.obj").read_bytes()).hexdigest(),
         hashlib.sha256((out / f"{stem}.strip.txt").read_bytes()).hexdigest(),

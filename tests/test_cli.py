@@ -1,14 +1,21 @@
 """CLI subcommands, exit codes, artifact round-trips."""
 
+import ast
+import gc
 import json
+import random
+import time
+from pathlib import Path
 
 import pytest
 
-from oracles import load_curve_json, read_stats
-from singlestrip import cli
+from oracles import insert_centroid, load_curve_json, read_stats
+from singlestrip import boundary, cli, striploop
+from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh
-from singlestrip.generators import fan
+from singlestrip.generators import fan, torus
+from singlestrip.striploop import stripify
 
 
 def test_gen_writes_mesh(tmp_path, capsys):
@@ -205,3 +212,151 @@ def test_sfc_over_the_point_budget_is_pipeline_error(tmp_path, capsys):
     assert main(["sfc", str(mesh_path), "--depth", "12", "--out", str(out)]) == 4
     assert "over the budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- stage timings cover the whole command ------------------------------------------
+
+CLOSED_STAGES = [
+    "load", "validate", "eliminate", "match", "restore", "cycles", "nodal", "splits",
+    "assemble", "output",
+]
+COMMAND_STAGES = {
+    "stripify": CLOSED_STAGES + ["write"],
+    "stripify-boundary": ["load", "validate", "strip", "verify", "write"],
+    "sfc": CLOSED_STAGES + ["curve", "export"],
+}
+
+
+def _closed_input():
+    # four times the meshes of test_striploop's pipeline coverage test: argument
+    # parsing costs a fixed 1-2 ms, 5-10% of a CLI call on those
+    mesh = torus(60, 40)
+    for t in random.Random(8).sample(range(mesh.n_triangles), 30):
+        insert_centroid(mesh, t)
+    return mesh
+
+
+@pytest.mark.parametrize("command", ["stripify", "stripify-boundary", "sfc"])
+def test_stages_account_for_the_cli_wall_time(tmp_path, command):
+    path = tmp_path / "m.off"
+    save_mesh(gen_mk(10) if command == "stripify-boundary" else _closed_input(), path)
+    argv = [command, str(path), "--out", str(tmp_path / "out")]
+    if command == "sfc":
+        argv += ["--depth", "1"]
+    shares = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert main(argv) == 0
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        elapsed = read_stats(tmp_path / "out" / "m.stats.json")["elapsed_ms"]
+        assert sorted(elapsed) == sorted(COMMAND_STAGES[command])
+        shares.append(sum(elapsed.values()) / wall_ms)
+    # the best of three: a stall of a few ms in the parser or the stats write
+    # is noise, while a stage left untimed lowers every run
+    assert max(shares) >= 0.95
+
+
+def test_cli_stats_add_the_schema_and_leave_the_pipeline_stats_alone(tmp_path, monkeypatch):
+    results = []
+    monkeypatch.setattr(cli, "stripify", lambda mesh: results.append(stripify(mesh)) or results[-1])
+    path = tmp_path / "t.off"
+    save_mesh(torus(6, 5), path)
+    assert main(["stripify", str(path), "--out", str(tmp_path)]) == 0
+    own = results[0].stats
+    assert "load" not in own["elapsed_ms"] and "write" not in own["elapsed_ms"]
+    assert "schema_version" not in own
+    written = read_stats(tmp_path / "t.stats.json")
+    assert written["schema_version"] == 1
+    assert {k: v for k, v in written["elapsed_ms"].items() if k in own["elapsed_ms"]} == own[
+        "elapsed_ms"
+    ]
+
+
+# -- the cyclic collector is off inside a command, and only there -----------------------
+
+
+@pytest.fixture
+def gc_state():
+    """Put the collector's state back after the test."""
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _collector_cases(tmp_path):
+    closed, bad = tmp_path / "t.off", tmp_path / "bad.off"
+    save_mesh(torus(6, 5), closed)
+    bad.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    return [
+        (["stripify"], 1),
+        (["stripify", str(closed), "--out", str(tmp_path / "ok")], 0),
+        (["stripify", str(closed), "--out", str(taken)], 1),
+        (["stripify", str(bad), "--out", str(tmp_path / "bad")], 2),
+        (["stripify-boundary", str(closed), "--out", str(tmp_path / "closed")], 3),
+    ]
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_main_restores_the_collector_on_every_exit(tmp_path, monkeypatch, gc_state, caller_enabled):
+    seen = []
+
+    def load_spy(path):
+        seen.append(gc.isenabled())
+        return load_mesh(path)
+
+    monkeypatch.setattr(cli, "load_mesh", load_spy)
+    (gc.enable if caller_enabled else gc.disable)()
+    gc.set_threshold(1234, 11, 12)
+    for argv, code in _collector_cases(tmp_path):
+        assert main(argv) == code
+        assert gc.isenabled() is caller_enabled
+        assert gc.get_threshold() == (1234, 11, 12)
+    assert seen == [False] * 4
+
+
+def test_main_restores_the_collector_when_an_error_escapes(tmp_path, monkeypatch, gc_state):
+    def broken(mesh):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "stripify", broken)
+    path = tmp_path / "t.off"
+    save_mesh(torus(6, 5), path)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["stripify", str(path), "--out", str(tmp_path)])
+    assert gc.isenabled()
+
+
+def test_library_leaves_the_collector_alone(gc_state):
+    gc.enable()
+    stripify(torus(6, 5))
+    assert gc.isenabled()
+    strip_with_boundary(gen_mk(3))
+    assert gc.isenabled()
+    src = Path(cli.__file__).parent
+    importers = sorted(
+        f.name
+        for f in src.glob("*.py")
+        for node in ast.walk(ast.parse(f.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+    )
+    assert importers == ["cli.py"]
+
+
+# -- a pipeline error names its stage ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, module, stage",
+    [("stripify", striploop, "assemble"), ("stripify-boundary", boundary, "verify")],
+)
+def test_pipeline_error_names_its_stage(tmp_path, capsys, monkeypatch, command, module, stage):
+    monkeypatch.setattr(module, "verify_order", lambda *args, **kwargs: (False, "x"))
+    path = tmp_path / "m.off"
+    save_mesh(torus(6, 5) if command == "stripify" else gen_mk(3), path)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 4
+    assert f"pipeline error in {stage}: " in capsys.readouterr().err

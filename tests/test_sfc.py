@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import load_curve_json, sfc_curve_points, sfc_subcurve, triangle_points
+from oracles import (
+    load_curve_json,
+    reversed_cycle,
+    sfc_curve_points,
+    sfc_subcurve,
+    triangle_points,
+)
 from singlestrip import sfc
 from singlestrip.cli import main
 from singlestrip.generators import icosphere, tetrahedron, torus
@@ -56,7 +62,7 @@ def test_direct_cycle_tetra(tetra_strip):
 
 def test_direct_cycle_reverse_swaps_pairs(tetra_strip):
     dc = direct_cycle(tetra_strip.mesh, tetra_strip.order)
-    rev = dc.reversed()
+    rev = reversed_cycle(dc)
     assert rev.triangles[0] == dc.triangles[0]
     assert sorted(rev.triangles) == sorted(dc.triangles)
     fwd = {t: (e, x) for t, e, x in zip(dc.triangles, dc.entry, dc.exit)}
@@ -255,7 +261,7 @@ def ico_strip():
 def test_curve_equals_recursive_search(request, name, depth):
     res = request.getfixturevalue(name)
     dc = direct_cycle(res.mesh, res.order)
-    for directed in (dc, dc.reversed()):
+    for directed in (dc, reversed_cycle(dc)):
         points = generate_curve(res.mesh, directed, depth).points
         assert all(type(x) is float for x in points[0])
         assert points == sfc_curve_points(res.mesh, directed, depth)

@@ -24,10 +24,16 @@ from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import save_mesh
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
-from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
+from singlestrip.matching import (
+    MatchingError,
+    blossom_maximum_matching,
+    perfect_match_dual,
+    validate_matching,
+)
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import (
     PipelineError,
+    StageTimer,
     _fan_order,
     assemble_cycle,
     eliminate_three_cycles,
@@ -470,6 +476,17 @@ def test_stages_account_for_the_wall_time(pipeline):
         results.append(run(mesh))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         assert sum(results[-1].stats["elapsed_ms"].values()) >= 0.95 * wall_ms
+
+
+@pytest.mark.parametrize("error", [PipelineError, MatchingError])
+def test_stage_timer_tags_the_innermost_stage(error):
+    timer = StageTimer()
+    with pytest.raises(error) as info:
+        with timer("outer"):
+            with timer("inner"):
+                raise error("x")
+    assert info.value.stage == "inner"
+    assert timer.ms == {}
 
 
 def test_split_children_coplanar_with_parents():
