@@ -6,6 +6,10 @@ inserting a midpoint, and the resulting Euler path is realized as a triangle
 strip: the strip enters each doubled subtree, sweeps it, and returns through
 the other half of the doubled edge. Output size is exactly
 n + 2 * (non-spine tree edges) = 3n - 2 - 2|P|.
+
+`euler_strip` edits no mesh: one replay of the midpoint splits on plain
+lists records each split cell's children, and one iterative walk over those
+records lists the strip's cell ids.
 """
 
 from __future__ import annotations
@@ -13,15 +17,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .mesh import (
     Mesh,
-    MeshError,
     SplitRecord,
     ValidationError,
     ValidationReport,
     build_dual,
-    edge_key,
     shared_edge,
     validate,
 )
@@ -188,154 +191,139 @@ def euler_strip(
 ) -> tuple[list[int], list[SplitRecord], Mesh]:
     """Subdivide every non-spine tree edge and assemble the open strip.
 
-    Leaves `mesh` untouched. Each doubled edge gets a midpoint; a triangle
-    with d incident doubled edges becomes 1 + d cells, fanned around its
-    parent-edge midpoint. The strip enters a subtree across one half of its
-    doubled edge, sweeps it depth-first in fan order, and exits across the
-    other half. Returns (strip, records, out): `out` holds the live cells in
-    id order, as `Mesh.compact` would number them, and `strip` indexes it.
-    Triangle ids in the records are those `split_pair` would assign on a
-    copy of `mesh`.
+    Leaves `mesh` untouched. The doubled edges are split, in the order of
+    `_doubled_edges`, by one replay of `split_pair` on copies of the mesh
+    lists. Every cell is split at most once: a doubled edge's child triangle
+    is still whole when its edge comes up, and the anchor's cell on it is
+    the anchor or the anchor's half that holds the edge. So each split cell
+    keeps one record: its split vertex x, its children holding x and the
+    edge's other end, and the tree child across the edge if the cell is an
+    anchor's.
+
+    The strip is one depth-first walk over those records, down the spine.
+    A tree triangle entered at vertex v of its doubled parent edge yields
+    its half at v, then its half at the apex; an anchor's split cell entered
+    at v yields its child at v, the subtree across its edge entered at v,
+    then its other child. Returns (strip, records, out): `out` holds the
+    live cells in id order, as `Mesh.compact` would number them, and
+    `strip` indexes it. Triangle ids in the records are those `split_pair`
+    would assign on a copy of `mesh`.
     """
-    doubled: list[tuple[int, int]] = []  # (anchor, child) with anchor nearer the spine
-    depth = {s: 0 for s in spine}
-    queue = deque(spine)
-    tree_adj = {t: _tree_neighbors(tree, t) for t in tree.parent}
-    while queue:
-        t = queue.popleft()
-        for nb in tree_adj[t]:
-            if nb in depth:
-                continue
-            depth[nb] = depth[t] + 1
-            doubled.append((t, nb))
-            queue.append(nb)
-    doubled.sort(key=lambda pair: (depth[pair[0]], pair[0], pair[1]))
-
-    doubled_keys = [shared_edge(mesh, anchor, child) for anchor, child in doubled]
-    spine_keys = [shared_edge(mesh, spine[i], spine[i + 1]) for i in range(len(spine) - 1)]
-
-    child_edges: dict[int, dict[tuple[int, int], int]] = {}
-    for (anchor, child), e in zip(doubled, doubled_keys):
-        child_edges.setdefault(anchor, {})[e] = child
-
-    records, vertices, triangles, alive = _split_edges(mesh, list(zip(doubled_keys, doubled)))
-    midpoint = {rec.edge: rec.midpoint for rec in records}
-
-    def subtree_crossings(t: int, pkey: tuple[int, int], enter_v: int, out: list) -> None:
-        """Append the crossing sequence through t's fan, from half (enter_v, m)
-        around to the other half, descending into doubled children on the way.
-
-        Iterative, so that deep dual trees do not exhaust the call stack: each
-        stack frame is [t, m, exit_v, walk, i], with i the next walk step.
-        """
-
-        def enter(t, pkey, enter_v):
-            m = midpoint[pkey]
-            exit_v = pkey[0] if pkey[1] == enter_v else pkey[1]
-            apex = next(x for x in mesh.triangles[t] if x not in pkey)
-            walk: list[tuple[str, int, tuple[int, int] | None]] = [("v", enter_v, None)]
-            for a, b in ((enter_v, apex), (apex, exit_v)):
-                ek = edge_key(a, b)
-                if ek in child_edges.get(t, ()):
-                    walk.append(("m", midpoint[ek], ek))
-                walk.append(("v", b, None))
-            out.append(edge_key(enter_v, m))
-            return [t, m, exit_v, walk, 1]
-
-        stack = [enter(t, pkey, enter_v)]
-        while stack:
-            frame = stack[-1]
-            t, m, exit_v, walk, i = frame
-            if i == len(walk):
-                out.append(edge_key(m, exit_v))
-                stack.pop()
-                continue
-            frame[4] = i + 1
-            kind, point, ek = walk[i]
-            if kind == "m":
-                stack.append(enter(child_edges[t][ek], ek, walk[i - 1][1]))
-            elif i < len(walk) - 1:
-                out.append(edge_key(m, point))
-
-    crossings: list[tuple[int, int]] = []
-    for i in range(1, len(spine)):
-        crossings.append(spine_keys[i - 1])
-        s = spine[i]
-        kids = child_edges.get(s)
-        if not kids or i == len(spine) - 1:
-            if kids and i == len(spine) - 1:
-                raise PipelineError(f"spine end {s} unexpectedly has a doubled child")
-            continue
-        if len(kids) != 1:
-            raise PipelineError(f"spine triangle {s} has {len(kids)} doubled children (max 1)")
-        ckey, child = next(iter(kids.items()))
-        prev_key = spine_keys[i - 1]
-        shared = set(prev_key) & set(ckey)
-        if len(shared) != 1:
-            raise PipelineError(f"spine edge {prev_key} and child edge {ckey} share {len(shared)} vertices")
-        subtree_crossings(child, ckey, shared.pop(), crossings)
-
-    out = Mesh(vertices, [tri for tri, live in zip(triangles, alive) if live])
-    # spine[0] is a leaf whose one tree edge is on the spine, so it is never
-    # split; its id in `out` is the number of live cells before it
-    cur = sum(alive[: spine[0]])
-    strip = [cur]
-    for e in crossings:
-        nxt = out.other_triangle(e, cur)
-        if nxt is None:
-            raise PipelineError(f"strip crossing {e} from {cur} hits a boundary")
-        strip.append(nxt)
-        cur = nxt
-    return strip, records, out
-
-
-def _split_edges(mesh: Mesh, edges: list[tuple[tuple[int, int], tuple[int, int]]]):
-    """Replay `split_pair` on each (edge, its two triangles) in turn, on
-    copies of the mesh lists.
-
-    Returns (records, vertices, triangles, alive) exactly as that many
-    `split_pair` calls would leave them on a copy of `mesh`. Only the
-    incidence lists of edges still to be split are tracked, each starting in
-    listing order: a cell (x, y, w) split on (x, y) hands edge (w, x) to its
-    child (x, m, w) and edge (y, w) to its child (m, y, w), and a child is
-    listed after every older triangle, so later splits list their parents
-    in the same order.
-    """
+    doubled = _doubled_edges(tree, spine)
     vertices = list(mesh.vertices)
     triangles = list(mesh.triangles)
     alive = list(mesh.alive)
-    incident = {e: mesh.listing_order(pair) for e, pair in edges}
+    n_cells = len(triangles) + 4 * len(doubled)
+    # per split cell: (split vertex x, child holding x, child holding the
+    # other end y, tree child across the edge or -1 for the child's own cell)
+    split: list[tuple[int, int, int, int] | None] = [None] * n_cells
     records: list[SplitRecord] = []
-    for e, _pair in edges:
-        cells = incident.pop(e)
+    for anchor, child in doubled:
+        e = shared_edge(mesh, anchor, child)
         a, b = e
+        cell = anchor
+        rec = split[anchor]
+        if rec is not None:
+            x, cx, cy, _ = rec
+            cell = cx if x == a or x == b else cy
+            parents = (child, cell)  # a split child is listed after every original
+        else:
+            parents = tuple(mesh.listing_order((anchor, child)))
         pa = vertices[a]
         pb = vertices[b]
         mid = len(vertices)
         vertices.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
-        children: list[int] = []
-        for tid in cells:
-            x, y, w = triangles[tid]
+        first = len(triangles)
+        for tid in parents:
             # rotate so the split edge is (x, y)
-            if edge_key(x, y) != e:
-                x, y, w = (y, w, x) if edge_key(y, w) == e else (w, x, y)
-                if edge_key(x, y) != e:
-                    raise MeshError(f"edge {e} not found in triangle {tid}")
+            p, q, r = triangles[tid]
+            if r != a and r != b:
+                x, y, w = p, q, r
+            elif p != a and p != b:
+                x, y, w = q, r, p
+            else:
+                x, y, w = r, p, q
             alive[tid] = False
-            first = len(triangles)
+            c0 = len(triangles)
             triangles.append((x, mid, w))
             triangles.append((mid, y, w))
-            alive += (True, True)
-            for edge, child in ((edge_key(w, x), first), (edge_key(y, w), first + 1)):
-                incid = incident.get(edge)
-                if incid is not None:
-                    incid.remove(tid)
-                    incid.append(child)
-            children += (first, first + 1)
-        records.append(
-            SplitRecord(edge=e, midpoint=mid, parents=(cells[0], cells[1]), children=tuple(children))
-        )
-    return records, vertices, triangles, alive
+            split[tid] = (x, c0, c0 + 1, child if tid == cell else -1)
+        alive += (True, True, True, True)
+        children = (first, first + 1, first + 2, first + 3)
+        records.append(SplitRecord(edge=e, midpoint=mid, parents=parents, children=children))
+
+    stack: list[tuple[int, int]] = []  # (cell, the vertex it is entered at)
+    for i in range(len(spine) - 1, 0, -1):
+        s = spine[i]
+        rec = split[s]
+        v = -1
+        if rec is not None:
+            # enter at the end of s's doubled edge that its predecessor holds
+            v = rec[0] if rec[0] in triangles[spine[i - 1]] else triangles[rec[2]][1]
+        stack.append((s, v))
+    stack.append((spine[0], -1))
+    cells: list[int] = []
+    while stack:
+        t, v = stack.pop()
+        rec = split[t]
+        if rec is None:
+            cells.append(t)
+            continue
+        x, cx, cy, across = rec
+        if x != v:
+            cx, cy = cy, cx
+        if across < 0:
+            # a tree triangle entered across its doubled parent edge: its half
+            # at v, then its half at the apex, which both children hold last
+            stack.append((cy, triangles[cx][2]))
+            stack.append((cx, v))
+        else:
+            # the anchor's children are never split again
+            cells.append(cx)
+            stack.append((cy, -1))
+            stack.append((across, v))
+    rank = list(accumulate(alive))  # rank[t] - 1 is t's id among the live cells
+    strip = [rank[t] - 1 for t in cells]
+    del doubled, split, cells, rank
+    live = [tri for tri, keep in zip(triangles, alive) if keep]
+    del triangles, alive
+    return strip, records, Mesh(vertices, live)
+
+
+def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, int]]:
+    """Every non-spine tree edge as (anchor, child), the anchor nearer the
+    spine, sorted by the anchor's distance from the spine, then anchor, then
+    child. Only interior spine triangles may anchor one, at most one each."""
+    parent, children = tree.parent, tree.children
+    ends = (spine[0], spine[-1])
+    reached = set(spine)
+    doubled: list[tuple[int, int]] = []
+    level = sorted(spine)
+    on_spine = True
+    while level:
+        nxt: list[int] = []
+        for a in level:
+            kids = [c for c in children[a] if c not in reached]
+            p = parent[a]
+            if p is not None and p not in reached:
+                kids.append(p)
+            if not kids:
+                continue
+            if on_spine:
+                if a in ends:
+                    raise PipelineError(f"spine end {a} unexpectedly has a doubled child")
+                if len(kids) > 1:
+                    raise PipelineError(
+                        f"spine triangle {a} has {len(kids)} doubled children (max 1)"
+                    )
+            kids.sort()
+            reached.update(kids)
+            doubled += [(a, c) for c in kids]
+            nxt += kids
+        nxt.sort()
+        level = nxt
+        on_spine = False
+    return doubled
 
 
 # -- orchestrator -----------------------------------------------------------------

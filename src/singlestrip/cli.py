@@ -55,6 +55,7 @@ import gc
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -80,7 +81,10 @@ EXIT_VALIDATION = 3
 EXIT_PIPELINE = 4
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="singlestrip",
         description="Single triangle cycle / strip construction and space-filling curves.",
@@ -262,8 +266,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # off before the parser is built, so that no collection starts outside
-    # the command's stages
+    # off before the arguments are parsed (and, on the first call, the parser
+    # built), so that no collection starts outside the command's stages
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

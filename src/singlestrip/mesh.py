@@ -256,13 +256,6 @@ class Mesh:
         order in which an edge lists its triangles."""
         return sorted(tids, key=self._stamp.__getitem__)
 
-    def other_triangle(self, e: tuple[int, int], tid: int) -> int | None:
-        """The live triangle across edge e from live triangle tid, or None on
-        a boundary (or if e is not an edge of tid)."""
-        i = _slot(self.triangles[tid], e[0], e[1])
-        o = self.neighbours[3 * tid + i] if i >= 0 else -1
-        return o if o >= 0 else None
-
     def boundary_edges(self) -> list[tuple[int, int]]:
         """Edges with one live triangle, by triangle id and then slot."""
         out = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .matching import MatchingError, MatchState, perfect_match_dual
@@ -417,23 +416,34 @@ class StageTimer:
     """Wall time of each pipeline stage: the block under
     `with timer("match"):` is recorded, in milliseconds, as `timer.ms["match"]`.
 
+    The call reads the clock before it creates any object that the cyclic
+    collector tracks, so the `with` statement's own set-up and `__enter__`
+    fall inside the stage, and no collection the timer starts lands between
+    two stages. Blocks nest; each exit closes the innermost open stage.
+
     A `PipelineError` or `MatchingError` leaving the block is tagged with the
     stage's name, unless an inner block already tagged it.
     """
 
     def __init__(self):
         self.ms: dict[str, float] = {}
+        self._open: list[tuple[str, float]] = []  # (stage, start), innermost last
 
-    @contextmanager
-    def __call__(self, stage: str):
+    def __call__(self, stage: str) -> "StageTimer":
         t0 = time.perf_counter()
-        try:
-            yield
-        except (PipelineError, MatchingError) as exc:
-            if exc.stage is None:
-                exc.stage = stage
-            raise
-        self.ms[stage] = round((time.perf_counter() - t0) * 1000.0, 3)
+        self._open.append((stage, t0))
+        return self
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        t1 = time.perf_counter()
+        stage, t0 = self._open.pop()
+        if exc is None:
+            self.ms[stage] = round((t1 - t0) * 1000.0, 3)
+        elif isinstance(exc, (PipelineError, MatchingError)) and exc.stage is None:
+            exc.stage = stage
 
 
 @dataclass

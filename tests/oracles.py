@@ -8,8 +8,8 @@ by mesh edits, the full-sweep nodal merge and the dict-based mesh) share
 only the primitives they were built on. The test helpers (`relabel`,
 `cycle_lengths`, `mesh_edges`, `greedy_reduce`, the forced reductions on
 their own, the stats and JSON curve readers, and the mesh geometry, edge
-scans and edits) are not oracles: only tests use them, so they live here
-rather than in the library.
+scans, table reads and edits) are not oracles: only tests use them, so they
+live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def euler_strip_by_splits(mesh, tree, spine):
 
     strip = [spine[0]]
     for e in crossings:
-        strip.append(work.other_triangle(e, strip[-1]))
+        strip.append(other_triangle(work, e, strip[-1]))
     out, remap = work.compact()
     return [remap[t] for t in strip], records, out
 
@@ -522,6 +522,17 @@ def edge_triangles(mesh, e: tuple[int, int]) -> list[int]:
     u, v = e
     tris = mesh.triangles
     return mesh.listing_order(t for t in mesh.alive_ids() if u in tris[t] and v in tris[t])
+
+
+def other_triangle(mesh, e: tuple[int, int], tid: int) -> int | None:
+    """The live triangle across edge e from live triangle tid, read off the
+    neighbour table, or None on a boundary (or if e is not an edge of tid)."""
+    tri = mesh.triangles[tid]
+    for i in range(3):
+        if {tri[i], tri[(i + 1) % 3]} == set(e):
+            o = mesh.neighbours[3 * tid + i]
+            return o if o >= 0 else None
+    return None
 
 
 def add_centroid(mesh, tid: int) -> int:

@@ -31,7 +31,7 @@ from singlestrip.generators import fan, torus
 from singlestrip.cli import main
 from singlestrip.fileio import load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
-from singlestrip.striploop import verify_order
+from singlestrip.striploop import PipelineError, verify_order
 
 
 def _tree_as_dual(adj):
@@ -234,14 +234,37 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
     assert crossed <= tree_pairs
 
 
+def _holed_grid(w, h, seed):
+    """A w x h grid with about a fifth of its triangles removed at random,
+    cut down to the dual component of its smallest remaining triangle."""
+    rng = random.Random(seed)
+    mesh = _open_grid(w, h)
+    punch_holes(mesh, [t for t in mesh.alive_ids() if rng.random() < 0.2])
+    dual = build_dual(mesh)
+    if dual:
+        start = min(dual)
+        seen, stack = {start}, [start]
+        while stack:
+            for u in dual[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        punch_holes(mesh, [t for t in dual if t not in seen])
+    return mesh
+
+
+# grids with periodic and with random holes, thin strips, fans and M_k; the
+# test relabels each
 _open_meshes = st.one_of(
     st.builds(_open_grid, st.integers(1, 10), st.integers(1, 10), st.sampled_from([0, 3, 4])),
-    st.builds(fan, st.integers(3, 30)),
-    st.builds(_open_grid, st.integers(1, 2), st.integers(2, 60)),
+    st.builds(_holed_grid, st.integers(2, 12), st.integers(2, 12), st.integers(0, 2**32 - 1)),
+    st.builds(_open_grid, st.integers(1, 3), st.integers(2, 80)),
+    st.builds(fan, st.integers(3, 40)),
+    st.builds(gen_mk, st.integers(1, 6)),
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
 def test_euler_strip_matches_split_pair_oracle(mesh, seed):
     mesh = relabel(mesh, random.Random(seed))
@@ -256,7 +279,27 @@ def test_euler_strip_matches_split_pair_oracle(mesh, seed):
     assert strip == want_strip
     assert out.triangles == want_out.triangles
     assert out.vertices == want_out.vertices
+    assert out.neighbours == want_out.neighbours
     assert verify_order(out, strip, closed=False) == (True, None)
+
+
+@pytest.mark.parametrize("shape", ["end", "start", "interior"])
+def test_euler_strip_rejects_a_spine_triangle_with_two_doubled_children(shape):
+    # mk(2): a centre triangle, three triangles around it and two ears on
+    # each of those; a spine through the centre that leaves two of its
+    # neighbours off the path cannot be walked, and must say so
+    mesh = gen_mk(2)
+    dual = build_dual(mesh)
+    tree = dual_spanning_tree(dual)
+    centre = next(
+        t for t, nbrs in dual.items() if len(nbrs) == 3 and all(len(dual[u]) == 3 for u in nbrs)
+    )
+    x1, x2, _ = dual[centre]
+    ear1 = next(u for u in dual[x1] if u != centre)
+    ear2 = next(u for u in dual[x2] if u != centre)
+    spine = {"end": [x1, centre], "start": [centre, x1], "interior": [ear1, x1, centre, ear2]}[shape]
+    with pytest.raises(PipelineError, match="doubled child"):
+        euler_strip(mesh, tree, spine)
 
 
 def test_euler_strip_matches_oracle_with_dead_slots():

@@ -33,6 +33,19 @@ def test_usage_error_is_1():
     assert main([]) == 1
 
 
+def test_parser_is_built_once_and_parses_alike_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = (["--help"], ["--version"], ["stripify", "--help"], ["stripify"], ["bogus"], [])
+    runs = []
+    for _ in range(2):
+        for argv in argvs:
+            code = main(argv)
+            runs.append((code, *capsys.readouterr()))
+    assert runs[: len(argvs)] == runs[len(argvs) :]
+    assert [code for code, _, _ in runs[: len(argvs)]] == [0, 0, 0, 1, 1, 1]
+    assert runs[0][1] == cli.build_parser.__wrapped__().format_help()
+
+
 def test_stripify_artifacts_roundtrip(tmp_path, capsys):
     mesh_path = tmp_path / "torus.off"
     main(["gen", "torus(6,5)", "-o", str(mesh_path)])

@@ -21,6 +21,7 @@ from oracles import (
     dict_validate,
     edge_triangles,
     insert_centroid,
+    other_triangle,
     relabel,
     triangle_edges,
 )
@@ -79,7 +80,7 @@ def _assert_same(mesh, oracle, edited):
             assert shared_edge(mesh, t, u) == tuple(sorted(common))
     for t in mesh.alive_ids():
         for e in triangle_edges(mesh, t):
-            assert mesh.other_triangle(e, t) == oracle.other_triangle(e, t)
+            assert other_triangle(mesh, e, t) == oracle.other_triangle(e, t)
     for e in oracle.edge_map:
         assert edge_triangles(mesh, e) == oracle.edge_triangles(e)
     assert mesh.n_edges == len(oracle.edge_map)

@@ -15,6 +15,7 @@ from oracles import (
     cycle_lengths,
     insert_centroid,
     merge_nodal_full_sweep,
+    other_triangle,
     plane_distance,
     relabel,
     triangle_edges,
@@ -126,7 +127,7 @@ def test_restore_matches_owner_and_pairs_rest():
         x = snapshot[cfg.replacement]
         e = next(
             e for e in triangle_edges(mesh, cfg.replacement)
-            if mesh.other_triangle(e, cfg.replacement) == x
+            if other_triangle(mesh, e, cfg.replacement) == x
         )
         owner = next(t for t in cfg.parents if set(e) <= set(mesh.triangles[t]))
         owners[cfg.replacement] = (owner, x, cfg)
