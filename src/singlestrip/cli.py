@@ -81,6 +81,17 @@ EXIT_VALIDATION = 3
 EXIT_PIPELINE = 4
 
 
+def _depth(text: str) -> int:
+    """--depth: an integer, at least 0."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {depth}")
+    return depth
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sfc", help="stripify a closed mesh and emit a space-filling curve")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--depth", type=_depth, default=0)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--curve-format", choices=("obj", "json"), default="obj")
     p.add_argument("--stats", default=None)

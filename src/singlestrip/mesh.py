@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,14 +269,6 @@ class Mesh:
                         out.append(edge_key(*e))
         return out
 
-    def vertex_triangles(self) -> dict[int, set[int]]:
-        """Vertex id -> set of live triangles incident on it."""
-        incid: dict[int, set[int]] = {}
-        for t in self.alive_ids():
-            for v in self.triangles[t]:
-                incid.setdefault(v, set()).add(t)
-        return incid
-
     # -- structure -------------------------------------------------------
 
     def copy(self) -> "Mesh":
@@ -302,8 +295,7 @@ class Mesh:
         return mesh, {old: new for new, old in enumerate(ids)}
 
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(NamedTuple):
     """One midpoint split of an interior edge: two parents become four children.
 
     `children[0:2]` replace `parents[0]` and `children[2:4]` replace
@@ -405,8 +397,9 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     Vertex links are not checked, since that would cost every mesh a pass
     over its vertex fans: a pinched vertex, whose incident triangles form
     several fans, is accepted. `stripify` still returns a verified cycle for
-    such a mesh; `merge_nodal` never toggles around that vertex, because
-    `_fan_order` finds no single closed fan there.
+    such a mesh; `merge_nodal` never toggles around that vertex, because the
+    fan walk from its smallest triangle closes before it has met every
+    triangle on the vertex.
     """
     if mode not in ("closed", "with_boundary"):
         raise ValueError(f"unknown validation mode {mode!r}")

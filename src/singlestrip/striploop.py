@@ -55,55 +55,82 @@ class RemovedConfig:
     replacement: int
 
 
+def _vertex_fans(mesh: Mesh) -> tuple[list[int], list[int]]:
+    """Per vertex id, the number of live triangles on it and the smallest of
+    them (-1 where there is none): the fan size and the anchor that
+    `_fan_order` walks from."""
+    count = [0] * mesh.n_vertices
+    anchor = [-1] * mesh.n_vertices
+    tris = mesh.triangles
+    for t in reversed(mesh.alive_ids()):
+        for v in tris[t]:
+            count[v] += 1
+            anchor[v] = t
+    return count, anchor
+
+
+def _fan_order(mesh: Mesh, v: int, t0: int, k: int) -> list[int] | None:
+    """The live triangles around v in cyclic fan order from t0, read off the
+    neighbour table, or None unless the walk returns to t0 over exactly k
+    triangles (a boundary, or a pinched vertex whose link is several fans).
+    Each triangle is followed by the one across its edge (w, v)."""
+    nb, tris = mesh.neighbours, mesh.triangles
+    ordered = [t0]
+    t = t0
+    while True:
+        tri = tris[t]
+        t = nb[3 * t + (tri.index(v) + 2) % 3]
+        if t == t0:
+            return ordered if len(ordered) == k else None
+        if t < 0 or len(ordered) == k:
+            return None
+        ordered.append(t)
+
+
 def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
     """Remove every interior vertex with exactly three incident triangles.
 
     Mutates the mesh in place and returns the removal stack (LIFO order for
-    restoration). The replacement's row takes the fan's outer neighbours,
-    which are re-pointed to it. Removal cascades: replacing a fan can drop a
-    ring vertex's incidence count to three. Stops rather than shrink the mesh
-    below `MIN_TRIANGLES`, so a tetrahedron is left as it is.
+    restoration). Vertices are taken in ascending id, each fan from its
+    smallest triangle; the replacement's row takes the fan's outer
+    neighbours, which are re-pointed to it. Removal cascades: replacing a
+    fan drops each ring vertex's triangle count by one, and a ring vertex
+    left with three is queued. Stops rather than shrink the mesh below
+    `MIN_TRIANGLES`, so a tetrahedron is left as it is.
     """
     nb, tris = mesh.neighbours, mesh.triangles
-    incid = mesh.vertex_triangles()
-    queue = deque(sorted(v for v, ts in incid.items() if len(ts) == 3))
+    count, anchor = _vertex_fans(mesh)
+    queue = deque(v for v, k in enumerate(count) if k == 3)
     stack: list[RemovedConfig] = []
     while queue:
         v = queue.popleft()
-        if len(incid.get(v, ())) != 3:
+        if count[v] != 3:
             continue
         if mesh.n_triangles - 2 < MIN_TRIANGLES:
             break
-        t0 = min(incid[v])
-        i0 = tris[t0].index(v)
-        a, b = tris[t0][(i0 + 1) % 3], tris[t0][(i0 + 2) % 3]
-        t1 = nb[3 * t0 + (i0 + 2) % 3]  # across (b, v)
-        if t1 < 0 or t1 not in incid[v]:
+        fan = _fan_order(mesh, v, anchor[v], 3)
+        if fan is None:
             raise PipelineError(f"vertex {v} has 3 triangles but no closed fan")
-        i1 = tris[t1].index(v)
-        b2, c = tris[t1][(i1 + 1) % 3], tris[t1][(i1 + 2) % 3]
-        if b2 != b:
-            raise PipelineError(f"inconsistent winding around vertex {v}")
-        t2 = (incid[v] - {t0, t1}).pop()
-        i2 = tris[t2].index(v)
-        c2, a2 = tris[t2][(i2 + 1) % 3], tris[t2][(i2 + 2) % 3]
-        if c2 != c or a2 != a:
-            raise PipelineError(f"fan around vertex {v} does not close on ring ({a},{b},{c})")
-
+        j = fan.index(min(fan))
+        t0, t1, t2 = fan[j:] + fan[:j]
         # the ring edges (a, b), (b, c), (c, a) follow v in t0, t1, t2
-        outer = [nb[3 * t + (i + 1) % 3] for t, i in ((t0, i0), (t1, i1), (t2, i2))]
+        ring = []
+        outer = []
         for t in (t0, t1, t2):
+            i = tris[t].index(v)
+            ring.append(tris[t][(i + 1) % 3])
+            outer.append(nb[3 * t + (i + 1) % 3])
             mesh._retire(t)
-        replacement = mesh._append((a, b, c), outer)
+        replacement = mesh._append(tuple(ring), outer)
         for x, t in zip(outer, (t0, t1, t2)):
             mesh._repoint(x, t, replacement)
         stack.append(RemovedConfig(vertex=v, parents=(t0, t1, t2), replacement=replacement))
-        del incid[v]
-        for ring, dead in ((a, (t0, t2)), (b, (t0, t1)), (c, (t1, t2))):
-            incid[ring].difference_update(dead)
-            incid[ring].add(replacement)
-            if len(incid[ring]) == 3:
-                queue.append(ring)
+        count[v] = 0
+        for w in ring:
+            count[w] -= 1
+            anchor[w] = replacement
+            if count[w] == 3:
+                queue.append(w)
     return stack
 
 
@@ -163,7 +190,8 @@ class CycleSet:
 
 def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
     """Partition the live triangles into cycles by walking unmatched dual
-    edges, read off the mesh's neighbour table."""
+    edges, read off the mesh's neighbour table. Each cycle is walked from
+    its smallest id, first to the triangle in the earlier unmatched slot."""
     nb = mesh.neighbours
     n = mesh.n_triangles
     cycles: list[list[int]] = []
@@ -175,17 +203,19 @@ def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
         cycle = []
         prev, cur = None, start
         while True:
+            free = nb[3 * cur : 3 * cur + 3]  # cur's unmatched neighbours, once p is out
             p = partner.get(cur)
-            nbrs = [o for o in nb[3 * cur : 3 * cur + 3] if o >= 0 and o != p]
-            if len(nbrs) != 2:
+            if p in free:
+                free.remove(p)
+            if len(free) != 2 or -1 in free:
                 hint = "; matching is not perfect on a 3-regular dual" if cur == start else ""
                 raise PipelineError(
-                    f"triangle {cur} has {len(nbrs)} unmatched dual edges (need 2){hint}"
+                    f"triangle {cur} has {sum(o >= 0 for o in free)} unmatched dual edges "
+                    f"(need 2){hint}"
                 )
             cycle.append(cur)
             cycle_of[cur] = idx
-            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, nxt
+            prev, cur = cur, free[0] if free[0] != prev else free[1]
             if cur == start:
                 break
             if len(cycle) > n:
@@ -195,36 +225,6 @@ def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
 
 
 # -- nodal merging ------------------------------------------------------------
-
-
-def _fan_order(mesh: Mesh, v: int, fan: set[int]) -> list[int] | None:
-    """Incident triangles of v in cyclic fan order, or None if the fan does
-    not close over exactly the incident set (boundary or non-manifold
-    neighborhood). Consecutive triangles share an edge (v, w)."""
-    nb, tris = mesh.neighbours, mesh.triangles
-    t0 = min(fan)
-    i = tris[t0].index(v)
-    far = tris[t0][(i + 2) % 3]
-    slot = 3 * t0 + (i + 2) % 3  # edge (far, v)
-    ordered = [t0]
-    while True:
-        nxt = nb[slot]
-        if nxt < 0:
-            return None
-        if nxt == t0:
-            break
-        if nxt not in fan or len(ordered) > len(fan):
-            return None
-        ordered.append(nxt)
-        tri = tris[nxt]
-        i = tri.index(v)
-        if tri[(i + 1) % 3] != far:
-            return None
-        far = tri[(i + 2) % 3]
-        slot = 3 * nxt + (i + 2) % 3
-    if len(ordered) != len(fan):
-        return None
-    return ordered
 
 
 def merge_nodal(
@@ -240,25 +240,29 @@ def merge_nodal(
     w of u's fan rejected, because the two fan triangles on edge uw are
     either now unmatched, with partners outside w's fan, or matched to each
     other, leaving two unmatched pairs of w's fan on the one merged cycle;
-    and only such toggles change a partner in w's fan. A vertex whose link
-    is several fans (a pinched vertex) never qualifies, as `_fan_order`
-    finds no single closed fan. Returns the rebuilt cycle set and the
-    (vertex, m) merges.
+    and only such toggles change a partner in w's fan.
+
+    Each fan is read off the neighbour table by `_fan_order`, from the
+    vertex's smallest triangle. A vertex is rejected at once when that
+    triangle's partner does not hold it, as alternation matches every fan
+    triangle inside the fan. A vertex whose link is several fans (a pinched
+    vertex) never qualifies, as its walk closes before it has met every
+    triangle on it. Returns the rebuilt cycle set and the (vertex, m)
+    merges.
     """
-    incid = mesh.vertex_triangles()
+    tris = mesh.triangles
+    count, anchor = _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
     uf = UnionFind()  # over cycle indices
     merges: list[tuple[int, int]] = []
     expected = cycleset.count
-    for v in sorted(incid):
-        fan = incid[v]
-        k = len(fan)
+    for v, k in enumerate(count):
         if k < 4 or k % 2 != 0:
             continue
         # alternation matches every fan triangle inside the fan
-        if any(partner.get(t) not in fan for t in fan):
+        if v not in tris[partner[anchor[v]]]:
             continue
-        ordered = _fan_order(mesh, v, fan)
+        ordered = _fan_order(mesh, v, anchor[v], k)
         if ordered is None:
             continue
         flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
@@ -358,30 +362,13 @@ def spanning_tree_splits(
 
 
 def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
-    """Walk the single unmatched-edge cycle over all live triangles."""
-    nb = mesh.neighbours
-    n = mesh.n_triangles
-    start = mesh.alive.index(True)
-    order = [start]
-    prev, cur = -1, start
-    while True:
-        p = partner.get(cur)
-        for o in nb[3 * cur : 3 * cur + 3]:
-            if o >= 0 and o != prev and o != p:
-                break
-        else:
-            raise PipelineError(f"triangle {cur} has no unmatched exit edge")
-        prev, cur = cur, o
-        if cur == start:
-            break
-        order.append(cur)
-        if len(order) > n:
-            raise PipelineError("cycle walk revisits a triangle")
-    if len(order) != n:
-        raise PipelineError(
-            f"unmatched edges form more than one cycle ({len(order)} of {n} triangles reached)"
-        )
-    return order
+    """The single unmatched-edge cycle over all live triangles: the one
+    cycle of `extract_cycles`, from the smallest live id. Raises
+    `PipelineError` when the unmatched edges form more than one cycle."""
+    cycles = extract_cycles(mesh, partner).cycles
+    if len(cycles) != 1:
+        raise PipelineError(f"unmatched edges form {len(cycles)} cycles, not one")
+    return cycles[0]
 
 
 def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str | None]:

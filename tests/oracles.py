@@ -4,12 +4,13 @@ Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the Euler strip
-by mesh edits, the full-sweep nodal merge and the dict-based mesh) share
-only the primitives they were built on. The test helpers (`relabel`,
-`cycle_lengths`, `mesh_edges`, `greedy_reduce`, the forced reductions on
-their own, the stats and JSON curve readers, and the mesh geometry, edge
-scans, table reads and edits) are not oracles: only tests use them, so they
-live here rather than in the library.
+by mesh edits, the set-based three-cycle elimination, the full-sweep nodal
+merge and the dict-based mesh) share only the primitives they were built
+on. The test helpers (`relabel`, `cycle_lengths`, `mesh_edges`,
+`vertex_triangles`, `greedy_reduce`, the forced reductions on their own,
+the stats and JSON curve readers, and the mesh geometry, edge scans, table
+reads and edits) are not oracles: only tests use them, so they live here
+rather than in the library.
 """
 
 from __future__ import annotations
@@ -573,23 +574,117 @@ def punch_holes(mesh, tids) -> None:
             mesh._repoint(o, t, -1)
 
 
+# -- vertex fans from raw triangle tuples ----------------------------------------
+
+
+def vertex_triangles(mesh) -> dict[int, set[int]]:
+    """Vertex id -> set of live triangles incident on it."""
+    incid: dict[int, set[int]] = {}
+    for t in mesh.alive_ids():
+        for v in mesh.triangles[t]:
+            incid.setdefault(v, set()).add(t)
+    return incid
+
+
+def fan_by_shared_edges(mesh, v: int, fan: set[int]) -> list[int] | None:
+    """The triangles of `fan` around v in cyclic order from the smallest,
+    chained through the edges (v, w) they share, from the raw vertex triples
+    alone; or None when the chain does not close over the whole fan. A
+    triangle (v, w, x), as wound, is followed by the one holding the edge
+    (v, x) wound as (v, x, y)."""
+
+    def from_v(t):
+        a, b, c = mesh.triangles[t]
+        return (a, b, c) if a == v else (b, c, a) if b == v else (c, a, b)
+
+    holding = {}  # w -> the fan triangle wound (v, w, .)
+    for t in fan:
+        w = from_v(t)[1]
+        if w in holding:
+            return None
+        holding[w] = t
+    t0 = min(fan)
+    ordered = [t0]
+    while True:
+        t = holding.get(from_v(ordered[-1])[2])
+        if t == t0:
+            return ordered if len(ordered) == len(fan) else None
+        if t is None or len(ordered) == len(fan):
+            return None
+        ordered.append(t)
+
+
+# -- three-cycle elimination on incidence sets ----------------------------------
+#
+# `eliminate_three_cycles` as the library ran it before it counted fans on
+# plain lists: a dict of per-vertex incidence sets, kept up to date as fans
+# are replaced, and a hand-rolled walk around each three-triangle fan.
+
+
+def eliminate_three_cycles_by_sets(mesh):
+    """The removal stack of the set-based elimination; mutates the mesh."""
+    from singlestrip.striploop import MIN_TRIANGLES, PipelineError, RemovedConfig
+
+    nb, tris = mesh.neighbours, mesh.triangles
+    incid = vertex_triangles(mesh)
+    queue = deque(sorted(v for v, ts in incid.items() if len(ts) == 3))
+    stack = []
+    while queue:
+        v = queue.popleft()
+        if len(incid.get(v, ())) != 3:
+            continue
+        if mesh.n_triangles - 2 < MIN_TRIANGLES:
+            break
+        t0 = min(incid[v])
+        i0 = tris[t0].index(v)
+        a, b = tris[t0][(i0 + 1) % 3], tris[t0][(i0 + 2) % 3]
+        t1 = nb[3 * t0 + (i0 + 2) % 3]  # across (b, v)
+        if t1 < 0 or t1 not in incid[v]:
+            raise PipelineError(f"vertex {v} has 3 triangles but no closed fan")
+        i1 = tris[t1].index(v)
+        b2, c = tris[t1][(i1 + 1) % 3], tris[t1][(i1 + 2) % 3]
+        if b2 != b:
+            raise PipelineError(f"inconsistent winding around vertex {v}")
+        t2 = (incid[v] - {t0, t1}).pop()
+        i2 = tris[t2].index(v)
+        c2, a2 = tris[t2][(i2 + 1) % 3], tris[t2][(i2 + 2) % 3]
+        if c2 != c or a2 != a:
+            raise PipelineError(f"fan around vertex {v} does not close on ring ({a},{b},{c})")
+
+        # the ring edges (a, b), (b, c), (c, a) follow v in t0, t1, t2
+        outer = [nb[3 * t + (i + 1) % 3] for t, i in ((t0, i0), (t1, i1), (t2, i2))]
+        for t in (t0, t1, t2):
+            mesh._retire(t)
+        replacement = mesh._append((a, b, c), outer)
+        for x, t in zip(outer, (t0, t1, t2)):
+            mesh._repoint(x, t, replacement)
+        stack.append(RemovedConfig(vertex=v, parents=(t0, t1, t2), replacement=replacement))
+        del incid[v]
+        for ring, dead in ((a, (t0, t2)), (b, (t0, t1)), (c, (t1, t2))):
+            incid[ring].difference_update(dead)
+            incid[ring].add(replacement)
+            if len(incid[ring]) == 3:
+                queue.append(ring)
+    return stack
+
+
 # -- nodal merging by full sweeps -------------------------------------------------
 #
 # `merge_nodal` as the library ran it before its worklist: every vertex is
 # tried in ascending id, pass after pass, until a whole pass accepts no
-# toggle, with cycle membership kept by a union-find over triangle ids.
+# toggle, with cycle membership kept by a union-find over triangle ids. Its
+# fans come from the raw triangle tuples, not from the neighbour table.
 
 
 def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
     """The (vertex, m) merges of the full-sweep nodal merge; mutates partner."""
-    from singlestrip.striploop import _fan_order
     from singlestrip.unionfind import UnionFind
 
     uf = UnionFind()
     for cycle in cycleset.cycles:
         for t in cycle:
             uf.union(cycle[0], t)
-    incid = mesh.vertex_triangles()
+    incid = vertex_triangles(mesh)
     merges: list[tuple[int, int]] = []
     changed = True
     while changed:
@@ -599,10 +694,9 @@ def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
             k = len(fan)
             if k < 4 or k % 2 != 0:
                 continue
-            result = _fan_order(mesh, v, fan)
-            if result is None:
+            ordered = fan_by_shared_edges(mesh, v, fan)
+            if ordered is None:
                 continue
-            ordered = result
             flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
             if sum(flags) != k // 2:
                 continue

@@ -20,6 +20,7 @@ from oracles import (
     plane_distance,
     triangle_diameter,
     triangle_points,
+    vertex_triangles,
 )
 from singlestrip.boundary import gen_mk, mk_triangle_count, strip_with_boundary
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
@@ -118,7 +119,7 @@ def test_criterion_5_no_unmatched_three_cycles():
     originals = rng.sample(range(seeded.n_triangles), 55)
     for t in originals:
         insert_centroid(seeded, t)
-    assert sum(1 for ts in seeded.vertex_triangles().values() if len(ts) == 3) >= 50
+    assert sum(1 for ts in vertex_triangles(seeded).values() if len(ts) == 3) >= 50
     meshes["torus(10,10)+55 degree-3 seeds"] = seeded
     nested = icosphere(1)
     for t in (0, 17, 33):
@@ -158,7 +159,7 @@ def test_criterion_5_no_unmatched_three_cycles():
         assert all(len(c) >= 4 for c in cs2.cycles), f"{name}: 3-cycle after restore"
         assert cs2.count <= len(d2) / 4
     _report(5, f"no unmatched 3-cycles after restore on {len(meshes)} meshes "
-               f"(incl. {sum(1 for ts in seeded.vertex_triangles().values() if len(ts) == 3)}"
+               f"(incl. {sum(1 for ts in vertex_triangles(seeded).values() if len(ts) == 3)}"
                " seeded degree-3 vertices)")
 
 

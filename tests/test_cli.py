@@ -135,6 +135,16 @@ def test_sfc_stats_time_curve_and_export(tmp_path, monkeypatch):
     assert "curve" not in results[0].stats["elapsed_ms"]
 
 
+@pytest.mark.parametrize("depth", ["-1", "x"])
+def test_sfc_bad_depth_is_usage_error_before_loading(tmp_path, capsys, monkeypatch, depth):
+    loads = []
+    monkeypatch.setattr(cli, "load_mesh", lambda path: loads.append(path))
+    code = main(["sfc", str(tmp_path / "missing.off"), "--depth", depth])
+    assert code == 1
+    assert "--depth" in capsys.readouterr().err
+    assert loads == []
+
+
 def test_sfc_obj_polyline(tmp_path):
     mesh_path = tmp_path / "tet.off"
     main(["gen", "tetrahedron", "-o", str(mesh_path)])

@@ -15,6 +15,7 @@ from oracles import (
     plane_distance,
     triangle_area,
     triangle_points,
+    vertex_triangles,
     violation_count,
 )
 from singlestrip.boundary import gen_mk
@@ -230,7 +231,7 @@ def test_split_then_collapse_recovers_dual(octa):
 
 def test_insert_centroid_creates_degree3_vertex(ico):
     g, children = insert_centroid(ico, 0)
-    incid = ico.vertex_triangles()
+    incid = vertex_triangles(ico)
     assert incid[g] == set(children)
     assert validate(ico, "closed").ok
 

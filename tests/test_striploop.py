@@ -7,12 +7,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     all_perfect_matchings,
     cycle_lengths,
+    eliminate_three_cycles_by_sets,
     insert_centroid,
     merge_nodal_full_sweep,
     other_triangle,
@@ -20,6 +21,7 @@ from oracles import (
     relabel,
     triangle_edges,
     unmatched_cycles,
+    vertex_triangles,
 )
 from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
@@ -33,6 +35,7 @@ from singlestrip.matching import (
 )
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import (
+    MIN_TRIANGLES,
     PipelineError,
     StageTimer,
     _fan_order,
@@ -101,6 +104,40 @@ def test_eliminate_stops_at_tetrahedron_scale():
     assert mesh.n_triangles == 8
     eliminate_three_cycles(mesh)
     assert mesh.n_triangles >= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("torus"), st.integers(3, 12), st.integers(3, 12)),
+        st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
+        st.tuples(st.just("tetrahedron"), st.just(0), st.just(0)),
+    ),
+    centroids=st.integers(0, 30),
+    relabel_after=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=("tetrahedron", 0, 0), centroids=6, relabel_after=False, seed=1)
+@example(shape=("icosphere", 0, 0), centroids=20, relabel_after=True, seed=2)
+def test_eliminate_matches_set_based_oracle(shape, centroids, relabel_after, seed):
+    # centroids go into any live triangle, earlier fans' included, so fans
+    # nest and elimination cascades; tetrahedra cascade into the size floor
+    kind, a, b = shape
+    rng = random.Random(seed)
+    base = {"torus": lambda: torus(a, b), "icosphere": lambda: icosphere(a),
+            "tetrahedron": tetrahedron}[kind]()
+    mesh = relabel(base, rng)
+    for _ in range(centroids):
+        insert_centroid(mesh, rng.choice(mesh.alive_ids()))
+    if relabel_after:
+        mesh = relabel(mesh, rng)
+    oracle = mesh.copy()
+    stack = eliminate_three_cycles(mesh)
+    assert stack == eliminate_three_cycles_by_sets(oracle)
+    assert mesh.neighbours == oracle.neighbours
+    assert mesh.alive == oracle.alive
+    assert mesh.triangles == oracle.triangles
+    assert mesh.n_triangles >= MIN_TRIANGLES
 
 
 # -- restoration ----------------------------------------------------------------
@@ -283,9 +320,9 @@ def test_pinched_vertex_is_accepted_and_never_toggled():
     base = torus(8, 4)
     mesh = Mesh(base.vertices, [tuple(0 if v == 18 else v for v in t) for t in base.triangles])
     assert validate(mesh, "closed").ok
-    fan = mesh.vertex_triangles()[0]
+    fan = vertex_triangles(mesh)[0]
     assert len(fan) == 12
-    assert _fan_order(mesh, 0, fan) is None
+    assert _fan_order(mesh, 0, min(fan), len(fan)) is None
     res = stripify(mesh)
     assert verify_order(res.mesh, res.order, closed=True) == (True, None)
     work, dual, partner, cs = _before_nodal(mesh)
