@@ -71,7 +71,7 @@ from .fileio import (
 from .generators import generate, parse_spec
 from .matching import MatchingError
 from .mesh import MeshError, ValidationError, validate
-from .sfc import CurveError, direct_cycle, export_curve, generate_curve
+from .sfc import MAX_DEPTH, CurveError, direct_cycle, export_curve, generate_curve
 from .striploop import PipelineError, StageTimer, stripify, verify_order
 
 EXIT_OK = 0
@@ -82,13 +82,13 @@ EXIT_PIPELINE = 4
 
 
 def _depth(text: str) -> int:
-    """--depth: an integer, at least 0."""
+    """--depth: an integer from 0 to the curve's depth guard."""
     try:
         depth = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {depth}")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"must be from 0 to {MAX_DEPTH}, not {depth}")
     return depth
 
 

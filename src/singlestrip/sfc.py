@@ -19,7 +19,8 @@ of all triangles at once, one level at a time, with numpy. The children of a
 cell stay contiguous, so the flat cell array is always in depth-first curve
 order. The float steps are those of a per-cell recursion: midpoints as
 (p + q) / 2, centroids as (a + b + c) / 3, and each exit point read off its
-leaf cell by its label.
+leaf cell by its label. The points stay one (N, 3) float64 array from
+`generate_curve` to export.
 """
 
 from __future__ import annotations
@@ -31,18 +32,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, edge_key
+from .mesh import Mesh, _slot, edge_key
 
 MAX_DEPTH = 12
-# Largest curve generate_curve will build: 2**23 points are 192 MiB as float64
-# and several times that as the tuples of CurvePolyline.points.
+# Largest curve generate_curve will build: 2**23 points are 192 MiB as the
+# float64 array of CurvePolyline.points.
 MAX_POINTS = 1 << 23
-
-Point = tuple[float, float, float]
 
 
 class CurveError(Exception):
-    """Invalid directed cycle or curve request."""
+    """Invalid directed cycle or curve request; `stage` names the stage it
+    failed in, once it has left a `StageTimer` block."""
+
+    stage: str | None = None
 
 
 @dataclass
@@ -59,7 +61,7 @@ class DirectedCycle:
 
 @dataclass
 class CurvePolyline:
-    points: list[Point]
+    points: np.ndarray  # (N, 3) float64, in curve order
     closed: bool
 
 
@@ -150,8 +152,8 @@ _EXIT_ENDS = np.array([_LABEL_ENDS[o] for _, o in STATES])
 
 
 def _edge_label(tri: tuple[int, int, int], e: tuple[int, int]) -> int | None:
-    a, b, c = tri
-    return {frozenset((a, b)): 3, frozenset((b, c)): 4, frozenset((c, a)): 5}.get(frozenset(e))
+    s = _slot(tri, *e)
+    return None if s < 0 else 3 + s
 
 
 def _curve_points(cells: np.ndarray, states: np.ndarray, depth: int) -> np.ndarray:
@@ -175,7 +177,8 @@ def _curve_points(cells: np.ndarray, states: np.ndarray, depth: int) -> np.ndarr
 
 
 def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
-    """Closed polyline threading every triangle of the directed cycle.
+    """Closed polyline threading every triangle of the directed cycle, its
+    points one C-contiguous (N, 3) float64 array.
 
     Point count is exactly len(dc) * 2 * 4**depth: each depth-`depth` cell
     contributes its centroid and its exit connector, entries being shared.
@@ -200,8 +203,7 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
             raise CurveError(f"triangle {t} enters and exits by the same edge")
         states.append(_STATE_INDEX[entry, exit_])
     cells = np.asarray(mesh.vertices, dtype=float)[np.array(tris, dtype=np.intp).reshape(-1, 3)]
-    pts = _curve_points(cells, np.array(states, dtype=np.intp), depth)
-    return CurvePolyline(points=list(zip(*(pts[:, k].tolist() for k in range(3)))), closed=True)
+    return CurvePolyline(_curve_points(cells, np.array(states, dtype=np.intp), depth), closed=True)
 
 
 # -- export -------------------------------------------------------------------
@@ -209,17 +211,23 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
 _CHUNK = 1 << 15
 
 
-def _export_points(curve: CurvePolyline) -> list[Point]:
-    points = _dedupe(curve.points)
-    if not points:
+def _export_points(curve: CurvePolyline) -> np.ndarray:
+    """The curve's points as an (N, 3) float array without consecutive
+    repeats: a row is dropped when it equals the row before it."""
+    points = np.asarray(curve.points, dtype=float).reshape(-1, 3)
+    if not len(points):
         raise CurveError("cannot export an empty curve")
-    return points
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = (points[1:] != points[:-1]).any(axis=1)
+    return points[keep]
 
 
-def _obj_chunks(points: list[Point], closed: bool):
-    """OBJ text in pieces: one vertex line per point, then one line element."""
+def _obj_chunks(points: np.ndarray, closed: bool):
+    """OBJ text in pieces: one vertex line per point, then one line element.
+    Each chunk is formatted from Python floats, so every coordinate is
+    written as its shortest `repr`."""
     for i in range(0, len(points), _CHUNK):
-        yield "".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in points[i : i + _CHUNK]])
+        yield "".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in points[i : i + _CHUNK].tolist()])
     n = len(points)
     for i in range(1, n + 1, _CHUNK):
         yield ("l " if i == 1 else " ") + " ".join(map(str, range(i, min(i + _CHUNK, n + 1))))
@@ -231,8 +239,7 @@ def dumps_curve_obj(curve: CurvePolyline) -> str:
 
 
 def dumps_curve_json(curve: CurvePolyline) -> str:
-    points = _export_points(curve)
-    return json.dumps({"closed": curve.closed, "points": [list(p) for p in points]})
+    return json.dumps({"closed": curve.closed, "points": _export_points(curve).tolist()})
 
 
 def export_curve(curve: CurvePolyline, path, fmt: str | None = None) -> None:
@@ -250,10 +257,3 @@ def export_curve(curve: CurvePolyline, path, fmt: str | None = None) -> None:
     else:
         raise CurveError(f"unknown curve format {fmt!r}")
 
-
-def _dedupe(points: list[Point]) -> list[Point]:
-    out: list[Point] = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    return out

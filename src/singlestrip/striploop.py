@@ -14,7 +14,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .matching import MatchingError, MatchState, perfect_match_dual
+from .matching import MatchState, perfect_match_dual
 from .mesh import (
     Mesh,
     SplitRecord,
@@ -374,24 +374,22 @@ def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
 def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str | None]:
     """Independent checker: exact-once coverage and edge adjacency.
 
-    Works from raw triangle tuples only, sharing no traversal state with the
-    pipeline. Returns (ok, first violation or None).
+    Works from the raw triangle tuples and `alive` flags only, sharing no
+    traversal state with the pipeline. Returns (ok, first violation or None).
     """
-    alive = mesh.alive_ids()
-    if len(order) != len(alive):
-        return False, f"order lists {len(order)} triangles, mesh has {len(alive)}"
-    seen = set()
+    tris, alive = mesh.triangles, mesh.alive
+    n_alive = alive.count(True)
+    if len(order) != n_alive:
+        return False, f"order lists {len(order)} triangles, mesh has {n_alive}"
+    seen = bytearray(len(tris))
     for t in order:
-        if t < 0 or t >= len(mesh.triangles) or not mesh.alive[t]:
+        if t < 0 or t >= len(tris) or not alive[t]:
             return False, f"triangle {t} is not a live triangle"
-        if t in seen:
+        if seen[t]:
             return False, f"triangle {t} appears more than once"
-        seen.add(t)
-    pairs = len(order) if closed else len(order) - 1
-    for i in range(pairs):
-        t1 = order[i]
-        t2 = order[(i + 1) % len(order)]
-        if len(set(mesh.triangles[t1]) & set(mesh.triangles[t2])) != 2:
+        seen[t] = 1
+    for t1, t2 in zip(order, order[1:] + order[:1] if closed else order[1:]):
+        if len(set(tris[t1]).intersection(tris[t2])) != 2:
             return False, f"consecutive triangles {t1} and {t2} do not share an edge"
     return True, None
 
@@ -408,7 +406,8 @@ class StageTimer:
     fall inside the stage, and no collection the timer starts lands between
     two stages. Blocks nest; each exit closes the innermost open stage.
 
-    A `PipelineError` or `MatchingError` leaving the block is tagged with the
+    An exception leaving the block whose class declares a `stage` attribute
+    (`PipelineError`, `MatchingError`, `CurveError`) is tagged with the
     stage's name, unless an inner block already tagged it.
     """
 
@@ -429,7 +428,7 @@ class StageTimer:
         stage, t0 = self._open.pop()
         if exc is None:
             self.ms[stage] = round((t1 - t0) * 1000.0, 3)
-        elif isinstance(exc, (PipelineError, MatchingError)) and exc.stage is None:
+        elif hasattr(type(exc), "stage") and exc.stage is None:
             exc.stage = stage
 
 
@@ -446,10 +445,8 @@ class StripResult:
     augmentation counters. Restoration, nodal merging and splits work on a
     copy of its partner map, so no later stage touches it.
 
-    ``work_mesh`` is the closed pipeline's working mesh, with its dead slots,
-    on whose ids ``splits`` are numbered. The open pipeline never builds one
-    and leaves it ``None``: its ``splits`` are numbered as `split_pair` would
-    number them on a copy of the input mesh.
+    Each of ``splits`` names its midpoint by its vertex id in ``mesh`` and
+    its triangles by their ids in a working copy of the input, not kept.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
     the whole call.
@@ -460,7 +457,6 @@ class StripResult:
     closed: bool
     splits: list[SplitRecord]
     stats: dict
-    work_mesh: Mesh = field(repr=False, default=None)
     match_state: MatchState = field(repr=False, default=None)
 
 
@@ -536,7 +532,6 @@ def stripify(mesh: Mesh) -> StripResult:
             closed=True,
             splits=records,
             stats=stats,
-            work_mesh=work,
             match_state=match_state,
         )
     return result

@@ -3,14 +3,15 @@
 Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
-paths kept here as references (the recursive curve search, the Euler strip
-by mesh edits, the set-based three-cycle elimination, the full-sweep nodal
-merge and the dict-based mesh) share only the primitives they were built
-on. The test helpers (`relabel`, `cycle_lengths`, `mesh_edges`,
-`vertex_triangles`, `greedy_reduce`, the forced reductions on their own,
-the stats and JSON curve readers, and the mesh geometry, edge scans, table
-reads and edits) are not oracles: only tests use them, so they live here
-rather than in the library.
+paths kept here as references (the recursive curve search, the point-by-
+point repeat filter, the set-based order check, the Euler strip by mesh
+edits, the set-based three-cycle elimination, the full-sweep nodal merge and
+the dict-based mesh) share only the primitives they were built on. The test
+helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
+`greedy_reduce`, the forced reductions on their own, the stats and JSON
+curve readers, and the mesh geometry, edge scans, table reads and edits) are
+not oracles: only tests use them, so they live here rather than in the
+library.
 """
 
 from __future__ import annotations
@@ -334,6 +335,39 @@ def sfc_curve_points(mesh, dc, depth: int) -> list:
     return out
 
 
+def dedupe_points(points: list) -> list:
+    """Point tuples without consecutive repeats, compared as tuples: the
+    filter the curve exporters ran before they masked array rows."""
+    out: list = []
+    for p in points:
+        if not out or out[-1] != p:
+            out.append(p)
+    return out
+
+
+def verify_order_by_sets(mesh, order, closed: bool):
+    """`verify_order` as it was first written, with a set of seen ids, the
+    live ids listed, and two sets intersected per consecutive pair: the same
+    checks in the same order, so the same (ok, message) on every input."""
+    alive = mesh.alive_ids()
+    if len(order) != len(alive):
+        return False, f"order lists {len(order)} triangles, mesh has {len(alive)}"
+    seen = set()
+    for t in order:
+        if t < 0 or t >= len(mesh.triangles) or not mesh.alive[t]:
+            return False, f"triangle {t} is not a live triangle"
+        if t in seen:
+            return False, f"triangle {t} appears more than once"
+        seen.add(t)
+    pairs = len(order) if closed else len(order) - 1
+    for i in range(pairs):
+        t1 = order[i]
+        t2 = order[(i + 1) % len(order)]
+        if len(set(mesh.triangles[t1]) & set(mesh.triangles[t2])) != 2:
+            return False, f"consecutive triangles {t1} and {t2} do not share an edge"
+    return True, None
+
+
 # -- Euler strip by mesh edits --------------------------------------------------
 #
 # The open-strip construction as the library ran it before it replayed the
@@ -455,11 +489,13 @@ def read_stats(path) -> dict:
 
 
 def load_curve_json(path):
-    """A curve `export_curve` wrote as JSON, as a `CurvePolyline`."""
+    """A curve `export_curve` wrote as JSON, as a `CurvePolyline` whose
+    points are an (N, 3) float array."""
     from singlestrip.sfc import CurvePolyline
 
     data = json.loads(Path(path).read_text())
-    return CurvePolyline(points=[tuple(p) for p in data["points"]], closed=data["closed"])
+    points = np.asarray(data["points"], dtype=float).reshape(-1, 3)
+    return CurvePolyline(points=points, closed=data["closed"])
 
 
 def reversed_cycle(dc):

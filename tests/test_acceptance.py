@@ -208,22 +208,23 @@ def test_criterion_7_boundary_tight_bound():
 
 def test_criterion_8_coplanarity():
     checked = 0
-    cases = [stripify(m) for _n, m in _closed_matrix() if m.n_triangles <= 2000]
-    for res in cases:
-        work = res.work_mesh
+    # every closed split parent is a live input triangle holding the split
+    # edge, so each midpoint is checked against the input's planes
+    cases = [(m, stripify(m)) for _n, m in _closed_matrix() if m.n_triangles <= 2000]
+    for mesh, res in cases:
         for rec in res.splits:
-            scale = max(triangle_diameter(work, p) for p in rec.parents)
-            mid = work.vertices[rec.midpoint]
-            for pi, parent in enumerate(rec.parents):
-                d = plane_distance(work, parent, mid)
+            assert all(mesh.alive[p] and set(rec.edge) <= set(mesh.triangles[p]) for p in rec.parents)
+            scale = max(triangle_diameter(mesh, p) for p in rec.parents)
+            mid = res.mesh.vertices[rec.midpoint]
+            for parent in rec.parents:
+                d = plane_distance(mesh, parent, mid)
                 assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
                 checked += 1
-    # the open pipeline keeps no working mesh: every doubled edge is an edge
-    # of the input, and each parent lies in the plane of one of the two
-    # input triangles on it
+    # on the open path every doubled edge is an edge of the input, and each
+    # parent lies in the plane of one of the two input triangles on it
     mesh = gen_mk(6)
     res = strip_with_boundary(mesh)
-    assert res.work_mesh is None and res.splits
+    assert res.splits
     for rec in res.splits:
         planes = edge_triangles(mesh, rec.edge)
         assert len(planes) == len(rec.parents) == 2
@@ -274,10 +275,11 @@ def test_criterion_9_space_filling_curves():
             blocks = _block_points(curve, dc, depth)
             # continuity: zero gap at every triangle joint, and at the wrap
             for i in range(len(dc)):
-                assert blocks[i][-1] == mids[i], f"{name} depth {depth}: joint {i} gaps"
+                assert tuple(blocks[i][-1].tolist()) == mids[i], f"{name} depth {depth}: joint {i} gaps"
             entry0 = dc.entry[0]
             a, b = res.mesh.vertices[entry0[0]], res.mesh.vertices[entry0[1]]
-            assert curve.points[-1] == ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
+            wrap = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2)
+            assert tuple(curve.points[-1].tolist()) == wrap
             # every depth-d cell holds a curve point (its centroid), hence
             # covering radius <= cell diameter <= 2^-d * dmax
             radius = 0.0

@@ -15,6 +15,7 @@ from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh
 from singlestrip.generators import fan, torus
+from singlestrip.sfc import CurveError
 from singlestrip.striploop import stripify
 
 
@@ -135,7 +136,7 @@ def test_sfc_stats_time_curve_and_export(tmp_path, monkeypatch):
     assert "curve" not in results[0].stats["elapsed_ms"]
 
 
-@pytest.mark.parametrize("depth", ["-1", "x"])
+@pytest.mark.parametrize("depth", ["-1", "x", "13"])
 def test_sfc_bad_depth_is_usage_error_before_loading(tmp_path, capsys, monkeypatch, depth):
     loads = []
     monkeypatch.setattr(cli, "load_mesh", lambda path: loads.append(path))
@@ -233,8 +234,20 @@ def test_sfc_over_the_point_budget_is_pipeline_error(tmp_path, capsys):
     main(["gen", "tetrahedron", "-o", str(mesh_path)])
     out = tmp_path / "out"
     assert main(["sfc", str(mesh_path), "--depth", "12", "--out", str(out)]) == 4
-    assert "over the budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "pipeline error in curve: " in err and "over the budget" in err
     assert not out.exists()
+
+
+def test_sfc_curve_error_in_export_names_the_stage(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise CurveError("x")
+
+    monkeypatch.setattr(cli, "export_curve", refuse)
+    mesh_path = tmp_path / "tet.off"
+    main(["gen", "tetrahedron", "-o", str(mesh_path)])
+    assert main(["sfc", str(mesh_path), "--out", str(tmp_path / "out")]) == 4
+    assert "pipeline error in export: x" in capsys.readouterr().err
 
 
 # -- stage timings cover the whole command ------------------------------------------

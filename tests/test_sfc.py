@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dedupe_points,
     load_curve_json,
     reversed_cycle,
     sfc_curve_points,
@@ -85,15 +86,15 @@ def test_depth0_tetra_eight_distinct_points(tetra_strip):
     res = tetra_strip
     dc = direct_cycle(res.mesh, res.order)
     curve = generate_curve(res.mesh, dc, 0)
+    got = set(map(tuple, curve.points.tolist()))
     assert len(curve.points) == 8
-    assert len(set(curve.points)) == 8
+    assert len(got) == 8
     assert curve.closed
     mids = {_midpoint(res.mesh, e) for e in dc.exit}
     cents = set()
     for t in res.order:
         p = triangle_points(res.mesh, t)
         cents.add(tuple((p[0] + p[1] + p[2]) / 3.0))
-    got = set(curve.points)
     assert mids <= got
     assert len(mids) == 4 and len(cents) == 4
     for c in cents:
@@ -117,9 +118,9 @@ def test_blocks_join_exactly_at_shared_edge_midpoints(torus_strip, depth):
     k = len(dc)
     for i in range(k):
         joint = curve.points[(i + 1) * block - 1]
-        assert joint == _midpoint(res.mesh, dc.exit[i])
+        assert tuple(joint.tolist()) == _midpoint(res.mesh, dc.exit[i])
     # closure: the final point is the entry connector of triangle 0
-    assert curve.points[-1] == _midpoint(res.mesh, dc.entry[0])
+    assert tuple(curve.points[-1].tolist()) == _midpoint(res.mesh, dc.entry[0])
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -191,13 +192,14 @@ def test_export_obj_closed_wraps():
 
 def test_export_json_round_trip(tmp_path):
     curve = CurvePolyline(
-        points=[(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], closed=True
+        points=np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], dtype=float), closed=True
     )
     path = tmp_path / "curve.json"
     export_curve(curve, path)
     back = load_curve_json(path)
     assert back.closed
-    assert back.points == curve.points
+    assert back.points.dtype == np.float64
+    assert back.points.tolist() == curve.points.tolist()
 
 
 def test_export_empty_curve_fails():
@@ -209,6 +211,26 @@ def test_export_collapses_consecutive_duplicates():
     curve = CurvePolyline(points=[(0, 0, 0), (0, 0, 0), (1, 0, 0)], closed=False)
     text = dumps_curve_obj(curve)
     assert sum(1 for ln in text.splitlines() if ln.startswith("v ")) == 2
+
+
+_repeat_coord = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 0.3, float("nan"), float("inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_repeat_coord, _repeat_coord, _repeat_coord), max_size=40))
+def test_export_drops_repeats_as_tuple_comparison_did(rows):
+    # repeats are drawn from a few values, signed zeros and nan among them;
+    # the tuples are fresh floats read off the array, as generate_curve once
+    # handed them to the exporters
+    points = np.array(rows, dtype=float).reshape(-1, 3)
+    expected = dedupe_points(list(map(tuple, points.tolist())))
+    if not expected:
+        with pytest.raises(CurveError, match="empty"):
+            dumps_curve_json(CurvePolyline(points=points, closed=False))
+        return
+    kept = sfc._export_points(CurvePolyline(points=points, closed=False))
+    assert kept.shape == (len(expected), 3)
+    assert kept.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 # -- threading table and bit-identity with the recursive search ------------------
@@ -263,8 +285,9 @@ def test_curve_equals_recursive_search(request, name, depth):
     dc = direct_cycle(res.mesh, res.order)
     for directed in (dc, reversed_cycle(dc)):
         points = generate_curve(res.mesh, directed, depth).points
-        assert all(type(x) is float for x in points[0])
-        assert points == sfc_curve_points(res.mesh, directed, depth)
+        assert points.dtype == np.float64 and points.flags.c_contiguous
+        assert points.shape == (len(directed) * 2 * 4**depth, 3)
+        assert list(map(tuple, points.tolist())) == sfc_curve_points(res.mesh, directed, depth)
 
 
 _coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -329,7 +352,7 @@ def test_sfc_output_bytes_are_pinned(tmp_path, fmt):
 def test_export_obj_written_in_chunks(tmp_path, torus_strip, monkeypatch):
     dc = direct_cycle(torus_strip.mesh, torus_strip.order)
     curve = generate_curve(torus_strip.mesh, dc, 1)
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in curve.points]
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in curve.points.tolist()]
     lines.append("l " + " ".join(map(str, range(1, len(curve.points) + 1))) + " 1")
     expected = "\n".join(lines) + "\n"
     monkeypatch.setattr(sfc, "_CHUNK", 7)

@@ -21,6 +21,7 @@ from oracles import (
     relabel,
     triangle_edges,
     unmatched_cycles,
+    verify_order_by_sets,
     vertex_triangles,
 )
 from singlestrip.boundary import gen_mk, strip_with_boundary
@@ -34,6 +35,7 @@ from singlestrip.matching import (
     validate_matching,
 )
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
+from singlestrip.sfc import CurveError
 from singlestrip.striploop import (
     MIN_TRIANGLES,
     PipelineError,
@@ -392,6 +394,60 @@ def test_verify_rejects_wrong_count(tetra):
     assert not ok
 
 
+def _real_orders():
+    """(mesh, order, closed) from both pipelines: the closed one on its
+    working mesh, whose split parents are dead slots, and an open strip."""
+    work, _dual, partner, cs = _before_nodal(torus(10, 10))
+    cs, _merges = merge_nodal(work, partner, cs)
+    assert spanning_tree_splits(work, partner, cs)
+    res = strip_with_boundary(gen_mk(3))
+    return [(work, assemble_cycle(work, partner), True), (res.mesh, res.order, False)]
+
+
+_REAL_ORDERS = _real_orders()
+_corruption = st.tuples(
+    st.sampled_from(["swap", "repeat", "dead", "negative", "range", "truncate", "degenerate"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.integers(0, len(_REAL_ORDERS) - 1),
+    closed=st.booleans(),
+    edits=st.lists(_corruption, max_size=3),
+)
+def test_verify_order_matches_the_set_based_oracle(case, closed, edits):
+    mesh, order, _closed = _REAL_ORDERS[case]
+    order = list(order)
+    dead = [t for t, a in enumerate(mesh.alive) if not a]
+    for kind, x, y in edits:
+        i, j = x % len(order), y % len(order)
+        if kind == "swap":
+            order[i], order[j] = order[j], order[i]
+        elif kind == "repeat":
+            order[j] = order[i]
+        elif kind == "dead" and dead:
+            order[i] = dead[y % len(dead)]
+        elif kind == "negative":
+            order[i] = -1 - y % 3
+        elif kind == "range":
+            order[i] = len(mesh.triangles) + y % 3
+        elif kind == "truncate":
+            order = order[:i]
+        elif kind == "degenerate" and 0 <= order[i] < len(mesh.triangles):
+            mesh = mesh.copy()
+            a, b, _c = mesh.triangles[order[i]]
+            mesh.triangles[order[i]] = (a, b, a) if y % 2 else (a, a, b)
+        if not order:
+            break
+    got = verify_order(mesh, order, closed)
+    assert got == verify_order_by_sets(mesh, order, closed)
+    if not edits and closed == _closed:
+        assert got == (True, None)
+
+
 # -- full pipeline -----------------------------------------------------------------
 
 
@@ -516,7 +572,7 @@ def test_stages_account_for_the_wall_time(pipeline):
         assert sum(results[-1].stats["elapsed_ms"].values()) >= 0.95 * wall_ms
 
 
-@pytest.mark.parametrize("error", [PipelineError, MatchingError])
+@pytest.mark.parametrize("error", [PipelineError, MatchingError, CurveError])
 def test_stage_timer_tags_the_innermost_stage(error):
     timer = StageTimer()
     with pytest.raises(error) as info:
@@ -527,13 +583,23 @@ def test_stage_timer_tags_the_innermost_stage(error):
     assert timer.ms == {}
 
 
+def test_stage_timer_leaves_errors_without_a_stage_untagged():
+    timer = StageTimer()
+    with pytest.raises(KeyError) as info:
+        with timer("match"):
+            raise KeyError("x")
+    assert not hasattr(info.value, "stage")
+
+
 def test_split_children_coplanar_with_parents():
-    res = stripify(torus(10, 10))
-    work = res.work_mesh
+    mesh = torus(10, 10)
+    res = stripify(mesh)
+    assert res.splits
     for rec in res.splits:
-        mid = work.vertices[rec.midpoint]
+        mid = res.mesh.vertices[rec.midpoint]
         for parent in rec.parents:
-            assert plane_distance(work, parent, mid) <= 1e-12
+            assert mesh.alive[parent] and set(rec.edge) <= set(mesh.triangles[parent])
+            assert plane_distance(mesh, parent, mid) <= 1e-12
 
 
 # sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats
