@@ -17,10 +17,6 @@ class ParseError(Exception):
     """Malformed mesh, strip, or stats file."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def load_mesh(path, fmt: str | None = None) -> Mesh:
     """Load an OFF or OBJ mesh; the format defaults to the file extension."""
     path = Path(path)
@@ -136,7 +132,7 @@ def dumps_off(mesh: Mesh) -> str:
     ids = mesh.alive_ids()
     lines = ["OFF", f"{mesh.n_vertices} {len(ids)} {mesh.n_edges}"]
     for x, y, z in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines.append(f"{x!r} {y!r} {z!r}")
     for t in ids:
         a, b, c = mesh.triangles[t]
         lines.append(f"3 {a} {b} {c}")
@@ -146,7 +142,7 @@ def dumps_off(mesh: Mesh) -> str:
 def dumps_obj(mesh: Mesh) -> str:
     lines = []
     for x, y, z in mesh.vertices:
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines.append(f"v {x!r} {y!r} {z!r}")
     for t in mesh.alive_ids():
         a, b, c = mesh.triangles[t]
         lines.append(f"f {a + 1} {b + 1} {c + 1}")

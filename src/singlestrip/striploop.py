@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .matching import MatchState, perfect_match_dual
+from .matching import perfect_match_dual
 from .mesh import (
     Mesh,
     SplitRecord,
@@ -177,7 +177,9 @@ class CycleSet:
 
     ``cycles[i]`` starts at its smallest triangle id and cycles are listed
     in ascending order of that id; ``cycle_of`` maps each triangle to the
-    index of its cycle.
+    index of its cycle. Lists straight from `extract_cycles` are in walk
+    order; after `merge_nodal` each list holds one cycle's triangles, from
+    its smallest id, but not in walk order.
     """
 
     cycles: list[list[int]]
@@ -247,15 +249,18 @@ def merge_nodal(
     triangle's partner does not hold it, as alternation matches every fan
     triangle inside the fan. A vertex whose link is several fans (a pinched
     vertex) never qualifies, as its walk closes before it has met every
-    triangle on it. Returns the rebuilt cycle set and the (vertex, m)
-    merges.
+    triangle on it.
+
+    The merged cycles are read off the union-find over cycle indices, not
+    walked again: each returned list joins its member cycles' lists in
+    ascending order of their smallest id. Returns that cycle set and the
+    (vertex, m) merges.
     """
     tris = mesh.triangles
     count, anchor = _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
     uf = UnionFind()  # over cycle indices
     merges: list[tuple[int, int]] = []
-    expected = cycleset.count
     for v, k in enumerate(count):
         if k < 4 or k % 2 != 0:
             continue
@@ -285,14 +290,11 @@ def merge_nodal(
         for other in root_iter:
             uf.union(first, other)
         merges.append((v, m))
-        expected -= m - 1
-    rebuilt = extract_cycles(mesh, partner)
-    if rebuilt.count != expected:
-        raise PipelineError(
-            f"nodal merging bookkeeping is off: expected {expected} cycles, "
-            f"found {rebuilt.count}"
-        )
-    return rebuilt, merges
+    joined: dict[int, list[int]] = {}  # union-find root -> its cycles' triangles
+    for i, cycle in enumerate(cycleset.cycles):
+        joined.setdefault(uf.find(i), []).extend(cycle)
+    cycles = list(joined.values())
+    return CycleSet(cycles, {t: i for i, c in enumerate(cycles) for t in c}), merges
 
 
 # -- spanning-tree splits ------------------------------------------------------
@@ -440,16 +442,12 @@ class StripResult:
     in id order; the closed pipeline hands it the working mesh's neighbour
     table, renumbered, rather than having it sorted again.
 
-    ``match_state`` is a snapshot of the matching stage's output: the perfect
-    matching of the dual after three-cycle elimination, with its greedy and
-    augmentation counters. Restoration, nodal merging and splits work on a
-    copy of its partner map, so no later stage touches it.
-
     Each of ``splits`` names its midpoint by its vertex id in ``mesh`` and
     its triangles by their ids in a working copy of the input, not kept.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
-    the whole call.
+    the whole call. The matching itself is not kept, as the later stages
+    edit it in place; ``stats`` keeps its greedy and augmentation counters.
     """
 
     mesh: Mesh
@@ -457,7 +455,6 @@ class StripResult:
     closed: bool
     splits: list[SplitRecord]
     stats: dict
-    match_state: MatchState = field(repr=False, default=None)
 
 
 def stripify(mesh: Mesh) -> StripResult:
@@ -481,8 +478,7 @@ def stripify(mesh: Mesh) -> StripResult:
         dual = build_dual(work)
         n_matched_dual = len(dual)
         match_state = perfect_match_dual(dual)
-        # the later stages rewrite the working map; match_state keeps the matching
-        partner = dict(match_state.partner)
+        partner = match_state.partner  # restore, nodal and splits edit it in place
         del dual  # no later stage reads it
 
     with timer("restore"):
@@ -532,6 +528,5 @@ def stripify(mesh: Mesh) -> StripResult:
             closed=True,
             splits=records,
             stats=stats,
-            match_state=match_state,
         )
     return result

@@ -186,7 +186,9 @@ def test_criterion_6_nodal_merge_soundness():
         validate_matching(d, partner)
         assert len(partner) == len(d), f"{name}: matching not perfect after merging"
         assert all(m >= 2 for _v, m in merges)
-        assert initial - cs2.count == sum(m - 1 for _v, m in merges), name
+        after = extract_cycles(work, partner).count  # a fresh walk, not the union-find
+        assert initial - after == sum(m - 1 for _v, m in merges), name
+        assert cs2.count == after, name
         total_checked += len(merges)
     _report(6, f"all {total_checked} accepted toggles kept the matching perfect; "
                "cycle-count deltas equal sum(m-1)")
@@ -313,7 +315,8 @@ def test_criterion_10_performance_96k():
     res = stripify(mesh)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"96k-triangle stripify took {elapsed:.1f}s (budget 60s)"
-    assert len(res.match_state.partner) == 96000  # perfect matching achieved
+    # perfect matching achieved: greedy pairs plus one pair per augmentation
+    assert res.stats["greedy_matched"] + 2 * res.stats["augmentations"] == 96000
     ok, why = verify_order(res.mesh, res.order, closed=True)
     assert ok, why
     _report(10, f"torus(300,160) with 96000 triangles stripified end-to-end in "

@@ -1,5 +1,6 @@
 """OFF/OBJ round-trips, parse failures, strip order files."""
 
+import numpy as np
 import pytest
 
 from oracles import edge_triangles, mesh_edges
@@ -15,6 +16,7 @@ from singlestrip.fileio import (
     write_strip_order,
 )
 from singlestrip.generators import torus
+from singlestrip.mesh import Mesh
 
 TETRA_OFF = """OFF
 4 4 6
@@ -89,6 +91,19 @@ def test_off_round_trip_bitexact(tmp_path):
     text = dumps_off(mesh)
     again = dumps_off(loads_off(text))
     assert text == again
+
+
+def test_writers_print_coordinates_as_floats():
+    # the writers print each coordinate's repr, so the mesh must hold Python
+    # floats whatever it was built from: ints, numpy scalars, added midpoints
+    mesh = Mesh([(0, 0, 0), (1, 0, 0), np.array([0, 2, 0])], [(0, 1, 2)])
+    mesh.add_vertex(np.array([0.5, 0.5, 0.0], dtype=np.float32))
+    assert dumps_obj(mesh).splitlines()[:4] == [
+        "v 0.0 0.0 0.0", "v 1.0 0.0 0.0", "v 0.0 2.0 0.0", "v 0.5 0.5 0.0"
+    ]
+    assert dumps_off(mesh).splitlines()[2:6] == [
+        "0.0 0.0 0.0", "1.0 0.0 0.0", "0.0 2.0 0.0", "0.5 0.5 0.0"
+    ]
 
 
 def test_obj_ignores_normals_and_texcoords():

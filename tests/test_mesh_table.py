@@ -147,3 +147,24 @@ def test_duplicate_check_survives_vertex_counts_that_overflow_packed_keys():
     _check_triangles(tri, n)
     with pytest.raises(MeshError, match="duplicate"):
         _check_triangles(np.vstack([tri, tri[1:]]), n)
+
+
+def test_split_pair_takes_the_parents_in_listing_order():
+    # triangle 0 is revived after its neighbour u, so their edge lists u
+    # first: u is the first parent and gets the first two children, however
+    # the pair is passed. On relabelled closed meshes restoration revives
+    # triangles out of id order, so this order reaches the output bytes.
+    for pass_order in ((0, 1), (1, 0)):
+        mesh = octahedron()
+        oracle = DictMesh(mesh.vertices, mesh.triangles)
+        u = mesh.neighbours[0]
+        e = shared_edge(mesh, 0, u)
+        mesh._retire(0)
+        mesh._reinstate(0)
+        oracle.kill_triangle(0)
+        oracle.revive_triangle(0)
+        pair = tuple((0, u)[i] for i in pass_order)
+        rec = split_pair(mesh, e, pair)
+        assert rec.parents == (u, 0)
+        assert (rec.edge, rec.midpoint, rec.parents, rec.children) == dict_split_pair(oracle, e)
+        _assert_same(mesh, oracle, edited=True)

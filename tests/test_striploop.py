@@ -24,6 +24,7 @@ from oracles import (
     verify_order_by_sets,
     vertex_triangles,
 )
+from singlestrip import striploop
 from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import save_mesh
@@ -251,7 +252,7 @@ def test_merge_nodal_octahedron_two_cycles_to_one(octa):
     cs = extract_cycles(octa, partner)
     assert cs.count == 2
     cs, merges = merge_nodal(octa, partner, cs)
-    assert cs.count == 1
+    assert extract_cycles(octa, partner).count == cs.count == 1
     assert sum(m - 1 for _, m in merges) == 1
     validate_matching(dual, partner)
 
@@ -264,7 +265,7 @@ def test_merge_nodal_rejects_odd_fans():
     cs = extract_cycles(mesh, partner)
     cs2, merges = merge_nodal(mesh, partner, cs)
     assert merges == []
-    assert cs2.count == cs.count
+    assert extract_cycles(mesh, partner).count == cs2.count == cs.count
 
 
 def test_merge_nodal_preserves_matching_and_counts():
@@ -276,12 +277,12 @@ def test_merge_nodal_preserves_matching_and_counts():
         before = cs.count
         cs, merges = merge_nodal(mesh, partner, cs)
         validate_matching(dual, partner)
-        assert cs.count == before - sum(m - 1 for _, m in merges)
+        after = extract_cycles(mesh, partner).count
+        assert after == cs.count == before - sum(m - 1 for _, m in merges)
         assert sum(cycle_lengths(cs)) == mesh.n_triangles
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+_NODAL_INPUTS = dict(
     shape=st.one_of(
         st.tuples(st.just("torus"), st.integers(3, 16), st.integers(3, 16)),
         st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
@@ -290,7 +291,12 @@ def test_merge_nodal_preserves_matching_and_counts():
     any_matching=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed):
+
+
+def _nodal_input(shape, splits, any_matching, seed):
+    """(work mesh, partner, cycle set) before nodal merging, on a relabelled
+    torus or icosphere with centroid splits; with `any_matching`, under some
+    other perfect matching than the pipeline's."""
     kind, a, b = shape
     mesh = torus(a, b) if kind == "torus" else icosphere(a)
     rng = random.Random(seed)
@@ -309,11 +315,32 @@ def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed
         partner = blossom_maximum_matching(dual, start)
         assert len(partner) == len(dual)
         cs = extract_cycles(work, partner)
+    return work, partner, cs
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_NODAL_INPUTS)
+def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed):
+    work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
     oracle_partner = dict(partner)
     oracle_merges = merge_nodal_full_sweep(work, oracle_partner, cs)
     _cs, merges = merge_nodal(work, partner, cs)
     assert merges == oracle_merges
     assert partner == oracle_partner
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_NODAL_INPUTS)
+def test_merge_nodal_cycles_match_a_fresh_walk(shape, splits, any_matching, seed):
+    # the merged cycles come from the union-find; a walk of the toggled
+    # matching must find the same triangle sets, listed in the same order,
+    # each list starting at its smallest id
+    work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
+    joined, _merges = merge_nodal(work, partner, cs)
+    walked = extract_cycles(work, partner)
+    assert [sorted(c) for c in joined.cycles] == [sorted(c) for c in walked.cycles]
+    assert [c[0] for c in joined.cycles] == [c[0] for c in walked.cycles]
+    assert joined.cycle_of == walked.cycle_of
 
 
 def test_pinched_vertex_is_accepted_and_never_toggled():
@@ -487,39 +514,66 @@ def test_stripify_preserves_input(torus400):
     assert validate(torus400, "closed").ok
 
 
-def test_stripify_match_state_is_the_matching_stage_output(torus400):
+def _check_matching_stats(res, mesh, n_dual):
+    """Check the stats' matching counters against the matching stage, rerun
+    on an eliminated copy of `mesh` whose dual has `n_dual` nodes; returns
+    the rerun's match state."""
+    eliminated = mesh.copy()
+    eliminate_three_cycles(eliminated)
+    dual = build_dual(eliminated)
+    state = perfect_match_dual(dual)
+    assert len(dual) == n_dual
+    validate_matching(dual, state.partner)  # symmetric, and pairs only dual neighbours
+    want = {
+        "greedy_matched": state.greedy_matched,
+        "greedy_coverage": round(state.greedy_matched / n_dual, 4),
+        "greedy_picks": state.greedy_picks,
+        "augmentations": state.augmentations,
+    }
+    assert {k: res.stats[k] for k in want} == want
+    assert state.greedy_matched + 2 * state.augmentations == n_dual  # perfect
+    return state
+
+
+def test_stripify_stats_report_the_matching_stage(torus400):
     # torus(20,10) takes one nodal merge and one split; neither may leak into
-    # the reported matching
+    # the reported matching counters
     res = stripify(torus400)
-    dual = build_dual(torus400)
-    partner = res.match_state.partner
-    assert partner == perfect_match_dual(dual).partner
-    assert len(partner) == 400
-    assert res.match_state.size == 200
-    validate_matching(dual, partner)
+    assert _check_matching_stats(res, torus400, 400).size == 200
 
 
 def test_stripify_reports_greedy_picks(torus400):
     res = stripify(torus400)
     picks = res.stats["greedy_picks"]
     assert isinstance(picks, int)
-    assert picks == res.match_state.greedy_picks
+    assert picks == _check_matching_stats(res, torus400, 400).greedy_picks
     assert picks <= res.stats["greedy_matched"] // 2
 
 
-def test_stripify_match_state_is_the_matching_after_elimination():
+def test_stripify_stats_report_the_matching_after_elimination():
     mesh = torus(20, 10)
     insert_centroid(mesh, 0)
     insert_centroid(mesh, 200)
     assert mesh.n_triangles == 404
     res = stripify(mesh)
-    eliminated = mesh.copy()
-    assert len(eliminate_three_cycles(eliminated)) == 2
-    dual = build_dual(eliminated)
-    partner = res.match_state.partner
-    assert len(partner) == 400
-    assert partner == perfect_match_dual(dual).partner
-    validate_matching(dual, partner)  # symmetric, and pairs only dual neighbours
+    assert len(eliminate_three_cycles(mesh.copy())) == 2
+    # coverage is over the eliminated dual's 400 nodes, not the input's 404
+    _check_matching_stats(res, mesh, 400)
+
+
+def test_stripify_walks_the_cycles_twice(monkeypatch, torus400):
+    # the cycles stage and `assemble_cycle` walk; nodal merging takes its
+    # cycles from its union-find
+    calls = []
+
+    def counted(mesh, partner):
+        calls.append(mesh.n_triangles)
+        return extract_cycles(mesh, partner)
+
+    monkeypatch.setattr(striploop, "extract_cycles", counted)
+    res = stripify(torus400)
+    assert res.stats["nodal_merges"] >= 1 and res.stats["splits"] >= 1
+    assert len(calls) == 2
 
 
 def test_stripify_theorem_bound_randomized():
