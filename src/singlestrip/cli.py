@@ -41,6 +41,11 @@ The closed pipeline (``stripify`` and ``sfc``) adds:
 - ``greedy_picks``: smallest-id picks the greedy phase made when no node
   had degree 1 or 2.
 - ``augmentations``: augmenting paths the blossom phase found.
+- ``augment_nodes``: nodes labelled by all of the blossom phase's
+  augmenting searches, each search counting its root, the nodes it reached
+  and their partners once; 0 when the greedy phase already matched every
+  node. Added after ``schema_version`` 1 was set; a reader of an older
+  file finds no such key.
 
 ``stripify-boundary`` adds ``spine_edges`` (tree edges on the spine path,
 not doubled), ``bound_3n_minus_4log2n`` and ``bound_gap`` (output count

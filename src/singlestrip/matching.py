@@ -10,11 +10,8 @@ that finishes the job. On cubic bridgeless duals the result is perfect.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-
-from .unionfind import UnionFind
 
 
 class MatchingError(Exception):
@@ -31,12 +28,17 @@ class MatchingError(Exception):
 
 @dataclass
 class MatchState:
-    """A matching as a symmetric partner map, with phase statistics."""
+    """A matching as a symmetric partner map, with phase statistics.
+
+    `augment_nodes` counts the nodes labelled by all augmenting searches of
+    the blossom phase (see `_augment_from`); it is 0 when the replayed
+    greedy seed is already perfect."""
 
     partner: dict[int, int]
     greedy_matched: int = 0
     greedy_picks: int = 0
     augmentations: int = 0
+    augment_nodes: int = 0
 
     @property
     def size(self) -> int:
@@ -48,6 +50,13 @@ def _adjacency(graph) -> dict[int, set[int]]:
 
     Every graph here is symmetric (u lists v whenever v lists u), as
     `build_dual` returns it; no missing reverse edge is filled in.
+
+    Each set is filled in its row's order, and that order is part of the
+    greedy's output: CPython iterates a set of ints in an order that
+    depends on the order they went in, and the reductions queue nodes in
+    the order they iterate these sets. `build_dual`'s slot-order rows give
+    the matching that the golden hashes pin; sets filled from sorted rows
+    give another one.
     """
     return {v: set(ns) for v, ns in graph.items()}
 
@@ -55,72 +64,73 @@ def _adjacency(graph) -> dict[int, set[int]]:
 def validate_matching(graph, partner: dict[int, int]) -> None:
     """Raise unless partner is symmetric and matches only adjacent nodes of
     the node -> neighbours mapping `graph`."""
+    get, row = partner.get, graph.get
     for v, u in partner.items():
-        if partner.get(u) != v:
+        if get(u) != v:
             raise MatchingError(f"matching is not symmetric at {v}<->{u}")
-        if u not in graph.get(v, ()):
+        if u not in row(v, ()):
             raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
 
 
 # -- greedy phase ------------------------------------------------------------
 
 
-def _apply_reductions(adj, partner, log, seeds=None) -> None:
-    """Run forced degree<=2 reductions to exhaustion. Mutates all arguments.
+def _apply_reductions(adj, partner, log, queue: deque) -> None:
+    """Run forced degree<=2 reductions to exhaustion, from the nodes in
+    `queue`; a node whose degree drops to 2 or less is queued again.
+    Mutates all arguments.
 
-    Degree-2 contraction merges w into u and logs the pre-contraction
-    neighborhoods so the move can be undone on replay.
+    A degree-1 node is matched to its neighbour, and both leave the graph.
+    A degree-2 node v with neighbours u < w is contracted: v leaves, w is
+    merged into u, and `log` gets (v, u, w, u's neighbours, w's neighbours),
+    the two neighbourhoods as tuples taken before the contraction, so that
+    `replay_reductions` can undo it.
     """
-    if seeds is None:
-        queue = deque(sorted(v for v in adj if len(adj[v]) <= 2))
-    else:
-        queue = deque(seeds)
-
-    def detach(v: int) -> None:
-        for x in adj[v]:
-            adj[x].discard(v)
-            if len(adj[x]) <= 2:
-                queue.append(x)
-        del adj[v]
-
+    pop, push, get, record = queue.popleft, queue.append, adj.get, log.append
     while queue:
-        v = queue.popleft()
-        if v not in adj:
+        v = pop()
+        nv = get(v)
+        if nv is None:
             continue
-        deg = len(adj[v])
-        if deg == 0:
+        deg = len(nv)
+        if deg == 2:
+            u, w = nv
+            if w < u:
+                u, w = w, u
+            au = adj[u]
+            aw = adj.pop(w)
+            record((v, u, w, tuple(au), tuple(aw)))
+            au.discard(v)
             del adj[v]
+            for x in aw:
+                if x == u or x == v:
+                    continue
+                ax = adj[x]
+                ax.discard(w)
+                if u in ax:
+                    # parallel edge collapses; x lost a neighbor
+                    if len(ax) <= 2:
+                        push(x)
+                else:
+                    ax.add(u)
+                    au.add(x)
+            au.discard(w)
+            if len(au) <= 2:
+                push(u)
         elif deg == 1:
-            u = next(iter(adj[v]))
+            (u,) = nv
             partner[v] = u
             partner[u] = v
-            log.append(("leaf", v, u))
             del adj[v]
-            adj[u].discard(v)
-            detach(u)
-        elif deg == 2:
-            u, w = sorted(adj[v])
-            log.append(
-                ("contract", v, u, w, frozenset(adj[u] - {v, w}), frozenset(adj[w] - {v, u}))
-            )
-            adj[u].discard(v)
-            adj[w].discard(v)
+            au = adj.pop(u)
+            au.discard(v)
+            for x in au:
+                ax = adj[x]
+                ax.discard(u)
+                if len(ax) <= 2:
+                    push(x)
+        elif deg == 0:
             del adj[v]
-            for x in adj[w]:
-                if x == u:
-                    continue
-                adj[x].discard(w)
-                if u in adj[x]:
-                    # parallel edge collapses; x lost a neighbor
-                    if len(adj[x]) <= 2:
-                        queue.append(x)
-                else:
-                    adj[x].add(u)
-                    adj[u].add(x)
-            del adj[w]
-            adj[u].discard(w)
-            if len(adj[u]) <= 2:
-                queue.append(u)
         # deg >= 3: stale entry, skip
 
 
@@ -129,44 +139,50 @@ def _greedy_consume(adj) -> tuple[dict[int, int], list[tuple], int]:
 
     When no node has degree <= 2, the smallest remaining node is matched to
     its smallest neighbor (Karp-Sipser's arbitrary pick, made deterministic).
-    Returns (partner, log, picks).
+    Which nodes the reductions queue, and in what order, follows the
+    iteration order of the sets in `adj`, which depends on how they were
+    filled (see `_adjacency`). Returns (partner, log, picks).
     """
     partner: dict[int, int] = {}
     log: list[tuple] = []
     picks = 0
-    heap = sorted(adj)
-    _apply_reductions(adj, partner, log)
+    order = sorted(adj)
+    _apply_reductions(adj, partner, log, deque(v for v in order if len(adj[v]) <= 2))
+    i = 0  # nodes never come back, so the smallest remaining one is never behind i
     while adj:
-        while heap and heap[0] not in adj:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        v = heapq.heappop(heap)
-        u = min(adj[v])
+        while order[i] not in adj:
+            i += 1
+        v = order[i]
+        av = adj[v]
+        u = min(av)
+        au = adj[u]
         partner[v] = u
         partner[u] = v
         picks += 1
-        seeds: list[int] = []
-        adj[v].discard(u)
-        adj[u].discard(v)
-        for node in (v, u):
-            for x in adj[node]:
-                adj[x].discard(node)
-                if len(adj[x]) <= 2:
-                    seeds.append(x)
+        queue: deque = deque()
+        av.discard(u)
+        au.discard(v)
+        for node, an in ((v, av), (u, au)):
+            for x in an:
+                ax = adj[x]
+                ax.discard(node)
+                if len(ax) <= 2:
+                    queue.append(x)
             del adj[node]
-        _apply_reductions(adj, partner, log, seeds=seeds)
+        _apply_reductions(adj, partner, log, queue)
     return partner, log, picks
 
 
 def replay_reductions(partner: dict[int, int], log: list[tuple]) -> dict[int, int]:
-    """Undo degree-2 contractions (in reverse) on a matching of the reduced graph."""
+    """Undo degree-2 contractions (in reverse) on a matching of the reduced
+    graph. When u's partner x was u's own neighbour, v matches w; otherwise
+    x came from w, so w takes x and v takes u. At that point neither v nor
+    w is in the graph, so x is neither, and testing x against the logged
+    neighbourhoods, which still hold v and w, is exact."""
     partner = dict(partner)
-    for entry in reversed(log):
-        if entry[0] != "contract":
-            continue
-        _, v, u, w, adj_u, adj_w = entry
-        x = partner.get(u)
+    get = partner.get
+    for v, u, w, adj_u, adj_w in reversed(log):
+        x = get(u)
         if x is None:
             partner[u] = v
             partner[v] = u
@@ -186,95 +202,123 @@ def replay_reductions(partner: dict[int, int], log: list[tuple]) -> dict[int, in
 # -- blossom phase -----------------------------------------------------------
 
 
-def blossom_maximum_matching(graph, seed: dict[int, int] | None = None) -> dict[int, int]:
+def blossom_maximum_matching(
+    graph, seed: dict[int, int] | None = None, state: MatchState | None = None
+) -> dict[int, int]:
     """Edmonds' blossom algorithm: grow the seed matching to maximum size.
 
     `graph` is a symmetric node -> neighbours mapping. One alternating BFS
-    forest is grown per exposed node; odd cycles are contracted on the fly
-    through a union-find that tracks blossom bases.
+    forest is grown per exposed node, in ascending id, and each search reads
+    a node's neighbours in ascending id; the rows are sorted once, and only
+    when the seed leaves a node exposed. Odd cycles are contracted on the
+    fly through a union-find that tracks blossom bases. When `state` is
+    given, its `augment_nodes` gains the nodes each search labelled.
     """
-    adj = {v: sorted(ns) for v, ns in graph.items()}
     match: dict[int, int] = {}
     if seed:
         validate_matching(graph, seed)
         match.update(seed)
-    for root in sorted(adj):
+    labelled = 0
+    # a search never unmatches a node, so only nodes the seed leaves exposed are roots
+    roots = sorted(set(graph).difference(match))
+    adj = {v: sorted(ns) for v, ns in graph.items()} if roots else {}
+    for root in roots:
         if root not in match:
-            _augment_from(adj, match, root)
+            labelled += _augment_from(adj, match, root)
+    if state is not None:
+        state.augment_nodes += labelled
     return match
 
 
-def _augment_from(adj, match, root) -> bool:
+def _augment_from(adj, match, root) -> int:
+    """One alternating BFS from the exposed `root`. Flips the first
+    augmenting path it finds and stops there, or gives up once no even node
+    is left to scan. Returns how many nodes the search labelled: the even
+    nodes it queued (the root, partners of reached nodes, and nodes a
+    blossom made even) and the odd nodes it reached.
+
+    `parent` holds each reached node's tree parent; `up` is a union-find
+    over the nodes put in blossoms, each set rooted at its blossom's base,
+    so a node that is not a key of `up` is its own base.
+    """
     parent: dict[int, int] = {}
-    uf = UnionFind()
-    in_blossom = uf.parent
-    base_of: dict = {}
+    up: dict[int, int] = {}
     used = {root}
     queue = deque([root])
+    pop, push = queue.popleft, queue.append
+    get = match.get
 
-    def fbase(x):
-        # base_of is keyed by union-find roots, so a node never put in a
-        # blossom is its own base
-        if x not in in_blossom:
+    def base(x):
+        if x not in up:
             return x
-        r = uf.find(x)
-        return base_of.get(r, r)
+        r = up[x]
+        while up[r] != r:
+            r = up[r]
+        while x != r:
+            up[x], x = r, up[x]
+        return r
 
     def lca(a, b):
         seen = set()
-        x = fbase(a)
+        x = base(a)
         while True:
             seen.add(x)
-            mx = match.get(x)
+            mx = get(x)
             if mx is None:
                 break
-            x = fbase(parent[mx])
-        y = fbase(b)
+            x = base(parent[mx])
+        y = base(b)
         while y not in seen:
-            y = fbase(parent[match[y]])
+            y = base(parent[match[y]])
         return y
 
     def mark_path(v, b, child, marked):
-        while fbase(v) != b:
-            marked.append(fbase(v))
-            marked.append(fbase(match[v]))
+        bv = base(v)
+        while bv != b:
+            mv = match[v]
+            marked += (bv, base(mv))
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child, v = mv, parent[mv]
+            bv = base(v)
 
     while queue:
-        v = queue.popleft()
+        v = pop()
+        mv = get(v)
+        bv = base(v) if v in up else v
         for to in adj[v]:
-            if fbase(v) == fbase(to) or match.get(v) == to:
+            if to == mv or to == bv or (to in up and base(to) == bv):
                 continue
-            if to == root or (match.get(to) is not None and match[to] in parent):
+            mt = get(to)
+            if to == root or (mt is not None and mt in parent):
                 # even node reached: an odd cycle closes, contract the blossom
                 b = lca(v, to)
                 marked: list = []
                 mark_path(v, b, to, marked)
                 mark_path(to, b, v, marked)
+                # every marked node is a base, so the root of its set
+                up[b] = b
                 for node in marked:
-                    uf.union(node, b)
+                    up[node] = b
                     if node not in used:
                         used.add(node)
-                        queue.append(node)
-                base_of[uf.find(b)] = b
+                        push(node)
+                bv = base(v)
             elif to not in parent:
                 parent[to] = v
-                partner = match.get(to)
-                if partner is None:
+                if mt is None:
                     # augmenting path: flip matched/unmatched along it
+                    labelled = len(used.union(parent))
                     node = to
                     while node is not None:
                         prev = parent[node]
-                        nxt = match.get(prev)
+                        nxt = get(prev)
                         match[node] = prev
                         match[prev] = node
                         node = nxt
-                    return True
-                used.add(partner)
-                queue.append(partner)
-    return False
+                    return labelled
+                used.add(mt)
+                push(mt)
+    return len(used.union(parent))
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -291,19 +335,15 @@ def perfect_match_dual(dual: dict[int, list[int]]) -> MatchState:
     """
     partner, log, picks = _greedy_consume(_adjacency(dual))
     partner = replay_reductions(partner, log)
-    greedy_matched = len(partner)
-    match = blossom_maximum_matching(dual, partner)
-    augmentations = (len(match) - greedy_matched) // 2
-    unmatched = [v for v in sorted(dual) if v not in match]
-    if unmatched:
+    state = MatchState(partner, greedy_matched=len(partner), greedy_picks=picks)
+    match = blossom_maximum_matching(dual, partner, state)
+    if len(match) < len(dual):
+        unmatched = [v for v in sorted(dual) if v not in match]
         raise MatchingError(
             f"no perfect matching: {len(unmatched)} node(s) left unmatched "
             f"(dual not 3-regular/bridgeless?)",
             unmatched=unmatched,
         )
-    return MatchState(
-        partner=match,
-        greedy_matched=greedy_matched,
-        greedy_picks=picks,
-        augmentations=augmentations,
-    )
+    state.partner = match
+    state.augmentations = (len(match) - state.greedy_matched) // 2
+    return state

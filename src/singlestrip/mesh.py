@@ -459,7 +459,13 @@ def build_dual(mesh: Mesh) -> dict[int, list[int]]:
     to its live neighbours in slot order, one per interior edge. The mapping
     is symmetric; `shared_edge` names the mesh edge behind a dual edge."""
     nb = mesh.neighbours
-    return {t: [o for o in nb[3 * t : 3 * t + 3] if o >= 0] for t in mesh.alive_ids()}
+    dual = {}
+    for t in mesh.alive_ids():
+        row = nb[3 * t : 3 * t + 3]
+        if -1 in row:
+            row = [o for o in row if o >= 0]
+        dual[t] = row
+    return dual
 
 
 def shared_edge(mesh: Mesh, t: int, u: int) -> tuple[int, int]:

@@ -13,6 +13,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .matching import perfect_match_dual
 from .mesh import (
@@ -29,9 +32,14 @@ from .unionfind import UnionFind
 
 class PipelineError(Exception):
     """An internal pipeline invariant failed; `stage` names the stage it
-    failed in, once it has left a `StageTimer` block."""
+    failed in, once it has left a `StageTimer` block, and `triangles` holds
+    the ids of the triangles involved, where the raise knows them."""
 
     stage: str | None = None
+
+    def __init__(self, message: str, triangles=()):
+        super().__init__(message)
+        self.triangles = tuple(triangles)
 
 
 # -- three-cycle elimination --------------------------------------------------
@@ -150,10 +158,12 @@ def restore_three_cycles(
         r = cfg.replacement
         x = partner.pop(r, None)
         if x is None:
-            raise PipelineError(f"replacement triangle {r} is unmatched; matching not perfect")
+            raise PipelineError(
+                f"replacement triangle {r} is unmatched; matching not perfect", (r,)
+            )
         outer = nb[3 * r : 3 * r + 3]
         if x not in outer:
-            raise PipelineError(f"replacement {r} is matched to non-neighbor {x}")
+            raise PipelineError(f"replacement {r} is matched to non-neighbor {x}", (r, x))
         owner = cfg.parents[outer.index(x)]
         mesh._retire(r)
         for t, o in zip(cfg.parents, outer):
@@ -176,14 +186,15 @@ class CycleSet:
     """Disjoint unmatched-edge cycles partitioning the triangles.
 
     ``cycles[i]`` starts at its smallest triangle id and cycles are listed
-    in ascending order of that id; ``cycle_of`` maps each triangle to the
-    index of its cycle. Lists straight from `extract_cycles` are in walk
-    order; after `merge_nodal` each list holds one cycle's triangles, from
-    its smallest id, but not in walk order.
+    in ascending order of that id; ``cycle_of[t]`` is the index of
+    triangle t's cycle, indexed by triangle id, -1 for a dead slot. Lists
+    straight from `extract_cycles` are in walk order; after `merge_nodal`
+    each list holds one cycle's triangles, from its smallest id, but not in
+    walk order.
     """
 
     cycles: list[list[int]]
-    cycle_of: dict[int, int]
+    cycle_of: list[int]
 
     @property
     def count(self) -> int:
@@ -193,35 +204,48 @@ class CycleSet:
 def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
     """Partition the live triangles into cycles by walking unmatched dual
     edges, read off the mesh's neighbour table. Each cycle is walked from
-    its smallest id, first to the triangle in the earlier unmatched slot."""
+    its smallest id, first to the triangle in the earlier unmatched slot.
+    A triangle whose partner is not in its row, or that has a boundary
+    slot among its unmatched ones, raises `PipelineError` naming it."""
     nb = mesh.neighbours
     n = mesh.n_triangles
     cycles: list[list[int]] = []
-    cycle_of: dict[int, int] = {}
+    cycle_of = [-1] * len(mesh.triangles)
+    get = partner.get
     for start in mesh.alive_ids():
-        if start in cycle_of:
+        if cycle_of[start] >= 0:
             continue
         idx = len(cycles)
         cycle = []
         prev, cur = None, start
-        while True:
-            free = nb[3 * cur : 3 * cur + 3]  # cur's unmatched neighbours, once p is out
-            p = partner.get(cur)
-            if p in free:
-                free.remove(p)
-            if len(free) != 2 or -1 in free:
+        for _ in range(n + 1):  # a closed walk has at most n triangles
+            i = 3 * cur
+            a, b, c = nb[i : i + 3]
+            p = get(cur)
+            # x and y: cur's unmatched neighbours, the earlier slot first
+            if p == a:
+                x, y = b, c
+            elif p == b:
+                x, y = a, c
+            elif p == c:
+                x, y = a, b
+            else:
+                x = None
+            if x is None or x == -1 or y == -1:
+                free = (a, b, c) if x is None else (x, y)
                 hint = "; matching is not perfect on a 3-regular dual" if cur == start else ""
                 raise PipelineError(
                     f"triangle {cur} has {sum(o >= 0 for o in free)} unmatched dual edges "
-                    f"(need 2){hint}"
+                    f"(need 2){hint}",
+                    (cur,),
                 )
             cycle.append(cur)
             cycle_of[cur] = idx
-            prev, cur = cur, free[0] if free[0] != prev else free[1]
+            prev, cur = cur, x if x != prev else y
             if cur == start:
                 break
-            if len(cycle) > n:
-                raise PipelineError("unmatched-edge walk does not close")
+        else:
+            raise PipelineError("unmatched-edge walk does not close", (start,))
         cycles.append(cycle)
     return CycleSet(cycles=cycles, cycle_of=cycle_of)
 
@@ -244,57 +268,73 @@ def merge_nodal(
     other, leaving two unmatched pairs of w's fan on the one merged cycle;
     and only such toggles change a partner in w's fan.
 
-    Each fan is read off the neighbour table by `_fan_order`, from the
-    vertex's smallest triangle. A vertex is rejected at once when that
-    triangle's partner does not hold it, as alternation matches every fan
-    triangle inside the fan. A vertex whose link is several fans (a pinched
-    vertex) never qualifies, as its walk closes before it has met every
-    triangle on it.
+    Each fan is walked off the neighbour table, as `_fan_order` walks it,
+    from the vertex's smallest triangle, and the walk stops at the first
+    step that leaves the fan, breaks the alternation or meets a cycle that
+    an earlier unmatched pair of the fan is on. A vertex is rejected at once
+    when that triangle's partner does not hold it, as alternation matches
+    every fan triangle inside the fan. A vertex whose link is several fans
+    (a pinched vertex) never qualifies, as its walk closes before it has met
+    every triangle on it.
 
     The merged cycles are read off the union-find over cycle indices, not
     walked again: each returned list joins its member cycles' lists in
     ascending order of their smallest id. Returns that cycle set and the
     (vertex, m) merges.
     """
-    tris = mesh.triangles
+    nb, tris = mesh.neighbours, mesh.triangles
     count, anchor = _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
     uf = UnionFind()  # over cycle indices
+    find = uf.find
     merges: list[tuple[int, int]] = []
     for v, k in enumerate(count):
         if k < 4 or k % 2 != 0:
             continue
+        t0 = anchor[v]
         # alternation matches every fan triangle inside the fan
-        if v not in tris[partner[anchor[v]]]:
+        if v not in tris[partner[t0]]:
             continue
-        ordered = _fan_order(mesh, v, anchor[v], k)
-        if ordered is None:
-            continue
-        flags = [partner.get(ordered[i]) == ordered[(i + 1) % k] for i in range(k)]
-        if sum(flags) != k // 2:
-            continue
-        if any(flags[i] == flags[(i + 1) % k] for i in range(k)):
-            continue
-        m = k // 2
-        roots = {uf.find(cycle_of[ordered[i]]) for i in range(k) if not flags[i]}
-        if len(roots) != m:
-            continue
-        # toggle: previously unmatched fan pairs become the new matches
+        # step i goes from the fan's i-th triangle t to the next one, s, and
+        # must close the fan at t0 on step k - 1 and not before
+        last = k - 1
+        flag = None  # whether the previous step's pair is matched
+        pairs = []  # the fan's unmatched pairs
+        roots = set()  # the cycles they are on
+        t = t0
         for i in range(k):
-            if not flags[i]:
-                s, t = ordered[i], ordered[(i + 1) % k]
-                partner[s] = t
+            s = nb[3 * t + (tris[t].index(v) + 2) % 3]
+            if s < 0 or (s == t0) != (i == last):
+                break
+            matched = partner.get(t) == s
+            if matched == flag:
+                break
+            flag = matched
+            if not matched:
+                r = find(cycle_of[t])
+                if r in roots:
+                    break
+                roots.add(r)
+                pairs.append((t, s))
+            t = s
+        else:
+            # toggle: the unmatched fan pairs become the new matches
+            for t, s in pairs:
                 partner[t] = s
-        root_iter = iter(roots)
-        first = next(root_iter)
-        for other in root_iter:
-            uf.union(first, other)
-        merges.append((v, m))
+                partner[s] = t
+            first = roots.pop()
+            for other in roots:
+                uf.union(first, other)
+            merges.append((v, k // 2))
     joined: dict[int, list[int]] = {}  # union-find root -> its cycles' triangles
     for i, cycle in enumerate(cycleset.cycles):
-        joined.setdefault(uf.find(i), []).extend(cycle)
+        joined.setdefault(find(i), []).extend(cycle)
     cycles = list(joined.values())
-    return CycleSet(cycles, {t: i for i, c in enumerate(cycles) for t in c}), merges
+    cycle_of = [-1] * len(tris)
+    for i, cycle in enumerate(cycles):
+        for t in cycle:
+            cycle_of[t] = i
+    return CycleSet(cycles, cycle_of), merges
 
 
 # -- spanning-tree splits ------------------------------------------------------
@@ -366,10 +406,13 @@ def spanning_tree_splits(
 def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
     """The single unmatched-edge cycle over all live triangles: the one
     cycle of `extract_cycles`, from the smallest live id. Raises
-    `PipelineError` when the unmatched edges form more than one cycle."""
+    `PipelineError` when the unmatched edges form more than one cycle, with
+    each cycle's smallest id in its `triangles`."""
     cycles = extract_cycles(mesh, partner).cycles
     if len(cycles) != 1:
-        raise PipelineError(f"unmatched edges form {len(cycles)} cycles, not one")
+        raise PipelineError(
+            f"unmatched edges form {len(cycles)} cycles, not one", [c[0] for c in cycles]
+        )
     return cycles[0]
 
 
@@ -377,22 +420,52 @@ def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str 
     """Independent checker: exact-once coverage and edge adjacency.
 
     Works from the raw triangle tuples and `alive` flags only, sharing no
-    traversal state with the pipeline. Returns (ok, first violation or None).
+    traversal state with the pipeline. Every id must name a live triangle,
+    once, and consecutive triangles (the last and the first too, when
+    `closed`) must share exactly two distinct vertices. The checks run on
+    arrays; the first violation in the order is reported, with the caller's
+    own ids. Returns (ok, first violation or None).
     """
     tris, alive = mesh.triangles, mesh.alive
     n_alive = alive.count(True)
     if len(order) != n_alive:
         return False, f"order lists {len(order)} triangles, mesh has {n_alive}"
-    seen = bytearray(len(tris))
-    for t in order:
-        if t < 0 or t >= len(tris) or not alive[t]:
-            return False, f"triangle {t} is not a live triangle"
-        if seen[t]:
-            return False, f"triangle {t} appears more than once"
-        seen[t] = 1
-    for t1, t2 in zip(order, order[1:] + order[:1] if closed else order[1:]):
-        if len(set(tris[t1]).intersection(tris[t2])) != 2:
-            return False, f"consecutive triangles {t1} and {t2} do not share an edge"
+    n = len(tris)
+    try:
+        ids = np.array(order, dtype=np.int64)
+    except OverflowError:
+        ids = np.array([min(max(t, -1), n) for t in order], dtype=np.int64)
+    # ids out of range read the dead slot n
+    ids[(ids < 0) | (ids >= n)] = n
+    live = np.zeros(n + 1, dtype=bool)
+    live[:n] = alive
+    dead = ~live[ids]
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[ids] = True
+    if dead.any() or np.count_nonzero(seen) < len(ids):
+        repeated = np.ones(len(ids), dtype=bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        # an id first repeated here was live where it first appeared
+        i = int((dead | repeated).argmax())
+        if dead[i]:
+            return False, f"triangle {order[i]} is not a live triangle"
+        return False, f"triangle {order[i]} appears more than once"
+    # the table of all rows is freed once the listed ones are gathered
+    a = np.fromiter(chain.from_iterable(tris), dtype=np.int64, count=3 * n).reshape(-1, 3)[ids]
+    b = np.roll(a, -1, axis=0) if closed else a[1:]
+    if not closed:
+        a = a[:-1]
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    # |set(row) & set(next row)|: each distinct vertex of the row that the
+    # next row holds, counted once
+    held0 = (a0 == b0) | (a0 == b1) | (a0 == b2)
+    held1 = ((a1 == b0) | (a1 == b1) | (a1 == b2)) & (a1 != a0)
+    held2 = ((a2 == b0) | (a2 == b1) | (a2 == b2)) & (a2 != a0) & (a2 != a1)
+    bad = held0.astype(np.int8) + held1 + held2 != 2
+    if bad.any():
+        i = int(bad.argmax())
+        t1, t2 = order[i], order[(i + 1) % len(order)]
+        return False, f"consecutive triangles {t1} and {t2} do not share an edge"
     return True, None
 
 
@@ -519,6 +592,7 @@ def stripify(mesh: Mesh) -> StripResult:
             "greedy_coverage": round(match_state.greedy_matched / max(1, n_matched_dual), 4),
             "greedy_picks": match_state.greedy_picks,
             "augmentations": match_state.augmentations,
+            "augment_nodes": match_state.augment_nodes,
             "verified": True,
             "elapsed_ms": timer.ms,
         }

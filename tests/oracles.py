@@ -5,8 +5,10 @@ adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the point-by-
 point repeat filter, the set-based order check, the Euler strip by mesh
-edits, the set-based three-cycle elimination, the full-sweep nodal merge and
-the dict-based mesh) share only the primitives they were built on. The test
+edits, the set-based three-cycle elimination, the full-sweep nodal merge,
+the dict-based mesh, the heap greedy and its frozenset replay, the blossom
+with a base map, and the cycle walk with a dict) share only the primitives
+they were built on. The test
 helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
 `greedy_reduce`, the forced reductions on their own, the stats and JSON
 curve readers, and the mesh geometry, edge scans, table reads and edits) are
@@ -479,7 +481,7 @@ def greedy_reduce(graph):
     adj = _adjacency(graph)
     partner: dict[int, int] = {}
     log: list[tuple] = []
-    _apply_reductions(adj, partner, log)
+    _apply_reductions(adj, partner, log, deque(sorted(v for v in adj if len(adj[v]) <= 2)))
     return adj, partner, log
 
 
@@ -956,3 +958,250 @@ def dict_validate(mesh, mode: str = "closed") -> list[tuple[str, str]]:
 def mesh_edges(mesh) -> list[tuple[int, int]]:
     """The distinct edges of the live triangles, by triangle id and slot."""
     return list(dict.fromkeys(e for t in mesh.alive_ids() for e in triangle_edges(mesh, t)))
+
+
+# -- the matching phases as first written --------------------------------------
+#
+# The greedy phase with a pick heap and a contraction log of tagged tuples
+# holding frozensets, and its replay; the blossom phase with every row sorted
+# up front and blossom bases kept in a map beside a `UnionFind`. The library
+# replaced both with leaner loops that must give the same partner maps, pick
+# counts and matchings.
+
+
+def greedy_consume_by_heap(adj):
+    """(partner, log, picks) of the greedy phase as first written; consumes
+    the node -> neighbour-set mapping `adj`."""
+    import heapq
+
+    partner: dict[int, int] = {}
+    log: list[tuple] = []
+    picks = 0
+    heap = sorted(adj)
+    _reductions_by_frozensets(adj, partner, log)
+    while adj:
+        while heap and heap[0] not in adj:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        v = heapq.heappop(heap)
+        u = min(adj[v])
+        partner[v] = u
+        partner[u] = v
+        picks += 1
+        seeds: list[int] = []
+        adj[v].discard(u)
+        adj[u].discard(v)
+        for node in (v, u):
+            for x in adj[node]:
+                adj[x].discard(node)
+                if len(adj[x]) <= 2:
+                    seeds.append(x)
+            del adj[node]
+        _reductions_by_frozensets(adj, partner, log, seeds=seeds)
+    return partner, log, picks
+
+
+def _reductions_by_frozensets(adj, partner, log, seeds=None) -> None:
+    if seeds is None:
+        queue = deque(sorted(v for v in adj if len(adj[v]) <= 2))
+    else:
+        queue = deque(seeds)
+
+    def detach(v: int) -> None:
+        for x in adj[v]:
+            adj[x].discard(v)
+            if len(adj[x]) <= 2:
+                queue.append(x)
+        del adj[v]
+
+    while queue:
+        v = queue.popleft()
+        if v not in adj:
+            continue
+        deg = len(adj[v])
+        if deg == 0:
+            del adj[v]
+        elif deg == 1:
+            u = next(iter(adj[v]))
+            partner[v] = u
+            partner[u] = v
+            log.append(("leaf", v, u))
+            del adj[v]
+            adj[u].discard(v)
+            detach(u)
+        elif deg == 2:
+            u, w = sorted(adj[v])
+            log.append(
+                ("contract", v, u, w, frozenset(adj[u] - {v, w}), frozenset(adj[w] - {v, u}))
+            )
+            adj[u].discard(v)
+            adj[w].discard(v)
+            del adj[v]
+            for x in adj[w]:
+                if x == u:
+                    continue
+                adj[x].discard(w)
+                if u in adj[x]:
+                    if len(adj[x]) <= 2:
+                        queue.append(x)
+                else:
+                    adj[x].add(u)
+                    adj[u].add(x)
+            del adj[w]
+            adj[u].discard(w)
+            if len(adj[u]) <= 2:
+                queue.append(u)
+
+
+def replay_reductions_by_frozensets(partner, log):
+    """`replay_reductions` on a `greedy_consume_by_heap` log."""
+    from singlestrip.matching import MatchingError
+
+    partner = dict(partner)
+    for entry in reversed(log):
+        if entry[0] != "contract":
+            continue
+        _, v, u, w, adj_u, adj_w = entry
+        x = partner.get(u)
+        if x is None:
+            partner[u] = v
+            partner[v] = u
+        elif x in adj_u:
+            partner[v] = w
+            partner[w] = v
+        else:
+            if x not in adj_w:
+                raise MatchingError(f"contraction replay: {u}'s partner {x} fits neither side")
+            partner[w] = x
+            partner[x] = w
+            partner[u] = v
+            partner[v] = u
+    return partner
+
+
+def blossom_by_base_map(graph, seed=None):
+    """`blossom_maximum_matching` as first written."""
+    from singlestrip.matching import validate_matching
+
+    adj = {v: sorted(ns) for v, ns in graph.items()}
+    match: dict[int, int] = {}
+    if seed:
+        validate_matching(graph, seed)
+        match.update(seed)
+    for root in sorted(adj):
+        if root not in match:
+            _augment_by_base_map(adj, match, root)
+    return match
+
+
+def _augment_by_base_map(adj, match, root) -> bool:
+    from singlestrip.unionfind import UnionFind
+
+    parent: dict[int, int] = {}
+    uf = UnionFind()
+    in_blossom = uf.parent
+    base_of: dict = {}
+    used = {root}
+    queue = deque([root])
+
+    def fbase(x):
+        if x not in in_blossom:
+            return x
+        r = uf.find(x)
+        return base_of.get(r, r)
+
+    def lca(a, b):
+        seen = set()
+        x = fbase(a)
+        while True:
+            seen.add(x)
+            mx = match.get(x)
+            if mx is None:
+                break
+            x = fbase(parent[mx])
+        y = fbase(b)
+        while y not in seen:
+            y = fbase(parent[match[y]])
+        return y
+
+    def mark_path(v, b, child, marked):
+        while fbase(v) != b:
+            marked.append(fbase(v))
+            marked.append(fbase(match[v]))
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if fbase(v) == fbase(to) or match.get(v) == to:
+                continue
+            if to == root or (match.get(to) is not None and match[to] in parent):
+                b = lca(v, to)
+                marked: list = []
+                mark_path(v, b, to, marked)
+                mark_path(to, b, v, marked)
+                for node in marked:
+                    uf.union(node, b)
+                    if node not in used:
+                        used.add(node)
+                        queue.append(node)
+                base_of[uf.find(b)] = b
+            elif to not in parent:
+                parent[to] = v
+                partner = match.get(to)
+                if partner is None:
+                    node = to
+                    while node is not None:
+                        prev = parent[node]
+                        nxt = match.get(prev)
+                        match[node] = prev
+                        match[prev] = node
+                        node = nxt
+                    return True
+                used.add(partner)
+                queue.append(partner)
+    return False
+
+
+# -- the cycle walk as first written ----------------------------------------------
+
+
+def extract_cycles_by_dict(mesh, partner):
+    """(cycles, cycle_of) of `extract_cycles` as first written: each row
+    copied and the partner removed from it, `cycle_of` a dict over the live
+    triangles. Raises the library's `PipelineError` with the same messages."""
+    from singlestrip.striploop import PipelineError
+
+    nb = mesh.neighbours
+    n = mesh.n_triangles
+    cycles: list[list[int]] = []
+    cycle_of: dict[int, int] = {}
+    for start in mesh.alive_ids():
+        if start in cycle_of:
+            continue
+        idx = len(cycles)
+        cycle = []
+        prev, cur = None, start
+        while True:
+            free = nb[3 * cur : 3 * cur + 3]
+            p = partner.get(cur)
+            if p in free:
+                free.remove(p)
+            if len(free) != 2 or -1 in free:
+                hint = "; matching is not perfect on a 3-regular dual" if cur == start else ""
+                raise PipelineError(
+                    f"triangle {cur} has {sum(o >= 0 for o in free)} unmatched dual edges "
+                    f"(need 2){hint}"
+                )
+            cycle.append(cur)
+            cycle_of[cur] = idx
+            prev, cur = cur, free[0] if free[0] != prev else free[1]
+            if cur == start:
+                break
+            if len(cycle) > n:
+                raise PipelineError("unmatched-edge walk does not close")
+        cycles.append(cycle)
+    return cycles, cycle_of

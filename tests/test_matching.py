@@ -9,25 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    blossom_by_base_map,
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
+    greedy_consume_by_heap,
     greedy_reduce,
     insert_centroid,
     max_matching_size,
     path_graph,
     petersen_graph,
     relabel,
+    replay_reductions_by_frozensets,
     unmatched_cycles,
 )
 from singlestrip.boundary import gen_mk
 from singlestrip.generators import icosphere, torus
 from singlestrip.matching import (
     MatchingError,
+    MatchState,
     blossom_maximum_matching,
     perfect_match_dual,
     replay_reductions,
     validate_matching,
+    _adjacency,
     _greedy_consume,
 )
 from singlestrip.mesh import build_dual
@@ -173,6 +178,110 @@ def test_blossom_size_matches_networkx(kind, n, degree, seed):
         assert all(v in match for v in start or ())
         validate_matching(dual, match)
         validate_matching(adj, match)
+
+
+def _greedy_seed(dual):
+    return replay_reductions(*_greedy_consume(_adjacency(dual))[:2])
+
+
+_ORACLE_INPUTS = dict(
+    kind=st.sampled_from(["random", "torus", "icosphere"]),
+    n=st.integers(2, 300),
+    degree=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _oracle_input(kind, n, degree, seed):
+    """A random graph as sorted rows, or a perturbed dual in slot order."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return rng, {v: sorted(ns) for v, ns in _random_graph(rng, n, degree).items()}
+    return rng, _perturbed_dual(rng, kind, degree - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_ORACLE_INPUTS)
+def test_greedy_matches_the_heap_oracle(kind, n, degree, seed):
+    # the oracle fills its sets from the same rows; sets filled from sorted
+    # rows change the queue order and so the partner map
+    _rng, dual = _oracle_input(kind, n, degree, seed)
+    partner, log, picks = _greedy_consume(_adjacency(dual))
+    want, want_log, want_picks = greedy_consume_by_heap({v: set(ns) for v, ns in dual.items()})
+    assert partner == want
+    assert picks == want_picks
+    assert replay_reductions(partner, log) == replay_reductions_by_frozensets(want, want_log)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_ORACLE_INPUTS)
+def test_blossom_matches_the_base_map_oracle(kind, n, degree, seed):
+    rng, dual = _oracle_input(kind, n, degree, seed)
+    adj = {v: set(ns) for v, ns in dual.items()}
+    for start in (None, _random_seed_matching(rng, adj), _greedy_seed(dual)):
+        want = blossom_by_base_map(dual, start)
+        assert blossom_maximum_matching(dual, start) == want
+        assert blossom_maximum_matching(adj, start) == want
+
+
+def test_blossom_on_2000_nodes_matches_networkx():
+    # a relabelled torus dual with centroid splits and 60 edges cut: from
+    # the greedy seed the searches run long, as on the benchmark's meshes
+    rng = random.Random(2000)
+    mesh = torus(40, 25)
+    for t in rng.sample(range(mesh.n_triangles), 7):
+        insert_centroid(mesh, t)
+    dual = build_dual(relabel(mesh, rng))
+    for _ in range(60):
+        t = rng.choice(sorted(dual))
+        if dual[t]:
+            u = dual[t][rng.randrange(len(dual[t]))]
+            dual[t] = [n for n in dual[t] if n != u]
+            dual[u] = [n for n in dual[u] if n != t]
+    assert len(dual) == 2014
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(dual)
+    nx_graph.add_edges_from((v, u) for v in dual for u in dual[v])
+    size = len(nx.max_weight_matching(nx_graph, maxcardinality=True))
+    assert size == 1007  # freeze the networkx value
+    for start in (None, _greedy_seed(dual)):
+        state = MatchState({})
+        match = blossom_maximum_matching(dual, start, state)
+        validate_matching(dual, match)
+        assert len(match) // 2 == size
+        assert match == blossom_by_base_map(dual, start)
+        assert state.augment_nodes > 0
+
+
+@pytest.mark.parametrize(
+    "graph,seed,labelled",
+    [
+        # 0 reaches 1, which is exposed: {0, 1}; then 2 reaches 1 and its
+        # partner 0, and finds nothing more: {2, 1, 0}
+        (path_graph(3), None, 2 + 3),
+        # 0 reaches 1, its partner 2, then the exposed 3
+        (path_graph(4), {1: 2, 2: 1}, 4),
+        # 2 reaches 0 (partner 1), then 1 closes the triangle into a
+        # blossom, and 3 is exposed: every node is labelled
+        ({0: [1, 2], 1: [0, 2], 2: [0, 1, 3], 3: [2]}, {0: 1, 1: 0}, 4),
+    ],
+)
+def test_augment_nodes_counts_the_labelled_nodes(graph, seed, labelled):
+    state = MatchState({})
+    match = blossom_maximum_matching(graph, seed, state)
+    assert len(match) // 2 == max_matching_size({v: set(ns) for v, ns in graph.items()})
+    assert state.augment_nodes == labelled
+
+
+def test_augment_nodes_is_zero_from_a_perfect_seed():
+    state = MatchState({})
+    seed = {0: 1, 1: 0, 2: 3, 3: 2}
+    assert blossom_maximum_matching(path_graph(4), seed, state) == seed
+    assert state.augment_nodes == 0
+    # the greedy phase matches all of a plain torus's dual
+    state = perfect_match_dual(build_dual(torus(12, 9)))
+    assert state.augmentations == 0
+    assert state.augment_nodes == 0
 
 
 def test_blossom_respects_seed():

@@ -14,6 +14,7 @@ from oracles import (
     all_perfect_matchings,
     cycle_lengths,
     eliminate_three_cycles_by_sets,
+    extract_cycles_by_dict,
     insert_centroid,
     merge_nodal_full_sweep,
     other_triangle,
@@ -181,6 +182,22 @@ def test_restore_matches_owner_and_pairs_rest():
         assert partner[rest[0]] == rest[1]
 
 
+def test_restore_errors_name_the_replacement():
+    mesh = torus(5, 4)
+    insert_centroid(mesh, 0)
+    stack = eliminate_three_cycles(mesh)
+    partner = perfect_match_dual(build_dual(mesh)).partner
+    r = stack[0].replacement
+    far = next(u for u in mesh.alive_ids() if u != r and u not in mesh.neighbours[3 * r : 3 * r + 3])
+    with pytest.raises(PipelineError, match=f"^replacement {r} is matched to non-neighbor {far}$") as info:
+        restore_three_cycles(mesh.copy(), {**partner, r: far}, stack)
+    assert info.value.triangles == (r, far)
+    del partner[r]
+    with pytest.raises(PipelineError, match=f"^replacement triangle {r} is unmatched;") as info:
+        restore_three_cycles(mesh.copy(), partner, stack)
+    assert info.value.triangles == (r,)
+
+
 def test_restore_leaves_no_unmatched_three_cycle():
     mesh = icosphere(1)
     rng = random.Random(3)
@@ -236,6 +253,81 @@ def test_extract_rejects_broken_matching(tetra):
     dual = build_dual(tetra)
     with pytest.raises(PipelineError, match="unmatched dual edges"):
         extract_cycles(tetra, {})
+
+
+def test_extract_names_a_corrupted_partner_entry(torus400):
+    partner = perfect_match_dual(build_dual(torus400)).partner
+    t = 37
+    row = torus400.neighbours[3 * t : 3 * t + 3]
+    partner[t] = next(u for u in range(400) if u != t and u not in row)
+    with pytest.raises(PipelineError, match=f"^triangle {t} has 3 unmatched dual edges") as info:
+        extract_cycles(torus400, partner)
+    assert info.value.triangles == (t,)
+    assert PipelineError("x").triangles == ()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_extract_on_open_meshes_matches_the_dict_oracle(k):
+    # boundary slots: a matched triangle with a boundary edge among its
+    # unmatched ones, and an unmatched one, raise as the oracle does
+    mesh = gen_mk(k)
+    for partner in ({}, blossom_maximum_matching(build_dual(mesh))):
+        with pytest.raises(PipelineError) as want:
+            extract_cycles_by_dict(mesh, partner)
+        with pytest.raises(PipelineError) as got:
+            extract_cycles(mesh, partner)
+        assert str(got.value) == str(want.value)
+
+
+_PARTNER_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["neighbour", "other", "self", "missing", "negative"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("torus"), st.integers(3, 16), st.integers(3, 16)),
+        st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
+    ),
+    splits=st.integers(0, 12),
+    any_matching=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    edits=_PARTNER_EDITS,
+)
+def test_extract_cycles_matches_the_dict_oracle(shape, splits, any_matching, seed, edits):
+    # unedited maps give cycles; edited ones may leave a triangle with too
+    # many unmatched edges, or a walk that never closes
+    work, partner, _cs = _nodal_input(shape, splits, any_matching, seed)
+    ids = work.alive_ids()
+    for kind, x, y in edits:
+        t = ids[x % len(ids)]
+        if kind == "neighbour":
+            partner[t] = work.neighbours[3 * t + y % 3]
+        elif kind == "other":
+            partner[t] = ids[y % len(ids)]
+        elif kind == "self":
+            partner[t] = t
+        elif kind == "missing":
+            partner.pop(t, None)
+        else:
+            partner[t] = -1
+    try:
+        want_cycles, want_cycle_of = extract_cycles_by_dict(work, partner)
+    except PipelineError as want:
+        with pytest.raises(PipelineError) as got:
+            extract_cycles(work, partner)
+        assert str(got.value) == str(want)
+        return
+    got = extract_cycles(work, partner)
+    assert got.cycles == want_cycles
+    assert {t: c for t, c in enumerate(got.cycle_of) if c >= 0} == want_cycle_of
+    assert all(c < 0 for t, c in enumerate(got.cycle_of) if not work.alive[t])
 
 
 # -- nodal merging ----------------------------------------------------------------
@@ -399,10 +491,32 @@ def test_assemble_tetra_cycle(tetra):
     assert verify_order(tetra, order, closed=True) == (True, None)
 
 
+def test_assemble_names_each_cycle_by_its_smallest_id(octa):
+    dual = build_dual(octa)
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
+    partner = next(
+        p for p in all_perfect_matchings(adj)
+        if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
+    )
+    with pytest.raises(PipelineError, match="^unmatched edges form 2 cycles, not one$") as info:
+        assemble_cycle(octa, partner)
+    assert info.value.triangles == tuple(c[0] for c in extract_cycles(octa, partner).cycles)
+
+
 def test_verify_rejects_duplicate(tetra):
     ok, why = verify_order(tetra, [0, 1, 0, 2], closed=True)
     assert not ok
     assert "more than once" in why
+
+
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
+def test_verify_order_names_an_id_beyond_int64(tetra, big):
+    # such an id does not fit the checker's int64 arrays; it is still
+    # reported as the oracle reports it, after the live ids before it
+    order = [0, 1, big, 1]
+    want = (False, f"triangle {big} is not a live triangle")
+    assert verify_order(tetra, order, closed=True) == want
+    assert verify_order_by_sets(tetra, order, closed=True) == want
 
 
 def test_verify_rejects_non_adjacent():
@@ -414,6 +528,18 @@ def test_verify_rejects_non_adjacent():
     ok, why = verify_order(res.mesh, order, closed=True)
     assert not ok
     assert "share an edge" in why
+
+
+@pytest.mark.parametrize("row,pair", [((0, 3, 0), (0, 1)), ((0, 1, 0), (1, 2))])
+def test_verify_order_counts_distinct_shared_vertices(tetra, row, pair):
+    # triangle 1 made degenerate: (0, 3, 0) shares one distinct vertex with
+    # triangle 0 (0, 1, 2) through two equal entries, and (0, 1, 0) shares
+    # the edge (0, 1) with it through three; a count of equal entries
+    # would accept the first pair and reject the second
+    tetra.triangles[1] = row
+    want = (False, f"consecutive triangles {pair[0]} and {pair[1]} do not share an edge")
+    assert verify_order(tetra, [0, 1, 2, 3], closed=True) == want
+    assert verify_order_by_sets(tetra, [0, 1, 2, 3], closed=True) == want
 
 
 def test_verify_rejects_wrong_count(tetra):
@@ -529,6 +655,7 @@ def _check_matching_stats(res, mesh, n_dual):
         "greedy_coverage": round(state.greedy_matched / n_dual, 4),
         "greedy_picks": state.greedy_picks,
         "augmentations": state.augmentations,
+        "augment_nodes": state.augment_nodes,
     }
     assert {k: res.stats[k] for k in want} == want
     assert state.greedy_matched + 2 * state.augmentations == n_dual  # perfect
