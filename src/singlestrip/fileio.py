@@ -3,12 +3,27 @@
 OFF: `OFF` header, `V F E` counts, vertex lines, face lines `3 i j k`.
 OBJ: `v x y z` and `f i j k` (1-based); normals/texcoords after `/` are
 ignored, polygon faces with more than 3 vertices are rejected.
+
+Each reader has two routes to the same mesh. The array route hands the
+vertex and face blocks to numpy's C row reader (`np.loadtxt`) and the
+arrays straight to `Mesh`. It takes a text without `#` whose lines are:
+for OFF, the header (counts on it or on the next line), then exactly V
+vertex rows of three numbers and F face rows `3 i j k`, trailing lines
+ignored; for OBJ, a block of `v x y z ...` lines and then a block of
+`f i j k` lines with plain positive indices. Any other text, and any text
+numpy reads differently from Python's `float`/`int` (`1_0`, non-ASCII
+digits, `2.0` as an index, indices beyond int64), goes to the line reader,
+which reads every layout and words every `ParseError`. The array route
+raises only `Mesh`'s own errors, which name the same values.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .mesh import Mesh, MeshError
 
@@ -44,6 +59,89 @@ def save_mesh(mesh: Mesh, path, fmt: str | None = None) -> None:
         raise ParseError(f"unknown mesh format {fmt!r} for {path}")
 
 
+def loads_off(text: str) -> Mesh:
+    found = _off_arrays(text)
+    return _read_off(text) if found is None else _mesh(*found)
+
+
+def loads_obj(text: str) -> Mesh:
+    found = _obj_arrays(text)
+    return _read_obj(text) if found is None else _mesh(*found)
+
+
+def _mesh(vertices, faces) -> Mesh:
+    try:
+        return Mesh(vertices, faces)
+    except MeshError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+# -- array route --------------------------------------------------------------
+
+
+def _plain_lines(text: str) -> list[str]:
+    """The lines of a text without comments, split as the line reader splits
+    them; none for a text with `#`, whose lines the line reader cuts."""
+    return [] if "#" in text else text.splitlines()
+
+
+def _rows(lines: list[str], dtype, width: int, usecols=None) -> np.ndarray | None:
+    """`lines` as a (len(lines), width) array read by numpy, or None where it
+    would not match the line reader. numpy skips blank lines and rejects
+    what Python's `float`/`int` would read differently, so a blank line,
+    ragged row or extra column shows in the shape or as a ValueError. A
+    blank first line is declined before numpy warns of an empty block."""
+    if not lines or not lines[0].strip():
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (len(lines), width) else None
+
+
+def _off_arrays(text: str):
+    """(vertices, triangles) of a plain OFF text, or None."""
+    lines = _plain_lines(text)
+    head = lines[0].split() if lines else []
+    if not head or head[0].upper() != "OFF":
+        return None
+    if len(head) == 4:
+        counts, start = head[1:], 1
+    else:
+        counts, start = lines[1].split() if len(lines) > 1 else [], 2
+    try:
+        nv, nf = int(counts[0]), int(counts[1])
+    except (ValueError, IndexError):
+        return None
+    if nv < 0 or nf < 0 or len(lines) < start + nv + nf:
+        return None
+    pts = _rows(lines[start : start + nv], np.float64, 3)
+    faces = _rows(lines[start + nv : start + nv + nf], np.int64, 4)
+    if pts is None or faces is None or (faces[:, 0] != 3).any():
+        return None
+    return pts, faces[:, 1:]
+
+
+def _obj_arrays(text: str):
+    """(vertices, triangles) of an OBJ text that is a block of `v ` lines
+    followed by a block of `f ` lines, or None."""
+    lines = _plain_lines(text)
+    # nv counts every `v ` line, so if the rest are `f ` lines, the first nv are the `v ` lines
+    nv = sum(map(str.startswith, lines, repeat("v ")))
+    if not all(map(str.startswith, lines[nv:], repeat("f "))):
+        return None
+    pts = _rows(lines[:nv], np.float64, 3, usecols=(1, 2, 3))
+    # the tags are cut off, so that a fourth reference changes the shape
+    faces = _rows([line[2:] for line in lines[nv:]], np.int64, 3)
+    if pts is None or faces is None or (faces < 1).any():
+        return None
+    return pts, faces - 1
+
+
+# -- line reader --------------------------------------------------------------
+
+
 def _significant_lines(text: str) -> list[list[str]]:
     out = []
     for raw in text.splitlines():
@@ -53,7 +151,8 @@ def _significant_lines(text: str) -> list[list[str]]:
     return out
 
 
-def loads_off(text: str) -> Mesh:
+def _read_off(text: str) -> Mesh:
+    """The line reader for OFF."""
     lines = _significant_lines(text)
     if not lines or lines[0][0].upper() != "OFF":
         raise ParseError("missing OFF header")
@@ -90,13 +189,11 @@ def loads_off(text: str) -> Mesh:
         if k != 3 or len(idx) != 3:
             raise ParseError(f"non-triangle OFF face with {k} vertices")
         faces.append(tuple(idx))
-    try:
-        return Mesh(vertices, faces)
-    except MeshError as exc:
-        raise ParseError(str(exc)) from exc
+    return _mesh(vertices, faces)
 
 
-def loads_obj(text: str) -> Mesh:
+def _read_obj(text: str) -> Mesh:
+    """The line reader for OBJ."""
     vertices = []
     faces = []
     for row in _significant_lines(text):
@@ -122,10 +219,7 @@ def loads_obj(text: str) -> Mesh:
                 idx.append(i - 1)
             faces.append(tuple(idx))
         # other records (vn, vt, o, g, s, usemtl, ...) are ignored
-    try:
-        return Mesh(vertices, faces)
-    except MeshError as exc:
-        raise ParseError(str(exc)) from exc
+    return _mesh(vertices, faces)
 
 
 def dumps_off(mesh: Mesh) -> str:

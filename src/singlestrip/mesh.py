@@ -14,6 +14,7 @@ and restoration, and `split_pair` on a pair its caller names.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -63,22 +64,35 @@ def _point_array(vertices) -> np.ndarray:
 
 
 def _index_array(triangles, n: int) -> np.ndarray:
-    """Triangles as an (m, 3) int64 array. Indices beyond int64 are clipped
-    to -1 or n: they are out of range either way, and the checks name the
-    triangle from the caller's own values."""
+    """Triangles as an (m, 3) int64 array. An index is an integer (a Python
+    or numpy int, or a bool) or a float with an integral value; a
+    fractional, non-finite or non-numeric index, such as 2.7 or "2", is a
+    MeshError. An integer array is cast as a whole. Indices beyond int64 are
+    clipped to -1 or n: they are out of range either way, and the checks
+    name the triangle from the caller's own values."""
     try:
-        tri = np.asarray(triangles, dtype=np.int64)
-    except OverflowError:
-        tri = np.array(
-            [[min(max(int(v), -1), n) for v in t] for t in triangles], dtype=np.int64
-        )
+        tri = np.asarray(triangles)
     except (TypeError, ValueError) as exc:
         raise MeshError("triangles must be vertex index triples") from exc
     if tri.size == 0:
-        return tri.reshape(0, 3)
+        return np.zeros((0, 3), dtype=np.int64)
     if tri.ndim != 2 or tri.shape[1] != 3:
         raise MeshError("triangles must be vertex index triples")
-    return tri
+    if tri.dtype.kind in "iub":
+        return tri.astype(np.int64, copy=False)
+    # floats, big ints (object or float arrays) and strings, one by one
+    return np.array([[_index(v, n) for v in t] for t in triangles], dtype=np.int64)
+
+
+def _index(v, n: int) -> int:
+    """One vertex index given as any type, clipped to [-1, n]."""
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        v = int(v)
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise MeshError(f"vertex index {v!r} is not an integer") from None
+    return min(max(i, -1), n)
 
 
 def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
@@ -89,13 +103,17 @@ def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
     caller's own triangles, for the message (default: `tri`)."""
     if not len(tri):
         return
-    out = ((tri < 0) | (tri >= n)).any(axis=1)
-    repeated = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 0] == tri[:, 2])
-    s = np.sort(tri, axis=1)
-    order = np.lexsort((s[:, 2], s[:, 1], s[:, 0]))
-    same = (s[order[1:]] == s[order[:-1]]).all(axis=1)
+    # each row in ascending order, by a three-element sorting network
+    a, b, c = tri.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    s0, s1, s2 = np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)
+    out = (s0 < 0) | (s2 >= n)
+    repeated = (s0 == s1) | (s1 == s2)
+    order = np.lexsort((s2, s1, s0))
+    later, earlier = order[1:], order[:-1]
+    same = (s0[later] == s0[earlier]) & (s1[later] == s1[earlier]) & (s2[later] == s2[earlier])
     duplicate = np.zeros(len(tri), dtype=bool)
-    duplicate[order[1:][same]] = True
+    duplicate[later[same]] = True
     bad = out | repeated | duplicate
     if not bad.any():
         return
@@ -166,8 +184,12 @@ class Mesh:
     surface orientation (checked by `validate`, not by the constructor). The
     constructor rejects non-finite coordinates and triangles that are out of
     range, repeat a vertex or duplicate an earlier triangle; it builds the
-    table with one sort of the edge slots. `neighbours`, when given, is
-    taken as that table instead (as `compact` passes it) and is not checked.
+    table with one sort of the edge slots. `vertices` and `triangles` may be
+    sequences or arrays: a float64 vertex array and an integer triangle
+    array (as the OFF/OBJ readers pass them) are checked and sorted as they
+    are, without a round trip through Python lists. `neighbours`, when
+    given, is taken as that table instead (as `compact` passes it) and is
+    not checked.
 
     Edits go through `_append`, `_retire`, `_reinstate` and `_repoint`; each
     caller rewrites the rows on both sides of the edges it changes.

@@ -15,6 +15,16 @@ TORUS_OFF = dumps_off(torus(4, 3)).encode()
 TORUS_OBJ = dumps_obj(torus(4, 3)).encode()
 FAN_OFF = dumps_off(fan(5)).encode()
 TRI = b"0 0 0\n1 0 0\n0 1 0\n"
+TETRA = b"0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+TETRA_FACES = b"3 0 1 2\n3 1 0 3\n3 0 2 3\n3 2 1 3\n"
+
+
+def _tetra_obj(tail=b""):
+    rows = b"".join(b"v " + row + tail + b"\n" for row in TETRA.splitlines())
+    return rows + b"f 1 2 3\nf 2 1 4\nf 1 3 4\nf 3 2 4\n"
+
+
+TETRA_OBJ = _tetra_obj()
 
 HOSTILE = {
     "empty.off": b"",
@@ -40,6 +50,33 @@ HOSTILE = {
     "torus.off": TORUS_OFF,
     "fan.off": FAN_OFF,
 }
+
+# Texts where numpy's row reader and Python's float/int disagree, or whose
+# layout it does not take, with the exit codes of the five commands that the
+# line reader gives them (a tetrahedron: stripify and sfc succeed, it has no
+# boundary, and "cycle 1" is not a cycle of it).
+READ_AS_TETRA = [0, 0, 3, 0, 4]
+PARSE_ERROR = [2] * 5
+READER_EDGES = {
+    "underscore-float.off": (b"OFF\n4 4 0\n" + TETRA.replace(b"1 0 0", b"1_0 0 0") + TETRA_FACES,
+                             READ_AS_TETRA),
+    "underscore-float.obj": (TETRA_OBJ.replace(b"v 1 0 0", b"v 1_0 0 0"), READ_AS_TETRA),
+    "arabic-indic.off": (b"OFF\n4 4 0\n" + TETRA.replace(b"1", "\u0661".encode()) + TETRA_FACES,
+                         READ_AS_TETRA),
+    "arabic-indic-index.obj": (TETRA_OBJ.replace(b"f 1 2 3", "f 1 2 \u0663".encode()),
+                               READ_AS_TETRA),
+    "float-index.off": (b"OFF\n4 4 0\n" + TETRA + TETRA_FACES.replace(b"3 2 1 3", b"3 2 1 3.0"),
+                        PARSE_ERROR),
+    "float-index.obj": (TETRA_OBJ.replace(b"f 3 2 4", b"f 3 2 4.0"), PARSE_ERROR),
+    "vertical-tab.off": (b"OFF\n4 4 0\n" + TETRA.replace(b"0 0 1", b"0\x0b0 1") + TETRA_FACES,
+                         PARSE_ERROR),
+    "colour.off": (b"OFF\n4 4 0\n" + TETRA.replace(b"\n", b" 255 0 0\n")
+                   + TETRA_FACES.replace(b"\n", b" 0 0 255\n"), READ_AS_TETRA),
+    "colour.obj": (_tetra_obj(b" 0.5 0.5 0.5"), READ_AS_TETRA),
+    "crlf.off": ((b"OFF\n4 4 0\n" + TETRA + TETRA_FACES).replace(b"\n", b"\r\n"), READ_AS_TETRA),
+    "crlf.obj": (TETRA_OBJ.replace(b"\n", b"\r\n"), READ_AS_TETRA),
+}
+HOSTILE.update((name, data) for name, (data, _) in READER_EDGES.items())
 
 STRIPS = {
     "garbage.txt": b"\x00\x01\x02\xff",
@@ -82,6 +119,12 @@ def test_hostile_meshes_end_in_an_exit_code(tmp_path, name):
                                   "index-above-2^63.off", "index-above-2^63.obj", "non-utf8.off"])
 def test_malformed_numbers_are_parse_errors(tmp_path, name):
     assert _run_all(tmp_path, name, HOSTILE[name]) == [2] * 5
+
+
+@pytest.mark.parametrize("name", sorted(READER_EDGES))
+def test_reader_edge_cases_keep_the_line_readers_exit_codes(tmp_path, name):
+    data, codes = READER_EDGES[name]
+    assert _run_all(tmp_path, name, data) == codes
 
 
 @pytest.mark.parametrize("name", sorted(STRIPS))

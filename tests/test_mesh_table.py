@@ -139,6 +139,32 @@ def test_constructor_errors_name_the_first_offender_in_check_order():
         Mesh(verts, [(0, 1, 2), (0, 1, 2**64)])
 
 
+@pytest.mark.parametrize("bad", [2.7, float("nan"), float("inf"), "2", None, np.float32(0.5)])
+def test_constructor_rejects_indices_that_are_not_integers(bad):
+    # a cast to int64 would read 2.7 as 2 and "2" as 2
+    with pytest.raises(MeshError, match="is not an integer"):
+        Mesh([(0, 0, 0)] * 3, [(0, 1, bad)])
+    with pytest.raises(MeshError, match="is not an integer"):
+        Mesh([(0, 0, 0)] * 3, np.array([(0, 1, bad)]))
+
+
+@pytest.mark.parametrize("tris", [
+    [(0, 1, 2.0)],
+    [(0, 1, np.int32(2))],
+    [(0, 1, np.float64(2))],
+    np.array([(0, 1, 2)], dtype=np.uint8),
+    np.array([(0.0, 1.0, 2.0)]),
+])
+def test_constructor_takes_integers_and_integral_floats(tris):
+    assert Mesh([(0, 0, 0)] * 3, tris).triangles == [(0, 1, 2)]
+
+
+def test_constructor_names_unsigned_indices_beyond_int64_as_given():
+    tris = np.array([(0, 1, 2), (0, 1, 2**63)], dtype=np.uint64)
+    with pytest.raises(MeshError, match=r"triangle \(0, 1, 9223372036854775808\) references"):
+        Mesh([(0, 0, 0)] * 3, tris)
+
+
 def test_duplicate_check_survives_vertex_counts_that_overflow_packed_keys():
     # with n = 2^22 vertices, (a * n + b) * n + c wraps int64 for a >= 2^20:
     # these two distinct triangles would share a packed key
