@@ -9,15 +9,22 @@ n + 2 * (non-spine tree edges) = 3n - 2 - 2|P|.
 
 `euler_strip` edits no mesh: one replay of the midpoint splits on plain
 lists records each split cell's children, and one iterative walk over those
-records lists the strip's cell ids.
+records lists the strip's cell ids. The replay made every output cell
+itself, so the output mesh is built from its lists by `Mesh._built`, with
+no checks; only pipeline-made lists may go that way.
+
+The tree passes hold lists indexed by triangle id, not dicts: each list has
+a slot for every id up to the largest tree node, and a slot off the tree (a
+dead triangle) holds None, [] or 0.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import compress
+
+import numpy as np
 
 from .mesh import (
     Mesh,
@@ -25,7 +32,7 @@ from .mesh import (
     ValidationError,
     ValidationReport,
     build_dual,
-    shared_edge,
+    edge_key,
     validate,
 )
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
@@ -74,45 +81,56 @@ def mk_triangle_count(k: int) -> int:
 
 @dataclass
 class DualSpanningTree:
-    """BFS spanning tree of the dual, rooted at the smallest triangle id."""
+    """BFS spanning tree of the dual, rooted at the smallest triangle id.
 
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    subtree: dict[int, int]
+    `parent`, `children` and `subtree` are lists indexed by triangle id, up
+    to the largest id in the tree. Off the tree (dead or missing ids) a slot
+    holds None, [] and 0, as the root's `parent` holds None. `order` lists
+    the tree's nodes in BFS order, root first.
+    """
+
+    parent: list[int | None]
+    children: list[list[int]]
+    subtree: list[int]
+    order: list[int]
 
     @property
     def n(self) -> int:
-        return len(self.parent)
+        return len(self.order)
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        """Each edge as (child, parent)."""
-        return [(t, p) for t, p in self.parent.items() if p is not None]
+        """Each edge as (child, parent), in BFS order of the child."""
+        parent = self.parent
+        return [(t, parent[t]) for t in self.order[1:]]
 
 
 def dual_spanning_tree(dual: dict[int, list[int]]) -> DualSpanningTree:
     """BFS tree of a node -> neighbours mapping such as `build_dual`'s,
     visiting each node's neighbours in list order."""
     root = min(dual)
-    parent: dict[int, int | None] = {root: None}
-    children: dict[int, list[int]] = {t: [] for t in dual}
+    size = max(dual) + 1
+    parent: list[int | None] = [None] * size
+    children: list[list[int]] = [[] for _ in range(size)]
+    seen = bytearray(size)
+    seen[root] = 1
     order = [root]
-    queue = deque([root])
-    while queue:
-        t = queue.popleft()
-        for nb in dual[t]:
-            if nb not in parent:
-                parent[nb] = t
-                children[t].append(nb)
-                order.append(nb)
-                queue.append(nb)
-    if len(parent) != len(dual):
+    for t in order:  # grows as it is read: a FIFO queue
+        kids = children[t]
+        for u in dual[t]:
+            if not seen[u]:
+                seen[u] = 1
+                parent[u] = t
+                kids.append(u)
+                order.append(u)
+    if len(order) != len(dual):
         raise PipelineError("dual graph is disconnected")
-    subtree = {t: 1 for t in parent}
+    subtree = [0] * size
     for t in reversed(order):
+        subtree[t] += 1
         p = parent[t]
         if p is not None:
             subtree[p] += subtree[t]
-    return DualSpanningTree(parent=parent, children=children, subtree=subtree)
+    return DualSpanningTree(parent=parent, children=children, subtree=subtree, order=order)
 
 
 def balance_edge(tree: DualSpanningTree) -> tuple[int, int]:
@@ -126,13 +144,13 @@ def balance_edge(tree: DualSpanningTree) -> tuple[int, int]:
     n = tree.n
     if n < 3:
         raise ValueError("balance edge needs at least 3 tree nodes")
-    best = None
-    for child, parent in tree.tree_edges():
-        low = min(tree.subtree[child], n - tree.subtree[child])
-        key = (-low, child)
-        if best is None or key < best[0]:
-            best = (key, (child, parent))
-    return best[1]
+    subtree = tree.subtree
+    best_low, best = -1, -1
+    for t in tree.order[1:]:
+        low = min(subtree[t], n - subtree[t])
+        if low > best_low or (low == best_low and t < best):
+            best_low, best = low, t
+    return best, tree.parent[best]
 
 
 def _farthest_from(tree: DualSpanningTree, start: int, blocked: int) -> list[int]:
@@ -141,34 +159,29 @@ def _farthest_from(tree: DualSpanningTree, start: int, blocked: int) -> list[int
     The cut edge is (start, blocked) or (blocked, start); BFS runs on tree
     edges only, never crossing to `blocked`. Ties go to the smallest id.
     """
-    pred = {start: None}
-    frontier = [start]
-    farthest = start
-    while frontier:
+    parent, children = tree.parent, tree.children
+    pred = [-1] * len(parent)  # -1: not reached
+    pred[start] = start
+    pred[blocked] = blocked
+    level = [start]
+    while True:
         nxt = []
-        for t in sorted(frontier):
-            for nb in _tree_neighbors(tree, t):
-                if nb == blocked or nb in pred:
-                    continue
-                pred[nb] = t
-                nxt.append(nb)
-        if nxt:
-            farthest = min(nxt)
-        frontier = nxt
-    path = []
-    node = farthest
-    while node is not None:
-        path.append(node)
+        for t in level:
+            p = parent[t]
+            for u in children[t] if p is None else (*children[t], p):
+                if pred[u] < 0:
+                    pred[u] = t
+                    nxt.append(u)
+        if not nxt:
+            break
+        level = nxt
+    node = min(level)
+    path = [node]
+    while node != start:
         node = pred[node]
+        path.append(node)
     path.reverse()  # start ... farthest
     return path
-
-
-def _tree_neighbors(tree: DualSpanningTree, t: int) -> list[int]:
-    nbrs = list(tree.children[t])
-    if tree.parent[t] is not None:
-        nbrs.append(tree.parent[t])
-    return nbrs
 
 
 def spine_path(tree: DualSpanningTree, e: tuple[int, int]) -> list[int]:
@@ -210,6 +223,7 @@ def euler_strip(
     would assign on a copy of `mesh`.
     """
     doubled = _doubled_edges(tree, spine)
+    nb, stamp = mesh.neighbours, mesh._stamp
     vertices = list(mesh.vertices)
     triangles = list(mesh.triangles)
     alive = list(mesh.alive)
@@ -219,7 +233,10 @@ def euler_strip(
     split: list[tuple[int, int, int, int] | None] = [None] * n_cells
     records: list[SplitRecord] = []
     for anchor, child in doubled:
-        e = shared_edge(mesh, anchor, child)
+        # the edge across which the child lies in the anchor's row
+        i = nb.index(child, 3 * anchor, 3 * anchor + 3) - 3 * anchor
+        tri = triangles[anchor]
+        e = edge_key(tri[i], tri[(i + 1) % 3])
         a, b = e
         cell = anchor
         rec = split[anchor]
@@ -227,8 +244,10 @@ def euler_strip(
             x, cx, cy, _ = rec
             cell = cx if x == a or x == b else cy
             parents = (child, cell)  # a split child is listed after every original
+        elif stamp[child] < stamp[anchor]:  # listing order
+            parents = (child, anchor)
         else:
-            parents = tuple(mesh.listing_order((anchor, child)))
+            parents = (anchor, child)
         pa = vertices[a]
         pb = vertices[b]
         mid = len(vertices)
@@ -282,12 +301,12 @@ def euler_strip(
             cells.append(cx)
             stack.append((cy, -1))
             stack.append((across, v))
-    rank = list(accumulate(alive))  # rank[t] - 1 is t's id among the live cells
-    strip = [rank[t] - 1 for t in cells]
+    rank = np.cumsum(alive) - 1  # rank[t] is t's id among the live cells
+    strip = rank[cells].tolist()
     del doubled, split, cells, rank
-    live = [tri for tri, keep in zip(triangles, alive) if keep]
+    live = list(compress(triangles, alive))
     del triangles, alive
-    return strip, records, Mesh(vertices, live)
+    return strip, records, Mesh._built(vertices, live)
 
 
 def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, int]]:
@@ -296,16 +315,18 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
     child. Only interior spine triangles may anchor one, at most one each."""
     parent, children = tree.parent, tree.children
     ends = (spine[0], spine[-1])
-    reached = set(spine)
+    reached = bytearray(len(parent))
+    for s in spine:
+        reached[s] = 1
     doubled: list[tuple[int, int]] = []
     level = sorted(spine)
     on_spine = True
     while level:
         nxt: list[int] = []
         for a in level:
-            kids = [c for c in children[a] if c not in reached]
+            kids = [c for c in children[a] if not reached[c]]
             p = parent[a]
-            if p is not None and p not in reached:
+            if p is not None and not reached[p]:
                 kids.append(p)
             if not kids:
                 continue
@@ -317,7 +338,8 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
                         f"spine triangle {a} has {len(kids)} doubled children (max 1)"
                     )
             kids.sort()
-            reached.update(kids)
+            for c in kids:
+                reached[c] = 1
             doubled += [(a, c) for c in kids]
             nxt += kids
         nxt.sort()
@@ -337,14 +359,15 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         report = validate(mesh, "with_boundary")
         if not report.ok:
             raise ValidationError(report)
-        if not mesh.boundary_edges():
+        nb = mesh.neighbours  # stop at the first live row with a boundary slot
+        if not any(a and -1 in nb[3 * t : 3 * t + 3] for t, a in enumerate(mesh.alive)):
             raise ValidationError(_closed_report(mesh))
         n_input = mesh.n_triangles
 
     with timer("strip"):
         records: list[SplitRecord] = []
         if n_input <= 2:
-            out = Mesh(mesh.vertices, [mesh.triangles[t] for t in mesh.alive_ids()])
+            out = Mesh._built(list(mesh.vertices), [mesh.triangles[t] for t in mesh.alive_ids()])
             strip = list(range(n_input))
             spine_len = n_input - 1
         else:

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "torus and fan stop at 2^20 triangles",
     )
     p.add_argument("--out", "-o", default=None, help="output file (default: <spec>.<format>)")
-    p.add_argument("--format", choices=("off", "obj"), default="off")
+    p.add_argument("--format", choices=("off", "obj"), help="default: the -o suffix, else off")
 
     p = sub.add_parser("stripify", help="closed mesh -> single Hamiltonian triangle cycle")
     p.add_argument("input")
@@ -196,9 +196,13 @@ def _run_strip(args, pipeline) -> dict:
 def _cmd_gen(args) -> int:
     spec = parse_spec(args.spec)
     mesh = generate(spec)
-    out = Path(args.out) if args.out else Path(f"{spec}.{args.format}")
+    fmt = args.format
+    if fmt is None:
+        suffix = Path(args.out).suffix.lower() if args.out else ""
+        fmt = suffix[1:] if suffix in (".off", ".obj") else "off"
+    out = Path(args.out) if args.out else Path(f"{spec}.{fmt}")
     with _writing():
-        save_mesh(mesh, out, fmt=args.format)
+        save_mesh(mesh, out, fmt=fmt)
     print(f"wrote {out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
     return EXIT_OK
 

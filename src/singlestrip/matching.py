@@ -212,12 +212,17 @@ def blossom_maximum_matching(
     a node's neighbours in ascending id; the rows are sorted once, and only
     when the seed leaves a node exposed. Odd cycles are contracted on the
     fly through a union-find that tracks blossom bases. When `state` is
-    given, its `augment_nodes` gains the nodes each search labelled.
+    given, its `augment_nodes` gains the nodes each search labelled. The
+    seed is checked against `graph` first, and left as it is.
     """
-    match: dict[int, int] = {}
     if seed:
         validate_matching(graph, seed)
-        match.update(seed)
+    return _grow(graph, dict(seed or ()), state)
+
+
+def _grow(graph, match: dict[int, int], state: MatchState | None) -> dict[int, int]:
+    """`blossom_maximum_matching` without the seed check: grows `match` in
+    place and returns it."""
     labelled = 0
     # a search never unmatches a node, so only nodes the seed leaves exposed are roots
     roots = sorted(set(graph).difference(match))
@@ -328,22 +333,23 @@ def perfect_match_dual(dual: dict[int, list[int]]) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
     `dual` is `build_dual`'s mapping. The greedy phase consumes a set copy
-    of it; the blossom phase reads the dual itself and checks the replayed
-    seed against it before it augments. Raises MatchingError (with the
-    unmatched node set) if the result is not perfect, which signals a
-    violated precondition: the dual must be 3-regular and bridgeless.
+    of it; the blossom phase reads the dual itself and grows the replayed
+    seed in place, unchecked: the replay built it from the dual's own rows,
+    and `extract_cycles` rejects a partner outside a triangle's row. Raises
+    MatchingError (with the unmatched node set) if the result is not
+    perfect, which signals a violated precondition: the dual must be
+    3-regular and bridgeless.
     """
     partner, log, picks = _greedy_consume(_adjacency(dual))
     partner = replay_reductions(partner, log)
     state = MatchState(partner, greedy_matched=len(partner), greedy_picks=picks)
-    match = blossom_maximum_matching(dual, partner, state)
-    if len(match) < len(dual):
-        unmatched = [v for v in sorted(dual) if v not in match]
+    _grow(dual, partner, state)
+    if len(partner) < len(dual):
+        unmatched = [v for v in sorted(dual) if v not in partner]
         raise MatchingError(
             f"no perfect matching: {len(unmatched)} node(s) left unmatched "
             f"(dual not 3-regular/bridgeless?)",
             unmatched=unmatched,
         )
-    state.partner = match
-    state.augmentations = (len(match) - state.greedy_matched) // 2
+    state.augmentations = (len(partner) - state.greedy_matched) // 2
     return state

@@ -167,6 +167,11 @@ def _first_others(order: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.
     return table
 
 
+def _table(tri: np.ndarray, n: int) -> list[int]:
+    """The dual-neighbour table of an (m, 3) all-live triangle array."""
+    return _first_others(*_edge_sort(tri, n)[:3]).tolist()
+
+
 class Mesh:
     """Indexed triangle mesh with a dual-neighbour table.
 
@@ -187,15 +192,17 @@ class Mesh:
     table with one sort of the edge slots. `vertices` and `triangles` may be
     sequences or arrays: a float64 vertex array and an integer triangle
     array (as the OFF/OBJ readers pass them) are checked and sorted as they
-    are, without a round trip through Python lists. `neighbours`, when
-    given, is taken as that table instead (as `compact` passes it) and is
-    not checked.
+    are, without a round trip through Python lists.
+
+    The constructor is for data from outside: readers, generators and
+    callers. Lists the pipeline made itself (`compact`, `euler_strip`) go
+    through `_built`, which checks nothing and converts nothing.
 
     Edits go through `_append`, `_retire`, `_reinstate` and `_repoint`; each
     caller rewrites the rows on both sides of the edges it changes.
     """
 
-    def __init__(self, vertices, triangles, neighbours=None):
+    def __init__(self, vertices, triangles):
         pts = _point_array(vertices)
         bad = ~np.isfinite(pts).all(axis=1)
         if bad.any():
@@ -206,11 +213,28 @@ class Mesh:
             triangles = list(triangles)
         tri = _index_array(triangles, n)
         _check_triangles(tri, n, triangles)
-        m = len(tri)
+        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), _table(tri, n))
+
+    @classmethod
+    def _built(cls, vertices, triangles, neighbours=None) -> "Mesh":
+        """A mesh of all-live triangles that holds the given lists as they
+        are, with no checks and no round trip through numpy. Only for lists
+        the pipeline made itself: `vertices` as tuples of floats, and
+        `triangles` as tuples of in-range ids, no vertex repeated and no
+        triangle duplicated. Without `neighbours`, the table is sorted once,
+        as the constructor sorts it."""
         if neighbours is None:
-            neighbours = _first_others(*_edge_sort(tri, n)[:3]).tolist()
-        self.vertices: list[tuple[float, float, float]] = list(map(tuple, pts.tolist()))
-        self.triangles: list[tuple[int, int, int]] = list(map(tuple, tri.tolist()))
+            flat = chain.from_iterable(triangles)
+            tri = np.fromiter(flat, dtype=np.int64, count=3 * len(triangles)).reshape(-1, 3)
+            neighbours = _table(tri, len(vertices))
+        mesh = cls.__new__(cls)
+        mesh._fill(vertices, triangles, neighbours)
+        return mesh
+
+    def _fill(self, vertices, triangles, neighbours) -> None:
+        m = len(triangles)
+        self.vertices: list[tuple[float, float, float]] = vertices
+        self.triangles: list[tuple[int, int, int]] = triangles
         self.alive: list[bool] = [True] * m
         self.neighbours: list[int] = neighbours
         self._stamp: list[int] = list(range(m))  # when each triangle was last added or revived
@@ -313,7 +337,7 @@ class Mesh:
         renumber[ids] = np.arange(len(ids))
         table = np.fromiter(self.neighbours, dtype=np.int64, count=len(self.neighbours))
         rows = renumber[table.reshape(-1, 3)[ids]].ravel().tolist()
-        mesh = Mesh(self.vertices, [self.triangles[t] for t in ids], neighbours=rows)
+        mesh = Mesh._built(list(self.vertices), [self.triangles[t] for t in ids], rows)
         return mesh, {old: new for new, old in enumerate(ids)}
 
 

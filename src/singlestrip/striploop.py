@@ -511,9 +511,10 @@ class StageTimer:
 class StripResult:
     """Pipeline output: the subdivided mesh and the triangle order over it.
 
-    ``mesh`` is built once, through the constructor, from the live triangles
-    in id order; the closed pipeline hands it the working mesh's neighbour
-    table, renumbered, rather than having it sorted again.
+    ``mesh`` is built once, unchecked (``Mesh._built``), from the live
+    triangles in id order: the closed pipeline's ``compact`` hands it the
+    working mesh's neighbour table, renumbered, and the open pipeline sorts
+    the table once from its split replay's lists.
 
     Each of ``splits`` names its midpoint by its vertex id in ``mesh`` and
     its triangles by their ids in a working copy of the input, not kept.

@@ -5,10 +5,10 @@ adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the point-by-
 point repeat filter, the set-based order check, the Euler strip by mesh
-edits, the set-based three-cycle elimination, the full-sweep nodal merge,
-the dict-based mesh, the heap greedy and its frozenset replay, the blossom
-with a base map, and the cycle walk with a dict) share only the primitives
-they were built on. The test
+edits, the dict-based spanning tree, balance edge and spine, the set-based
+three-cycle elimination, the full-sweep nodal merge, the dict-based mesh,
+the heap greedy and its frozenset replay, the blossom with a base map, and
+the cycle walk with a dict) share only the primitives they were built on. The test
 helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
 `greedy_reduce`, the forced reductions on their own, the stats and JSON
 curve readers, and the mesh geometry, edge scans, table reads and edits) are
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -439,6 +440,89 @@ def euler_strip_by_splits(mesh, tree, spine):
     return [remap[t] for t in strip], records, out
 
 
+# -- spanning tree, balance edge and spine on dicts --------------------------------
+#
+# The open path's tree passes as the library ran them before they moved to
+# lists indexed by triangle id.
+
+
+@dataclass
+class TreeByDicts:
+    parent: dict  # node -> parent, None at the root
+    children: dict  # node -> children in visiting order
+    subtree: dict  # node -> size of its subtree
+
+    def tree_edges(self):
+        return [(t, p) for t, p in self.parent.items() if p is not None]
+
+
+def dual_spanning_tree_by_dicts(dual) -> TreeByDicts:
+    """BFS tree from the smallest node, neighbours in list order."""
+    root = min(dual)
+    parent = {root: None}
+    children = {t: [] for t in dual}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        t = queue.popleft()
+        for nb in dual[t]:
+            if nb not in parent:
+                parent[nb] = t
+                children[t].append(nb)
+                order.append(nb)
+                queue.append(nb)
+    assert len(parent) == len(dual), "dual graph is disconnected"
+    subtree = {t: 1 for t in parent}
+    for t in reversed(order):
+        if parent[t] is not None:
+            subtree[parent[t]] += subtree[t]
+    return TreeByDicts(parent=parent, children=children, subtree=subtree)
+
+
+def balance_edge_by_dicts(tree: TreeByDicts) -> tuple[int, int]:
+    """(child, parent) maximizing the smaller side, ties to the smaller child."""
+    n = len(tree.parent)
+    best = None
+    for child, parent in tree.tree_edges():
+        low = min(tree.subtree[child], n - tree.subtree[child])
+        key = (-low, child)
+        if best is None or key < best[0]:
+            best = (key, (child, parent))
+    return best[1]
+
+
+def _farthest_by_dicts(tree: TreeByDicts, start: int, blocked: int) -> list[int]:
+    pred = {start: None}
+    frontier = [start]
+    farthest = start
+    while frontier:
+        nxt = []
+        for t in sorted(frontier):
+            nbrs = list(tree.children[t])
+            if tree.parent[t] is not None:
+                nbrs.append(tree.parent[t])
+            for nb in nbrs:
+                if nb == blocked or nb in pred:
+                    continue
+                pred[nb] = t
+                nxt.append(nb)
+        if nxt:
+            farthest = min(nxt)
+        frontier = nxt
+    path = []
+    node = farthest
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    return path[::-1]
+
+
+def spine_path_by_dicts(tree: TreeByDicts, e: tuple[int, int]) -> list[int]:
+    """Leaf-to-leaf path through e, each end the farthest on its side."""
+    child, parent = e
+    return _farthest_by_dicts(tree, child, parent)[::-1] + _farthest_by_dicts(tree, parent, child)
+
+
 # -- test meshes and former library helpers -------------------------------------
 
 
@@ -601,6 +685,20 @@ def insert_centroid(mesh, tid: int) -> tuple[int, tuple[int, int, int]]:
         mesh._append(tri, [outer[k], fan[(k + 1) % 3], fan[(k + 2) % 3]])
         mesh._repoint(outer[k], tid, fan[k])
     return g, fan
+
+
+def assert_same_as_checked_rebuild(mesh) -> None:
+    """A mesh the pipeline built unchecked equals the checking constructor's
+    build of its vertices and triangles, field by field."""
+    from singlestrip.mesh import Mesh
+
+    want = Mesh(mesh.vertices, mesh.triangles)
+    assert list(map(repr, mesh.vertices)) == list(map(repr, want.vertices))
+    assert mesh.triangles == want.triangles
+    assert mesh.alive == want.alive
+    assert mesh.neighbours == want.neighbours
+    assert mesh._stamp == want._stamp
+    assert (mesh._clock, mesh.n_triangles) == (want._clock, want.n_triangles)
 
 
 def punch_holes(mesh, tids) -> None:

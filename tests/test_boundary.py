@@ -10,12 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    assert_same_as_checked_rebuild,
+    balance_edge_by_dicts,
     dual_by_shared_vertices,
+    dual_spanning_tree_by_dicts,
     euler_strip_by_splits,
+    insert_centroid,
     longest_path_in_tree,
     prufer_tree,
     punch_holes,
     relabel,
+    spine_path_by_dicts,
     tree_edge_splits,
 )
 from singlestrip.boundary import (
@@ -31,7 +36,7 @@ from singlestrip.generators import fan, torus
 from singlestrip.cli import main
 from singlestrip.fileio import load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
-from singlestrip.striploop import PipelineError, verify_order
+from singlestrip.striploop import PipelineError, stripify, verify_order
 
 
 def _tree_as_dual(adj):
@@ -283,6 +288,85 @@ def test_euler_strip_matches_split_pair_oracle(mesh, seed):
     assert verify_order(out, strip, closed=False) == (True, None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
+def test_unchecked_outputs_equal_a_checked_rebuild(mesh, seed):
+    # `euler_strip` (through `strip_with_boundary`, the n <= 2 branch too)
+    # and `compact` build their meshes without the constructor's checks
+    mesh = relabel(mesh, random.Random(seed))
+    assert_same_as_checked_rebuild(strip_with_boundary(mesh).mesh)
+    punch_holes(mesh, mesh.alive_ids()[: mesh.n_triangles // 4])
+    assert_same_as_checked_rebuild(mesh.compact()[0])
+
+
+def _prufer_dual(seq):
+    return _tree_as_dual(prufer_tree(tuple(seq)))
+
+
+_tree_duals = st.one_of(
+    st.builds(build_dual, _open_meshes),
+    st.builds(lambda p, q: build_dual(torus(p, q)), st.integers(3, 9), st.integers(3, 9)),
+    st.lists(st.integers(0, 11), min_size=1, max_size=10).map(
+        lambda seq: _prufer_dual([v % (len(seq) + 2) for v in seq])
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
+def test_list_tree_matches_the_dict_oracle(dual, seed):
+    # relabel the nodes sparsely, so that the lists hold slots off the tree
+    rng = random.Random(seed)
+    ids = rng.sample(range(3 * len(dual)), len(dual))
+    name = dict(zip(sorted(dual), ids))
+    dual = {name[t]: [name[u] for u in row] for t, row in dual.items()}
+    tree = dual_spanning_tree(dual)
+    want = dual_spanning_tree_by_dicts(dual)
+    assert tree.tree_edges() == want.tree_edges()
+    assert tree.n == len(want.parent)
+    assert {t: tree.subtree[t] for t in dual} == want.subtree
+    assert {t: tree.children[t] for t in dual} == want.children
+    off = set(range(len(tree.parent))) - set(dual)
+    assert all(tree.parent[t] is None and not tree.children[t] and not tree.subtree[t] for t in off)
+    if len(dual) >= 3:
+        e = balance_edge(tree)
+        assert e == balance_edge_by_dicts(want)
+        assert spine_path(tree, e) == spine_path_by_dicts(want, e)
+
+
+def _centroid_torus():
+    mesh = torus(8, 6)
+    for t in (0, 17, 30):
+        insert_centroid(mesh, t)
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "run,make",
+    [
+        (strip_with_boundary, lambda: gen_mk(4)),
+        (strip_with_boundary, lambda: _open_grid(1, 1)),
+        (stripify, _centroid_torus),
+    ],
+    ids=["open-mk4", "open-two-triangles", "closed-centroids"],
+)
+def test_the_pipeline_never_calls_the_checking_constructor(monkeypatch, run, make):
+    # what the pipeline builds itself goes through `Mesh._built`; a checking
+    # construction brought back on pipeline-made data fails here
+    mesh = make()
+    calls = []
+    init = Mesh.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Mesh, "__init__", counting)
+    res = run(mesh)
+    assert calls == []
+    assert res.stats["verified"] and res.mesh.n_triangles == len(res.order)
+
+
 @pytest.mark.parametrize("shape", ["end", "start", "interior"])
 def test_euler_strip_rejects_a_spine_triangle_with_two_doubled_children(shape):
     # mk(2): a centre triangle, three triangles around it and two ears on
@@ -350,6 +434,11 @@ def test_strip_with_boundary_single_triangle():
 def test_strip_with_boundary_rejects_closed():
     with pytest.raises(ValidationError, match="no boundary"):
         strip_with_boundary(torus(4, 3))
+    # a dead row's -1 slots are stale and do not make a boundary
+    mesh = torus(4, 3)
+    mesh._retire(mesh._append((0, 1, 5), [-1, -1, -1]))
+    with pytest.raises(ValidationError, match="no boundary"):
+        strip_with_boundary(mesh)
 
 
 def test_strip_with_boundary_deterministic():

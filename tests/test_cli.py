@@ -25,6 +25,25 @@ def test_gen_writes_mesh(tmp_path, capsys):
     assert load_mesh(out).n_triangles == 40
 
 
+@pytest.mark.parametrize(
+    "name,argv,head",
+    [
+        ("t.obj", [], "v "),
+        ("t.OFF", [], "OFF"),
+        ("t.mesh", [], "OFF"),
+        ("t.obj", ["--format", "off"], "OFF"),
+        ("t.off", ["--format", "obj"], "v "),
+    ],
+    ids=["obj", "upper-case-off", "other-suffix", "format-off-wins", "format-obj-wins"],
+)
+def test_gen_format_follows_the_out_suffix_unless_given(tmp_path, name, argv, head):
+    out = tmp_path / name
+    assert main(["gen", "torus(6,4)", "-o", str(out), *argv]) == 0
+    assert out.read_text().startswith(head)
+    if argv == [] and name != "t.mesh":
+        assert load_mesh(out).n_triangles == 48
+
+
 def test_gen_bad_spec_is_parse_error(tmp_path):
     assert main(["gen", "hypercube(4)", "-o", str(tmp_path / "x.off")]) == 2
 

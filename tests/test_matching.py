@@ -374,3 +374,45 @@ def test_determinism():
     a = perfect_match_dual(dual).partner
     b = perfect_match_dual(build_dual(torus(10, 8))).partner
     assert a == b
+
+
+def _centroid_torus():
+    mesh = torus(8, 6)
+    for t in (0, 17, 30):
+        insert_centroid(mesh, t)
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: torus(6, 5), _centroid_torus], ids=["torus", "torus-with-centroids"]
+)
+def test_a_replayed_seed_off_the_dual_ends_in_a_typed_error(monkeypatch, make):
+    # the pipeline grows its replayed seed unchecked; a seed that pairs two
+    # non-adjacent triangles must still end in a typed error, not an order
+    from singlestrip import matching
+    from singlestrip.striploop import PipelineError, stripify
+
+    seen = {}
+
+    def adjacency(graph):
+        seen["dual"] = graph
+        return _adjacency(graph)
+
+    def replay(partner, log):
+        out = replay_reductions(partner, log)
+        dual = seen["dual"]
+        a = min(out)
+        b = out[a]
+        c = next(t for t in sorted(out) if t not in (a, b) and t not in dual[a])
+        d = out[c]
+        out.update({a: c, c: a, b: d, d: b})
+        seen["seed"] = dict(out)
+        return out
+
+    monkeypatch.setattr(matching, "_adjacency", adjacency)
+    monkeypatch.setattr(matching, "replay_reductions", replay)
+    with pytest.raises((PipelineError, MatchingError)):
+        stripify(make())
+    # the public entry point still checks its seed
+    with pytest.raises(MatchingError, match="not an edge"):
+        blossom_maximum_matching(seen["dual"], seen["seed"])

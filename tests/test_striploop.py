@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_perfect_matchings,
+    assert_same_as_checked_rebuild,
     cycle_lengths,
     eliminate_three_cycles_by_sets,
     extract_cycles_by_dict,
@@ -142,6 +143,26 @@ def test_eliminate_matches_set_based_oracle(shape, centroids, relabel_after, see
     assert mesh.alive == oracle.alive
     assert mesh.triangles == oracle.triangles
     assert mesh.n_triangles >= MIN_TRIANGLES
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("torus"), st.integers(3, 10), st.integers(3, 10)),
+        st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
+    ),
+    centroids=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compacted_output_equals_a_checked_rebuild(shape, centroids, seed):
+    # `compact` keeps the working table, renumbered, and checks nothing;
+    # relabelled inputs make cycles, so most outputs hold split children
+    kind, a, b = shape
+    rng = random.Random(seed)
+    mesh = relabel(torus(a, b) if kind == "torus" else icosphere(a), rng)
+    for _ in range(centroids):
+        insert_centroid(mesh, rng.choice(mesh.alive_ids()))
+    assert_same_as_checked_rebuild(stripify(mesh).mesh)
 
 
 # -- restoration ----------------------------------------------------------------
