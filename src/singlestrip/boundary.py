@@ -7,11 +7,12 @@ strip: the strip enters each doubled subtree, sweeps it, and returns through
 the other half of the doubled edge. Output size is exactly
 n + 2 * (non-spine tree edges) = 3n - 2 - 2|P|.
 
-`euler_strip` edits no mesh: one replay of the midpoint splits on plain
-lists records each split cell's children, and one iterative walk over those
-records lists the strip's cell ids. The replay made every output cell
-itself, so the output mesh is built from its lists by `Mesh._built`, with
-no checks; only pipeline-made lists may go that way.
+`euler_strip` edits no mesh. Each doubled edge's midpoint and children get
+ids in closed form, so one pass over arrays replays every midpoint split,
+and one iterative walk over the splits' records lists the strip's cell ids.
+The output mesh reuses the input's surviving triangles, appends the live
+children, and is built by `Mesh._built` with no checks; only pipeline-made
+lists may go that way. Its neighbour table is sorted only if it is read.
 
 The tree passes hold lists indexed by triangle id, not dicts: each list has
 a slot for every id up to the largest tree node, and a slot off the tree (a
@@ -21,8 +22,9 @@ dead triangle) holds None, [] or 0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .mesh import (
     ValidationError,
     ValidationReport,
     build_dual,
-    edge_key,
     validate,
 )
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
@@ -204,109 +205,195 @@ def euler_strip(
 ) -> tuple[list[int], list[SplitRecord], Mesh]:
     """Subdivide every non-spine tree edge and assemble the open strip.
 
-    Leaves `mesh` untouched. The doubled edges are split, in the order of
-    `_doubled_edges`, by one replay of `split_pair` on copies of the mesh
-    lists. Every cell is split at most once: a doubled edge's child triangle
-    is still whole when its edge comes up, and the anchor's cell on it is
-    the anchor or the anchor's half that holds the edge. So each split cell
-    keeps one record: its split vertex x, its children holding x and the
-    edge's other end, and the tree child across the edge if the cell is an
-    anchor's.
+    Leaves `mesh` untouched. With m triangle slots and V vertices in
+    `mesh`, doubled edge j (in the order of `_doubled_edges`) gets midpoint
+    V + j and children m + 4j ... m + 4j + 3, the ids `split_pair` would
+    assign on a copy of `mesh`. Every cell is split at most once: a doubled
+    edge's child triangle is still whole when its edge comes up, and the
+    anchor's cell on it is the anchor itself (on the spine) or the half of
+    the anchor's own earlier split that holds the edge. `_replay` makes all
+    the splits in one pass over arrays.
 
-    The strip is one depth-first walk over those records, down the spine.
-    A tree triangle entered at vertex v of its doubled parent edge yields
-    its half at v, then its half at the apex; an anchor's split cell entered
-    at v yields its child at v, the subtree across its edge entered at v,
-    then its other child. Returns (strip, records, out): `out` holds the
-    live cells in id order, as `Mesh.compact` would number them, and
-    `strip` indexes it. Triangle ids in the records are those `split_pair`
-    would assign on a copy of `mesh`.
+    The strip is one depth-first walk down the spine. Per cell it reads one
+    index into the splits' flat `(x, cx, across, y, w)` records: the split
+    vertex x, the child cx at x (cx + 1 is the child at the edge's other
+    end y), the tree child across the edge or -1 for the child's own cell,
+    and the apex w. A tree triangle entered at vertex v of its doubled
+    parent edge yields its half at v, then its half at the apex; an
+    anchor's split cell entered at v yields its child at v, the subtree
+    across its edge entered at v, then its other child.
+
+    Returns (strip, records, out): `out` holds the live cells in id order,
+    as `Mesh.compact` would number them, the input's surviving triangles
+    first, and `strip` indexes it.
     """
     doubled = _doubled_edges(tree, spine)
-    nb, stamp = mesh.neighbours, mesh._stamp
-    vertices = list(mesh.vertices)
-    triangles = list(mesh.triangles)
-    alive = list(mesh.alive)
-    n_cells = len(triangles) + 4 * len(doubled)
-    # per split cell: (split vertex x, child holding x, child holding the
-    # other end y, tree child across the edge or -1 for the child's own cell)
-    split: list[tuple[int, int, int, int] | None] = [None] * n_cells
-    records: list[SplitRecord] = []
-    for anchor, child in doubled:
-        # the edge across which the child lies in the anchor's row
-        i = nb.index(child, 3 * anchor, 3 * anchor + 3) - 3 * anchor
-        tri = triangles[anchor]
-        e = edge_key(tri[i], tri[(i + 1) % 3])
-        a, b = e
-        cell = anchor
-        rec = split[anchor]
-        if rec is not None:
-            x, cx, cy, _ = rec
-            cell = cx if x == a or x == b else cy
-            parents = (child, cell)  # a split child is listed after every original
-        elif stamp[child] < stamp[anchor]:  # listing order
-            parents = (child, anchor)
-        else:
-            parents = (anchor, child)
-        pa = vertices[a]
-        pb = vertices[b]
-        mid = len(vertices)
-        vertices.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
-        first = len(triangles)
-        for tid in parents:
-            # rotate so the split edge is (x, y)
-            p, q, r = triangles[tid]
-            if r != a and r != b:
-                x, y, w = p, q, r
-            elif p != a and p != b:
-                x, y, w = q, r, p
-            else:
-                x, y, w = r, p, q
-            alive[tid] = False
-            c0 = len(triangles)
-            triangles.append((x, mid, w))
-            triangles.append((mid, y, w))
-            split[tid] = (x, c0, c0 + 1, child if tid == cell else -1)
-        alive += (True, True, True, True)
-        children = (first, first + 1, first + 2, first + 3)
-        records.append(SplitRecord(edge=e, midpoint=mid, parents=parents, children=children))
+    m, v0, n = len(mesh.triangles), len(mesh.vertices), len(doubled)
+    fields, mids, kept, rows, at, walk, rank = _replay(mesh, doubled)
+    # one int object per vertex id, shared by the records and the triangles
+    vid = list(range(v0 + n)).__getitem__
+    records = list(
+        map(
+            SplitRecord,
+            zip(map(vid, fields[0::4]), map(vid, fields[1::4])),
+            map(vid, range(v0, v0 + n)),
+            zip(fields[2::4], fields[3::4]),
+            zip(*(range(m + k, m + 4 * n, 4) for k in range(4))),
+        )
+    )
+    del fields
 
+    tris = mesh.triangles
     stack: list[tuple[int, int]] = []  # (cell, the vertex it is entered at)
     for i in range(len(spine) - 1, 0, -1):
         s = spine[i]
-        rec = split[s]
+        r = at[s]
         v = -1
-        if rec is not None:
+        if r >= 0:
             # enter at the end of s's doubled edge that its predecessor holds
-            v = rec[0] if rec[0] in triangles[spine[i - 1]] else triangles[rec[2]][1]
+            v = walk[r] if walk[r] in tris[spine[i - 1]] else walk[r + 3]
         stack.append((s, v))
     stack.append((spine[0], -1))
-    cells: list[int] = []
+    strip: list[int] = []
+    push, pop, out = stack.append, stack.pop, strip.append
     while stack:
-        t, v = stack.pop()
-        rec = split[t]
-        if rec is None:
-            cells.append(t)
+        t, v = pop()
+        r = at[t]
+        if r < 0:
+            out(rank[t])
             continue
-        x, cx, cy, across = rec
-        if x != v:
-            cx, cy = cy, cx
+        cx = walk[r + 1]  # the child at x; cx + 1 is the child at y
+        if walk[r] == v:
+            near, far = cx, cx + 1
+        else:
+            near, far = cx + 1, cx
+        across = walk[r + 2]
         if across < 0:
             # a tree triangle entered across its doubled parent edge: its half
-            # at v, then its half at the apex, which both children hold last
-            stack.append((cy, triangles[cx][2]))
-            stack.append((cx, v))
+            # at v, then its half at the apex
+            push((far, walk[r + 4]))
+            push((near, v))
         else:
             # the anchor's children are never split again
-            cells.append(cx)
-            stack.append((cy, -1))
-            stack.append((across, v))
-    rank = np.cumsum(alive) - 1  # rank[t] is t's id among the live cells
-    strip = rank[cells].tolist()
-    del doubled, split, cells, rank
-    live = list(compress(triangles, alive))
-    del triangles, alive
-    return strip, records, Mesh._built(vertices, live)
+            out(rank[near])
+            push((far, -1))
+            push((across, v))
+    del at, walk, rank
+
+    vertices = list(mesh.vertices)
+    vertices += zip(mids[0::3], mids[1::3], mids[2::3])
+    triangles = list(compress(tris, kept))
+    triangles += zip(map(vid, rows[0::3]), map(vid, rows[1::3]), map(vid, rows[2::3]))
+    return strip, records, Mesh._built(vertices, triangles)
+
+
+def _replay(mesh: Mesh, doubled: list[tuple[int, int]]):
+    """The midpoint splits of `doubled` on `mesh`, in one pass over arrays.
+
+    Returns flat buffers, so that no array outlives the call:
+    - `fields`: per split, its edge (lo, hi) and its parents, 4 per split;
+    - `mids`: the midpoints' coordinates, 3 per split;
+    - `kept`: per input slot, 1 if it is live and not split;
+    - `rows`: the live children's vertex triples, 3 per child, in id order;
+    - `at`: per cell (input slots, then children), the index of its record
+      in `walk`, or -1 if it is not split;
+    - `walk`: per split, its parents' `(x, cx, across, y, w)` records;
+    - `rank`: per cell, its id among the live cells.
+    The parents are ordered (child, cell) when the cell is a half of an
+    earlier split, as such a half is listed after every input triangle,
+    and in listing order (by `_stamp`) otherwise.
+    """
+    m, v0, n = len(mesh.triangles), len(mesh.vertices), len(doubled)
+    pair = np.fromiter(chain.from_iterable(doubled), dtype=np.int64, count=2 * n)
+    anchor, child = pair[0::2], pair[1::2]
+    j = np.arange(n)
+    (ax, ay, aw), (cx, cy, cw) = _rotations(mesh, anchor, child)
+    # off the spine an anchor is the child of an earlier split: its cell is
+    # that split's half at x if it holds x, else the half at y, and either
+    # half winds the edge as the anchor did, with the midpoint as its apex
+    made = np.full(m, -1, dtype=np.int64)
+    made[child] = j
+    earlier = made[anchor]
+    off = earlier >= 0
+    stamp = np.fromiter(mesh._stamp, dtype=np.int64, count=m)
+    child_first = off | (stamp[child] < stamp[anchor])
+    cell, apex = anchor.copy(), aw.copy()
+    e = earlier[off]
+    at_y = (ax[off] != cx[e]) & (ay[off] != cx[e])
+    cell[off] = m + 4 * e + 2 * ~child_first[e] + at_y
+    apex[off] = v0 + e
+
+    first = np.where(child_first, child, cell)
+    second = np.where(child_first, cell, child)
+    child_xyw, cell_xyw = np.stack([cx, cy, cw]), np.stack([ax, ay, apex])
+    x0, y0, w0 = np.where(child_first, child_xyw, cell_xyw)
+    x1, y1, w1 = np.where(child_first, cell_xyw, child_xyw)
+    mid = v0 + j
+    alive = np.ones(m + 4 * n, dtype=bool)
+    alive[:m] = mesh.alive
+    alive[first] = False
+    alive[second] = False
+    at = np.full(m + 4 * n, -1, dtype=np.int64)
+    at[first] = 10 * j
+    at[second] = 10 * j + 5
+    lo, hi = np.minimum(ax, ay), np.maximum(ax, ay)
+    # each buffer made from a temporary that dies with its conversion
+    return (
+        _flat("q", np.stack([lo, hi, first, second], axis=1)),
+        _midpoints(mesh, lo, hi),
+        alive[:m].tobytes(),
+        _flat(
+            "q",
+            np.stack([x0, mid, w0, mid, y0, w0, x1, mid, w1, mid, y1, w1], axis=1)
+            .reshape(4 * n, 3)[alive[m:]],
+        ),
+        _flat("q", at),
+        _flat(
+            "q",
+            np.stack(
+                [
+                    x0, m + 4 * j, np.where(child_first, -1, child), y0, w0,
+                    x1, m + 4 * j + 2, np.where(child_first, child, -1), y1, w1,
+                ],
+                axis=1,
+            ),
+        ),
+        _flat("q", np.cumsum(alive) - 1),
+    )
+
+
+def _rotations(mesh: Mesh, anchor: np.ndarray, child: np.ndarray):
+    """Per doubled edge, the anchor's and the child's (x, y, w): the edge's
+    ends as the triangle winds them, then its apex."""
+    m = len(mesh.triangles)
+    tri = np.fromiter(chain.from_iterable(mesh.triangles), dtype=np.int64, count=3 * m)
+    tri = tri.reshape(m, 3)
+    nb = np.fromiter(mesh.neighbours, dtype=np.int64, count=3 * m).reshape(m, 3)
+    # the anchor's slot across which the child lies
+    i = (nb[anchor] == child[:, None]).argmax(axis=1)
+    ax, ay, aw = tri[anchor, i], tri[anchor, (i + 1) % 3], tri[anchor, (i + 2) % 3]
+    # the child's apex is its one vertex off the edge
+    ct = tri[child]
+    k = ((ct != ax[:, None]) & (ct != ay[:, None])).argmax(axis=1)
+    j = np.arange(len(child))
+    return (ax, ay, aw), (ct[j, (k + 1) % 3], ct[j, (k + 2) % 3], ct[j, k])
+
+
+def _midpoints(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> array:
+    """(P[lo] + P[hi]) / 2.0 per edge, flat: the same float sums as
+    `split_pair`'s."""
+    v0 = len(mesh.vertices)
+    pts = np.fromiter(chain.from_iterable(mesh.vertices), dtype=np.float64, count=3 * v0)
+    pts = pts.reshape(v0, 3)
+    return _flat("d", (pts[lo] + pts[hi]) / 2.0)
+
+
+def _flat(typecode: str, a: np.ndarray) -> array:
+    """An int64 or float64 array's values as a flat array of `typecode`,
+    copied once."""
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+    return out
 
 
 def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, int]]:

@@ -196,7 +196,8 @@ class Mesh:
 
     The constructor is for data from outside: readers, generators and
     callers. Lists the pipeline made itself (`compact`, `euler_strip`) go
-    through `_built`, which checks nothing and converts nothing.
+    through `_built`, which checks nothing and converts nothing, and whose
+    table is sorted on the first read of `neighbours`.
 
     Edits go through `_append`, `_retire`, `_reinstate` and `_repoint`; each
     caller rewrites the rows on both sides of the edges it changes.
@@ -216,19 +217,15 @@ class Mesh:
         self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), _table(tri, n))
 
     @classmethod
-    def _built(cls, vertices, triangles, neighbours=None) -> "Mesh":
+    def _built(cls, vertices, triangles) -> "Mesh":
         """A mesh of all-live triangles that holds the given lists as they
         are, with no checks and no round trip through numpy. Only for lists
         the pipeline made itself: `vertices` as tuples of floats, and
         `triangles` as tuples of in-range ids, no vertex repeated and no
-        triangle duplicated. Without `neighbours`, the table is sorted once,
-        as the constructor sorts it."""
-        if neighbours is None:
-            flat = chain.from_iterable(triangles)
-            tri = np.fromiter(flat, dtype=np.int64, count=3 * len(triangles)).reshape(-1, 3)
-            neighbours = _table(tri, len(vertices))
+        triangle duplicated. Its table is sorted on the first read of
+        `neighbours`, as the constructor sorts it."""
         mesh = cls.__new__(cls)
-        mesh._fill(vertices, triangles, neighbours)
+        mesh._fill(vertices, triangles, None)
         return mesh
 
     def _fill(self, vertices, triangles, neighbours) -> None:
@@ -236,10 +233,20 @@ class Mesh:
         self.vertices: list[tuple[float, float, float]] = vertices
         self.triangles: list[tuple[int, int, int]] = triangles
         self.alive: list[bool] = [True] * m
-        self.neighbours: list[int] = neighbours
+        self._neighbours: list[int] | None = neighbours  # None: not sorted yet
         self._stamp: list[int] = list(range(m))  # when each triangle was last added or revived
         self._clock = m
         self._n_alive = m
+
+    @property
+    def neighbours(self) -> list[int]:
+        """The dual-neighbour table. A `_built` mesh sorts it on the first
+        read, from its triangles as built: until then no edit may change
+        `triangles`, and `_append` reads the table before it appends."""
+        if self._neighbours is None:
+            tri = _triangle_array(self, range(len(self.triangles)))
+            self._neighbours = _table(tri, self.n_vertices)
+        return self._neighbours
 
     # -- counts ----------------------------------------------------------
 
@@ -271,10 +278,11 @@ class Mesh:
         return len(self.vertices) - 1
 
     def _append(self, tri: tuple[int, int, int], row: list[int]) -> int:
+        nb = self.neighbours
         tid = len(self.triangles)
         self.triangles.append(tri)
         self.alive.append(True)
-        self.neighbours += row
+        nb += row
         self._stamp.append(self._clock)
         self._clock += 1
         self._n_alive += 1
@@ -323,7 +331,7 @@ class Mesh:
         m.vertices = list(self.vertices)
         m.triangles = list(self.triangles)
         m.alive = list(self.alive)
-        m.neighbours = list(self.neighbours)
+        m._neighbours = list(self.neighbours)
         m._stamp = list(self._stamp)
         m._clock = self._clock
         m._n_alive = self._n_alive
@@ -331,13 +339,9 @@ class Mesh:
 
     def compact(self) -> tuple["Mesh", dict[int, int]]:
         """Fresh mesh holding only live triangles, plus the old->new id map.
-        The table's rows are renumbered, not rebuilt."""
+        Its table is sorted on its first read."""
         ids = self.alive_ids()
-        renumber = np.full(len(self.triangles) + 1, -1)  # the last entry maps -1 to -1
-        renumber[ids] = np.arange(len(ids))
-        table = np.fromiter(self.neighbours, dtype=np.int64, count=len(self.neighbours))
-        rows = renumber[table.reshape(-1, 3)[ids]].ravel().tolist()
-        mesh = Mesh._built(list(self.vertices), [self.triangles[t] for t in ids], rows)
+        mesh = Mesh._built(list(self.vertices), [self.triangles[t] for t in ids])
         return mesh, {old: new for new, old in enumerate(ids)}
 
 

@@ -512,9 +512,10 @@ class StripResult:
     """Pipeline output: the subdivided mesh and the triangle order over it.
 
     ``mesh`` is built once, unchecked (``Mesh._built``), from the live
-    triangles in id order: the closed pipeline's ``compact`` hands it the
-    working mesh's neighbour table, renumbered, and the open pipeline sorts
-    the table once from its split replay's lists.
+    triangles in id order, by the closed pipeline's ``compact`` or by the
+    open pipeline's ``euler_strip``. Its neighbour table is sorted on the
+    first read of ``mesh.neighbours``; the writers and ``verify_order`` read
+    only its vertices, triangles and ``alive``.
 
     Each of ``splits`` names its midpoint by its vertex id in ``mesh`` and
     its triangles by their ids in a working copy of the input, not kept.

@@ -5,10 +5,11 @@ adjacency comes from pairwise vertex-set comparisons, matchings from
 exhaustive search, tree statistics from per-edge BFS. The former library
 paths kept here as references (the recursive curve search, the point-by-
 point repeat filter, the set-based order check, the Euler strip by mesh
-edits, the dict-based spanning tree, balance edge and spine, the set-based
-three-cycle elimination, the full-sweep nodal merge, the dict-based mesh,
-the heap greedy and its frozenset replay, the blossom with a base map, and
-the cycle walk with a dict) share only the primitives they were built on. The test
+edits and by a list replay, the dict-based spanning tree, balance edge and
+spine, the set-based three-cycle elimination, the full-sweep nodal merge,
+the dict-based mesh, the heap greedy and its frozenset replay, the blossom
+with a base map, and the cycle walk with a dict) share only the primitives
+they were built on. The test
 helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
 `greedy_reduce`, the forced reductions on their own, the stats and JSON
 curve readers, and the mesh geometry, edge scans, table reads and edits) are
@@ -438,6 +439,95 @@ def euler_strip_by_splits(mesh, tree, spine):
         strip.append(other_triangle(work, e, strip[-1]))
     out, remap = work.compact()
     return [remap[t] for t in strip], records, out
+
+
+# The open-strip construction as the library ran it before its split replay
+# moved to numpy: the same splits, replayed one at a time on copies of the
+# mesh lists, with per-cell records for the walk. Its output mesh comes from
+# the checking constructor, so its table is sorted eagerly.
+
+
+def euler_strip_by_lists(mesh, tree, spine):
+    """(strip, records, out) of the Euler construction, by a list replay."""
+    from singlestrip.boundary import _doubled_edges
+    from singlestrip.mesh import Mesh, SplitRecord, edge_key
+
+    doubled = _doubled_edges(tree, spine)
+    nb, stamp = mesh.neighbours, mesh._stamp
+    vertices = list(mesh.vertices)
+    triangles = list(mesh.triangles)
+    alive = list(mesh.alive)
+    # per split cell: (split vertex x, child holding x, child holding the
+    # other end y, tree child across the edge or -1 for the child's own cell)
+    split = [None] * (len(triangles) + 4 * len(doubled))
+    records = []
+    for anchor, child in doubled:
+        i = nb.index(child, 3 * anchor, 3 * anchor + 3) - 3 * anchor
+        tri = triangles[anchor]
+        e = edge_key(tri[i], tri[(i + 1) % 3])
+        a, b = e
+        cell = anchor
+        rec = split[anchor]
+        if rec is not None:
+            x, cx, cy, _ = rec
+            cell = cx if x == a or x == b else cy
+            parents = (child, cell)  # a split child is listed after every original
+        elif stamp[child] < stamp[anchor]:  # listing order
+            parents = (child, anchor)
+        else:
+            parents = (anchor, child)
+        pa = vertices[a]
+        pb = vertices[b]
+        mid = len(vertices)
+        vertices.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
+        first = len(triangles)
+        for tid in parents:
+            # rotate so the split edge is (x, y)
+            p, q, r = triangles[tid]
+            if r != a and r != b:
+                x, y, w = p, q, r
+            elif p != a and p != b:
+                x, y, w = q, r, p
+            else:
+                x, y, w = r, p, q
+            alive[tid] = False
+            c0 = len(triangles)
+            triangles.append((x, mid, w))
+            triangles.append((mid, y, w))
+            split[tid] = (x, c0, c0 + 1, child if tid == cell else -1)
+        alive += (True, True, True, True)
+        children = (first, first + 1, first + 2, first + 3)
+        records.append(SplitRecord(edge=e, midpoint=mid, parents=parents, children=children))
+
+    stack = []  # (cell, the vertex it is entered at)
+    for i in range(len(spine) - 1, 0, -1):
+        s = spine[i]
+        rec = split[s]
+        v = -1
+        if rec is not None:
+            v = rec[0] if rec[0] in triangles[spine[i - 1]] else triangles[rec[2]][1]
+        stack.append((s, v))
+    stack.append((spine[0], -1))
+    cells = []
+    while stack:
+        t, v = stack.pop()
+        rec = split[t]
+        if rec is None:
+            cells.append(t)
+            continue
+        x, cx, cy, across = rec
+        if x != v:
+            cx, cy = cy, cx
+        if across < 0:
+            stack.append((cy, triangles[cx][2]))
+            stack.append((cx, v))
+        else:
+            cells.append(cx)
+            stack.append((cy, -1))
+            stack.append((across, v))
+    rank = np.cumsum(alive) - 1
+    live = [tri for tri, a in zip(triangles, alive) if a]
+    return rank[cells].tolist(), records, Mesh(vertices, live)
 
 
 # -- spanning tree, balance edge and spine on dicts --------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     balance_edge_by_dicts,
     dual_by_shared_vertices,
     dual_spanning_tree_by_dicts,
+    euler_strip_by_lists,
     euler_strip_by_splits,
     insert_centroid,
     longest_path_in_tree,
@@ -23,7 +24,9 @@ from oracles import (
     spine_path_by_dicts,
     tree_edge_splits,
 )
+from singlestrip import mesh as mesh_module
 from singlestrip.boundary import (
+    _doubled_edges,
     balance_edge,
     dual_spanning_tree,
     euler_strip,
@@ -288,6 +291,57 @@ def test_euler_strip_matches_split_pair_oracle(mesh, seed):
     assert verify_order(out, strip, closed=False) == (True, None)
 
 
+def _punch_tree_leaves(mesh, k):
+    """Punch up to k leaves of the dual spanning tree out of `mesh`: dead
+    slots whose removal leaves the rest of the dual connected."""
+    if k and mesh.n_triangles > k + 2:
+        tree = dual_spanning_tree(build_dual(mesh))
+        punch_holes(mesh, [t for t in tree.order if not tree.children[t]][:k])
+
+
+def _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick):
+    """Retire and reinstate one triangle of a doubled edge anchored on the
+    spine, so that `_stamp` lists it after every higher id: such a pair's
+    parents are split in listing order, which then differs from id order."""
+    on_spine = set(spine)
+    ends = [t for pair in _doubled_edges(tree, spine) if pair[0] in on_spine for t in pair]
+    if ends:
+        t = ends[pick % len(ends)]
+        mesh._retire(t)
+        mesh._reinstate(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mesh=_open_meshes,
+    seed=st.integers(0, 2**32 - 1),
+    holes=st.integers(0, 6),
+    pick=st.none() | st.integers(0, 2**16),
+)
+def test_euler_strip_matches_the_list_replay(mesh, seed, holes, pick):
+    mesh = relabel(mesh, random.Random(seed))
+    _punch_tree_leaves(mesh, holes)
+    if mesh.n_triangles < 3:
+        return
+    tree, spine = _euler_inputs(mesh)
+    if pick is not None:
+        _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick)
+    before = _snapshot(mesh)
+    strip, records, out = euler_strip(mesh, tree, spine)
+    assert _snapshot(mesh) == before
+    want_strip, want_records, want = euler_strip_by_lists(mesh, tree, spine)
+    # reprs: every value a Python int or float, as the writers expect
+    assert repr(strip) == repr(want_strip)
+    assert repr(records) == repr(want_records)
+    assert list(map(repr, out.vertices)) == list(map(repr, want.vertices))
+    assert repr(out.triangles) == repr(want.triangles)
+    assert out.alive == want.alive
+    assert out._stamp == want._stamp
+    assert (out._clock, out.n_triangles) == (want._clock, want.n_triangles)
+    assert out._neighbours is None  # sorted only when read
+    assert out.neighbours == want.neighbours
+
+
 @settings(max_examples=60, deadline=None)
 @given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
 def test_unchecked_outputs_equal_a_checked_rebuild(mesh, seed):
@@ -365,6 +419,28 @@ def test_the_pipeline_never_calls_the_checking_constructor(monkeypatch, run, mak
     res = run(mesh)
     assert calls == []
     assert res.stats["verified"] and res.mesh.n_triangles == len(res.order)
+
+
+@pytest.mark.parametrize(
+    "command,make",
+    [("stripify-boundary", lambda: gen_mk(4)), ("stripify", _centroid_torus)],
+    ids=["open-mk4", "closed-centroids"],
+)
+def test_the_cli_sorts_only_the_input_table(monkeypatch, tmp_path, command, make):
+    # the output mesh's table is sorted only when read, and no writer reads it
+    mesh = make()
+    path = tmp_path / "in.off"
+    save_mesh(mesh, path)
+    calls = []
+    table = mesh_module._table
+
+    def counting(tri, n):
+        calls.append(len(tri))
+        return table(tri, n)
+
+    monkeypatch.setattr(mesh_module, "_table", counting)
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [mesh.n_triangles]
 
 
 @pytest.mark.parametrize("shape", ["end", "start", "interior"])

@@ -25,6 +25,7 @@ from oracles import (
     relabel,
     triangle_edges,
 )
+from singlestrip.boundary import gen_mk
 from singlestrip.generators import octahedron, torus
 from singlestrip.mesh import (
     Mesh,
@@ -194,3 +195,62 @@ def test_split_pair_takes_the_parents_in_listing_order():
         assert rec.parents == (u, 0)
         assert (rec.edge, rec.midpoint, rec.parents, rec.children) == dict_split_pair(oracle, e)
         _assert_same(mesh, oracle, edited=True)
+
+
+# -- the table of a mesh built from pipeline-made lists ----------------------------
+
+
+def _built_and_constructed(mesh):
+    tris = [mesh.triangles[t] for t in mesh.alive_ids()]
+    return Mesh._built(list(mesh.vertices), list(tris)), Mesh(mesh.vertices, tris)
+
+
+def _fields(mesh):
+    return (
+        list(map(repr, mesh.vertices)),
+        mesh.triangles,
+        mesh.alive,
+        mesh.neighbours,
+        mesh._stamp,
+        mesh._clock,
+        mesh.n_triangles,
+    )
+
+
+_MAKERS = [lambda: torus(6, 4), lambda: gen_mk(3), octahedron]
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=["torus", "mk3", "octahedron"])
+def test_a_built_mesh_sorts_its_table_on_the_first_read(make):
+    built, constructed = _built_and_constructed(make())
+    assert built._neighbours is None
+    table = built.neighbours
+    assert table == constructed.neighbours
+    assert built.neighbours is table  # sorted once
+
+
+def _split_known_pair(mesh, pair_from):
+    u = max(pair_from.neighbours[0:3])  # a neighbour across an interior edge
+    split_pair(mesh, shared_edge(pair_from, 0, u), (0, u))
+
+
+def _append_after_triangle_0(mesh, _pair_from):
+    a, b, _c = mesh.triangles[0]
+    mesh._append((b, a, mesh.add_vertex((9.0, 9.0, 9.0))), [0, -1, -1])
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=["torus", "mk3", "octahedron"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda mesh, _: mesh.copy(), _split_known_pair, _append_after_triangle_0],
+    ids=["copy", "split_pair", "append"],
+)
+def test_edits_of_an_unread_built_mesh_match_a_constructed_mesh(make, edit):
+    # the pair and the edge are read off a third mesh, so that the edit is
+    # the first thing to touch the built mesh's table
+    built, constructed = _built_and_constructed(make())
+    _, reference = _built_and_constructed(make())
+    got = edit(built, reference) or built
+    want = edit(constructed, reference) or constructed
+    assert _fields(got) == _fields(want)
+    assert _fields(built) == _fields(constructed)
