@@ -2,14 +2,15 @@
 
 Nothing here shares code with the library's own traversal/matching paths:
 adjacency comes from pairwise vertex-set comparisons, matchings from
-exhaustive search, tree statistics from per-edge BFS. The former library
+exhaustive search, tree statistics from per-edge BFS, the depth-first dual
+tree from unvisited counts taken afresh at each step. The former library
 paths kept here as references (the recursive curve search, the point-by-
 point repeat filter, the set-based order check, the Euler strip by mesh
-edits and by a list replay, the dict-based spanning tree, balance edge and
-spine, the set-based three-cycle elimination, the full-sweep nodal merge,
-the dict-based mesh, the heap greedy and its frozenset replay, the blossom
-with a base map, and the cycle walk with a dict) share only the primitives
-they were built on. The test
+edits and by a list replay, the BFS dual tree, the dict-based balance edge
+and spine, the set-based three-cycle elimination, the full-sweep nodal
+merge, the dict-based mesh, the heap greedy and its frozenset replay, the
+blossom with a base map, and the cycle walk with a dict) share only the
+primitives they were built on. The test
 helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
 `greedy_reduce`, the forced reductions on their own, the stats and JSON
 curve readers, and the mesh geometry, edge scans, table reads and edits) are
@@ -541,16 +542,29 @@ class TreeByDicts:
     parent: dict  # node -> parent, None at the root
     children: dict  # node -> children in visiting order
     subtree: dict  # node -> size of its subtree
+    order: list  # the nodes in visiting order, root first
 
     def tree_edges(self):
         return [(t, p) for t, p in self.parent.items() if p is not None]
 
 
-def dual_spanning_tree_by_dicts(dual) -> TreeByDicts:
-    """BFS tree from the smallest node, neighbours in list order."""
+def _tree_by_dicts(dual, parent, order) -> TreeByDicts:
+    assert len(parent) == len(dual), "dual graph is disconnected"
+    children = {t: [] for t in dual}
+    for t in order[1:]:
+        children[parent[t]].append(t)
+    subtree = {t: 1 for t in parent}
+    for t in reversed(order):
+        if parent[t] is not None:
+            subtree[parent[t]] += subtree[t]
+    return TreeByDicts(parent=parent, children=children, subtree=subtree, order=order)
+
+
+def bfs_spanning_tree_by_dicts(dual) -> TreeByDicts:
+    """BFS tree from the smallest node, neighbours in list order: the open
+    path's tree before it grew depth-first."""
     root = min(dual)
     parent = {root: None}
-    children = {t: [] for t in dual}
     order = [root]
     queue = deque([root])
     while queue:
@@ -558,15 +572,35 @@ def dual_spanning_tree_by_dicts(dual) -> TreeByDicts:
         for nb in dual[t]:
             if nb not in parent:
                 parent[nb] = t
-                children[t].append(nb)
                 order.append(nb)
                 queue.append(nb)
-    assert len(parent) == len(dual), "dual graph is disconnected"
-    subtree = {t: 1 for t in parent}
-    for t in reversed(order):
-        if parent[t] is not None:
-            subtree[parent[t]] += subtree[t]
-    return TreeByDicts(parent=parent, children=children, subtree=subtree)
+    return _tree_by_dicts(dual, parent, order)
+
+
+def warnsdorff_spanning_tree_by_dicts(dual) -> TreeByDicts:
+    """Depth-first tree by Warnsdorff's rule, each count taken afresh.
+
+    Root: the smallest node among those of least degree. Step: from the
+    deepest node on the current path that still has an unvisited neighbour,
+    to its unvisited neighbour with the fewest unvisited neighbours, ties to
+    the earliest in the row.
+    """
+    root = sorted(dual, key=lambda t: (len(dual[t]), t))[0]
+    parent = {root: None}
+    order = [root]
+    path = [root]
+    while path:
+        t = path[-1]
+        options = [u for u in dual[t] if u not in parent]
+        if not options:
+            path.pop()
+            continue
+        unvisited = [sum(w not in parent for w in dual[u]) for u in options]
+        u = options[unvisited.index(min(unvisited))]
+        parent[u] = t
+        order.append(u)
+        path.append(u)
+    return _tree_by_dicts(dual, parent, order)
 
 
 def balance_edge_by_dicts(tree: TreeByDicts) -> tuple[int, int]:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from oracles import (
     assert_same_as_checked_rebuild,
     balance_edge_by_dicts,
+    bfs_spanning_tree_by_dicts,
     dual_by_shared_vertices,
-    dual_spanning_tree_by_dicts,
     euler_strip_by_lists,
     euler_strip_by_splits,
     insert_centroid,
@@ -23,9 +23,11 @@ from oracles import (
     relabel,
     spine_path_by_dicts,
     tree_edge_splits,
+    warnsdorff_spanning_tree_by_dicts,
 )
 from singlestrip import mesh as mesh_module
 from singlestrip.boundary import (
+    DualSpanningTree,
     _doubled_edges,
     balance_edge,
     dual_spanning_tree,
@@ -35,9 +37,9 @@ from singlestrip.boundary import (
     spine_path,
     strip_with_boundary,
 )
-from singlestrip.generators import fan, torus
+from singlestrip.generators import fan, icosphere, torus
 from singlestrip.cli import main
-from singlestrip.fileio import load_mesh, read_strip_order, save_mesh
+from singlestrip.fileio import dumps_obj, dumps_strip_order, load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import PipelineError, stripify, verify_order
 
@@ -75,8 +77,20 @@ def _snapshot(mesh):
     )
 
 
-def _euler_inputs(mesh):
-    tree = dual_spanning_tree(build_dual(mesh))
+def _list_tree(tree):
+    """An oracle's dict tree as the library's lists indexed by node id."""
+    size = max(tree.parent) + 1
+    parent, children, subtree = [None] * size, [[] for _ in range(size)], [0] * size
+    for t in tree.order:
+        parent[t], children[t], subtree[t] = tree.parent[t], list(tree.children[t]), tree.subtree[t]
+    return DualSpanningTree(parent=parent, children=children, subtree=subtree, order=list(tree.order))
+
+
+def _euler_inputs(mesh, bfs=False):
+    """The tree and spine `strip_with_boundary` would use; with `bfs`, the
+    oracle's BFS tree instead, whose shallow shape doubles most tree edges."""
+    dual = build_dual(mesh)
+    tree = _list_tree(bfs_spanning_tree_by_dicts(dual)) if bfs else dual_spanning_tree(dual)
     return tree, spine_path(tree, balance_edge(tree))
 
 
@@ -186,13 +200,16 @@ def test_spine_mk_length_2k():
 
 
 def test_spine_single_node_side():
-    # star: cutting any edge leaves a single-node side whose leaf is itself
+    # star: cutting any edge leaves a single-node side whose leaf is itself;
+    # the tree is rooted at leaf 1, so the balance edge is (centre, 1)
     star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
     tree = dual_spanning_tree(_tree_as_dual(star))
-    child, parent = balance_edge(tree)
-    spine = spine_path(tree, (child, parent))
-    assert spine[0] == child
-    assert len(spine) == 3  # leaf, center, other leaf
+    assert tree.order[0] == 1
+    e = balance_edge(tree)
+    spine = spine_path(tree, e)
+    assert len(spine) == 3  # leaf, centre, other leaf
+    assert spine[1] == 0 and {spine[0], spine[2]} <= {1, 2, 3}
+    assert e in ((spine[1], spine[2]), (spine[1], spine[0]))
 
 
 # -- euler strip -----------------------------------------------------------------
@@ -273,12 +290,12 @@ _open_meshes = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1))
-def test_euler_strip_matches_split_pair_oracle(mesh, seed):
+@given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1), bfs=st.booleans())
+def test_euler_strip_matches_split_pair_oracle(mesh, seed, bfs):
     mesh = relabel(mesh, random.Random(seed))
     if mesh.n_triangles < 3:
         return
-    tree, spine = _euler_inputs(mesh)
+    tree, spine = _euler_inputs(mesh, bfs)
     before = _snapshot(mesh)
     strip, records, out = euler_strip(mesh, tree, spine)
     assert _snapshot(mesh) == before
@@ -317,13 +334,14 @@ def _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick):
     seed=st.integers(0, 2**32 - 1),
     holes=st.integers(0, 6),
     pick=st.none() | st.integers(0, 2**16),
+    bfs=st.booleans(),
 )
-def test_euler_strip_matches_the_list_replay(mesh, seed, holes, pick):
+def test_euler_strip_matches_the_list_replay(mesh, seed, holes, pick, bfs):
     mesh = relabel(mesh, random.Random(seed))
     _punch_tree_leaves(mesh, holes)
     if mesh.n_triangles < 3:
         return
-    tree, spine = _euler_inputs(mesh)
+    tree, spine = _euler_inputs(mesh, bfs)
     if pick is not None:
         _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick)
     before = _snapshot(mesh)
@@ -366,16 +384,20 @@ _tree_duals = st.one_of(
 )
 
 
+def _sparse_relabel(dual, seed):
+    """The dual with its nodes renamed to sparse ids, so that the tree's
+    lists hold slots off the tree."""
+    rng = random.Random(seed)
+    name = dict(zip(sorted(dual), rng.sample(range(3 * len(dual)), len(dual))))
+    return {name[t]: [name[u] for u in row] for t, row in dual.items()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
 def test_list_tree_matches_the_dict_oracle(dual, seed):
-    # relabel the nodes sparsely, so that the lists hold slots off the tree
-    rng = random.Random(seed)
-    ids = rng.sample(range(3 * len(dual)), len(dual))
-    name = dict(zip(sorted(dual), ids))
-    dual = {name[t]: [name[u] for u in row] for t, row in dual.items()}
+    dual = _sparse_relabel(dual, seed)
     tree = dual_spanning_tree(dual)
-    want = dual_spanning_tree_by_dicts(dual)
+    want = warnsdorff_spanning_tree_by_dicts(dual)
     assert tree.tree_edges() == want.tree_edges()
     assert tree.n == len(want.parent)
     assert {t: tree.subtree[t] for t in dual} == want.subtree
@@ -386,6 +408,35 @@ def test_list_tree_matches_the_dict_oracle(dual, seed):
         e = balance_edge(tree)
         assert e == balance_edge_by_dicts(want)
         assert spine_path(tree, e) == spine_path_by_dicts(want, e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
+def test_tree_spans_the_dual_depth_first(dual, seed):
+    # no oracle: the tree reaches every node over dual edges, and every dual
+    # edge off the tree joins a node to one of its ancestors
+    dual = _sparse_relabel(dual, seed)
+    tree = dual_spanning_tree(dual)
+    assert sorted(tree.order) == sorted(dual)
+    assert tree.parent[tree.order[0]] is None
+    seen = {tree.order[0]}
+    for t in tree.order[1:]:
+        assert tree.parent[t] in seen and t in dual[tree.parent[t]]
+        seen.add(t)
+
+    def ancestors(t):
+        out = set()
+        while tree.parent[t] is not None:
+            t = tree.parent[t]
+            out.add(t)
+        return out
+
+    edges = {frozenset(e) for e in tree.tree_edges()}
+    for t, row in dual.items():
+        up = ancestors(t)
+        for u in row:
+            if frozenset((t, u)) not in edges:
+                assert u in up or t in ancestors(u), f"cross edge {t}-{u}"
 
 
 def _centroid_torus():
@@ -530,11 +581,16 @@ def test_strip_with_boundary_input_untouched():
 
 
 def test_strip_with_boundary_deep_dual_tree(tmp_path):
-    # a 3 x 2000 strip: the doubled subtrees nest thousands of levels deep
+    # a 3 x 2000 strip: its dual tree is thousands of levels deep, and on a
+    # BFS tree so are the doubled subtrees the walk nests through
     mesh = _open_grid(3, 2000)
     res = strip_with_boundary(mesh)
     assert verify_order(res.mesh, res.order, closed=False) == (True, None)
     assert len(res.order) == 12000 + 2 * res.stats["splits"]
+    tree, spine = _euler_inputs(mesh, bfs=True)
+    strip, records, out = euler_strip(mesh, tree, spine)
+    assert len(records) > 4000
+    assert verify_order(out, strip, closed=False) == (True, None)
 
     path = tmp_path / "strip.off"
     save_mesh(mesh, path)
@@ -545,9 +601,70 @@ def test_strip_with_boundary_deep_dual_tree(tmp_path):
     assert verify_order(load_mesh(out / "strip.strip.obj"), order, closed=False) == (True, None)
 
 
+def _cut_one(mesh, t):
+    """A closed mesh with triangle t cut out: one boundary loop."""
+    punch_holes(mesh, [t % mesh.n_triangles])
+    return mesh
+
+
+# relabelled in the test: holed grids, 2-3 wide strips, fans, M_k, and tori
+# and icospheres with one triangle cut out
+_open_property_meshes = st.one_of(
+    st.builds(_holed_grid, st.integers(2, 14), st.integers(2, 14), st.integers(0, 2**32 - 1)),
+    st.builds(_open_grid, st.integers(2, 3), st.integers(1, 120)),
+    st.builds(fan, st.integers(3, 60)),
+    st.builds(gen_mk, st.integers(0, 6)),
+    st.builds(
+        _cut_one,
+        st.builds(torus, st.integers(3, 14), st.integers(3, 10)),
+        st.integers(0, 10**6),
+    ),
+    st.builds(_cut_one, st.builds(icosphere, st.integers(0, 2)), st.integers(0, 10**6)),
+)
+
+
+def _strip_bytes(res):
+    stats = {k: v for k, v in res.stats.items() if k != "elapsed_ms"}
+    return dumps_obj(res.mesh), dumps_strip_order(res.order, res.closed), json.dumps(stats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mesh=_open_property_meshes, seed=st.integers(0, 2**32 - 1))
+def test_open_strip_is_verified_and_exactly_3n_minus_2_minus_2p(mesh, seed):
+    mesh = relabel(mesh, random.Random(seed))
+    n = mesh.n_triangles
+    res = strip_with_boundary(mesh)
+    assert verify_order(res.mesh, res.order, closed=False) == (True, None)
+    spine = res.stats["spine_edges"]
+    assert len(res.order) == res.mesh.n_triangles == 3 * n - 2 - 2 * spine
+    assert len(res.order) == n + 2 * res.stats["splits"]
+    assert _strip_bytes(strip_with_boundary(mesh)) == _strip_bytes(res)
+
+
+# (input, output, splits, spine edges) on the depth-first tree; on the
+# oracle's BFS tree the outputs are 3,404, 282, 1,440, 2,002 and 544
+@pytest.mark.parametrize(
+    "make,sizes",
+    [
+        (lambda: _open_grid(30, 20), (1200, 1238, 19, 1180)),
+        (lambda: _open_grid(9, 7, 3), (114, 138, 12, 101)),
+        (lambda: _holed_grid(20, 20, 5), (544, 1176, 316, 227)),
+        (lambda: _open_grid(3, 200), (1200, 1204, 2, 1197)),
+        (lambda: gen_mk(6), (190, 544, 177, 12)),
+    ],
+    ids=["grid-30x20", "grid-9x7-period-3", "holed-grid-20x20", "strip-3x200", "mk6"],
+)
+def test_open_strip_sizes_are_pinned(make, sizes):
+    s = strip_with_boundary(make()).stats
+    got = (s["input_triangles"], s["output_triangles"], s["splits"], s["spine_edges"])
+    assert got == sizes
+
+
 # sha256 of the `stripify-boundary` outputs (strip OBJ, strip order, stats
-# without timings as sorted JSON), pinned while the strip was still built by
-# `split_pair` edits of a mesh copy
+# without timings as sorted JSON). mk4 and fan12 were pinned while the strip
+# was still built by `split_pair` edits of a mesh copy; their duals are a
+# tree and a path, so every spanning tree is the same. holes.off was re-pinned
+# when the tree became depth-first (280 -> 154 triangles, 83 -> 20 splits).
 GOLDEN_BOUNDARY = {
     "mk4.obj": (
         "f42bf7a2c2914d2131495d593726ea27b913d1a693563ff59446f06952b8a61f",
@@ -560,9 +677,9 @@ GOLDEN_BOUNDARY = {
         "b4aedb1b25b65fa655fb2a2a1823ceb99dde1fe711962ed280e24f46ff16acda",
     ),
     "holes.off": (
-        "89575b6aad2eccda627d33d105de6711c55bfd32c3893ba2525d6c2a8089cc69",
-        "088d8503152cb6be7907dfae37fa8607c048d8caf9d280e83da17051deeebdda",
-        "183fc6f6c8c95ae3c1b817de89c6f3962daea5a6807f88435283ab301bfd67b5",
+        "93828059beb89bf887e32262315087dbddca9c7270181f3393baa4d3fabd33e5",
+        "94f84a412c8062c3be59fe3bf9e38c52919f09ca3a0c8debdf4e8f5b59fe1cf0",
+        "ec53b8536fe52022ce84cdb454f5bd2e21396969ddabdcc8c12e27afaace13f8",
     ),
 }
 
