@@ -10,20 +10,12 @@ from .boundary import (
     dual_spanning_tree,
     euler_strip,
     gen_mk,
-    mk_triangle_count,
     spine_path,
     strip_with_boundary,
 )
 from .fileio import ParseError, load_mesh, read_strip_order, save_mesh, write_strip_order
 from .generators import GenSpec, generate, parse_spec
-from .matching import (
-    MatchingError,
-    MatchState,
-    blossom_maximum_matching,
-    perfect_match_dual,
-    replay_reductions,
-    validate_matching,
-)
+from .matching import MatchingError, MatchState, perfect_match_dual
 from .mesh import (
     Mesh,
     MeshError,
@@ -57,7 +49,6 @@ from .striploop import (
     stripify,
     verify_order,
 )
-from .unionfind import UnionFind
 
 __all__ = [
     "__version__",
@@ -75,13 +66,9 @@ __all__ = [
     "save_mesh",
     "read_strip_order",
     "write_strip_order",
-    "UnionFind",
     "MatchState",
     "MatchingError",
-    "replay_reductions",
-    "blossom_maximum_matching",
     "perfect_match_dual",
-    "validate_matching",
     "CycleSet",
     "RemovedConfig",
     "StripResult",
@@ -95,7 +82,6 @@ __all__ = [
     "verify_order",
     "stripify",
     "gen_mk",
-    "mk_triangle_count",
     "dual_spanning_tree",
     "balance_edge",
     "spine_path",

@@ -235,11 +235,11 @@ def euler_strip(
     Leaves `mesh` untouched. With m triangle slots and V vertices in
     `mesh`, doubled edge j (in the order of `_doubled_edges`) gets midpoint
     V + j and children m + 4j ... m + 4j + 3, the ids `split_pair` would
-    assign on a copy of `mesh`. Every cell is split at most once: a doubled
-    edge's child triangle is still whole when its edge comes up, and the
-    anchor's cell on it is the anchor itself (on the spine) or the half of
-    the anchor's own earlier split that holds the edge. `_replay` makes all
-    the splits in one pass over arrays.
+    assign on a copy of `mesh`, which takes the parents in id order. Every
+    cell is split at most once: a doubled edge's child triangle is still
+    whole when its edge comes up, and the anchor's cell on it is the anchor
+    itself (on the spine) or the half of the anchor's own earlier split that
+    holds the edge. `_replay` makes all the splits in one pass over arrays.
 
     The strip is one depth-first walk down the spine. Per cell it reads one
     index into the splits' flat `(x, cx, across, y, w)` records: the split
@@ -326,9 +326,9 @@ def _replay(mesh: Mesh, doubled: list[tuple[int, int]]):
       in `walk`, or -1 if it is not split;
     - `walk`: per split, its parents' `(x, cx, across, y, w)` records;
     - `rank`: per cell, its id among the live cells.
-    The parents are ordered (child, cell) when the cell is a half of an
-    earlier split, as such a half is listed after every input triangle,
-    and in listing order (by `_stamp`) otherwise.
+    Each split's parents are in id order, as `split_pair` takes them: a
+    cell that is a half of an earlier split comes after the child, as its
+    id is above every input triangle's.
     """
     m, v0, n = len(mesh.triangles), len(mesh.vertices), len(doubled)
     pair = np.fromiter(chain.from_iterable(doubled), dtype=np.int64, count=2 * n)
@@ -342,8 +342,7 @@ def _replay(mesh: Mesh, doubled: list[tuple[int, int]]):
     made[child] = j
     earlier = made[anchor]
     off = earlier >= 0
-    stamp = np.fromiter(mesh._stamp, dtype=np.int64, count=m)
-    child_first = off | (stamp[child] < stamp[anchor])
+    child_first = off | (child < anchor)
     cell, apex = anchor.copy(), aw.copy()
     e = earlier[off]
     at_y = (ax[off] != cx[e]) & (ay[off] != cx[e])

@@ -180,8 +180,7 @@ class Mesh:
     an (n, 3) table kept flat: `neighbours[3 * t + i]` is the live triangle
     across edge (tri[i], tri[i + 1 mod 3]) of live triangle t, or -1 on the
     boundary. Where more than two triangles share an edge, each lists the
-    first of them, and the first lists the second, in the order they were
-    last added or revived (the constructor adds in id order). Rows of dead
+    first of them by id, and the first lists the second. Rows of dead
     triangles are stale. The edits assume that no edge they touch has more
     than two triangles.
 
@@ -234,8 +233,6 @@ class Mesh:
         self.triangles: list[tuple[int, int, int]] = triangles
         self.alive: list[bool] = [True] * m
         self._neighbours: list[int] | None = neighbours  # None: not sorted yet
-        self._stamp: list[int] = list(range(m))  # when each triangle was last added or revived
-        self._clock = m
         self._n_alive = m
 
     @property
@@ -283,8 +280,6 @@ class Mesh:
         self.triangles.append(tri)
         self.alive.append(True)
         nb += row
-        self._stamp.append(self._clock)
-        self._clock += 1
         self._n_alive += 1
         return tid
 
@@ -294,8 +289,6 @@ class Mesh:
 
     def _reinstate(self, tid: int) -> None:
         self.alive[tid] = True
-        self._stamp[tid] = self._clock
-        self._clock += 1
         self._n_alive += 1
 
     def _repoint(self, tid: int, old: int, new: int) -> None:
@@ -305,11 +298,6 @@ class Mesh:
             nb[nb.index(old, 3 * tid, 3 * tid + 3)] = new
 
     # -- queries ---------------------------------------------------------
-
-    def listing_order(self, tids) -> list[int]:
-        """Triangle ids in the order they were last added or revived: the
-        order in which an edge lists its triangles."""
-        return sorted(tids, key=self._stamp.__getitem__)
 
     def boundary_edges(self) -> list[tuple[int, int]]:
         """Edges with one live triangle, by triangle id and then slot."""
@@ -332,8 +320,6 @@ class Mesh:
         m.triangles = list(self.triangles)
         m.alive = list(self.alive)
         m._neighbours = list(self.neighbours)
-        m._stamp = list(self._stamp)
-        m._clock = self._clock
         m._n_alive = self._n_alive
         return m
 
@@ -364,12 +350,12 @@ def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> SplitRe
 
     Each parent (x, y, w), with {x, y} = e, becomes (x, m, w) and (m, y, w),
     preserving winding. The mesh gains one vertex and a net two triangles.
-    The parents are taken in listing order. The children's rows are built
-    from the parents' rows, and the parents' outer neighbours re-pointed, so
-    no edge of either parent may have more than two triangles. A parent
-    without edge e is rejected before the mesh is touched.
+    The parents are taken in id order. The children's rows are built from
+    the parents' rows, and the parents' outer neighbours re-pointed, so no
+    edge of either parent may have more than two triangles. A parent without
+    edge e is rejected before the mesh is touched.
     """
-    parents = mesh.listing_order(pair)
+    parents = sorted(pair)
     a, b = e
     nb = mesh.neighbours
     halves = []
@@ -436,7 +422,7 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
 
     One sort of the live triangles' edge slots groups them by edge. Edges
     are reported in the order of their first slot, by triangle id and then
-    position in the triangle, and the triangles on an edge in listing order.
+    position in the triangle, and the triangles on an edge by id.
     Connectivity is a search over the rows of the neighbour table from the
     smallest live id. No two triangles can share two edges, as they would
     share all three vertices: the constructor rejects duplicates; split
@@ -459,15 +445,14 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
         report.add("empty", "mesh has no triangles")
         return report
 
-    rows = np.array(mesh.listing_order(live))
-    tri = _triangle_array(mesh, rows.tolist())
+    rows = np.array(live)
+    tri = _triangle_array(mesh, live)
     order, start, size, lo, hi = _edge_sort(tri, mesh.n_vertices)
-    member = rows[order // 3]
-    # each group's rank: its first slot by triangle id, then position
-    id_slot = 3 * member + order % 3
-    groups = np.argsort(np.minimum.reduceat(id_slot, start))
+    # each group's rank: its first slot, which is the first by triangle id
+    # and then position, as the rows are in id order
+    groups = np.argsort(order[start])
     second = np.minimum(start + 1, len(order) - 1)  # read only where size > 1
-    t1, t2 = member[start], member[second]
+    t1, t2 = rows[order[start] // 3], rows[order[second] // 3]
     forward = tri.ravel() < tri[:, [1, 2, 0]].ravel()  # slot runs from lo to hi
     same_winding = (size == 2) & (forward[order[start]] == forward[order[second]])
     flagged = (size > 2) | same_winding | ((size == 1) & (mode == "closed"))

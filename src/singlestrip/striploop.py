@@ -27,7 +27,6 @@ from .mesh import (
     split_pair,
     validate,
 )
-from .unionfind import UnionFind
 
 
 class PipelineError(Exception):
@@ -285,8 +284,13 @@ def merge_nodal(
     nb, tris = mesh.neighbours, mesh.triangles
     count, anchor = _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
-    uf = UnionFind()  # over cycle indices
-    find = uf.find
+    root = list(range(cycleset.count))  # a union-find over cycle indices
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]  # path halving
+        return i
+
     merges: list[tuple[int, int]] = []
     for v, k in enumerate(count):
         if k < 4 or k % 2 != 0:
@@ -324,7 +328,7 @@ def merge_nodal(
                 partner[s] = t
             first = roots.pop()
             for other in roots:
-                uf.union(first, other)
+                root[other] = first
             merges.append((v, k // 2))
     joined: dict[int, list[int]] = {}  # union-find root -> its cycles' triangles
     for i, cycle in enumerate(cycleset.cycles):

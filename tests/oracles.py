@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -454,7 +455,7 @@ def euler_strip_by_lists(mesh, tree, spine):
     from singlestrip.mesh import Mesh, SplitRecord, edge_key
 
     doubled = _doubled_edges(tree, spine)
-    nb, stamp = mesh.neighbours, mesh._stamp
+    nb = mesh.neighbours
     vertices = list(mesh.vertices)
     triangles = list(mesh.triangles)
     alive = list(mesh.alive)
@@ -472,8 +473,8 @@ def euler_strip_by_lists(mesh, tree, spine):
         if rec is not None:
             x, cx, cy, _ = rec
             cell = cx if x == a or x == b else cy
-            parents = (child, cell)  # a split child is listed after every original
-        elif stamp[child] < stamp[anchor]:  # listing order
+            parents = (child, cell)  # a split child's id is above every original's
+        elif child < anchor:  # id order
             parents = (child, anchor)
         else:
             parents = (anchor, child)
@@ -764,11 +765,11 @@ def triangle_edges(mesh, tid: int) -> tuple[tuple[int, int], ...]:
 
 
 def edge_triangles(mesh, e: tuple[int, int]) -> list[int]:
-    """The live triangles on edge e, in listing order: the pair to hand
+    """The live triangles on edge e, in id order: the pair to hand
     `split_pair` for a split of e."""
     u, v = e
     tris = mesh.triangles
-    return mesh.listing_order(t for t in mesh.alive_ids() if u in tris[t] and v in tris[t])
+    return [t for t in mesh.alive_ids() if u in tris[t] and v in tris[t]]
 
 
 def other_triangle(mesh, e: tuple[int, int], tid: int) -> int | None:
@@ -821,8 +822,7 @@ def assert_same_as_checked_rebuild(mesh) -> None:
     assert mesh.triangles == want.triangles
     assert mesh.alive == want.alive
     assert mesh.neighbours == want.neighbours
-    assert mesh._stamp == want._stamp
-    assert (mesh._clock, mesh.n_triangles) == (want._clock, want.n_triangles)
+    assert mesh.n_triangles == want.n_triangles
 
 
 def punch_holes(mesh, tids) -> None:
@@ -928,6 +928,27 @@ def eliminate_three_cycles_by_sets(mesh):
     return stack
 
 
+# -- a union-find for the full-sweep nodal merge and the base-map blossom ------
+
+
+class UnionFind:
+    """Disjoint sets over hashable keys, with path halving; a key is a
+    singleton until it is first found."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, a, b) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+
 # -- nodal merging by full sweeps -------------------------------------------------
 #
 # `merge_nodal` as the library ran it before its worklist: every vertex is
@@ -938,8 +959,6 @@ def eliminate_three_cycles_by_sets(mesh):
 
 def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
     """The (vertex, m) merges of the full-sweep nodal merge; mutates partner."""
-    from singlestrip.unionfind import UnionFind
-
     uf = UnionFind()
     for cycle in cycleset.cycles:
         for t in cycle:
@@ -985,11 +1004,10 @@ def merge_nodal_full_sweep(mesh, partner, cycleset) -> list[tuple[int, int]]:
 # `Mesh` as the library kept it before its dual-neighbour table: an edge-key
 # -> incidence-list map, updated by every edit, with duplicates tracked in a
 # set of sorted vertex triples. Each incidence list holds its live triangles
-# in the order they were last added or revived; the map keeps edges in the
-# order they were last created. `dict_validate`, `dict_neighbours` and
-# `dict_split_pair` are the library's former `validate`, `build_dual`
-# (neighbour lists only) and `split_pair` on it, and `dict_insert_centroid`
-# its former `insert_centroid`.
+# in id order; the map keeps edges in the order they were last created.
+# `dict_validate`, `dict_neighbours` and `dict_split_pair` are the library's
+# former `validate`, `build_dual` (neighbour lists only) and `split_pair` on
+# it, and `dict_insert_centroid` its former `insert_centroid`.
 
 
 class DictMesh:
@@ -1067,7 +1085,7 @@ class DictMesh:
         self.alive[tid] = True
         self._live_sets.add(key)
         for e in triangle_edges(self, tid):
-            self.edge_map.setdefault(e, []).append(tid)
+            insort(self.edge_map.setdefault(e, []), tid)
 
     def edge_triangles(self, e: tuple[int, int]) -> list[int]:
         return self.edge_map.get(e, [])
@@ -1318,8 +1336,6 @@ def blossom_by_base_map(graph, seed=None):
 
 
 def _augment_by_base_map(adj, match, root) -> bool:
-    from singlestrip.unionfind import UnionFind
-
     parent: dict[int, int] = {}
     uf = UnionFind()
     in_blossom = uf.parent

@@ -318,14 +318,18 @@ def _punch_tree_leaves(mesh, k):
 
 def _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick):
     """Retire and reinstate one triangle of a doubled edge anchored on the
-    spine, so that `_stamp` lists it after every higher id: such a pair's
-    parents are split in listing order, which then differs from id order."""
+    spine, as restoration revives triangles out of id order."""
     on_spine = set(spine)
     ends = [t for pair in _doubled_edges(tree, spine) if pair[0] in on_spine for t in pair]
     if ends:
         t = ends[pick % len(ends)]
         mesh._retire(t)
         mesh._reinstate(t)
+
+
+def _strip_reprs(strip, records, out):
+    # reprs: every value a Python int or float, as the writers expect
+    return repr(strip), repr(records), list(map(repr, out.vertices)), repr(out.triangles)
 
 
 @settings(max_examples=100, deadline=None)
@@ -342,22 +346,21 @@ def test_euler_strip_matches_the_list_replay(mesh, seed, holes, pick, bfs):
     if mesh.n_triangles < 3:
         return
     tree, spine = _euler_inputs(mesh, bfs)
-    if pick is not None:
-        _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick)
     before = _snapshot(mesh)
     strip, records, out = euler_strip(mesh, tree, spine)
     assert _snapshot(mesh) == before
     want_strip, want_records, want = euler_strip_by_lists(mesh, tree, spine)
-    # reprs: every value a Python int or float, as the writers expect
-    assert repr(strip) == repr(want_strip)
-    assert repr(records) == repr(want_records)
-    assert list(map(repr, out.vertices)) == list(map(repr, want.vertices))
-    assert repr(out.triangles) == repr(want.triangles)
+    assert _strip_reprs(strip, records, out) == _strip_reprs(want_strip, want_records, want)
     assert out.alive == want.alive
-    assert out._stamp == want._stamp
-    assert (out._clock, out.n_triangles) == (want._clock, want.n_triangles)
+    assert out.n_triangles == want.n_triangles
     assert out._neighbours is None  # sorted only when read
     assert out.neighbours == want.neighbours
+    if pick is not None:
+        # split parents go in id order, so a revive changes no output
+        _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick)
+        again = euler_strip(mesh, tree, spine)
+        assert _strip_reprs(*again) == _strip_reprs(strip, records, out)
+        assert again[2].neighbours == out.neighbours
 
 
 @settings(max_examples=60, deadline=None)

@@ -162,7 +162,17 @@ def test_compacted_output_equals_a_checked_rebuild(shape, centroids, seed):
     mesh = relabel(torus(a, b) if kind == "torus" else icosphere(a), rng)
     for _ in range(centroids):
         insert_centroid(mesh, rng.choice(mesh.alive_ids()))
-    assert_same_as_checked_rebuild(stripify(mesh).mesh)
+    result = stripify(mesh)
+    assert_same_as_checked_rebuild(result.mesh)
+    # the end-to-end contract: one verified cycle, k cycles joined by k - 1
+    # splits, under 1.5n triangles, and the same output on a rerun
+    assert verify_order_by_sets(result.mesh, result.order, closed=True) == (True, None)
+    stats = result.stats
+    assert stats["splits"] == len(result.splits) == stats["cycles_after_nodal"] - 1
+    assert result.mesh.n_triangles == mesh.n_triangles + 2 * stats["splits"]
+    assert result.mesh.n_triangles < 1.5 * mesh.n_triangles
+    again = stripify(mesh)
+    assert (again.mesh.triangles, again.order) == (result.mesh.triangles, result.order)
 
 
 # -- restoration ----------------------------------------------------------------
