@@ -13,9 +13,11 @@ grid-like mesh, and few edges are doubled. A 200 x 200 grid grows by 0.5%,
 against 198% on a BFS tree.
 
 `euler_strip` edits no mesh. Each doubled edge's midpoint and children get
-ids in closed form, so one pass over arrays replays every midpoint split,
-and one iterative walk over the splits' records lists the strip's cell ids.
-The output mesh reuses the input's surviving triangles, appends the live
+ids in closed form, so one plain loop over the doubled edges replays every
+midpoint split, with a record per split cell in a list indexed by cell id,
+and one iterative walk over those records lists the strip's cell ids. The
+loop's cost is per doubled edge, and the depth-first tree leaves few. The
+output mesh reuses the input's surviving triangles, appends the live
 children, and is built by `Mesh._built` with no checks; only pipeline-made
 lists may go that way. Its neighbour table is sorted only if it is read.
 
@@ -29,9 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
-
-import numpy as np
+from itertools import accumulate, compress
 
 from .mesh import (
     Mesh,
@@ -78,10 +78,6 @@ def gen_mk(k: int) -> Mesh:
     return Mesh(vertices, triangles)
 
 
-def mk_triangle_count(k: int) -> int:
-    return 3 * (2**k - 1) + 1
-
-
 # -- spanning tree, balance edge, spine -----------------------------------------
 
 
@@ -105,11 +101,6 @@ class DualSpanningTree:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """Each edge as (child, parent), in preorder of the child."""
-        parent = self.parent
-        return [(t, parent[t]) for t in self.order[1:]]
 
 
 def dual_spanning_tree(dual: dict[int, list[int]]) -> DualSpanningTree:
@@ -235,204 +226,130 @@ def euler_strip(
     Leaves `mesh` untouched. With m triangle slots and V vertices in
     `mesh`, doubled edge j (in the order of `_doubled_edges`) gets midpoint
     V + j and children m + 4j ... m + 4j + 3, the ids `split_pair` would
-    assign on a copy of `mesh`, which takes the parents in id order. Every
-    cell is split at most once: a doubled edge's child triangle is still
-    whole when its edge comes up, and the anchor's cell on it is the anchor
-    itself (on the spine) or the half of the anchor's own earlier split that
-    holds the edge. `_replay` makes all the splits in one pass over arrays.
+    assign on a copy of `mesh`, and takes its parents in id order as
+    `split_pair` does. Every cell is split at most once: a doubled edge's
+    child triangle is still whole when its edge comes up, and the anchor's
+    cell on it is the anchor itself (on the spine) or the half of the
+    anchor's own earlier split that holds the edge, whose apex is that
+    split's midpoint.
 
-    The strip is one depth-first walk down the spine. Per cell it reads one
-    index into the splits' flat `(x, cx, across, y, w)` records: the split
-    vertex x, the child cx at x (cx + 1 is the child at the edge's other
-    end y), the tree child across the edge or -1 for the child's own cell,
-    and the apex w. A tree triangle entered at vertex v of its doubled
-    parent edge yields its half at v, then its half at the apex; an
-    anchor's split cell entered at v yields its child at v, the subtree
-    across its edge entered at v, then its other child.
+    Each split cell gets a record `(x, cx, across, y, w)`, in a list indexed
+    by cell id: the split vertex x, the child cx at x (cx + 1 is the child
+    at the edge's other end y), the tree child across the edge or -1 for the
+    child's own cell, and the apex w. The strip is one depth-first walk down
+    the spine. A tree triangle entered at vertex v of its doubled parent
+    edge yields its half at v, then its half at the apex; an anchor's split
+    cell entered at v yields its child at v, the subtree across its edge
+    entered at v, then its other child.
 
     Returns (strip, records, out): `out` holds the live cells in id order,
     as `Mesh.compact` would number them, the input's surviving triangles
     first, and `strip` indexes it.
     """
     doubled = _doubled_edges(tree, spine)
-    m, v0, n = len(mesh.triangles), len(mesh.vertices), len(doubled)
-    fields, mids, kept, rows, at, walk, rank = _replay(mesh, doubled)
-    # one int object per vertex id, shared by the records and the triangles
-    vid = list(range(v0 + n)).__getitem__
-    records = list(
-        map(
-            SplitRecord,
-            zip(map(vid, fields[0::4]), map(vid, fields[1::4])),
-            map(vid, range(v0, v0 + n)),
-            zip(fields[2::4], fields[3::4]),
-            zip(*(range(m + k, m + 4 * n, 4) for k in range(4))),
-        )
-    )
-    del fields
+    tris, nb, points = mesh.triangles, mesh.neighbours, mesh.vertices
+    m, v0 = len(tris), len(points)
+    alive = bytearray(mesh.alive) + b"\x01" * (4 * len(doubled))
+    split: list[tuple[int, int, int, int, int] | None] = [None] * len(alive)
+    records: list[SplitRecord] = []
+    midpoints: list[tuple[float, float, float]] = []
+    children: list[tuple[int, int, int]] = []
+    for j, (anchor, child) in enumerate(doubled):
+        # the anchor's edge to the child is (x, y), its apex w
+        p, q, r = tris[anchor]
+        i = nb.index(child, 3 * anchor, 3 * anchor + 3) - 3 * anchor
+        x, y, w = (p, q, r) if i == 0 else (q, r, p) if i == 1 else (r, p, q)
+        cell = anchor
+        rec = split[anchor]
+        if rec is not None:
+            # off the spine: the half of the anchor's split that holds the
+            # edge winds it as the anchor did, with that split's midpoint
+            half = rec[1]
+            cell = half if rec[0] == x or rec[0] == y else half + 1
+            w = v0 + (half - m) // 4
+        # the child's own (x, y, w)
+        p, q, r = tris[child]
+        if p != x and p != y:
+            kx, ky, kw = q, r, p
+        elif q != x and q != y:
+            kx, ky, kw = r, p, q
+        else:
+            kx, ky, kw = p, q, r
+        mid, c0 = v0 + j, m + 4 * j
+        ids = (c0, c0 + 1, c0 + 2, c0 + 3)
+        if child < cell:
+            parents = (child, cell)
+            split[child] = (kx, c0, -1, ky, kw)
+            split[cell] = (x, ids[2], child, y, w)
+            children += ((kx, mid, kw), (mid, ky, kw), (x, mid, w), (mid, y, w))
+        else:
+            parents = (cell, child)
+            split[cell] = (x, c0, child, y, w)
+            split[child] = (kx, ids[2], -1, ky, kw)
+            children += ((x, mid, w), (mid, y, w), (kx, mid, kw), (mid, ky, kw))
+        alive[cell] = alive[child] = 0
+        lo, hi = (x, y) if x < y else (y, x)
+        records.append(SplitRecord((lo, hi), mid, parents, ids))
+        pa, pb = points[lo], points[hi]
+        midpoints.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
+    # per cell, its id among the live cells
+    rank = array("q", accumulate(alive, initial=0))
 
-    tris = mesh.triangles
     stack: list[tuple[int, int]] = []  # (cell, the vertex it is entered at)
     for i in range(len(spine) - 1, 0, -1):
         s = spine[i]
-        r = at[s]
+        rec = split[s]
         v = -1
-        if r >= 0:
+        if rec is not None:
             # enter at the end of s's doubled edge that its predecessor holds
-            v = walk[r] if walk[r] in tris[spine[i - 1]] else walk[r + 3]
+            v = rec[0] if rec[0] in tris[spine[i - 1]] else rec[3]
         stack.append((s, v))
     stack.append((spine[0], -1))
     strip: list[int] = []
     push, pop, out = stack.append, stack.pop, strip.append
     while stack:
         t, v = pop()
-        r = at[t]
-        if r < 0:
+        rec = split[t]
+        if rec is None:
             out(rank[t])
             continue
-        cx = walk[r + 1]  # the child at x; cx + 1 is the child at y
-        if walk[r] == v:
-            near, far = cx, cx + 1
-        else:
-            near, far = cx + 1, cx
-        across = walk[r + 2]
+        x, cx, across, _, w = rec
+        near, far = (cx, cx + 1) if x == v else (cx + 1, cx)
         if across < 0:
             # a tree triangle entered across its doubled parent edge: its half
             # at v, then its half at the apex
-            push((far, walk[r + 4]))
+            push((far, w))
             push((near, v))
         else:
             # the anchor's children are never split again
             out(rank[near])
             push((far, -1))
             push((across, v))
-    del at, walk, rank
+    del split, rank
 
-    vertices = list(mesh.vertices)
-    vertices += zip(mids[0::3], mids[1::3], mids[2::3])
-    triangles = list(compress(tris, kept))
-    triangles += zip(map(vid, rows[0::3]), map(vid, rows[1::3]), map(vid, rows[2::3]))
-    return strip, records, Mesh._built(vertices, triangles)
-
-
-def _replay(mesh: Mesh, doubled: list[tuple[int, int]]):
-    """The midpoint splits of `doubled` on `mesh`, in one pass over arrays.
-
-    Returns flat buffers, so that no array outlives the call:
-    - `fields`: per split, its edge (lo, hi) and its parents, 4 per split;
-    - `mids`: the midpoints' coordinates, 3 per split;
-    - `kept`: per input slot, 1 if it is live and not split;
-    - `rows`: the live children's vertex triples, 3 per child, in id order;
-    - `at`: per cell (input slots, then children), the index of its record
-      in `walk`, or -1 if it is not split;
-    - `walk`: per split, its parents' `(x, cx, across, y, w)` records;
-    - `rank`: per cell, its id among the live cells.
-    Each split's parents are in id order, as `split_pair` takes them: a
-    cell that is a half of an earlier split comes after the child, as its
-    id is above every input triangle's.
-    """
-    m, v0, n = len(mesh.triangles), len(mesh.vertices), len(doubled)
-    pair = np.fromiter(chain.from_iterable(doubled), dtype=np.int64, count=2 * n)
-    anchor, child = pair[0::2], pair[1::2]
-    j = np.arange(n)
-    (ax, ay, aw), (cx, cy, cw) = _rotations(mesh, anchor, child)
-    # off the spine an anchor is the child of an earlier split: its cell is
-    # that split's half at x if it holds x, else the half at y, and either
-    # half winds the edge as the anchor did, with the midpoint as its apex
-    made = np.full(m, -1, dtype=np.int64)
-    made[child] = j
-    earlier = made[anchor]
-    off = earlier >= 0
-    child_first = off | (child < anchor)
-    cell, apex = anchor.copy(), aw.copy()
-    e = earlier[off]
-    at_y = (ax[off] != cx[e]) & (ay[off] != cx[e])
-    cell[off] = m + 4 * e + 2 * ~child_first[e] + at_y
-    apex[off] = v0 + e
-
-    first = np.where(child_first, child, cell)
-    second = np.where(child_first, cell, child)
-    child_xyw, cell_xyw = np.stack([cx, cy, cw]), np.stack([ax, ay, apex])
-    x0, y0, w0 = np.where(child_first, child_xyw, cell_xyw)
-    x1, y1, w1 = np.where(child_first, cell_xyw, child_xyw)
-    mid = v0 + j
-    alive = np.ones(m + 4 * n, dtype=bool)
-    alive[:m] = mesh.alive
-    alive[first] = False
-    alive[second] = False
-    at = np.full(m + 4 * n, -1, dtype=np.int64)
-    at[first] = 10 * j
-    at[second] = 10 * j + 5
-    lo, hi = np.minimum(ax, ay), np.maximum(ax, ay)
-    # each buffer made from a temporary that dies with its conversion
-    return (
-        _flat("q", np.stack([lo, hi, first, second], axis=1)),
-        _midpoints(mesh, lo, hi),
-        alive[:m].tobytes(),
-        _flat(
-            "q",
-            np.stack([x0, mid, w0, mid, y0, w0, x1, mid, w1, mid, y1, w1], axis=1)
-            .reshape(4 * n, 3)[alive[m:]],
-        ),
-        _flat("q", at),
-        _flat(
-            "q",
-            np.stack(
-                [
-                    x0, m + 4 * j, np.where(child_first, -1, child), y0, w0,
-                    x1, m + 4 * j + 2, np.where(child_first, child, -1), y1, w1,
-                ],
-                axis=1,
-            ),
-        ),
-        _flat("q", np.cumsum(alive) - 1),
-    )
-
-
-def _rotations(mesh: Mesh, anchor: np.ndarray, child: np.ndarray):
-    """Per doubled edge, the anchor's and the child's (x, y, w): the edge's
-    ends as the triangle winds them, then its apex."""
-    m = len(mesh.triangles)
-    tri = np.fromiter(chain.from_iterable(mesh.triangles), dtype=np.int64, count=3 * m)
-    tri = tri.reshape(m, 3)
-    nb = np.fromiter(mesh.neighbours, dtype=np.int64, count=3 * m).reshape(m, 3)
-    # the anchor's slot across which the child lies
-    i = (nb[anchor] == child[:, None]).argmax(axis=1)
-    ax, ay, aw = tri[anchor, i], tri[anchor, (i + 1) % 3], tri[anchor, (i + 2) % 3]
-    # the child's apex is its one vertex off the edge
-    ct = tri[child]
-    k = ((ct != ax[:, None]) & (ct != ay[:, None])).argmax(axis=1)
-    j = np.arange(len(child))
-    return (ax, ay, aw), (ct[j, (k + 1) % 3], ct[j, (k + 2) % 3], ct[j, k])
-
-
-def _midpoints(mesh: Mesh, lo: np.ndarray, hi: np.ndarray) -> array:
-    """(P[lo] + P[hi]) / 2.0 per edge, flat: the same float sums as
-    `split_pair`'s."""
-    v0 = len(mesh.vertices)
-    pts = np.fromiter(chain.from_iterable(mesh.vertices), dtype=np.float64, count=3 * v0)
-    pts = pts.reshape(v0, 3)
-    return _flat("d", (pts[lo] + pts[hi]) / 2.0)
-
-
-def _flat(typecode: str, a: np.ndarray) -> array:
-    """An int64 or float64 array's values as a flat array of `typecode`,
-    copied once."""
-    out = array(typecode)
-    out.frombytes(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
-    return out
+    triangles = list(compress(tris, alive))
+    triangles += compress(children, alive[m:])
+    return strip, records, Mesh._built(points + midpoints, triangles)
 
 
 def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, int]]:
     """Every non-spine tree edge as (anchor, child), the anchor nearer the
     spine, sorted by the anchor's distance from the spine, then anchor, then
-    child. Only interior spine triangles may anchor one, at most one each."""
+    child. Only interior spine triangles may anchor one, at most one each.
+
+    Only the spine triangles with more tree edges than spine edges are
+    expanded, so past one read of the spine the work is per doubled edge."""
     parent, children = tree.parent, tree.children
-    ends = (spine[0], spine[-1])
     reached = bytearray(len(parent))
     for s in spine:
         reached[s] = 1
+    last = len(spine) - 1
+    level = sorted(
+        s
+        for i, s in enumerate(spine)
+        if len(children[s]) + (parent[s] is not None) > (i > 0) + (i < last)
+    )
     doubled: list[tuple[int, int]] = []
-    level = sorted(spine)
     on_spine = True
     while level:
         nxt: list[int] = []
@@ -444,7 +361,7 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
             if not kids:
                 continue
             if on_spine:
-                if a in ends:
+                if a in (spine[0], spine[-1]):
                     raise PipelineError(f"spine end {a} unexpectedly has a doubled child")
                 if len(kids) > 1:
                     raise PipelineError(

@@ -10,12 +10,12 @@ edits and by a list replay, the BFS dual tree, the dict-based balance edge
 and spine, the set-based three-cycle elimination, the full-sweep nodal
 merge, the dict-based mesh, the heap greedy and its frozenset replay, the
 blossom with a base map, and the cycle walk with a dict) share only the
-primitives they were built on. The test
-helpers (`relabel`, `cycle_lengths`, `mesh_edges`, `vertex_triangles`,
-`greedy_reduce`, the forced reductions on their own, the stats and JSON
-curve readers, and the mesh geometry, edge scans, table reads and edits) are
-not oracles: only tests use them, so they live here rather than in the
-library.
+primitives they were built on. The test helpers (`relabel`, `flip_edges`,
+`mk_triangle_count`, `tree_edges`, `cycle_lengths`, `mesh_edges`,
+`vertex_triangles`, `greedy_reduce`, the forced reductions on their own, the
+stats and JSON curve readers, and the mesh geometry, edge scans, table reads
+and edits) are not oracles: only tests use them, so they live here rather
+than in the library.
 """
 
 from __future__ import annotations
@@ -443,10 +443,12 @@ def euler_strip_by_splits(mesh, tree, spine):
     return [remap[t] for t in strip], records, out
 
 
-# The open-strip construction as the library ran it before its split replay
-# moved to numpy: the same splits, replayed one at a time on copies of the
-# mesh lists, with per-cell records for the walk. Its output mesh comes from
-# the checking constructor, so its table is sorted eagerly.
+# The open-strip construction by a list replay, the reference that
+# `euler_strip` is compared against; it shares only `_doubled_edges` with the
+# library. The same splits are replayed one at a time on copies of the mesh
+# lists, each parent rotated as it stands in the growing triangle list, with
+# per-cell records for the walk. Its output mesh comes from the checking
+# constructor, so its table is sorted eagerly.
 
 
 def euler_strip_by_lists(mesh, tree, spine):
@@ -667,6 +669,51 @@ def relabel(mesh, rng):
         triangles.append([(a, b, c), (b, c, a), (c, a, b)][rng.randrange(3)])
     rng.shuffle(triangles)
     return Mesh(vertices, triangles)
+
+
+def flip_edges(mesh, rng, k):
+    """The live triangles with up to k random interior edges flipped, as a
+    new mesh; orientation is kept and ids follow the live ids.
+
+    Triangles (a, b, c) and (b, a, d) on edge ab become (a, d, c) and
+    (d, b, c). A flip is drawn only where edge cd is absent and a and b keep
+    at least three edges each.
+    """
+    from singlestrip.mesh import Mesh
+
+    tris = [mesh.triangles[t] for t in mesh.alive_ids()]
+    for _ in range(k):
+        owner, nbrs = {}, {}
+        for t, (a, b, c) in enumerate(tris):
+            for x, y in ((a, b), (b, c), (c, a)):
+                owner[x, y] = t
+                nbrs.setdefault(x, set()).add(y)
+                nbrs.setdefault(y, set()).add(x)
+        options = []
+        for (a, b), t in owner.items():
+            u = owner.get((b, a))
+            if u is None or a > b or len(nbrs[a]) < 4 or len(nbrs[b]) < 4:
+                continue
+            (c,) = set(tris[t]) - {a, b}
+            (d,) = set(tris[u]) - {a, b}
+            if d not in nbrs[c]:
+                options.append((a, b, c, d, t, u))
+        if not options:
+            break
+        a, b, c, d, t, u = rng.choice(sorted(options))
+        tris[t], tris[u] = (a, d, c), (d, b, c)
+    return Mesh(list(mesh.vertices), tris)
+
+
+def mk_triangle_count(k: int) -> int:
+    """Triangles of `gen_mk(k)`: 3 * (2^k - 1) + 1."""
+    return 3 * (2**k - 1) + 1
+
+
+def tree_edges(tree) -> list[tuple[int, int]]:
+    """A library `DualSpanningTree`'s edges as (child, parent), in preorder
+    of the child."""
+    return [(t, tree.parent[t]) for t in tree.order[1:]]
 
 
 def cycle_lengths(cycleset) -> list[int]:

@@ -16,13 +16,14 @@ from oracles import (
     edge_triangles,
     insert_centroid,
     max_matching_size,
+    mk_triangle_count,
     petersen_graph,
     plane_distance,
     triangle_diameter,
     triangle_points,
     vertex_triangles,
 )
-from singlestrip.boundary import gen_mk, mk_triangle_count, strip_with_boundary
+from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
 from singlestrip.mesh import build_dual

@@ -16,13 +16,16 @@ from oracles import (
     dual_by_shared_vertices,
     euler_strip_by_lists,
     euler_strip_by_splits,
+    flip_edges,
     insert_centroid,
     longest_path_in_tree,
+    mk_triangle_count,
     prufer_tree,
     punch_holes,
     relabel,
     spine_path_by_dicts,
     tree_edge_splits,
+    tree_edges,
     warnsdorff_spanning_tree_by_dicts,
 )
 from singlestrip import mesh as mesh_module
@@ -33,7 +36,6 @@ from singlestrip.boundary import (
     dual_spanning_tree,
     euler_strip,
     gen_mk,
-    mk_triangle_count,
     spine_path,
     strip_with_boundary,
 )
@@ -233,7 +235,7 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
     n = mesh.n_triangles
     dual = build_dual(mesh)
     tree = dual_spanning_tree(dual)
-    tree_pairs = {frozenset(p) for p in tree.tree_edges()}
+    tree_pairs = {frozenset(p) for p in tree_edges(tree)}
     spine = spine_path(tree, balance_edge(tree))
     before = _snapshot(mesh)
     strip, records, out = euler_strip(mesh, tree, spine)
@@ -336,12 +338,14 @@ def _strip_reprs(strip, records, out):
 @given(
     mesh=_open_meshes,
     seed=st.integers(0, 2**32 - 1),
+    flips=st.integers(0, 8),
     holes=st.integers(0, 6),
     pick=st.none() | st.integers(0, 2**16),
     bfs=st.booleans(),
 )
-def test_euler_strip_matches_the_list_replay(mesh, seed, holes, pick, bfs):
-    mesh = relabel(mesh, random.Random(seed))
+def test_euler_strip_matches_the_list_replay(mesh, seed, flips, holes, pick, bfs):
+    rng = random.Random(seed)
+    mesh = flip_edges(relabel(mesh, rng), rng, flips)
     _punch_tree_leaves(mesh, holes)
     if mesh.n_triangles < 3:
         return
@@ -401,7 +405,7 @@ def test_list_tree_matches_the_dict_oracle(dual, seed):
     dual = _sparse_relabel(dual, seed)
     tree = dual_spanning_tree(dual)
     want = warnsdorff_spanning_tree_by_dicts(dual)
-    assert tree.tree_edges() == want.tree_edges()
+    assert tree_edges(tree) == want.tree_edges()
     assert tree.n == len(want.parent)
     assert {t: tree.subtree[t] for t in dual} == want.subtree
     assert {t: tree.children[t] for t in dual} == want.children
@@ -434,7 +438,7 @@ def test_tree_spans_the_dual_depth_first(dual, seed):
             out.add(t)
         return out
 
-    edges = {frozenset(e) for e in tree.tree_edges()}
+    edges = {frozenset(e) for e in tree_edges(tree)}
     for t, row in dual.items():
         up = ancestors(t)
         for u in row:

@@ -16,6 +16,7 @@ from oracles import (
     cycle_lengths,
     eliminate_three_cycles_by_sets,
     extract_cycles_by_dict,
+    flip_edges,
     insert_centroid,
     merge_nodal_full_sweep,
     other_triangle,
@@ -152,9 +153,10 @@ def test_eliminate_matches_set_based_oracle(shape, centroids, relabel_after, see
         st.tuples(st.just("icosphere"), st.integers(0, 2), st.just(0)),
     ),
     centroids=st.integers(0, 12),
+    flips=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compacted_output_equals_a_checked_rebuild(shape, centroids, seed):
+def test_compacted_output_equals_a_checked_rebuild(shape, centroids, flips, seed):
     # `compact` keeps the working table, renumbered, and checks nothing;
     # relabelled inputs make cycles, so most outputs hold split children
     kind, a, b = shape
@@ -162,6 +164,7 @@ def test_compacted_output_equals_a_checked_rebuild(shape, centroids, seed):
     mesh = relabel(torus(a, b) if kind == "torus" else icosphere(a), rng)
     for _ in range(centroids):
         insert_centroid(mesh, rng.choice(mesh.alive_ids()))
+    mesh = flip_edges(mesh, rng, flips)
     result = stripify(mesh)
     assert_same_as_checked_rebuild(result.mesh)
     # the end-to-end contract: one verified cycle, k cycles joined by k - 1
