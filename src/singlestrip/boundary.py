@@ -258,7 +258,12 @@ def euler_strip(
         # the anchor's edge to the child is (x, y), its apex w
         p, q, r = tris[anchor]
         i = nb.index(child, 3 * anchor, 3 * anchor + 3) - 3 * anchor
-        x, y, w = (p, q, r) if i == 0 else (q, r, p) if i == 1 else (r, p, q)
+        if i == 0:
+            x, y, w = p, q, r
+        elif i == 1:
+            x, y, w = q, r, p
+        else:
+            x, y, w = r, p, q
         cell = anchor
         rec = split[anchor]
         if rec is not None:
@@ -291,7 +296,9 @@ def euler_strip(
         lo, hi = (x, y) if x < y else (y, x)
         records.append(SplitRecord((lo, hi), mid, parents, ids))
         pa, pb = points[lo], points[hi]
-        midpoints.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0))
+        midpoints.append(
+            ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0)
+        )
     # per cell, its id among the live cells
     rank = array("q", accumulate(alive, initial=0))
 
@@ -340,6 +347,7 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
     Only the spine triangles with more tree edges than spine edges are
     expanded, so past one read of the spine the work is per doubled edge."""
     parent, children = tree.parent, tree.children
+    ends = (spine[0], spine[-1])
     reached = bytearray(len(parent))
     for s in spine:
         reached[s] = 1
@@ -361,7 +369,7 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
             if not kids:
                 continue
             if on_spine:
-                if a in (spine[0], spine[-1]):
+                if a in ends:
                     raise PipelineError(f"spine end {a} unexpectedly has a doubled child")
                 if len(kids) > 1:
                     raise PipelineError(

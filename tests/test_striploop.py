@@ -161,10 +161,11 @@ def test_compacted_output_equals_a_checked_rebuild(shape, centroids, flips, seed
     # relabelled inputs make cycles, so most outputs hold split children
     kind, a, b = shape
     rng = random.Random(seed)
-    mesh = relabel(torus(a, b) if kind == "torus" else icosphere(a), rng)
+    # flip first: the centroid edits then leave a retired slot, appended rows
+    # and repointed neighbours for `stripify` to read
+    mesh = flip_edges(relabel(torus(a, b) if kind == "torus" else icosphere(a), rng), rng, flips)
     for _ in range(centroids):
         insert_centroid(mesh, rng.choice(mesh.alive_ids()))
-    mesh = flip_edges(mesh, rng, flips)
     result = stripify(mesh)
     assert_same_as_checked_rebuild(result.mesh)
     # the end-to-end contract: one verified cycle, k cycles joined by k - 1
