@@ -409,8 +409,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
             strip = list(range(n_input))
             spine_len = n_input - 1
         else:
-            dual = build_dual(mesh)
-            tree = dual_spanning_tree(dual)
+            tree = dual_spanning_tree(build_dual(mesh))
             e = balance_edge(tree)
             spine = spine_path(tree, e)
             spine_len = len(spine) - 1

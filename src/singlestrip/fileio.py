@@ -15,12 +15,17 @@ numpy reads differently from Python's `float`/`int` (`1_0`, non-ASCII
 digits, `2.0` as an index, indices beyond int64), goes to the line reader,
 which reads every layout and words every `ParseError`. The array route
 raises only `Mesh`'s own errors, which name the same values.
+
+The writers print each coordinate as its shortest `repr`. `_vertex_lines`
+writes the vertex text of both mesh formats and of the curve OBJ in chunks
+of `_ROWS` rows, and formats each distinct coordinate of a chunk once.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -222,25 +227,44 @@ def _read_obj(text: str) -> Mesh:
     return _mesh(vertices, faces)
 
 
+# Rows per chunk of vertex text: a chunk's text and its distinct reprs stay
+# within a few MiB.
+_ROWS = 1 << 13
+
+
+def _vertex_lines(points: np.ndarray, prefix: str):
+    """Vertex text in chunks of `_ROWS` rows: per row of the (N, 3) float64
+    array `points`, `prefix` and the three coordinates as their shortest
+    `repr`, one line each. A chunk formats each distinct bit pattern once;
+    bit patterns rather than values, so that -0.0 and 0.0 keep their own
+    reprs."""
+    for i in range(0, len(points), _ROWS):
+        rows = points[i : i + _ROWS]
+        bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
+        text = list(map(repr, bits.view(np.float64).tolist()))
+        # three or more ids, so the itemgetter returns a tuple
+        yield (prefix + "%s %s %s\n") * len(rows) % itemgetter(*inverse.tolist())(text)
+
+
+def _vertex_array(mesh: Mesh) -> np.ndarray:
+    """The mesh's vertex tuples as an (n, 3) float64 array, read through one
+    flat iterator: half the time `np.array` takes on the tuples."""
+    flat = np.fromiter(chain.from_iterable(mesh.vertices), np.float64, 3 * mesh.n_vertices)
+    return flat.reshape(-1, 3)
+
+
 def dumps_off(mesh: Mesh) -> str:
     ids = mesh.alive_ids()
-    lines = ["OFF", f"{mesh.n_vertices} {len(ids)} {mesh.n_edges}"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"{x!r} {y!r} {z!r}")
-    for t in ids:
-        a, b, c = mesh.triangles[t]
-        lines.append(f"3 {a} {b} {c}")
-    return "\n".join(lines) + "\n"
+    head = f"OFF\n{mesh.n_vertices} {len(ids)} {mesh.n_edges}\n"
+    faces = [f"3 {a} {b} {c}\n" for a, b, c in map(mesh.triangles.__getitem__, ids)]
+    return "".join([head, *_vertex_lines(_vertex_array(mesh), ""), *faces])
 
 
 def dumps_obj(mesh: Mesh) -> str:
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x!r} {y!r} {z!r}")
-    for t in mesh.alive_ids():
-        a, b, c = mesh.triangles[t]
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    return "\n".join(lines) + "\n"
+    ids = mesh.alive_ids()
+    faces = [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in map(mesh.triangles.__getitem__, ids)]
+    # a mesh without vertices or faces is one empty line
+    return "".join([*_vertex_lines(_vertex_array(mesh), "v "), *faces]) or "\n"
 
 
 # -- strip order files -------------------------------------------------------

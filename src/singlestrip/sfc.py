@@ -20,7 +20,9 @@ cell stay contiguous, so the flat cell array is always in depth-first curve
 order. The float steps are those of a per-cell recursion: midpoints as
 (p + q) / 2, centroids as (a + b + c) / 3, and each exit point read off its
 leaf cell by its label. The points stay one (N, 3) float64 array from
-`generate_curve` to export.
+`generate_curve` through export, which copies it only to drop repeated
+points and writes its vertex text with `fileio._vertex_lines`, in chunks that
+format each distinct coordinate once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import _vertex_lines
 from .mesh import Mesh, _slot, edge_key
 
 MAX_DEPTH = 12
@@ -208,26 +211,27 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
 
 # -- export -------------------------------------------------------------------
 
+# Indices per piece of the OBJ line element.
 _CHUNK = 1 << 15
 
 
 def _export_points(curve: CurvePolyline) -> np.ndarray:
     """The curve's points as an (N, 3) float array without consecutive
-    repeats: a row is dropped when it equals the row before it."""
+    repeats: a row is dropped when it equals the row before it. Without
+    repeats this is the curve's own array, not a copy."""
     points = np.asarray(curve.points, dtype=float).reshape(-1, 3)
     if not len(points):
         raise CurveError("cannot export an empty curve")
     keep = np.ones(len(points), dtype=bool)
     keep[1:] = (points[1:] != points[:-1]).any(axis=1)
-    return points[keep]
+    return points if keep.all() else points[keep]
 
 
 def _obj_chunks(points: np.ndarray, closed: bool):
-    """OBJ text in pieces: one vertex line per point, then one line element.
-    Each chunk is formatted from Python floats, so every coordinate is
-    written as its shortest `repr`."""
-    for i in range(0, len(points), _CHUNK):
-        yield "".join([f"v {x!r} {y!r} {z!r}\n" for x, y, z in points[i : i + _CHUNK].tolist()])
+    """OBJ text in pieces: the vertex lines in `_vertex_lines`' chunks, each
+    coordinate as its shortest `repr`, then one line element cut every
+    `_CHUNK` indices."""
+    yield from _vertex_lines(points, "v ")
     n = len(points)
     for i in range(1, n + 1, _CHUNK):
         yield ("l " if i == 1 else " ") + " ".join(map(str, range(i, min(i + _CHUNK, n + 1))))

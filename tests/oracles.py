@@ -9,8 +9,9 @@ point repeat filter, the set-based order check, the Euler strip by mesh
 edits and by a list replay, the BFS dual tree, the dict-based balance edge
 and spine, the set-based three-cycle elimination, the full-sweep nodal
 merge, the dict-based mesh, the heap greedy and its frozenset replay, the
-blossom with a base map, and the cycle walk with a dict) share only the
-primitives they were built on. The test helpers (`relabel`, `flip_edges`,
+blossom with a base map, the cycle walk with a dict, and the OFF/OBJ and
+curve OBJ writers with one f-string per line) share only the primitives
+they were built on. The test helpers (`relabel`, `flip_edges`,
 `mk_triangle_count`, `tree_edges`, `cycle_lengths`, `mesh_edges`,
 `vertex_triangles`, `greedy_reduce`, the forced reductions on their own, the
 stats and JSON curve readers, and the mesh geometry, edge scans, table reads
@@ -754,6 +755,44 @@ def load_curve_json(path):
     data = json.loads(Path(path).read_text())
     points = np.asarray(data["points"], dtype=float).reshape(-1, 3)
     return CurvePolyline(points=points, closed=data["closed"])
+
+
+# -- text writers, one f-string per line -----------------------------------------
+
+
+def vertex_lines_by_fstrings(points, prefix: str) -> str:
+    """Per (x, y, z) row, `prefix` and the coordinates' reprs, one line each."""
+    rows = np.asarray(points, dtype=float).reshape(-1, 3).tolist()
+    return "".join([f"{prefix}{x!r} {y!r} {z!r}\n" for x, y, z in rows])
+
+
+def dumps_off_by_lines(mesh) -> str:
+    ids = mesh.alive_ids()
+    lines = ["OFF", f"{mesh.n_vertices} {len(ids)} {mesh.n_edges}"]
+    for x, y, z in mesh.vertices:
+        lines.append(f"{x!r} {y!r} {z!r}")
+    for t in ids:
+        a, b, c = mesh.triangles[t]
+        lines.append(f"3 {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def dumps_obj_by_lines(mesh) -> str:
+    lines = []
+    for x, y, z in mesh.vertices:
+        lines.append(f"v {x!r} {y!r} {z!r}")
+    for t in mesh.alive_ids():
+        a, b, c = mesh.triangles[t]
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def curve_obj_by_lines(points, closed: bool) -> str:
+    """A curve OBJ of the given (already repeat-free) points: vertex lines,
+    then one line element, closed back to vertex 1 if `closed`."""
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in np.asarray(points, dtype=float).tolist()]
+    lines.append("l " + " ".join(map(str, range(1, len(lines) + 1))) + (" 1" if closed else ""))
+    return "\n".join(lines) + "\n"
 
 
 def reversed_cycle(dc):

@@ -1,11 +1,23 @@
 """OFF/OBJ round-trips, parse failures, strip order files."""
 
+import random
+from unittest.mock import patch
+
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_triangles, mesh_edges
+from oracles import (
+    dumps_obj_by_lines,
+    dumps_off_by_lines,
+    edge_triangles,
+    insert_centroid,
+    mesh_edges,
+    punch_holes,
+    relabel,
+    vertex_lines_by_fstrings,
+)
 from singlestrip import fileio
 from singlestrip.fileio import (
     ParseError,
@@ -20,6 +32,7 @@ from singlestrip.fileio import (
 )
 from singlestrip.generators import octahedron, tetrahedron, torus
 from singlestrip.mesh import Mesh
+from singlestrip.striploop import stripify
 
 TETRA_OFF = """OFF
 4 4 6
@@ -311,3 +324,70 @@ def test_written_meshes_load_without_the_line_reader(tmp_path, monkeypatch, dump
     back = load_mesh(path)
     assert (back.vertices, back.triangles, back.neighbours) == (
         mesh.vertices, mesh.triangles, mesh.neighbours)
+
+
+# -- the vertex writer against one f-string per line ------------------------------
+
+# -0.0 beside 0.0, subnormals, the largest finite magnitudes, and values on
+# either side of repr's switches to exponent form at 1e16 and 1e-4
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+    9999999999999998.0, 1e16, 1.0000000000000002e16, -1e16,
+    9.999999999999999e-05, 0.0001, 0.00010000000000000002, -0.0001,
+)
+_coords = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+_ROWS = 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.sampled_from([0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 1]).flatmap(
+        lambda n: st.lists(st.tuples(_coords, _coords, _coords), min_size=n, max_size=n)
+    ),
+    prefix=st.sampled_from(["v ", ""]),
+)
+@example(rows=[(0.0, -0.0, 0.0), (-0.0, 5e-324, 0.0), (0.0, 0.0, -0.0), (1e16, 1e16, -0.0),
+               (-0.0, 0.0, 0.0)], prefix="v ")
+def test_vertex_lines_equal_one_fstring_per_row(rows, prefix):
+    # chunks of four rows; the rows as an array (the curve) and as a mesh's
+    # vertex tuples
+    points = np.array(rows, dtype=float).reshape(-1, 3)
+    mesh = Mesh._built(rows, [])
+    with patch.object(fileio, "_ROWS", _ROWS):
+        assert "".join(fileio._vertex_lines(points, prefix)) == vertex_lines_by_fstrings(points, prefix)
+        assert dumps_obj(mesh) == dumps_obj_by_lines(mesh)
+
+
+def _centroid_torus(seed):
+    """A relabelled torus with a few triangles split at their centroid."""
+    rng = random.Random(seed)
+    mesh = relabel(torus(9, 7), rng)
+    for _ in range(10):
+        insert_centroid(mesh, rng.choice(mesh.alive_ids()))
+    return mesh
+
+
+def _holed_grid(seed):
+    """A 12 x 9 grid with about a fifth of its triangles removed; its z
+    coordinates mix -0.0 and 0.0."""
+    rng = random.Random(seed)
+    vertices = [(x / 3, y / 7, -0.0 if (x + y) % 2 else 0.0) for y in range(10) for x in range(13)]
+    triangles = []
+    for y in range(9):
+        for x in range(12):
+            v = y * 13 + x
+            triangles += [(v, v + 1, v + 14), (v, v + 14, v + 13)]
+    mesh = Mesh(vertices, triangles)
+    punch_holes(mesh, [t for t in mesh.alive_ids() if rng.random() < 0.2])
+    return mesh
+
+
+@pytest.mark.parametrize("rows", [7, fileio._ROWS])
+@pytest.mark.parametrize("seed", range(3))
+def test_mesh_writers_equal_one_fstring_per_line(monkeypatch, seed, rows):
+    monkeypatch.setattr(fileio, "_ROWS", rows)
+    torus_mesh = _centroid_torus(seed)
+    for mesh in (torus_mesh, stripify(torus_mesh).mesh, _holed_grid(seed), Mesh([], [])):
+        assert dumps_obj(mesh) == dumps_obj_by_lines(mesh)
+        assert dumps_off(mesh) == dumps_off_by_lines(mesh)

@@ -1,6 +1,8 @@
 """Directed cycles, the threading table and space-filling curves."""
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    curve_obj_by_lines,
     dedupe_points,
     load_curve_json,
     reversed_cycle,
@@ -15,10 +18,10 @@ from oracles import (
     sfc_subcurve,
     triangle_points,
 )
-from singlestrip import sfc
+from singlestrip import fileio, sfc
 from singlestrip.cli import main
 from singlestrip.generators import icosphere, tetrahedron, torus
-from singlestrip.mesh import edge_key
+from singlestrip.mesh import Mesh, edge_key
 from singlestrip.sfc import (
     CurveError,
     direct_cycle,
@@ -349,12 +352,58 @@ def test_sfc_output_bytes_are_pinned(tmp_path, fmt):
     assert digest == GOLDEN_SFC[fmt]
 
 
+def _rotated(mesh, angle=0.7, tilt=0.3):
+    """The mesh turned about z by `angle` and about x by `tilt`, so that its
+    coordinates take 17 significant digits."""
+    c, s, ct, st_ = math.cos(angle), math.sin(angle), math.cos(tilt), math.sin(tilt)
+    points = []
+    for x, y, z in mesh.vertices:
+        x, y = c * x - s * y, s * x + c * y
+        points.append((x, ct * y - st_ * z, st_ * y + ct * z))
+    return Mesh(points, [mesh.triangles[t] for t in mesh.alive_ids()])
+
+
+# sha256 of the depth-4 curve OBJ of a rotated torus(8,6), as written by one
+# f-string per vertex line: 51,200 points, so the vertex text spans several
+# chunks of fileio._ROWS rows
+GOLDEN_ROTATED_OBJ = "bdf8c1703970760e5ec26646b90fe065111000a29bfd3d3f736a44bd2a133610"
+
+
+def test_rotated_curve_obj_bytes_are_pinned(tmp_path):
+    res = stripify(_rotated(torus(8, 6)))
+    curve = generate_curve(res.mesh, direct_cycle(res.mesh, res.order), 4)
+    assert len(curve.points) > 4 * fileio._ROWS
+    path = tmp_path / "curve.obj"
+    export_curve(curve, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ROTATED_OBJ
+    assert hashlib.sha256(dumps_curve_obj(curve).encode()).hexdigest() == GOLDEN_ROTATED_OBJ
+
+
+def test_export_peak_memory_does_not_grow_with_the_curve(tmp_path):
+    # export reads the curve's own array when no point repeats and formats
+    # one chunk of rows at a time, so its peak is a chunk's text, whatever
+    # the curve's length (depth 4 has four times the points of depth 3); the
+    # torus is turned about z only, as the sfc-curve benchmark turns it
+    res = stripify(_rotated(torus(16, 8), tilt=0.0))
+    dc = direct_cycle(res.mesh, res.order)
+    peaks = []
+    for depth in (3, 4):
+        curve = generate_curve(res.mesh, dc, depth)
+        tracemalloc.start()
+        try:
+            export_curve(curve, tmp_path / "curve.obj")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20, peaks
+
+
 def test_export_obj_written_in_chunks(tmp_path, torus_strip, monkeypatch):
     dc = direct_cycle(torus_strip.mesh, torus_strip.order)
     curve = generate_curve(torus_strip.mesh, dc, 1)
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in curve.points.tolist()]
-    lines.append("l " + " ".join(map(str, range(1, len(curve.points) + 1))) + " 1")
-    expected = "\n".join(lines) + "\n"
+    expected = curve_obj_by_lines(curve.points, closed=True)
+    # vertex rows and line-element indices, each in chunks of 7
+    monkeypatch.setattr(fileio, "_ROWS", 7)
     monkeypatch.setattr(sfc, "_CHUNK", 7)
     path = tmp_path / "curve.obj"
     export_curve(curve, path)
