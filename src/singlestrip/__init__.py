@@ -19,7 +19,6 @@ from .matching import MatchingError, MatchState, perfect_match_dual
 from .mesh import (
     Mesh,
     MeshError,
-    SplitRecord,
     ValidationError,
     ValidationReport,
     build_dual,
@@ -57,7 +56,6 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "ValidationReport",
-    "SplitRecord",
     "edge_key",
     "validate",
     "build_dual",

@@ -35,7 +35,6 @@ from itertools import accumulate, compress
 
 from .mesh import (
     Mesh,
-    SplitRecord,
     ValidationError,
     ValidationReport,
     build_dual,
@@ -220,7 +219,7 @@ def spine_path(tree: DualSpanningTree, e: tuple[int, int]) -> list[int]:
 
 def euler_strip(
     mesh: Mesh, tree: DualSpanningTree, spine: list[int]
-) -> tuple[list[int], list[SplitRecord], Mesh]:
+) -> tuple[list[int], list[tuple[int, int]], Mesh]:
     """Subdivide every non-spine tree edge and assemble the open strip.
 
     Leaves `mesh` untouched. With m triangle slots and V vertices in
@@ -242,7 +241,8 @@ def euler_strip(
     cell entered at v yields its child at v, the subtree across its edge
     entered at v, then its other child.
 
-    Returns (strip, records, out): `out` holds the live cells in id order,
+    Returns (strip, doubled, out): `doubled` lists the doubled edges as
+    (anchor, child) in split order, `out` holds the live cells in id order,
     as `Mesh.compact` would number them, the input's surviving triangles
     first, and `strip` indexes it.
     """
@@ -251,7 +251,6 @@ def euler_strip(
     m, v0 = len(tris), len(points)
     alive = bytearray(mesh.alive) + b"\x01" * (4 * len(doubled))
     split: list[tuple[int, int, int, int, int] | None] = [None] * len(alive)
-    records: list[SplitRecord] = []
     midpoints: list[tuple[float, float, float]] = []
     children: list[tuple[int, int, int]] = []
     for j, (anchor, child) in enumerate(doubled):
@@ -281,21 +280,16 @@ def euler_strip(
         else:
             kx, ky, kw = p, q, r
         mid, c0 = v0 + j, m + 4 * j
-        ids = (c0, c0 + 1, c0 + 2, c0 + 3)
         if child < cell:
-            parents = (child, cell)
             split[child] = (kx, c0, -1, ky, kw)
-            split[cell] = (x, ids[2], child, y, w)
+            split[cell] = (x, c0 + 2, child, y, w)
             children += ((kx, mid, kw), (mid, ky, kw), (x, mid, w), (mid, y, w))
         else:
-            parents = (cell, child)
             split[cell] = (x, c0, child, y, w)
-            split[child] = (kx, ids[2], -1, ky, kw)
+            split[child] = (kx, c0 + 2, -1, ky, kw)
             children += ((x, mid, w), (mid, y, w), (kx, mid, kw), (mid, ky, kw))
         alive[cell] = alive[child] = 0
-        lo, hi = (x, y) if x < y else (y, x)
-        records.append(SplitRecord((lo, hi), mid, parents, ids))
-        pa, pb = points[lo], points[hi]
+        pa, pb = points[x], points[y]
         midpoints.append(
             ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0)
         )
@@ -336,7 +330,7 @@ def euler_strip(
 
     triangles = list(compress(tris, alive))
     triangles += compress(children, alive[m:])
-    return strip, records, Mesh._built(points + midpoints, triangles)
+    return strip, doubled, Mesh._built(points + midpoints, triangles)
 
 
 def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, int]]:
@@ -403,7 +397,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         n_input = mesh.n_triangles
 
     with timer("strip"):
-        records: list[SplitRecord] = []
+        doubled: list[tuple[int, int]] = []
         if n_input <= 2:
             out = Mesh._built(list(mesh.vertices), [mesh.triangles[t] for t in mesh.alive_ids()])
             strip = list(range(n_input))
@@ -413,15 +407,15 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
             e = balance_edge(tree)
             spine = spine_path(tree, e)
             spine_len = len(spine) - 1
-            strip, records, out = euler_strip(mesh, tree, spine)
+            strip, doubled, out = euler_strip(mesh, tree, spine)
 
     with timer("verify"):
         ok, why = verify_order(out, strip, closed=False)
         if not ok:
             raise PipelineError(f"open strip failed verification: {why}")
-        if len(strip) != n_input + 2 * len(records):
+        if len(strip) != n_input + 2 * len(doubled):
             raise PipelineError(
-                f"strip length {len(strip)} != {n_input} + 2*{len(records)} splits"
+                f"strip length {len(strip)} != {n_input} + 2*{len(doubled)} splits"
             )
 
     n_output = out.n_triangles
@@ -432,14 +426,14 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
         "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
         "cycles_initial": None,
         "cycles_after_nodal": None,
-        "splits": len(records),
+        "splits": len(doubled),
         "spine_edges": spine_len,
         "bound_3n_minus_4log2n": round(bound, 3),
         "bound_gap": round(n_output - bound, 3),
         "verified": True,
         "elapsed_ms": timer.ms,
     }
-    return StripResult(mesh=out, order=strip, closed=False, splits=records, stats=stats)
+    return StripResult(mesh=out, order=strip, closed=False, stats=stats)
 
 
 def _closed_report(mesh: Mesh) -> ValidationReport:

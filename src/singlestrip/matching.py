@@ -40,10 +40,6 @@ class MatchState:
     augmentations: int = 0
     augment_nodes: int = 0
 
-    @property
-    def size(self) -> int:
-        return len(self.partner) // 2
-
 
 def _adjacency(graph) -> dict[int, set[int]]:
     """A node -> neighbours mapping as sets, for the greedy phase to consume.

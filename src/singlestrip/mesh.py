@@ -6,8 +6,8 @@ The table is the mesh's one adjacency: `build_dual` reads the dual graph
 `shared_edge` recovers the mesh edge between two neighbours from a row.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
-subdivision appends fresh ids, so records built by the pipeline (matchings,
-split records, removed configurations) stay valid across edits. The mesh is
+subdivision appends fresh ids, so ids the pipeline holds (matchings, removed
+configurations, split pairs) stay valid across edits. The mesh is
 edited only by row edits of the neighbour table: three-cycle elimination
 and restoration, and `split_pair` on a pair its caller names.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -258,12 +257,13 @@ class Mesh:
 
     @property
     def n_edges(self) -> int:
-        """Number of distinct edges of the live triangles."""
-        ids = self.alive_ids()
-        if not ids:
-            return 0
-        _order, start, *_ = _edge_sort(_triangle_array(self, ids), self.n_vertices)
-        return len(start)
+        """Number of distinct edges of the live triangles: the live slots
+        across which the table holds -1 or a larger id. Of the triangles on
+        an edge only the first by id lists a larger one; on a `_built` mesh
+        this is the table's first read."""
+        nb = np.array(self.neighbours, dtype=np.int64).reshape(-1, 3)
+        first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
+        return int(np.count_nonzero(first[np.array(self.alive, dtype=bool)]))
 
     def alive_ids(self) -> list[int]:
         return [t for t, a in enumerate(self.alive) if a]
@@ -331,29 +331,18 @@ class Mesh:
         return mesh, {old: new for new, old in enumerate(ids)}
 
 
-class SplitRecord(NamedTuple):
-    """One midpoint split of an interior edge: two parents become four children.
-
-    `children[0:2]` replace `parents[0]` and `children[2:4]` replace
-    `parents[1]`; every child lies in its parent's supporting plane because
-    its vertices are two parent vertices plus the edge midpoint.
-    """
-
-    edge: tuple[int, int]
-    midpoint: int
-    parents: tuple[int, int]
-    children: tuple[int, int, int, int]
-
-
-def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> SplitRecord:
-    """Split the two triangles `pair` on edge e at its midpoint.
+def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> tuple[int, int, int, int]:
+    """Split the two triangles `pair` on edge e at its midpoint, appended as
+    the mesh's last vertex; returns the four children's ids.
 
     Each parent (x, y, w), with {x, y} = e, becomes (x, m, w) and (m, y, w),
-    preserving winding. The mesh gains one vertex and a net two triangles.
-    The parents are taken in id order. The children's rows are built from
-    the parents' rows, and the parents' outer neighbours re-pointed, so no
-    edge of either parent may have more than two triangles. A parent without
-    edge e is rejected before the mesh is touched.
+    preserving winding, so every child lies in its parent's plane. The mesh
+    gains one vertex and a net two triangles. The parents are taken in id
+    order: children[0:2] replace the first and children[2:4] the second.
+    The children's rows are built from the parents' rows, and the parents'
+    outer neighbours re-pointed, so no edge of either parent may have more
+    than two triangles. A parent without edge e is rejected before the mesh
+    is touched.
     """
     parents = sorted(pair)
     a, b = e
@@ -384,7 +373,7 @@ def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> SplitRe
         mesh._append((mid, y, w), [across_y, n_yw, c0])
         mesh._repoint(n_wx, tid, c0)
         mesh._repoint(n_yw, tid, c1)
-    return SplitRecord(edge=e, midpoint=mid, parents=(parents[0], parents[1]), children=children)
+    return children
 
 
 # -- validation ------------------------------------------------------------

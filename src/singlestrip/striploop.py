@@ -20,7 +20,6 @@ import numpy as np
 from .matching import perfect_match_dual
 from .mesh import (
     Mesh,
-    SplitRecord,
     ValidationError,
     build_dual,
     shared_edge,
@@ -346,12 +345,13 @@ def merge_nodal(
 
 def spanning_tree_splits(
     mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
-) -> list[SplitRecord]:
+) -> list[tuple[tuple[int, int], int, int]]:
     """Split the matched pairs on a spanning tree of the cycle graph.
 
     Each split re-matches the four children in sibling pairs and frees the
     two halves of the split edge, routing one cycle through the other; k
-    cycles need exactly k-1 splits. Mutates mesh and partner in place.
+    cycles need exactly k-1 splits. Mutates mesh and partner in place and
+    returns the split pairs as (edge, t, u), in the order they were split.
     """
     if cycleset.count <= 1:
         return []
@@ -390,18 +390,15 @@ def spanning_tree_splits(
             f"for {cycleset.count} cycles"
         )
 
-    records = []
     for e, t, u in tree:
-        rec = split_pair(mesh, e, (t, u))
+        c0, c1, c2, c3 = split_pair(mesh, e, (t, u))
         del partner[t]
         del partner[u]
-        c0, c1, c2, c3 = rec.children
         partner[c0] = c1
         partner[c1] = c0
         partner[c2] = c3
         partner[c3] = c2
-        records.append(rec)
-    return records
+    return tree
 
 
 # -- assembly and verification -------------------------------------------------
@@ -420,15 +417,27 @@ def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
     return cycles[0]
 
 
+def _held(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, which distinct vertices of row a the row b holds: a (3, rows)
+    mask over a's positions, a repeated vertex counted at its first."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.stack([
+        (a0 == b0) | (a0 == b1) | (a0 == b2),
+        ((a1 == b0) | (a1 == b1) | (a1 == b2)) & (a1 != a0),
+        ((a2 == b0) | (a2 == b1) | (a2 == b2)) & (a2 != a0) & (a2 != a1),
+    ])
+
+
 def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str | None]:
     """Independent checker: exact-once coverage and edge adjacency.
 
     Works from the raw triangle tuples and `alive` flags only, sharing no
     traversal state with the pipeline. Every id must name a live triangle,
-    once, and consecutive triangles (the last and the first too, when
-    `closed`) must share exactly two distinct vertices. The checks run on
-    arrays; the first violation in the order is reported, with the caller's
-    own ids. Returns (ok, first violation or None).
+    once; consecutive triangles (the last and the first too, when `closed`)
+    must share exactly two distinct vertices; and no triangle may be entered
+    and left by the same edge. The checks run on arrays; the first violation
+    in the order is reported, with the caller's own ids. Returns (ok, first
+    violation or None).
     """
     tris, alive = mesh.triangles, mesh.alive
     n_alive = alive.count(True)
@@ -459,17 +468,20 @@ def verify_order(mesh: Mesh, order: list[int], closed: bool) -> tuple[bool, str 
     b = np.roll(a, -1, axis=0) if closed else a[1:]
     if not closed:
         a = a[:-1]
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    # |set(row) & set(next row)|: each distinct vertex of the row that the
-    # next row holds, counted once
-    held0 = (a0 == b0) | (a0 == b1) | (a0 == b2)
-    held1 = ((a1 == b0) | (a1 == b1) | (a1 == b2)) & (a1 != a0)
-    held2 = ((a2 == b0) | (a2 == b1) | (a2 == b2)) & (a2 != a0) & (a2 != a1)
-    bad = held0.astype(np.int8) + held1 + held2 != 2
+    left = _held(a, b)  # per row, the edge it is left by
+    bad = left.sum(axis=0) != 2
     if bad.any():
         i = int(bad.argmax())
         t1, t2 = order[i], order[(i + 1) % len(order)]
         return False, f"consecutive triangles {t1} and {t2} do not share an edge"
+    entered = _held(b, a)  # per next row, the edge it is entered by
+    if closed:
+        same, first = (np.roll(entered, 1, axis=1) == left).all(axis=0), 0
+    else:
+        same, first = (entered[:, :-1] == left[:, 1:]).all(axis=0), 1
+    if same.any():
+        t = order[int(same.argmax()) + first]
+        return False, f"triangle {t} enters and exits by the same edge"
     return True, None
 
 
@@ -518,11 +530,9 @@ class StripResult:
     ``mesh`` is built once, unchecked (``Mesh._built``), from the live
     triangles in id order, by the closed pipeline's ``compact`` or by the
     open pipeline's ``euler_strip``. Its neighbour table is sorted on the
-    first read of ``mesh.neighbours``; the writers and ``verify_order`` read
-    only its vertices, triangles and ``alive``.
-
-    Each of ``splits`` names its midpoint by its vertex id in ``mesh`` and
-    its triangles by their ids in a working copy of the input, not kept.
+    first read of ``mesh.neighbours``, or of ``mesh.n_edges``, which the OFF
+    writer prints; the OBJ writer and ``verify_order`` read only its
+    vertices, triangles and ``alive``.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
     the whole call. The matching itself is not kept, as the later stages
@@ -532,7 +542,6 @@ class StripResult:
     mesh: Mesh
     order: list[int]
     closed: bool
-    splits: list[SplitRecord]
     stats: dict
 
 
@@ -574,7 +583,7 @@ def stripify(mesh: Mesh) -> StripResult:
         cycles_after = cycleset.count
 
     with timer("splits"):
-        records = spanning_tree_splits(work, partner, cycleset)
+        splits = spanning_tree_splits(work, partner, cycleset)
 
     with timer("assemble"):
         order = assemble_cycle(work, partner)
@@ -592,7 +601,7 @@ def stripify(mesh: Mesh) -> StripResult:
             "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
             "cycles_initial": cycles_initial,
             "cycles_after_nodal": cycles_after,
-            "splits": len(records),
+            "splits": len(splits),
             "nodal_merges": len(merges),
             "greedy_matched": match_state.greedy_matched,
             "greedy_coverage": round(match_state.greedy_matched / max(1, n_matched_dual), 4),
@@ -606,7 +615,6 @@ def stripify(mesh: Mesh) -> StripResult:
             mesh=final,
             order=[remap[t] for t in order],
             closed=True,
-            splits=records,
             stats=stats,
         )
     return result

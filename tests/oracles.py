@@ -11,12 +11,13 @@ and spine, the set-based three-cycle elimination, the full-sweep nodal
 merge, the dict-based mesh, the heap greedy and its frozenset replay, the
 blossom with a base map, the cycle walk with a dict, and the OFF/OBJ and
 curve OBJ writers with one f-string per line) share only the primitives
-they were built on. The test helpers (`relabel`, `flip_edges`,
-`mk_triangle_count`, `tree_edges`, `cycle_lengths`, `mesh_edges`,
-`vertex_triangles`, `greedy_reduce`, the forced reductions on their own, the
-stats and JSON curve readers, and the mesh geometry, edge scans, table reads
-and edits) are not oracles: only tests use them, so they live here rather
-than in the library.
+they were built on. `coplanar_parents` checks the midpoint splits from an
+output mesh alone, by bit patterns and vertex sets. The test helpers
+(`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
+`cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
+forced reductions on their own, the stats and JSON curve readers, and the
+mesh geometry, edge scans, table reads and edits) are not oracles: only
+tests use them, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,8 +356,9 @@ def dedupe_points(points: list) -> list:
 
 def verify_order_by_sets(mesh, order, closed: bool):
     """`verify_order` as it was first written, with a set of seen ids, the
-    live ids listed, and two sets intersected per consecutive pair: the same
-    checks in the same order, so the same (ok, message) on every input."""
+    live ids listed, and two sets intersected per consecutive pair, whose
+    edges then compare per triangle: the same checks in the same order, so
+    the same (ok, message) on every input."""
     alive = mesh.alive_ids()
     if len(order) != len(alive):
         return False, f"order lists {len(order)} triangles, mesh has {len(alive)}"
@@ -367,11 +370,16 @@ def verify_order_by_sets(mesh, order, closed: bool):
             return False, f"triangle {t} appears more than once"
         seen.add(t)
     pairs = len(order) if closed else len(order) - 1
+    shared = []  # shared[i]: the edge from order[i] to the next
     for i in range(pairs):
         t1 = order[i]
         t2 = order[(i + 1) % len(order)]
-        if len(set(mesh.triangles[t1]) & set(mesh.triangles[t2])) != 2:
+        shared.append(set(mesh.triangles[t1]) & set(mesh.triangles[t2]))
+        if len(shared[-1]) != 2:
             return False, f"consecutive triangles {t1} and {t2} do not share an edge"
+    for i in range(0 if closed else 1, pairs):
+        if shared[i - 1] == shared[i]:
+            return False, f"triangle {order[i]} enters and exits by the same edge"
     return True, None
 
 
@@ -383,8 +391,19 @@ def verify_order_by_sets(mesh, order, closed: bool):
 # copy, the crossing walk on that edited copy, then `compact`.
 
 
+class Split(NamedTuple):
+    """One midpoint split as the Euler oracles replay it: `children[0:2]`
+    replace `parents[0]` and `children[2:4]` replace `parents[1]`; the ids
+    are those of the oracle's working lists."""
+
+    edge: tuple[int, int]
+    midpoint: int
+    parents: tuple[int, int]
+    children: tuple[int, int, int, int]
+
+
 def euler_strip_by_splits(mesh, tree, spine):
-    """(strip, records, out) of the Euler construction, by mesh edits."""
+    """(strip, splits, out) of the Euler construction, by mesh edits."""
     from singlestrip.mesh import edge_key, split_pair
 
     def shared_tree_edge(a, b):
@@ -413,7 +432,9 @@ def euler_strip_by_splits(mesh, tree, spine):
     records = []
     for anchor, child in doubled:
         e = shared_tree_edge(anchor, child)
-        records.append(split_pair(work, e, edge_triangles(work, e)))
+        pair = edge_triangles(work, e)
+        children = split_pair(work, e, pair)
+        records.append(Split(e, work.n_vertices - 1, tuple(pair), children))
     midpoint = {rec.edge: rec.midpoint for rec in records}
 
     def sweep(t, pkey, enter_v, out):
@@ -453,9 +474,9 @@ def euler_strip_by_splits(mesh, tree, spine):
 
 
 def euler_strip_by_lists(mesh, tree, spine):
-    """(strip, records, out) of the Euler construction, by a list replay."""
+    """(strip, splits, out) of the Euler construction, by a list replay."""
     from singlestrip.boundary import _doubled_edges
-    from singlestrip.mesh import Mesh, SplitRecord, edge_key
+    from singlestrip.mesh import Mesh, edge_key
 
     doubled = _doubled_edges(tree, spine)
     nb = mesh.neighbours
@@ -502,7 +523,7 @@ def euler_strip_by_lists(mesh, tree, spine):
             split[tid] = (x, c0, c0 + 1, child if tid == cell else -1)
         alive += (True, True, True, True)
         children = (first, first + 1, first + 2, first + 3)
-        records.append(SplitRecord(edge=e, midpoint=mid, parents=parents, children=children))
+        records.append(Split(edge=e, midpoint=mid, parents=parents, children=children))
 
     stack = []  # (cell, the vertex it is entered at)
     for i in range(len(spine) - 1, 0, -1):
@@ -918,6 +939,75 @@ def punch_holes(mesh, tids) -> None:
         mesh._retire(t)
         for o in mesh.neighbours[3 * t : 3 * t + 3]:
             mesh._repoint(o, t, -1)
+
+
+# -- coplanarity from the output mesh alone --------------------------------------
+#
+# The paper's fidelity claim, that each new vertex is an edge midpoint and each
+# new triangle lies in the plane of its parent, checked from an input mesh and
+# a pipeline's output with no pipeline state: midpoints are matched by their
+# bits, and triangles by their vertex sets.
+
+
+def _bits(point) -> tuple[str, str, str]:
+    """A point as exact hex strings: equal only when bit-exact, so that -0.0
+    and 0.0 differ."""
+    return tuple(map(float.hex, point))
+
+
+def coplanar_parents(mesh, out) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Map an output `out` of input `mesh` back onto the input.
+
+    `out` keeps the input's vertices first, bit for bit. Every later vertex
+    is the bit-exact midpoint, (pa + pb) / 2 per coordinate, of exactly one
+    input edge (a, b), and no two of them of the same one. Replacing each
+    midpoint in a live output triangle by the two ends of its edge leaves
+    the vertex set of a live input triangle: the one the output triangle
+    lies in. Returns ({midpoint: its edge}, the input triangle under each
+    live output triangle in id order); an AssertionError names the first
+    offender.
+    """
+    n = mesh.n_vertices
+    assert list(map(_bits, out.vertices[:n])) == list(map(_bits, mesh.vertices)), (
+        "the output does not start with the input's vertices"
+    )
+    edges_at: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+    for a, b in mesh_edges(mesh):
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0)
+        edges_at.setdefault(_bits(mid), []).append((a, b))
+    edge_of = {}
+    for v in range(n, out.n_vertices):
+        edges = edges_at.get(_bits(out.vertices[v]), [])
+        assert len(edges) == 1, f"vertex {v} is the midpoint of {len(edges)} input edges"
+        edge_of[v] = edges[0]
+    assert len(set(edge_of.values())) == len(edge_of), "an input edge has two midpoints"
+    by_set = {frozenset(mesh.triangles[t]): t for t in mesh.alive_ids()}
+    under = []
+    for t in out.alive_ids():
+        ends = set()
+        for v in out.triangles[t]:
+            ends.update(edge_of.get(v, (v,)))
+        p = by_set.get(frozenset(ends))
+        assert p is not None, f"output triangle {t} {out.triangles[t]} lies in no input triangle"
+        under.append(p)
+    return edge_of, under
+
+
+def assert_coplanar(mesh, out) -> int:
+    """`coplanar_parents`, then each midpoint of a live output triangle lies
+    within 1e-12 * max(1, diameter) of the plane of the input triangle under
+    it. Returns the number of (midpoint, triangle) pairs checked."""
+    edge_of, under = coplanar_parents(mesh, out)
+    checked = 0
+    for t, p in zip(out.alive_ids(), under):
+        scale = max(1.0, triangle_diameter(mesh, p))
+        for v in out.triangles[t]:
+            if v in edge_of:
+                d = plane_distance(mesh, p, out.vertices[v])
+                assert d <= 1e-12 * scale, f"midpoint {v} off the plane of {p} by {d}"
+                checked += 1
+    return checked
 
 
 # -- vertex fans from raw triangle tuples ----------------------------------------

@@ -10,15 +10,14 @@ import time
 import numpy as np
 
 from oracles import (
+    assert_coplanar,
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
-    edge_triangles,
     insert_centroid,
     max_matching_size,
     mk_triangle_count,
     petersen_graph,
-    plane_distance,
     triangle_diameter,
     triangle_points,
     vertex_triangles,
@@ -210,35 +209,17 @@ def test_criterion_7_boundary_tight_bound():
 
 
 def test_criterion_8_coplanarity():
+    # each output triangle, its midpoints replaced by their edges' ends, is
+    # an input triangle, and each midpoint lies in that triangle's plane
     checked = 0
-    # every closed split parent is a live input triangle holding the split
-    # edge, so each midpoint is checked against the input's planes
-    cases = [(m, stripify(m)) for _n, m in _closed_matrix() if m.n_triangles <= 2000]
-    for mesh, res in cases:
-        for rec in res.splits:
-            assert all(mesh.alive[p] and set(rec.edge) <= set(mesh.triangles[p]) for p in rec.parents)
-            scale = max(triangle_diameter(mesh, p) for p in rec.parents)
-            mid = res.mesh.vertices[rec.midpoint]
-            for parent in rec.parents:
-                d = plane_distance(mesh, parent, mid)
-                assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
-                checked += 1
-    # on the open path every doubled edge is an edge of the input, and each
-    # parent lies in the plane of one of the two input triangles on it
-    mesh = gen_mk(6)
-    res = strip_with_boundary(mesh)
-    assert res.splits
-    for rec in res.splits:
-        planes = edge_triangles(mesh, rec.edge)
-        assert len(planes) == len(rec.parents) == 2
-        scale = max(triangle_diameter(mesh, t) for t in planes)
-        mid = res.mesh.vertices[rec.midpoint]
-        for t in planes:
-            d = plane_distance(mesh, t, mid)
-            assert d <= 1e-12 * max(1.0, scale), f"midpoint off plane by {d}"
-            checked += 1
+    for _n, mesh in _closed_matrix():
+        if mesh.n_triangles <= 2000:
+            checked += assert_coplanar(mesh, stripify(mesh).mesh)
+    res = strip_with_boundary(gen_mk(6))
+    assert res.stats["splits"] > 0
+    checked += assert_coplanar(gen_mk(6), res.mesh)
     assert checked > 0
-    _report(8, f"{checked} split children coplanar with parents within 1e-12")
+    _report(8, f"{checked} midpoints in the planes of the input triangles under them within 1e-12")
 
 
 def _block_points(curve, dc, depth):

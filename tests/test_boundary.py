@@ -13,6 +13,7 @@ from oracles import (
     assert_same_as_checked_rebuild,
     balance_edge_by_dicts,
     bfs_spanning_tree_by_dicts,
+    coplanar_parents,
     dual_by_shared_vertices,
     euler_strip_by_lists,
     euler_strip_by_splits,
@@ -222,8 +223,8 @@ def test_euler_strip_m1_is_6():
     dual = build_dual(mesh)
     tree = dual_spanning_tree(dual)
     spine = spine_path(tree, balance_edge(tree))
-    strip, records, out = euler_strip(mesh, tree, spine)
-    assert len(records) == 1
+    strip, doubled, out = euler_strip(mesh, tree, spine)
+    assert len(doubled) == 1
     assert len(strip) == 6 == 3 * 4 - 2 - 2 * 2
     assert verify_order(out, strip, closed=False) == (True, None)
 
@@ -238,26 +239,17 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
     tree_pairs = {frozenset(p) for p in tree_edges(tree)}
     spine = spine_path(tree, balance_edge(tree))
     before = _snapshot(mesh)
-    strip, records, out = euler_strip(mesh, tree, spine)
+    strip, doubled, out = euler_strip(mesh, tree, spine)
     assert _snapshot(mesh) == before
-    assert len(strip) == n + 2 * len(records)
+    assert len(strip) == n + 2 * len(doubled) == out.n_triangles
     assert verify_order(out, strip, closed=False) == (True, None)
-    # `out` numbers the live cells of the split mesh in id order
-    parents = {p for rec in records for p in rec.parents}
-    children = {c for rec in records for c in rec.children}
-    work_ids = sorted((set(mesh.alive_ids()) | children) - parents)
-    assert len(work_ids) == out.n_triangles
-    # trace every crossing back to original triangles: only tree edges used
-    origin = {t: t for t in range(len(mesh.triangles))}
-    for rec in records:
-        for pi, parent in enumerate(rec.parents):
-            for child in rec.children[2 * pi : 2 * pi + 2]:
-                origin[child] = origin[parent]
+    # trace every crossing back to the input triangles under the cells:
+    # only tree edges are crossed
+    _edge_of, under = coplanar_parents(mesh, out)
     crossed = set()
     for a, b in zip(strip, strip[1:]):
-        oa, ob = origin[work_ids[a]], origin[work_ids[b]]
-        if oa != ob:
-            crossed.add(frozenset((oa, ob)))
+        if under[a] != under[b]:
+            crossed.add(frozenset((under[a], under[b])))
     assert crossed <= tree_pairs
 
 
@@ -299,10 +291,11 @@ def test_euler_strip_matches_split_pair_oracle(mesh, seed, bfs):
         return
     tree, spine = _euler_inputs(mesh, bfs)
     before = _snapshot(mesh)
-    strip, records, out = euler_strip(mesh, tree, spine)
+    strip, doubled, out = euler_strip(mesh, tree, spine)
     assert _snapshot(mesh) == before
-    want_strip, want_records, want_out = euler_strip_by_splits(mesh, tree, spine)
-    assert records == want_records
+    want_strip, want_splits, want_out = euler_strip_by_splits(mesh, tree, spine)
+    assert len(doubled) == len(want_splits)
+    assert coplanar_parents(mesh, out)[0] == {s.midpoint: s.edge for s in want_splits}
     assert strip == want_strip
     assert out.triangles == want_out.triangles
     assert out.vertices == want_out.vertices
@@ -329,9 +322,9 @@ def _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick):
         mesh._reinstate(t)
 
 
-def _strip_reprs(strip, records, out):
+def _strip_reprs(strip, out):
     # reprs: every value a Python int or float, as the writers expect
-    return repr(strip), repr(records), list(map(repr, out.vertices)), repr(out.triangles)
+    return repr(strip), list(map(repr, out.vertices)), repr(out.triangles)
 
 
 @settings(max_examples=100, deadline=None)
@@ -351,20 +344,26 @@ def test_euler_strip_matches_the_list_replay(mesh, seed, flips, holes, pick, bfs
         return
     tree, spine = _euler_inputs(mesh, bfs)
     before = _snapshot(mesh)
-    strip, records, out = euler_strip(mesh, tree, spine)
+    strip, doubled, out = euler_strip(mesh, tree, spine)
     assert _snapshot(mesh) == before
-    want_strip, want_records, want = euler_strip_by_lists(mesh, tree, spine)
-    assert _strip_reprs(strip, records, out) == _strip_reprs(want_strip, want_records, want)
+    want_strip, want_splits, want = euler_strip_by_lists(mesh, tree, spine)
+    assert _strip_reprs(strip, out) == _strip_reprs(want_strip, want)
     assert out.alive == want.alive
     assert out.n_triangles == want.n_triangles
     assert out._neighbours is None  # sorted only when read
     assert out.neighbours == want.neighbours
+    # from the output alone: one midpoint per doubled edge, each on the edge
+    # the replay split there, and every cell inside an input triangle
+    assert out.n_vertices - mesh.n_vertices == len(doubled) == len(want_splits)
+    edge_of, _under = coplanar_parents(mesh, out)
+    assert edge_of == {s.midpoint: s.edge for s in want_splits}
     if pick is not None:
         # split parents go in id order, so a revive changes no output
         _reinstate_a_spine_pair_triangle(mesh, tree, spine, pick)
-        again = euler_strip(mesh, tree, spine)
-        assert _strip_reprs(*again) == _strip_reprs(strip, records, out)
-        assert again[2].neighbours == out.neighbours
+        again_strip, again_doubled, again = euler_strip(mesh, tree, spine)
+        assert again_doubled == doubled
+        assert _strip_reprs(again_strip, again) == _strip_reprs(strip, out)
+        assert again.neighbours == out.neighbours
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,9 +523,10 @@ def test_euler_strip_matches_oracle_with_dead_slots():
     mesh = _open_grid(6, 5)
     punch_holes(mesh, (0, 1))
     tree, spine = _euler_inputs(mesh)
-    strip, records, out = euler_strip(mesh, tree, spine)
-    want_strip, want_records, want_out = euler_strip_by_splits(mesh, tree, spine)
-    assert (strip, records, out.triangles) == (want_strip, want_records, want_out.triangles)
+    strip, doubled, out = euler_strip(mesh, tree, spine)
+    want_strip, want_splits, want_out = euler_strip_by_splits(mesh, tree, spine)
+    assert (strip, out.triangles) == (want_strip, want_out.triangles)
+    assert len(doubled) == len(want_splits)
 
 
 # -- orchestrator ------------------------------------------------------------------
@@ -595,8 +595,8 @@ def test_strip_with_boundary_deep_dual_tree(tmp_path):
     assert verify_order(res.mesh, res.order, closed=False) == (True, None)
     assert len(res.order) == 12000 + 2 * res.stats["splits"]
     tree, spine = _euler_inputs(mesh, bfs=True)
-    strip, records, out = euler_strip(mesh, tree, spine)
-    assert len(records) > 4000
+    strip, doubled, out = euler_strip(mesh, tree, spine)
+    assert len(doubled) > 4000
     assert verify_order(out, strip, closed=False) == (True, None)
 
     path = tmp_path / "strip.off"

@@ -13,8 +13,9 @@ from oracles import insert_centroid, load_curve_json, read_stats
 from singlestrip import boundary, cli, striploop
 from singlestrip.boundary import gen_mk, strip_with_boundary
 from singlestrip.cli import main
-from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh
+from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh, write_strip_order
 from singlestrip.generators import fan, torus
+from singlestrip.mesh import Mesh
 from singlestrip.sfc import CurveError
 from singlestrip.striploop import stripify
 
@@ -121,6 +122,21 @@ def test_verify_detects_duplicate(tmp_path):
         f"cycle {len(order)}\n" + "\n".join(map(str, order)) + "\n"
     )
     assert main(["verify", str(out / "t.strip.obj"), str(out / "t.strip.txt")]) == 4
+
+
+@pytest.mark.parametrize("triangles,order,closed,bad", [
+    ([(0, 1, 2), (0, 2, 3)], [0, 1], True, 0),
+    ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 1, 2], True, 0),
+    ([(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 1, 2], False, 1),
+], ids=["square-cycle", "fin-cycle", "fin-strip"])
+def test_verify_rejects_a_triangle_entered_and_left_by_one_edge(
+    tmp_path, capsys, triangles, order, closed, bad
+):
+    vertices = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)]
+    save_mesh(Mesh(vertices, triangles), tmp_path / "m.off")
+    write_strip_order(tmp_path / "m.txt", order, closed)
+    assert main(["verify", str(tmp_path / "m.off"), str(tmp_path / "m.txt")]) == 4
+    assert capsys.readouterr().err == f"INVALID: triangle {bad} enters and exits by the same edge\n"
 
 
 def test_sfc_curve_artifact(tmp_path):

@@ -336,13 +336,13 @@ def test_k4_every_perfect_matching_leaves_a_4cycle():
 
 def test_perfect_match_octahedron(octa):
     state = perfect_match_dual(build_dual(octa))
-    assert state.size == 4
+    assert len(state.partner) == 8
 
 
 def test_perfect_match_torus400(torus400):
     dual = build_dual(torus400)
     state = perfect_match_dual(dual)
-    assert state.size == 200
+    assert len(state.partner) == 400
     validate_matching(dual, state.partner)
 
 

@@ -1,5 +1,6 @@
 """Mesh core: construction, validation, dual graph, midpoint splits."""
 
+import random
 import re
 
 import pytest
@@ -8,18 +9,20 @@ from oracles import (
     cube_graph,
     dual_by_shared_vertices,
     edge_triangles,
+    flip_edges,
     graphs_isomorphic_small,
     insert_centroid,
     longest_path_in_tree,
     mesh_edges,
     plane_distance,
+    punch_holes,
     triangle_area,
     triangle_points,
     vertex_triangles,
     violation_count,
 )
 from singlestrip.boundary import gen_mk
-from singlestrip.generators import fan, octahedron, tetrahedron, torus
+from singlestrip.generators import fan, icosphere, octahedron, tetrahedron, torus
 from singlestrip.mesh import (
     Mesh,
     MeshError,
@@ -28,6 +31,7 @@ from singlestrip.mesh import (
     split_pair,
     validate,
 )
+from singlestrip.striploop import eliminate_three_cycles, stripify
 
 
 def test_edge_key_canonical():
@@ -40,6 +44,60 @@ def test_tetrahedron_counts(tetra):
     assert tetra.n_triangles == 4
     assert tetra.n_edges == 6
     assert all(len(edge_triangles(tetra, e)) == 2 for e in mesh_edges(tetra))
+
+
+def _fin4():
+    # four triangles on the edge (0, 1): the table lists the first of them
+    # from the other three, and the second from the first
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return Mesh(pts, [(0, 1, 2), (1, 0, 3), (0, 1, 4), (1, 0, 5)])
+
+
+def _holed_torus():
+    mesh = torus(8, 6)
+    punch_holes(mesh, (0, 1, 17))
+    return mesh
+
+
+def _centroid_torus():
+    mesh = torus(6, 5)
+    rng = random.Random(3)
+    for _ in range(6):
+        insert_centroid(mesh, rng.choice(mesh.alive_ids()))
+    return mesh
+
+
+def _eliminated_torus():
+    mesh = _centroid_torus()
+    eliminate_three_cycles(mesh)
+    return mesh
+
+
+def _split_octahedron():
+    mesh = octahedron()
+    for _ in range(3):
+        e = mesh_edges(mesh)[-1]
+        split_pair(mesh, e, edge_triangles(mesh, e))
+    return mesh
+
+
+@pytest.mark.parametrize("make", [
+    _fin4,
+    _holed_torus,
+    lambda: flip_edges(icosphere(2), random.Random(5), 20),
+    _centroid_torus,
+    _eliminated_torus,
+    _split_octahedron,
+    lambda: gen_mk(4),
+    lambda: stripify(torus(10, 10)).mesh,
+    lambda: Mesh([], []),
+], ids=["fin4", "holed-torus", "flipped-icosphere", "centroid-torus", "eliminated-torus",
+        "split-octahedron", "mk4", "built", "empty"])
+def test_n_edges_counts_the_distinct_edges(make):
+    # read off the table: exact for constructor tables, non-manifold edges
+    # included, and for tables the edits left
+    mesh = make()
+    assert mesh.n_edges == len(mesh_edges(mesh))
 
 
 def test_constructor_rejects_bad_index():
@@ -141,11 +199,10 @@ def test_dual_closed_mesh_is_bridgeless():
 
 def test_split_pair_counts(tetra):
     e = mesh_edges(tetra)[0]
-    record = split_pair(tetra, e, edge_triangles(tetra, e))
+    children = split_pair(tetra, e, edge_triangles(tetra, e))
     assert tetra.n_vertices == 5
     assert tetra.n_triangles == 6
-    assert record.edge == e
-    assert len(set(record.children)) == 4
+    assert len(set(children)) == 4
 
 
 def test_split_pair_midpoint_exact():
@@ -153,8 +210,8 @@ def test_split_pair_midpoint_exact():
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
         [(0, 1, 2), (1, 0, 3), (0, 2, 3), (2, 1, 3)],
     )
-    record = split_pair(mesh, (0, 1), edge_triangles(mesh, (0, 1)))
-    assert mesh.vertices[record.midpoint] == (1.0, 0.0, 0.0)
+    split_pair(mesh, (0, 1), edge_triangles(mesh, (0, 1)))
+    assert mesh.vertices[mesh.n_vertices - 1] == (1.0, 0.0, 0.0)
 
 
 def test_split_pair_children_coplanar_and_area_preserving(torus400):
@@ -166,15 +223,16 @@ def test_split_pair_children_coplanar_and_area_preserving(torus400):
         for t in pair:
             parent_areas[t] = triangle_area(mesh, t)
             parent_pts[t] = triangle_points(mesh, t)
-        record = split_pair(mesh, e, pair)
-        for pi, parent in enumerate(record.parents):
-            kids = record.children[2 * pi : 2 * pi + 2]
+        children = split_pair(mesh, e, pair)
+        parents = sorted(pair)
+        for pi, parent in enumerate(parents):
+            kids = children[2 * pi : 2 * pi + 2]
             kid_area = sum(triangle_area(mesh, k) for k in kids)
             assert kid_area == pytest.approx(parent_areas[parent], rel=1e-12)
             for k in kids:
                 assert triangle_area(mesh, k) > 0
-        mid = mesh.vertices[record.midpoint]
-        for parent in record.parents:
+        mid = mesh.vertices[mesh.n_vertices - 1]
+        for parent in parents:
             # the parent is dead but keeps its vertex triple
             assert plane_distance(mesh, parent, mid) <= 1e-12
 
@@ -211,11 +269,12 @@ def test_euler_bookkeeping_over_splits(octa):
 def test_split_then_collapse_recovers_dual(octa):
     before = {t: set(nbrs) for t, nbrs in build_dual(octa).items()}
     e = sorted(mesh_edges(octa))[0]
-    record = split_pair(octa, e, edge_triangles(octa, e))
+    pair = edge_triangles(octa, e)
+    children = split_pair(octa, e, pair)
     # collapse: children -> parents, then compare adjacency to the original
     owner = {}
-    for pi, parent in enumerate(record.parents):
-        for k in record.children[2 * pi : 2 * pi + 2]:
+    for pi, parent in enumerate(sorted(pair)):
+        for k in children[2 * pi : 2 * pi + 2]:
             owner[k] = parent
     dual = build_dual(octa)
     after = {}

@@ -6,21 +6,24 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     all_perfect_matchings,
+    assert_coplanar,
     assert_same_as_checked_rebuild,
+    coplanar_parents,
     cycle_lengths,
+    edge_triangles,
     eliminate_three_cycles_by_sets,
     extract_cycles_by_dict,
     flip_edges,
     insert_centroid,
     merge_nodal_full_sweep,
     other_triangle,
-    plane_distance,
     relabel,
     triangle_edges,
     unmatched_cycles,
@@ -172,7 +175,9 @@ def test_compacted_output_equals_a_checked_rebuild(shape, centroids, flips, seed
     # splits, under 1.5n triangles, and the same output on a rerun
     assert verify_order_by_sets(result.mesh, result.order, closed=True) == (True, None)
     stats = result.stats
-    assert stats["splits"] == len(result.splits) == stats["cycles_after_nodal"] - 1
+    new_vertices = result.mesh.n_vertices - mesh.n_vertices
+    assert stats["splits"] == new_vertices == stats["cycles_after_nodal"] - 1
+    coplanar_parents(mesh, result.mesh)
     assert result.mesh.n_triangles == mesh.n_triangles + 2 * stats["splits"]
     assert result.mesh.n_triangles < 1.5 * mesh.n_triangles
     again = stripify(mesh)
@@ -494,8 +499,7 @@ def test_splits_no_op_for_single_cycle(tetra):
     partner = perfect_match_dual(dual).partner
     cs = extract_cycles(tetra, partner)
     assert cs.count == 1
-    records = spanning_tree_splits(tetra, partner, cs)
-    assert records == []
+    assert spanning_tree_splits(tetra, partner, cs) == []
     assert tetra.n_triangles == 4
 
 
@@ -508,8 +512,8 @@ def test_splits_merge_two_cycles(octa):
     )
     partner = dict(two_cycle)
     cs = extract_cycles(octa, partner)
-    records = spanning_tree_splits(octa, partner, cs)
-    assert len(records) == 1
+    splits = spanning_tree_splits(octa, partner, cs)
+    assert len(splits) == 1
     assert octa.n_triangles == 10
     order = assemble_cycle(octa, partner)
     assert verify_order(octa, order, closed=True) == (True, None)
@@ -580,6 +584,34 @@ def test_verify_order_counts_distinct_shared_vertices(tetra, row, pair):
 def test_verify_rejects_wrong_count(tetra):
     ok, why = verify_order(tetra, [0, 1, 2], closed=True)
     assert not ok
+
+
+# a square cut into two triangles, a fin of three triangles on the edge
+# (0, 1), and the fin with a fourth triangle beyond its third: a triangle
+# entered and left across one edge is no cell of a strip, though each pair
+# shares an edge
+SQUARE = ([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 1, 2), (0, 2, 3)])
+FIN = ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)], [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
+FIN_TAIL = (FIN[0] + [(1, 1, 1)], FIN[1] + [(1, 4, 5)])
+
+
+@pytest.mark.parametrize("shape,order,closed,want", [
+    (SQUARE, [0, 1], True, 0),
+    (SQUARE, [0, 1], False, None),  # an open strip of two has no inner triangle
+    (FIN, [0, 1, 2], True, 0),
+    (FIN, [0, 1, 2], False, 1),
+    (FIN, [1, 2, 0], True, 1),
+    (FIN_TAIL, [3, 2, 1, 0], False, 1),
+], ids=[
+    "square-cycle", "square-strip", "fin-cycle", "fin-strip", "fin-cycle-rotated", "fin-tail-strip",
+])
+def test_verify_order_rejects_a_triangle_entered_and_left_by_one_edge(shape, order, closed, want):
+    mesh = Mesh(*shape)
+    expected = (True, None) if want is None else (
+        False, f"triangle {want} enters and exits by the same edge"
+    )
+    assert verify_order(mesh, order, closed) == expected
+    assert verify_order_by_sets(mesh, order, closed) == expected
 
 
 def _real_orders():
@@ -701,7 +733,7 @@ def test_stripify_stats_report_the_matching_stage(torus400):
     # torus(20,10) takes one nodal merge and one split; neither may leak into
     # the reported matching counters
     res = stripify(torus400)
-    assert _check_matching_stats(res, torus400, 400).size == 200
+    assert len(_check_matching_stats(res, torus400, 400).partner) == 400
 
 
 def test_stripify_reports_greedy_picks(torus400):
@@ -767,7 +799,7 @@ def test_stripify_deterministic(torus400):
     b = stripify(torus(20, 10))
     assert a.order == b.order
     assert a.stats["output_triangles"] == b.stats["output_triangles"]
-    assert [r.edge for r in a.splits] == [r.edge for r in b.splits]
+    assert a.mesh.vertices == b.mesh.vertices  # the same midpoints, in split order
 
 
 @pytest.mark.parametrize("pipeline", ["closed", "open"])
@@ -810,12 +842,32 @@ def test_stage_timer_leaves_errors_without_a_stage_untagged():
 def test_split_children_coplanar_with_parents():
     mesh = torus(10, 10)
     res = stripify(mesh)
-    assert res.splits
-    for rec in res.splits:
-        mid = res.mesh.vertices[rec.midpoint]
-        for parent in rec.parents:
-            assert mesh.alive[parent] and set(rec.edge) <= set(mesh.triangles[parent])
-            assert plane_distance(mesh, parent, mid) <= 1e-12
+    assert res.stats["splits"] > 0
+    # each split adds a midpoint on two children in each of two parents
+    assert assert_coplanar(mesh, res.mesh) == 4 * res.stats["splits"]
+
+
+@pytest.mark.parametrize("pipeline", ["closed", "open"])
+def test_coplanarity_oracle_rejects_a_moved_midpoint_and_a_foreign_vertex(pipeline):
+    mesh = torus(10, 10) if pipeline == "closed" else gen_mk(3)
+    out = (stripify if pipeline == "closed" else strip_with_boundary)(mesh).mesh
+    edge_of, _under = coplanar_parents(mesh, out)
+    v = min(edge_of)
+    x, y, z = out.vertices[v]
+    moved = out.copy()
+    moved.vertices[v] = (float(np.nextafter(x, np.inf)), y, z)
+    with pytest.raises(AssertionError, match=f"^vertex {v} is the midpoint of 0 input edges$"):
+        coplanar_parents(mesh, moved)
+    # a child of the split at v, its apex re-pointed at a vertex of no input
+    # triangle on the split edge
+    t = next(t for t in out.alive_ids() if v in out.triangles[t])
+    a, b = edge_of[v]
+    on_edge = {u for s in edge_triangles(mesh, (a, b)) for u in mesh.triangles[s]}
+    foreign = min(set(range(mesh.n_vertices)) - on_edge)
+    repointed = out.copy()
+    repointed.triangles[t] = tuple(u if u in (v, a, b) else foreign for u in out.triangles[t])
+    with pytest.raises(AssertionError, match=f"^output triangle {t} .* lies in no input triangle$"):
+        coplanar_parents(mesh, repointed)
 
 
 # sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats
