@@ -3,9 +3,10 @@
 A greedy phase applies the forced degree-1 and degree-2 reductions (pendant
 match, neighbor contraction) plus a deterministic smallest-id edge pick when
 neither applies, consuming the whole graph. Replaying the contraction log
-turns that into a maximal matching of the input, which seeds a blossom
-(alternating BFS forest with union-find blossom bases) augmentation phase
-that finishes the job. On cubic bridgeless duals the result is perfect.
+turns that into a maximal matching of the input. `blossom_maximum_matching`
+checks that seed with `validate_matching` and grows it in an augmentation
+phase (alternating BFS forest with union-find blossom bases) that finishes
+the job. On cubic bridgeless duals the result is perfect.
 """
 
 from __future__ import annotations
@@ -151,20 +152,16 @@ def _greedy_consume(adj) -> tuple[dict[int, int], list[tuple], int]:
         v = order[i]
         av = adj[v]
         u = min(av)
-        au = adj[u]
-        partner[v] = u
-        partner[u] = v
         picks += 1
-        queue: deque = deque()
-        av.discard(u)
-        au.discard(v)
-        for node, an in ((v, av), (u, au)):
-            for x in an:
+        # drop v's other edges, then match v as a pendant node on u
+        queue = deque([v])
+        for x in av:
+            if x != u:
                 ax = adj[x]
-                ax.discard(node)
+                ax.discard(v)
                 if len(ax) <= 2:
                     queue.append(x)
-            del adj[node]
+        adj[v] = {u}
         _apply_reductions(adj, partner, log, queue)
     return partner, log, picks
 
@@ -203,22 +200,19 @@ def blossom_maximum_matching(
 ) -> dict[int, int]:
     """Edmonds' blossom algorithm: grow the seed matching to maximum size.
 
-    `graph` is a symmetric node -> neighbours mapping. One alternating BFS
-    forest is grown per exposed node, in ascending id, and each search reads
-    a node's neighbours in ascending id; the rows are sorted once, and only
-    when the seed leaves a node exposed. Odd cycles are contracted on the
-    fly through a union-find that tracks blossom bases. When `state` is
-    given, its `augment_nodes` gains the nodes each search labelled. The
-    seed is checked against `graph` first, and left as it is.
+    `graph` is a symmetric node -> neighbours mapping. The seed, such as
+    `perfect_match_dual`'s replayed greedy seed, is checked against `graph`
+    and left as it is; a copy of it is grown and returned. One alternating
+    BFS forest is grown per exposed node, in ascending id, and each search
+    reads a node's neighbours in ascending id; the rows are sorted once,
+    and only when the seed leaves a node exposed. Odd cycles are contracted
+    on the fly through a union-find that tracks blossom bases. When `state`
+    is given, its `augment_nodes` gains the nodes each search labelled.
     """
     if seed:
         validate_matching(graph, seed)
-    return _grow(graph, dict(seed or ()), state)
-
-
-def _grow(graph, match: dict[int, int], state: MatchState | None) -> dict[int, int]:
-    """`blossom_maximum_matching` without the seed check: grows `match` in
-    place and returns it."""
+    match = dict(seed or ())
+    del seed  # a caller that passes its only reference frees it here
     labelled = 0
     # a search never unmatches a node, so only nodes the seed leaves exposed are roots
     roots = sorted(set(graph).difference(match))
@@ -325,21 +319,25 @@ def _augment_from(adj, match, root) -> int:
 # -- full pipeline -----------------------------------------------------------
 
 
+def _greedy_seed(dual, state: MatchState) -> dict[int, int]:
+    """The greedy phase's matching of `dual`, replayed, with its counts put
+    in `state`; its own matching and log go before the blossom phase."""
+    partner, log, state.greedy_picks = _greedy_consume(_adjacency(dual))
+    state.greedy_matched = len(partner) + 2 * len(log)
+    return replay_reductions(partner, log)
+
+
 def perfect_match_dual(dual: dict[int, list[int]]) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
-    `dual` is `build_dual`'s mapping. The greedy phase consumes a set copy
-    of it; the blossom phase reads the dual itself and grows the replayed
-    seed in place, unchecked: the replay built it from the dual's own rows,
-    and `extract_cycles` rejects a partner outside a triangle's row. Raises
-    MatchingError (with the unmatched node set) if the result is not
-    perfect, which signals a violated precondition: the dual must be
-    3-regular and bridgeless.
+    `dual` is `build_dual`'s mapping. The replayed seed goes to
+    `blossom_maximum_matching` with no other reference, so the copy that
+    it grows replaces it. Raises MatchingError (with the unmatched node
+    set) if the result is not perfect, which signals a violated
+    precondition: the dual must be 3-regular and bridgeless.
     """
-    partner, log, picks = _greedy_consume(_adjacency(dual))
-    partner = replay_reductions(partner, log)
-    state = MatchState(partner, greedy_matched=len(partner), greedy_picks=picks)
-    _grow(dual, partner, state)
+    state = MatchState({})
+    state.partner = partner = blossom_maximum_matching(dual, _greedy_seed(dual, state), state)
     if len(partner) < len(dual):
         unmatched = [v for v in sorted(dual) if v not in partner]
         raise MatchingError(

@@ -959,11 +959,13 @@ def coplanar_parents(mesh, out) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Map an output `out` of input `mesh` back onto the input.
 
     `out` keeps the input's vertices first, bit for bit. Every later vertex
-    is the bit-exact midpoint, (pa + pb) / 2 per coordinate, of exactly one
-    input edge (a, b), and no two of them of the same one. Replacing each
+    is the bit-exact midpoint, (pa + pb) / 2 per coordinate, of an input
+    edge (a, b), and no two of them of the same one. Replacing each
     midpoint in a live output triangle by the two ends of its edge leaves
     the vertex set of a live input triangle: the one the output triangle
-    lies in. Returns ({midpoint: its edge}, the input triangle under each
+    lies in. A folded input, such as `flip_edges` makes of a grid, can have
+    two edges that cross at one midpoint; `_settle_midpoints` then picks
+    the edges. Returns ({midpoint: its edge}, the input triangle under each
     live output triangle in id order); an AssertionError names the first
     offender.
     """
@@ -976,22 +978,82 @@ def coplanar_parents(mesh, out) -> tuple[dict[int, tuple[int, int]], list[int]]:
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0)
         edges_at.setdefault(_bits(mid), []).append((a, b))
-    edge_of = {}
+    candidates = {}
     for v in range(n, out.n_vertices):
         edges = edges_at.get(_bits(out.vertices[v]), [])
-        assert len(edges) == 1, f"vertex {v} is the midpoint of {len(edges)} input edges"
-        edge_of[v] = edges[0]
-    assert len(set(edge_of.values())) == len(edge_of), "an input edge has two midpoints"
+        assert edges, f"vertex {v} is the midpoint of 0 input edges"
+        candidates[v] = edges
     by_set = {frozenset(mesh.triangles[t]): t for t in mesh.alive_ids()}
+    edge_of = _settle_midpoints(out, candidates, by_set)
+    assert len(set(edge_of.values())) == len(edge_of), "an input edge has two midpoints"
     under = []
     for t in out.alive_ids():
-        ends = set()
-        for v in out.triangles[t]:
-            ends.update(edge_of.get(v, (v,)))
-        p = by_set.get(frozenset(ends))
+        p = by_set.get(_ends(out.triangles[t], edge_of))
         assert p is not None, f"output triangle {t} {out.triangles[t]} lies in no input triangle"
         under.append(p)
     return edge_of, under
+
+
+def _ends(triangle, edge_of) -> frozenset[int]:
+    """The vertices of `triangle`, each midpoint replaced by its edge's ends."""
+    ends = set()
+    for v in triangle:
+        ends.update(edge_of.get(v, (v,)))
+    return frozenset(ends)
+
+
+def _settle_midpoints(out, candidates, by_set) -> dict[int, tuple[int, int]]:
+    """One edge per midpoint, from its `candidates` (the input edges it is
+    the midpoint of).
+
+    A midpoint with one candidate takes it. Midpoints with more are settled
+    together, per group linked by a shared live output triangle or a shared
+    candidate: of all the ways to give each one a distinct edge that no
+    settled midpoint has, exactly one may put every live output triangle on
+    them onto an input triangle. Where none does, each takes its first
+    candidate, and the caller's checks name the offender.
+    """
+    edge_of = {v: edges[0] for v, edges in candidates.items() if len(edges) == 1}
+    open_ = {v for v, edges in candidates.items() if len(edges) > 1}
+    if not open_:
+        return edge_of
+    on: dict[int, list[int]] = {}  # an open midpoint -> the live output triangles on it
+    for t in out.alive_ids():
+        for v in out.triangles[t]:
+            if v in open_:
+                on.setdefault(v, []).append(t)
+    sharing: dict[tuple[int, int], list[int]] = {}  # a candidate -> its open midpoints
+    for v in open_:
+        for e in candidates[v]:
+            sharing.setdefault(e, []).append(v)
+    taken = set(edge_of.values())
+    seen: set[int] = set()
+    for start in sorted(open_):
+        if start in seen:
+            continue
+        group, stack = [], [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            group.append(v)
+            linked = [u for t in on.get(v, ()) for u in out.triangles[t]]
+            linked += [u for e in candidates[v] for u in sharing[e]]
+            for u in linked:
+                if u in open_ and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        group.sort()
+        tris = sorted({t for v in group for t in on.get(v, ())})
+        fits = []
+        for choice in itertools.product(*(candidates[v] for v in group)):
+            if len(set(choice)) < len(choice) or not taken.isdisjoint(choice):
+                continue
+            trial = {**edge_of, **dict(zip(group, choice))}
+            if all(_ends(out.triangles[t], trial) in by_set for t in tris):
+                fits.append(choice)
+        assert len(fits) <= 1, f"midpoints {group} fit {len(fits)} choices of input edges"
+        edge_of.update(zip(group, fits[0] if fits else (candidates[v][0] for v in group)))
+    return edge_of
 
 
 def assert_coplanar(mesh, out) -> int:

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -336,6 +336,12 @@ def _strip_reprs(strip, out):
     pick=st.none() | st.integers(0, 2**16),
     bfs=st.booleans(),
 )
+# folded grids in which flipped edges cross at one midpoint: both crossing
+# edges split; one split, with the ends of both next to its midpoint; and
+# three midpoints that settle only together
+@example(mesh=_open_grid(6, 6, 3), seed=4, flips=5, holes=0, pick=None, bfs=False)
+@example(mesh=_holed_grid(4, 4, 161), seed=2, flips=4, holes=0, pick=None, bfs=True)
+@example(mesh=_holed_grid(2, 8, 1), seed=2312856, flips=8, holes=0, pick=None, bfs=False)
 def test_euler_strip_matches_the_list_replay(mesh, seed, flips, holes, pick, bfs):
     rng = random.Random(seed)
     mesh = flip_edges(relabel(mesh, rng), rng, flips)

@@ -387,10 +387,10 @@ def _centroid_torus():
     "make", [lambda: torus(6, 5), _centroid_torus], ids=["torus", "torus-with-centroids"]
 )
 def test_a_replayed_seed_off_the_dual_ends_in_a_typed_error(monkeypatch, make):
-    # the pipeline grows its replayed seed unchecked; a seed that pairs two
-    # non-adjacent triangles must still end in a typed error, not an order
+    # a seed that pairs two non-adjacent triangles is caught by the seed
+    # check of the blossom phase, in the match stage, before any order
     from singlestrip import matching
-    from singlestrip.striploop import PipelineError, stripify
+    from singlestrip.striploop import stripify
 
     seen = {}
 
@@ -406,13 +406,10 @@ def test_a_replayed_seed_off_the_dual_ends_in_a_typed_error(monkeypatch, make):
         c = next(t for t in sorted(out) if t not in (a, b) and t not in dual[a])
         d = out[c]
         out.update({a: c, c: a, b: d, d: b})
-        seen["seed"] = dict(out)
         return out
 
     monkeypatch.setattr(matching, "_adjacency", adjacency)
     monkeypatch.setattr(matching, "replay_reductions", replay)
-    with pytest.raises((PipelineError, MatchingError)):
+    with pytest.raises(MatchingError, match="not an edge") as info:
         stripify(make())
-    # the public entry point still checks its seed
-    with pytest.raises(MatchingError, match="not an edge"):
-        blossom_maximum_matching(seen["dual"], seen["seed"])
+    assert info.value.stage == "match"

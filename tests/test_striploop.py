@@ -41,7 +41,7 @@ from singlestrip.matching import (
     perfect_match_dual,
     validate_matching,
 )
-from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
+from singlestrip.mesh import Mesh, ValidationError, build_dual, split_pair, validate
 from singlestrip.sfc import CurveError
 from singlestrip.striploop import (
     MIN_TRIANGLES,
@@ -868,6 +868,25 @@ def test_coplanarity_oracle_rejects_a_moved_midpoint_and_a_foreign_vertex(pipeli
     repointed.triangles[t] = tuple(u if u in (v, a, b) else foreign for u in out.triangles[t])
     with pytest.raises(AssertionError, match=f"^output triangle {t} .* lies in no input triangle$"):
         coplanar_parents(mesh, repointed)
+
+
+def test_coplanarity_oracle_settles_a_midpoint_shared_by_two_edges():
+    # two triangles folded over their shared edge (1, 2), and a third on
+    # (0, 1): edges (0, 1) and (2, 3) cross at (1, 1, 0)
+    corners = [(0, 0), (2, 2), (2, 0), (0, 2), (3, -1)]
+    mesh = Mesh([(x, y, 0.0) for x, y in corners], [(0, 1, 2), (2, 1, 3), (1, 0, 4)])
+    out = mesh.copy()
+    split_pair(out, (0, 1), (0, 2))
+    edge_of, under = coplanar_parents(mesh, out)
+    assert edge_of == {5: (0, 1)}
+    assert under == [1, 0, 0, 2, 2]  # live ids 1, 3, 4, 5, 6
+    # with child (5, 1, 2) re-pointed at 3, each edge fits one of the
+    # midpoint's triangles but not both
+    refolded = out.copy()
+    t = refolded.triangles.index((5, 1, 2))
+    refolded.triangles[t] = (5, 1, 3)
+    with pytest.raises(AssertionError, match="^output triangle .* lies in no input triangle$"):
+        coplanar_parents(mesh, refolded)
 
 
 # sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats

@@ -59,24 +59,35 @@ def _bindings(package: str) -> dict:
     return out
 
 
-def test_return_counts_are_recorded_and_uninstall_restores(tmp_path):
-    # the closed input has degree-3 vertices, a nodal merge and splits; the
-    # open one has splits
+def _inputs(tmp_path):
+    """A closed input with degree-3 vertices, a nodal merge and splits, and
+    an open one with splits."""
     closed = torus(20, 10)
     for t in random.Random(3).sample(range(closed.n_triangles), 12):
         insert_centroid(closed, t)
     save_mesh(closed, tmp_path / "closed.off")
     save_mesh(gen_mk(3), tmp_path / "open.off")
-    tracer = _load_tracer()
-    before = _bindings(tracer.PACKAGE)
+    return str(tmp_path / "closed.off"), str(tmp_path / "open.off")
+
+
+def _traced(tracer, argvs):
+    """The tracer's run of `cli.main` on each argv, all exiting 0."""
     run = tracer.Tracer()
     run.install()
     try:
-        assert cli.main(["stripify", str(tmp_path / "closed.off"), "--out", str(tmp_path)]) == 0
-        argv = ["stripify-boundary", str(tmp_path / "open.off"), "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
     finally:
         run.uninstall()
+    return run
+
+
+def test_return_counts_are_recorded_and_uninstall_restores(tmp_path):
+    closed, open_ = _inputs(tmp_path)
+    tracer = _load_tracer()
+    before = _bindings(tracer.PACKAGE)
+    out = ["--out", str(tmp_path)]
+    run = _traced(tracer, [["stripify", closed, *out], ["stripify-boundary", open_, *out]])
     after = _bindings(tracer.PACKAGE)
     assert run.missing == [] and run.errors == {}
     counters = sorted(key for key, _count in tracer.RETURN_COUNTS.values())
@@ -84,3 +95,26 @@ def test_return_counts_are_recorded_and_uninstall_restores(tmp_path):
     assert all(run.counts[key] > 0 for key in counters), run.counts
     assert after.keys() == before.keys()
     assert [k for k, v in after.items() if v is not before[k]] == []
+
+
+def test_every_traced_layer_records_a_span(tmp_path):
+    # a traced layer that the pipelines reach only through a private copy
+    # reads 0 in every benchmark run; `export_curve` streams its chunks and
+    # never calls `dumps_curve_obj`, which the benchmark still names
+    closed, open_ = _inputs(tmp_path)
+    tracer = _load_tracer()
+    out = ["--out", str(tmp_path)]
+    argvs = [
+        ["stripify", closed, *out],
+        ["stripify-boundary", open_, *out],
+        ["sfc", closed, "--depth", "1", *out],
+    ]
+    run = _traced(tracer, argvs)
+    assert run.missing == [] and run.errors == {}
+    spanned = {span[0] for span in run.spans}
+    silent = [
+        f"{module_name}.{stem}"
+        for module_name, _attr, stem in tracer.TRACED
+        if f"{module_name}.{stem}" not in spanned
+    ]
+    assert silent == ["sfc.dumps_curve_obj"]
