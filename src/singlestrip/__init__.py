@@ -9,12 +9,11 @@ from .boundary import (
     balance_edge,
     dual_spanning_tree,
     euler_strip,
-    gen_mk,
     spine_path,
     strip_with_boundary,
 )
 from .fileio import ParseError, load_mesh, read_strip_order, save_mesh, write_strip_order
-from .generators import GenSpec, generate, parse_spec
+from .generators import GenSpec, gen_mk, generate, parse_spec
 from .matching import MatchingError, MatchState, perfect_match_dual
 from .mesh import (
     Mesh,

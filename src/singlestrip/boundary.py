@@ -43,38 +43,9 @@ from .mesh import (
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
 # wraps this module's binding of split_pair.
 from .mesh import split_pair  # noqa: F401
+# Unused here, but tests/test_traced_names.py imports gen_mk from here.
+from .generators import gen_mk  # noqa: F401
 from .striploop import PipelineError, StageTimer, StripResult, verify_order
-
-
-# -- the M_k lower-bound family ------------------------------------------------
-
-
-def gen_mk(k: int) -> Mesh:
-    """Recursive triangulation of a regular (3 * 2^k)-gon.
-
-    Ear triangles on alternating vertices peel the polygon down to a single
-    central triangle, giving 3 * (2^k - 1) + 1 triangles whose dual is a tree
-    with longest path 2k. Any single strip on this family needs at least
-    3n - 2 - 4k triangles, which the Euler construction meets exactly.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > 16:
-        raise ValueError("k > 16 would generate more than 196k triangles")
-    n_gon = 3 * (2**k)
-    vertices = [
-        (math.cos(2.0 * math.pi * i / n_gon), math.sin(2.0 * math.pi * i / n_gon), 0.0)
-        for i in range(n_gon)
-    ]
-    triangles = []
-    ring = list(range(n_gon))
-    while len(ring) > 3:
-        m = len(ring)
-        for i in range(0, m, 2):
-            triangles.append((ring[i], ring[i + 1], ring[(i + 2) % m]))
-        ring = ring[::2]
-    triangles.append((ring[0], ring[1], ring[2]))
-    return Mesh(vertices, triangles)
 
 
 # -- spanning tree, balance edge, spine -----------------------------------------

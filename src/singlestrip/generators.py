@@ -7,7 +7,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from .boundary import gen_mk
 from .mesh import Mesh
 
 
@@ -189,4 +188,32 @@ def fan(m: int) -> Mesh:
         angle = math.pi * i / m
         vertices.append((math.cos(angle), math.sin(angle), 0.0))
     triangles = [(0, i + 1, i + 2) for i in range(m)]
+    return Mesh(vertices, triangles)
+
+
+def gen_mk(k: int) -> Mesh:
+    """Recursive triangulation of a regular (3 * 2^k)-gon.
+
+    Ear triangles on alternating vertices peel the polygon down to a single
+    central triangle, giving 3 * (2^k - 1) + 1 triangles whose dual is a tree
+    with longest path 2k. Any single strip on this family needs at least
+    3n - 2 - 4k triangles, which the Euler construction meets exactly.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k > 16:
+        raise ValueError("k > 16 would generate more than 196k triangles")
+    n_gon = 3 * (2**k)
+    vertices = [
+        (math.cos(2.0 * math.pi * i / n_gon), math.sin(2.0 * math.pi * i / n_gon), 0.0)
+        for i in range(n_gon)
+    ]
+    triangles = []
+    ring = list(range(n_gon))
+    while len(ring) > 3:
+        m = len(ring)
+        for i in range(0, m, 2):
+            triangles.append((ring[i], ring[i + 1], ring[(i + 2) % m]))
+        ring = ring[::2]
+    triangles.append((ring[0], ring[1], ring[2]))
     return Mesh(vertices, triangles)

@@ -4,8 +4,10 @@ Degree-3 vertex configurations are removed so no unmatched three-cycle can
 occur, the simplified dual is perfectly matched, the configurations are
 restored, the unmatched edges are walked into disjoint triangle cycles,
 cycles around nodal vertices are merged by toggling their fans, and the
-remaining cycles are merged by splitting the matched pairs on a spanning
-tree of the cycle graph, leaving a single Hamiltonian triangle cycle.
+remaining cycles are merged by splitting the matched pairs of a spanning
+tree that Kruskal's rule picks, leaving a single Hamiltonian triangle cycle.
+Both merges join cycles in one union-find over the walked cycles, which are
+not walked again.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
             break
         fan = _fan_order(mesh, v, anchor[v], 3)
         if fan is None:
-            raise PipelineError(f"vertex {v} has 3 triangles but no closed fan")
+            raise PipelineError(f"vertex {v} has 3 triangles but no closed fan", (anchor[v],))
         j = fan.index(min(fan))
         t0, t1, t2 = fan[j:] + fan[:j]
         # the ring edges (a, b), (b, c), (c, a) follow v in t0, t1, t2
@@ -142,7 +144,7 @@ def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
 
 def restore_three_cycles(
     mesh: Mesh, partner: dict[int, int], stack: list[RemovedConfig]
-) -> dict[int, int]:
+) -> None:
     """Re-insert removed configurations, keeping the matching perfect.
 
     The fan triangle owning the edge across which the replacement was matched
@@ -173,30 +175,37 @@ def restore_three_cycles(
         rest = [t for t in cfg.parents if t != owner]
         partner[rest[0]] = rest[1]
         partner[rest[1]] = rest[0]
-    return partner
 
 
 # -- cycle extraction ---------------------------------------------------------
+
+
+def find(root: list[int], i: int) -> int:
+    """The root of i in the union-find `root`, halving the path to it."""
+    while root[i] != i:
+        root[i] = i = root[root[i]]
+    return i
 
 
 @dataclass
 class CycleSet:
     """Disjoint unmatched-edge cycles partitioning the triangles.
 
-    ``cycles[i]`` starts at its smallest triangle id and cycles are listed
-    in ascending order of that id; ``cycle_of[t]`` is the index of
-    triangle t's cycle, indexed by triangle id, -1 for a dead slot. Lists
-    straight from `extract_cycles` are in walk order; after `merge_nodal`
-    each list holds one cycle's triangles, from its smallest id, but not in
-    walk order.
+    ``cycles[i]`` is in walk order from its smallest triangle id, and cycles
+    are listed in ascending order of that id; ``cycle_of[t]`` is the index
+    of triangle t's cycle, indexed by triangle id, -1 for a dead slot.
+    ``root`` is a union-find over the indices, the identity from
+    `extract_cycles`: ``find(root, i)`` is the smallest index of the merged
+    cycle that cycle i is part of, and ``count`` is the number of merged cycles.
     """
 
     cycles: list[list[int]]
     cycle_of: list[int]
+    root: list[int]
 
     @property
     def count(self) -> int:
-        return len(self.cycles)
+        return sum(r == i for i, r in enumerate(self.root))
 
 
 def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
@@ -245,7 +254,7 @@ def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
         else:
             raise PipelineError("unmatched-edge walk does not close", (start,))
         cycles.append(cycle)
-    return CycleSet(cycles=cycles, cycle_of=cycle_of)
+    return CycleSet(cycles=cycles, cycle_of=cycle_of, root=list(range(len(cycles))))
 
 
 # -- nodal merging ------------------------------------------------------------
@@ -275,21 +284,13 @@ def merge_nodal(
     (a pinched vertex) never qualifies, as its walk closes before it has met
     every triangle on it.
 
-    The merged cycles are read off the union-find over cycle indices, not
-    walked again: each returned list joins its member cycles' lists in
-    ascending order of their smallest id. Returns that cycle set and the
-    (vertex, m) merges.
+    Returns the cycle set with each toggle's cycles joined in a copy of its
+    union-find, none walked again, and the (vertex, m) merges.
     """
     nb, tris = mesh.neighbours, mesh.triangles
     count, anchor = _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
-    root = list(range(cycleset.count))  # a union-find over cycle indices
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]  # path halving
-        return i
-
+    root = cycleset.root.copy()
     merges: list[tuple[int, int]] = []
     for v, k in enumerate(count):
         if k < 4 or k % 2 != 0:
@@ -314,7 +315,7 @@ def merge_nodal(
                 break
             flag = matched
             if not matched:
-                r = find(cycle_of[t])
+                r = find(root, cycle_of[t])
                 if r in roots:
                     break
                 roots.add(r)
@@ -325,19 +326,11 @@ def merge_nodal(
             for t, s in pairs:
                 partner[t] = s
                 partner[s] = t
-            first = roots.pop()
+            first = min(roots)
             for other in roots:
                 root[other] = first
             merges.append((v, k // 2))
-    joined: dict[int, list[int]] = {}  # union-find root -> its cycles' triangles
-    for i, cycle in enumerate(cycleset.cycles):
-        joined.setdefault(find(i), []).extend(cycle)
-    cycles = list(joined.values())
-    cycle_of = [-1] * len(tris)
-    for i, cycle in enumerate(cycles):
-        for t in cycle:
-            cycle_of[t] = i
-    return CycleSet(cycles, cycle_of), merges
+    return CycleSet(cycleset.cycles, cycle_of, root), merges
 
 
 # -- spanning-tree splits ------------------------------------------------------
@@ -346,48 +339,40 @@ def merge_nodal(
 def spanning_tree_splits(
     mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
 ) -> list[tuple[tuple[int, int], int, int]]:
-    """Split the matched pairs on a spanning tree of the cycle graph.
+    """Split the matched pairs on a spanning tree of the merged cycles.
 
     Each split re-matches the four children in sibling pairs and frees the
     two halves of the split edge, routing one cycle through the other; k
-    cycles need exactly k-1 splits. Mutates mesh and partner in place and
-    returns the split pairs as (edge, t, u), in the order they were split.
+    cycles need exactly k-1 splits. Kruskal's rule picks them on a copy of
+    the union-find: a pair is split when it still joins two merged cycles,
+    pairs taken by their shared mesh edge, which is unique, so the tree does
+    not depend on how cycles are numbered. Raises `PipelineError` naming the
+    smallest id of each merged cycle left unjoined when the pairs cannot join
+    them all. Mutates mesh and partner in place and returns the split pairs
+    as (edge, t, u), in the order they were split.
     """
     if cycleset.count <= 1:
         return []
-    cycles, cycle_of = cycleset.cycles, cycleset.cycle_of
-    # edges sort by their mesh edge, which is unique, so the tree does not
-    # depend on how cycles are numbered
-    graph: list[list[tuple[tuple[int, int], int, int, int]]] = [[] for _ in cycles]
+    cycle_of = cycleset.cycle_of
+    root = cycleset.root.copy()
+    merged = [find(root, i) for i in range(len(root))]
+    across = []  # (edge, t, u) of the matched pairs across two merged cycles
     for t in mesh.alive_ids():
         u = partner.get(t)
-        if u is None or u < t:
-            continue
-        ct, cu = cycle_of[t], cycle_of[u]
-        if ct == cu:
-            continue
-        e = shared_edge(mesh, t, u)
-        graph[ct].append((e, cu, t, u))
-        graph[cu].append((e, ct, t, u))
-    for edges in graph:
-        edges.sort()
-
-    # the longest cycle; ties go to the one holding the smallest triangle id
-    start = max(range(len(cycles)), key=lambda i: (len(cycles[i]), -cycles[i][0]))
-    visited = {start}
-    queue = deque([start])
+        if u is not None and t < u and merged[cycle_of[t]] != merged[cycle_of[u]]:
+            across.append((shared_edge(mesh, t, u), t, u))
+    across.sort()
     tree: list[tuple[tuple[int, int], int, int]] = []
-    while queue:
-        c = queue.popleft()
-        for e, nb_cycle, t, u in graph[c]:
-            if nb_cycle not in visited:
-                visited.add(nb_cycle)
-                queue.append(nb_cycle)
-                tree.append((e, t, u))
+    for e, t, u in across:
+        a, b = find(root, cycle_of[t]), find(root, cycle_of[u])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+            tree.append((e, t, u))
     if len(tree) != cycleset.count - 1:
         raise PipelineError(
             f"cycle graph is disconnected: spanning tree has {len(tree)} edges "
-            f"for {cycleset.count} cycles"
+            f"for {cycleset.count} cycles",
+            [c[0] for i, c in enumerate(cycleset.cycles) if root[i] == i],
         )
 
     for e, t, u in tree:
@@ -575,8 +560,9 @@ def stripify(mesh: Mesh) -> StripResult:
     with timer("cycles"):
         cycleset = extract_cycles(work, partner)
         cycles_initial = cycleset.count
-        if any(len(c) == 3 for c in cycleset.cycles):
-            raise PipelineError("an unmatched three-cycle survived elimination")
+        three = next((c for c in cycleset.cycles if len(c) == 3), None)
+        if three is not None:
+            raise PipelineError("an unmatched three-cycle survived elimination", three)
 
     with timer("nodal"):
         cycleset, merges = merge_nodal(work, partner, cycleset)

@@ -22,8 +22,8 @@ from oracles import (
     triangle_points,
     vertex_triangles,
 )
-from singlestrip.boundary import gen_mk, strip_with_boundary
-from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
+from singlestrip.boundary import strip_with_boundary
+from singlestrip.generators import gen_mk, icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import blossom_maximum_matching, perfect_match_dual, validate_matching
 from singlestrip.mesh import build_dual
 from singlestrip.sfc import direct_cycle, generate_curve

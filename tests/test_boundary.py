@@ -36,11 +36,10 @@ from singlestrip.boundary import (
     balance_edge,
     dual_spanning_tree,
     euler_strip,
-    gen_mk,
     spine_path,
     strip_with_boundary,
 )
-from singlestrip.generators import fan, icosphere, torus
+from singlestrip.generators import fan, gen_mk, icosphere, torus
 from singlestrip.cli import main
 from singlestrip.fileio import dumps_obj, dumps_strip_order, load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate

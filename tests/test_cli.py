@@ -11,10 +11,10 @@ import pytest
 
 from oracles import insert_centroid, load_curve_json, read_stats
 from singlestrip import boundary, cli, striploop
-from singlestrip.boundary import gen_mk, strip_with_boundary
+from singlestrip.boundary import strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import ParseError, load_mesh, read_strip_order, save_mesh, write_strip_order
-from singlestrip.generators import fan, torus
+from singlestrip.generators import fan, gen_mk, torus
 from singlestrip.mesh import Mesh
 from singlestrip.sfc import CurveError
 from singlestrip.striploop import stripify

@@ -23,8 +23,7 @@ from oracles import (
     replay_reductions_by_frozensets,
     unmatched_cycles,
 )
-from singlestrip.boundary import gen_mk
-from singlestrip.generators import icosphere, torus
+from singlestrip.generators import gen_mk, icosphere, torus
 from singlestrip.matching import (
     MatchingError,
     MatchState,

@@ -21,8 +21,7 @@ from oracles import (
     vertex_triangles,
     violation_count,
 )
-from singlestrip.boundary import gen_mk
-from singlestrip.generators import fan, icosphere, octahedron, tetrahedron, torus
+from singlestrip.generators import fan, gen_mk, icosphere, octahedron, tetrahedron, torus
 from singlestrip.mesh import (
     Mesh,
     MeshError,

@@ -25,8 +25,7 @@ from oracles import (
     relabel,
     triangle_edges,
 )
-from singlestrip.boundary import gen_mk
-from singlestrip.generators import octahedron, torus
+from singlestrip.generators import gen_mk, octahedron, torus
 from singlestrip.mesh import (
     Mesh,
     MeshError,

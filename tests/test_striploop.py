@@ -5,7 +5,9 @@ import hashlib
 import json
 import random
 import time
+from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,10 +33,10 @@ from oracles import (
     vertex_triangles,
 )
 from singlestrip import striploop
-from singlestrip.boundary import gen_mk, strip_with_boundary
+from singlestrip.boundary import strip_with_boundary
 from singlestrip.cli import main
 from singlestrip.fileio import save_mesh
-from singlestrip.generators import icosphere, octahedron, tetrahedron, torus
+from singlestrip.generators import gen_mk, icosphere, octahedron, tetrahedron, torus
 from singlestrip.matching import (
     MatchingError,
     blossom_maximum_matching,
@@ -45,12 +47,14 @@ from singlestrip.mesh import Mesh, ValidationError, build_dual, split_pair, vali
 from singlestrip.sfc import CurveError
 from singlestrip.striploop import (
     MIN_TRIANGLES,
+    CycleSet,
     PipelineError,
     StageTimer,
     _fan_order,
     assemble_cycle,
     eliminate_three_cycles,
     extract_cycles,
+    find,
     merge_nodal,
     restore_three_cycles,
     spanning_tree_splits,
@@ -103,6 +107,15 @@ def test_eliminate_nested_double_centroid():
     assert len(stack) == 2
     assert _live_triangle_sets(mesh) == before
     assert validate(mesh, "closed").ok
+
+
+def test_eliminate_names_the_anchor_of_a_fan_that_does_not_close(monkeypatch):
+    mesh = icosphere(0)
+    v, fan = insert_centroid(mesh, 0)
+    monkeypatch.setattr(striploop, "_fan_order", lambda *args: None)
+    with pytest.raises(PipelineError, match=f"^vertex {v} has 3 triangles but no closed fan$") as info:
+        eliminate_three_cycles(mesh)
+    assert info.value.triangles == (min(fan),)
 
 
 def test_eliminate_stops_at_tetrahedron_scale():
@@ -465,14 +478,21 @@ def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed
 @given(**_NODAL_INPUTS)
 def test_merge_nodal_cycles_match_a_fresh_walk(shape, splits, any_matching, seed):
     # the merged cycles come from the union-find; a walk of the toggled
-    # matching must find the same triangle sets, listed in the same order,
-    # each list starting at its smallest id
+    # matching must find the same partition of the triangles, and each
+    # merged cycle's root is its walked cycle of smallest id
     work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
     joined, _merges = merge_nodal(work, partner, cs)
     walked = extract_cycles(work, partner)
-    assert [sorted(c) for c in joined.cycles] == [sorted(c) for c in walked.cycles]
-    assert [c[0] for c in joined.cycles] == [c[0] for c in walked.cycles]
-    assert joined.cycle_of == walked.cycle_of
+    assert joined.cycles is cs.cycles and joined.cycle_of is cs.cycle_of
+    assert cs.root == list(range(len(cs.cycles)))  # merged in a copy
+    root = joined.root.copy()
+    merged: dict[int, list[int]] = {}
+    for t, i in enumerate(joined.cycle_of):
+        if i >= 0:
+            merged.setdefault(find(root, i), []).append(t)
+    assert sorted(merged.values()) == sorted(sorted(c) for c in walked.cycles)
+    assert all(joined.cycles[r][0] == min(ts) for r, ts in merged.items())
+    assert joined.count == len(merged) == walked.count
 
 
 def test_pinched_vertex_is_accepted_and_never_toggled():
@@ -501,6 +521,58 @@ def test_splits_no_op_for_single_cycle(tetra):
     assert cs.count == 1
     assert spanning_tree_splits(tetra, partner, cs) == []
     assert tetra.n_triangles == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_NODAL_INPUTS, shuffle=st.randoms(use_true_random=False))
+def test_splits_do_not_depend_on_cycle_numbering(shape, splits, any_matching, seed, shuffle):
+    work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
+    cs, _merges = merge_nodal(work, partner, cs)
+    # the same cycle set under new indices: cycle i becomes cycle new[i]
+    new = list(range(len(cs.cycles)))
+    shuffle.shuffle(new)
+    old = sorted(range(len(new)), key=new.__getitem__)
+    renumbered = CycleSet(
+        cycles=[cs.cycles[i] for i in old],
+        cycle_of=[new[i] if i >= 0 else -1 for i in cs.cycle_of],
+        root=[new[cs.root[i]] for i in old],
+    )
+    got = spanning_tree_splits(work.copy(), dict(partner), cs)
+    mesh = work.copy()
+    assert spanning_tree_splits(mesh, partner, renumbered) == got
+    # each split joined two merged cycles, which the splits make one tree
+    root = cs.root.copy()
+    merged = [find(root, i) for i in range(len(cs.cycles))]
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(merged)
+    graph.add_edges_from((merged[cs.cycle_of[t]], merged[cs.cycle_of[u]]) for _e, t, u in got)
+    assert nx.is_tree(graph)
+    assert verify_order(mesh, assemble_cycle(mesh, partner), closed=True) == (True, None)
+
+
+def test_splits_name_each_merged_cycle_left_unjoined(octa):
+    # an octahedron whose matching leaves two cycles, beside a tetrahedron:
+    # one split joins the octahedron's cycles, and nothing reaches the
+    # tetrahedron's
+    adj = {t: set(nbrs) for t, nbrs in build_dual(octa).items()}
+    two_cycle = next(
+        p for p in all_perfect_matchings(adj)
+        if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
+    )
+    tetra = tetrahedron()
+    shift = len(octa.vertices)
+    mesh = Mesh(
+        octa.vertices + [(x + 5.0, y, z) for x, y, z in tetra.vertices],
+        octa.triangles + [tuple(v + shift for v in t) for t in tetra.triangles],
+    )
+    partner = {**two_cycle, 8: 9, 9: 8, 10: 11, 11: 10}
+    cs = extract_cycles(mesh, partner)
+    assert cs.count == 3
+    msg = "^cycle graph is disconnected: spanning tree has 1 edges for 3 cycles$"
+    with pytest.raises(PipelineError, match=msg) as info:
+        spanning_tree_splits(mesh, partner, cs)
+    assert info.value.triangles == (0, 8)
+    assert mesh.n_triangles == 12
 
 
 def test_splits_merge_two_cycles(octa):
@@ -794,6 +866,33 @@ def test_stripify_with_seeded_degree3_vertices():
     assert res.stats["output_triangles"] < 1.5 * n
 
 
+def test_stripify_names_an_unmatched_three_cycle(monkeypatch):
+    # with elimination skipped, a matching that pairs each fan triangle of
+    # a centroid with its outer neighbour leaves the fan an unmatched cycle
+    mesh = icosphere(0)
+    _v, fan = insert_centroid(mesh, 0)
+    partner = {}
+    for t in fan:
+        x = mesh.neighbours[3 * t]  # across the fan triangle's outer edge
+        partner[t], partner[x] = x, t
+    rest = nx.Graph()
+    rest.add_edges_from(
+        (t, u) for t, row in build_dual(mesh).items() for u in row
+        if t not in partner and u not in partner
+    )
+    for t, u in nx.max_weight_matching(rest, maxcardinality=True):
+        partner[t], partner[u] = u, t
+    assert len(partner) == mesh.n_triangles
+    monkeypatch.setattr(striploop, "eliminate_three_cycles", lambda mesh: [])
+    monkeypatch.setattr(
+        striploop, "perfect_match_dual", lambda dual: SimpleNamespace(partner=dict(partner))
+    )
+    with pytest.raises(PipelineError, match="^an unmatched three-cycle survived elimination$") as info:
+        stripify(mesh)
+    assert info.value.stage == "cycles"
+    assert sorted(info.value.triangles) == list(fan)
+
+
 def test_stripify_deterministic(torus400):
     a = stripify(torus400)
     b = stripify(torus(20, 10))
@@ -890,8 +989,8 @@ def test_coplanarity_oracle_settles_a_midpoint_shared_by_two_edges():
 
 
 # sha256 of the `stripify` outputs (strip OBJ, strip order, and the stats
-# below as sorted JSON), pinned while `merge_nodal` still swept every vertex
-# until a whole pass accepted nothing
+# below as sorted JSON); a digest changes only with an intended output
+# change, which CHANGES.md records
 GOLDEN_STATS_KEYS = (
     "input_triangles", "output_triangles", "percent_increase", "cycles_initial",
     "cycles_after_nodal", "splits", "nodal_merges", "greedy_matched",
@@ -904,8 +1003,8 @@ GOLDEN_CLOSED = {
         "172335bfc31e59a44d037afa585df9b3b60b3bc23cdcc58090b1b0dbeae96584",
     ),
     "icosphere3": (
-        "682e6d027514495e0dbba4ad9d02ee1cd211615818095723088f37537e56a8b6",
-        "fc275e8e476d8adbad898566c1fca62d57f7441724b0897c01b8b96249a56c5e",
+        "fbf82464501c6d46f49cef614790df65553723c79df9d2c35d0cef55496eb9eb",
+        "9713a6017c70c7270397b39a5afe99006d8a9c5dc7e44d7e3ac3cee477453a7d",
         "3ddf321f155302e253320d1312a839dfdf5e62c20de61f5de17ee348997dd423",
     ),
     "octahedron": (
