@@ -43,8 +43,6 @@ from .mesh import (
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
 # wraps this module's binding of split_pair.
 from .mesh import split_pair  # noqa: F401
-# Unused here, but tests/test_traced_names.py imports gen_mk from here.
-from .generators import gen_mk  # noqa: F401
 from .striploop import PipelineError, StageTimer, StripResult, verify_order
 
 

@@ -15,11 +15,13 @@ sub-cells touch, and where, is the same in every non-degenerate triangle.
 The threading table is derived once, at import, on integer positions of a
 reference triangle. For each of the 30 states it holds the order of the four
 sub-cells and their four states. `generate_curve` then subdivides the cells
-of all triangles at once, one level at a time, with numpy. The children of a
-cell stay contiguous, so the flat cell array is always in depth-first curve
-order. The float steps are those of a per-cell recursion: midpoints as
-(p + q) / 2, centroids as (a + b + c) / 3, and each exit point read off its
-leaf cell by its label. The points stay one (N, 3) float64 array from
+of consecutive triangles in batches of about `_LEAF_BATCH` leaf cells, one
+level at a time, with numpy, and writes each batch's points into its slice
+of one preallocated array. The children of a cell stay contiguous, so the
+flat cell array is always in depth-first curve order. The float steps are
+those of a per-cell recursion: midpoints as (p + q) / 2, centroids as
+(a + b + c) / 3, and each exit point read off its leaf cell by its label, so
+no point depends on its batch. The points stay one (N, 3) float64 array from
 `generate_curve` through export, which copies it only to drop repeated
 points and writes its vertex text with `fileio._vertex_lines`, in chunks that
 format each distinct coordinate once.
@@ -39,8 +41,13 @@ from .mesh import Mesh, _slot, edge_key
 
 MAX_DEPTH = 12
 # Largest curve generate_curve will build: 2**23 points are 192 MiB as the
-# float64 array of CurvePolyline.points.
+# float64 array of CurvePolyline.points. The generation's temporaries are
+# bounded by one batch of _LEAF_BATCH leaf cells, not by this.
 MAX_POINTS = 1 << 23
+# Leaf cells subdivided per batch. A batch's temporaries are a few hundred
+# bytes per leaf cell, so they stay the same at every depth up to the one
+# where a single triangle holds more leaves than this.
+_LEAF_BATCH = 1 << 12
 
 
 class CurveError(Exception):
@@ -185,6 +192,10 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
 
     Point count is exactly len(dc) * 2 * 4**depth: each depth-`depth` cell
     contributes its centroid and its exit connector, entries being shared.
+    The array is allocated once. The triangles are subdivided in batches of
+    at most `_LEAF_BATCH` leaf cells, or of one triangle where a triangle
+    holds more, and each batch is written into its slice, so the
+    temporaries beside the result do not grow with depth.
     """
     if depth < 0:
         raise CurveError("depth must be >= 0")
@@ -206,7 +217,14 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
             raise CurveError(f"triangle {t} enters and exits by the same edge")
         states.append(_STATE_INDEX[entry, exit_])
     cells = np.asarray(mesh.vertices, dtype=float)[np.array(tris, dtype=np.intp).reshape(-1, 3)]
-    return CurvePolyline(_curve_points(cells, np.array(states, dtype=np.intp), depth), closed=True)
+    states = np.array(states, dtype=np.intp)
+    points = np.empty((n_points, 3))
+    per_tri = 2 * 4**depth
+    step = max(1, _LEAF_BATCH // 4**depth)
+    for i in range(0, len(cells), step):
+        batch = _curve_points(cells[i : i + step], states[i : i + step], depth)
+        points[i * per_tri : i * per_tri + len(batch)] = batch
+    return CurvePolyline(points, closed=True)
 
 
 # -- export -------------------------------------------------------------------

@@ -21,7 +21,7 @@ from oracles import (
 from singlestrip import fileio, sfc
 from singlestrip.cli import main
 from singlestrip.generators import icosphere, tetrahedron, torus
-from singlestrip.mesh import Mesh, edge_key
+from singlestrip.mesh import Mesh, _slot, edge_key
 from singlestrip.sfc import (
     CurveError,
     direct_cycle,
@@ -293,6 +293,34 @@ def test_curve_equals_recursive_search(request, name, depth):
         assert list(map(tuple, points.tolist())) == sfc_curve_points(res.mesh, directed, depth)
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_batches_are_invisible(torus_strip, monkeypatch, depth):
+    res = torus_strip
+    dc = direct_cycle(res.mesh, res.order)
+    tris = [res.mesh.triangles[t] for t in dc.triangles]
+    cells = np.array([[res.mesh.vertices[v] for v in tri] for tri in tris], dtype=float)
+    states = np.array(
+        [STATES.index((3 + _slot(tri, *e), 3 + _slot(tri, *x))) for tri, e, x in zip(tris, dc.entry, dc.exit)]
+    )
+    whole = _curve_points(cells, states, depth)
+    # a budget just short of step + 1 triangles' leaves rounds down to step
+    # triangles a batch, and step does not divide the cycle
+    step = next(s for s in range(7, len(dc)) if len(dc) % s)
+    monkeypatch.setattr(sfc, "_LEAF_BATCH", (step + 1) * 4**depth - 1)
+    batches = []
+
+    def spy(cells, states, depth):
+        batches.append(len(cells))
+        return _curve_points(cells, states, depth)
+
+    monkeypatch.setattr(sfc, "_curve_points", spy)
+    points = generate_curve(res.mesh, dc, depth).points
+    assert len(batches) > 2 and set(batches[:-1]) == {step} and 0 < batches[-1] < step
+    assert points.dtype == np.float64 and points.flags.c_contiguous
+    assert points.tobytes() == whole.tobytes()
+    assert list(map(tuple, points.tolist())) == sfc_curve_points(res.mesh, dc, depth)
+
+
 _coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 _point = st.tuples(_coord, _coord, _coord)
 
@@ -396,6 +424,25 @@ def test_export_peak_memory_does_not_grow_with_the_curve(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 2**20, peaks
+
+
+def test_generation_peak_memory_does_not_grow_with_the_curve():
+    # the triangles are subdivided in batches of _LEAF_BATCH leaf cells, so
+    # what generation holds beside its result is one batch's temporaries,
+    # whatever the depth; depth 4 already takes several batches here
+    res = stripify(torus(16, 8))
+    dc = direct_cycle(res.mesh, res.order)
+    assert len(dc) * 4**4 > 2 * sfc._LEAF_BATCH
+    transient = []
+    for depth in (4, 5):
+        tracemalloc.start()
+        try:
+            points = generate_curve(res.mesh, dc, depth).points
+            transient.append(tracemalloc.get_traced_memory()[1] - points.nbytes)
+        finally:
+            tracemalloc.stop()
+        del points
+    assert abs(transient[1] - transient[0]) <= 2**20, transient
 
 
 def test_export_obj_written_in_chunks(tmp_path, torus_strip, monkeypatch):

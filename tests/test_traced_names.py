@@ -15,9 +15,8 @@ from pathlib import Path
 
 from oracles import insert_centroid
 from singlestrip import cli
-from singlestrip.boundary import gen_mk
 from singlestrip.fileio import save_mesh
-from singlestrip.generators import torus
+from singlestrip.generators import gen_mk, torus
 from singlestrip.mesh import Mesh
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
