@@ -18,14 +18,15 @@ raises only `Mesh`'s own errors, which name the same values.
 
 The writers print each coordinate as its shortest `repr`. `_vertex_lines`
 writes the vertex text of both mesh formats and of the curve OBJ in chunks
-of `_ROWS` rows, and formats each distinct coordinate of a chunk once.
+of `_ROWS` rows. It formats each distinct coordinate of a chunk once, keeps
+those reprs in a numpy object array, and fills one `%` template per chunk
+from the array gathered through the chunk's inverse indices.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -237,13 +238,13 @@ def _vertex_lines(points: np.ndarray, prefix: str):
     array `points`, `prefix` and the three coordinates as their shortest
     `repr`, one line each. A chunk formats each distinct bit pattern once;
     bit patterns rather than values, so that -0.0 and 0.0 keep their own
-    reprs."""
+    reprs. The reprs are held in an object array, and numpy gathers them
+    into coordinate order, so the fill makes no Python int per coordinate."""
     for i in range(0, len(points), _ROWS):
         rows = points[i : i + _ROWS]
         bits, inverse = np.unique(rows.view(np.uint64).ravel(), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        # three or more ids, so the itemgetter returns a tuple
-        yield (prefix + "%s %s %s\n") * len(rows) % itemgetter(*inverse.tolist())(text)
+        text = np.fromiter(map(repr, bits.view(np.float64).tolist()), object, len(bits))
+        yield (prefix + "%s %s %s\n") * len(rows) % tuple(text[inverse].tolist())
 
 
 def _vertex_array(mesh: Mesh) -> np.ndarray:

@@ -21,10 +21,14 @@ of one preallocated array. The children of a cell stay contiguous, so the
 flat cell array is always in depth-first curve order. The float steps are
 those of a per-cell recursion: midpoints as (p + q) / 2, centroids as
 (a + b + c) / 3, and each exit point read off its leaf cell by its label, so
-no point depends on its batch. The points stay one (N, 3) float64 array from
+no point depends on its batch. Deeper than one batch per triangle, the top
+levels of all triangles are subdivided first and their cells are batched
+the same way. The points stay one (N, 3) float64 array from
 `generate_curve` through export, which copies it only to drop repeated
 points and writes its vertex text with `fileio._vertex_lines`, in chunks that
-format each distinct coordinate once.
+format each distinct coordinate once. The OBJ line element's indices are
+written as ASCII digits from fixed-width numpy blocks, one block per run of
+indices with the same number of digits.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ MAX_DEPTH = 12
 # bounded by one batch of _LEAF_BATCH leaf cells, not by this.
 MAX_POINTS = 1 << 23
 # Leaf cells subdivided per batch. A batch's temporaries are a few hundred
-# bytes per leaf cell, so they stay the same at every depth up to the one
-# where a single triangle holds more leaves than this.
+# bytes per leaf cell, so they stay the same at every depth.
 _LEAF_BATCH = 1 << 12
 
 
@@ -166,17 +169,24 @@ def _edge_label(tri: tuple[int, int, int], e: tuple[int, int]) -> int | None:
     return None if s < 0 else 3 + s
 
 
-def _curve_points(cells: np.ndarray, states: np.ndarray, depth: int) -> np.ndarray:
-    """Curve points of cells (m, 3, 3) in given states, shape (2 * m * 4**depth, 3).
-
-    Per leaf cell, in curve order: its centroid, then its exit point.
-    """
-    for _ in range(depth):
+def _subdivide(cells: np.ndarray, states: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sub-cells (m * 4**levels, 3, 3) of cells (m, 3, 3) in given states,
+    `levels` levels down, in curve order, with their states."""
+    for _ in range(levels):
         a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
         points = np.stack((a, b, c, (a + b) / 2, (b + c) / 2, (c + a) / 2), axis=1)
         rows = np.arange(len(cells))[:, None, None]
         cells = points[rows, _CHILD_VERTICES[states]].reshape(-1, 3, 3)
         states = _CHILD_STATE[states].ravel()
+    return cells, states
+
+
+def _curve_points(cells: np.ndarray, states: np.ndarray, depth: int) -> np.ndarray:
+    """Curve points of cells (m, 3, 3) in given states, shape (2 * m * 4**depth, 3).
+
+    Per leaf cell, in curve order: its centroid, then its exit point.
+    """
+    cells, states = _subdivide(cells, states, depth)
     rows = np.arange(len(cells))
     ends = _EXIT_ENDS[states]
     p, q = cells[rows, ends[:, 0]], cells[rows, ends[:, 1]]
@@ -192,10 +202,12 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
 
     Point count is exactly len(dc) * 2 * 4**depth: each depth-`depth` cell
     contributes its centroid and its exit connector, entries being shared.
-    The array is allocated once. The triangles are subdivided in batches of
-    at most `_LEAF_BATCH` leaf cells, or of one triangle where a triangle
-    holds more, and each batch is written into its slice, so the
-    temporaries beside the result do not grow with depth.
+    The array is allocated once. Where a triangle holds more than
+    `_LEAF_BATCH` leaf cells, the top levels of all triangles are subdivided
+    first, until each cell holds at most that many. The cells are then
+    subdivided in batches of at most `_LEAF_BATCH` leaf cells, and each
+    batch is written into its slice, so the temporaries beside the result
+    do not grow with depth.
     """
     if depth < 0:
         raise CurveError("depth must be >= 0")
@@ -218,12 +230,16 @@ def generate_curve(mesh: Mesh, dc: DirectedCycle, depth: int) -> CurvePolyline:
         states.append(_STATE_INDEX[entry, exit_])
     cells = np.asarray(mesh.vertices, dtype=float)[np.array(tris, dtype=np.intp).reshape(-1, 3)]
     states = np.array(states, dtype=np.intp)
+    below = depth
+    while 4**below > _LEAF_BATCH:
+        below -= 1
+    cells, states = _subdivide(cells, states, depth - below)
     points = np.empty((n_points, 3))
-    per_tri = 2 * 4**depth
-    step = max(1, _LEAF_BATCH // 4**depth)
+    per_cell = 2 * 4**below
+    step = max(1, _LEAF_BATCH // 4**below)
     for i in range(0, len(cells), step):
-        batch = _curve_points(cells[i : i + step], states[i : i + step], depth)
-        points[i * per_tri : i * per_tri + len(batch)] = batch
+        batch = _curve_points(cells[i : i + step], states[i : i + step], below)
+        points[i * per_cell : i * per_cell + len(batch)] = batch
     return CurvePolyline(points, closed=True)
 
 
@@ -245,14 +261,35 @@ def _export_points(curve: CurvePolyline) -> np.ndarray:
     return points if keep.all() else points[keep]
 
 
+def _index_text(lo: int, hi: int) -> str:
+    """The non-negative indices lo, ..., hi - 1 as decimal text, one space
+    apart, without a Python `str` per index: the range is cut at powers of
+    ten, each piece is written as one (count, digits + 1) uint8 array of
+    ASCII digits and a trailing space, and the final space is dropped."""
+    blocks = []
+    d = len(str(lo))
+    while lo < hi:
+        top = min(hi, 10**d)
+        block = np.empty((top - lo, d + 1), np.uint8)
+        block[:, d] = ord(" ")
+        n = np.arange(lo, top, dtype=np.uint32)
+        for k in range(d - 1, -1, -1):
+            block[:, k] = n % 10 + ord("0")
+            n //= 10
+        blocks.append(block.tobytes().decode("ascii"))
+        lo, d = top, d + 1
+    return "".join(blocks)[:-1]
+
+
 def _obj_chunks(points: np.ndarray, closed: bool):
     """OBJ text in pieces: the vertex lines in `_vertex_lines`' chunks, each
     coordinate as its shortest `repr`, then one line element cut every
-    `_CHUNK` indices."""
+    `_CHUNK` indices, each piece written by `_index_text` from numpy digit
+    blocks."""
     yield from _vertex_lines(points, "v ")
     n = len(points)
     for i in range(1, n + 1, _CHUNK):
-        yield ("l " if i == 1 else " ") + " ".join(map(str, range(i, min(i + _CHUNK, n + 1))))
+        yield ("l " if i == 1 else " ") + _index_text(i, min(i + _CHUNK, n + 1))
     yield " 1\n" if closed else "\n"
 
 

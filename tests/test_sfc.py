@@ -32,8 +32,10 @@ from singlestrip.sfc import (
     CurvePolyline,
     STATES,
     _CHILD_STATE,
+    _CHUNK,
     _ORDER,
     _curve_points,
+    _index_text,
 )
 from singlestrip.striploop import stripify
 
@@ -405,6 +407,86 @@ def test_rotated_curve_obj_bytes_are_pinned(tmp_path):
     export_curve(curve, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ROTATED_OBJ
     assert hashlib.sha256(dumps_curve_obj(curve).encode()).hexdigest() == GOLDEN_ROTATED_OBJ
+
+
+# sha256 of the depth-5 curve OBJ of the same rotated torus(8,6), as written
+# by one `str` per line-element index and an itemgetter gather of the vertex
+# text: 204,800 points, so the line element has 6-digit indices and spans
+# seven sfc._CHUNK pieces
+GOLDEN_ROTATED_OBJ_DEPTH5 = "3566584357ff511f088a9da286bbfc1930e3b18dfc747b1d3ff82218bf640487"
+
+
+def test_rotated_depth5_curve_obj_bytes_are_pinned(tmp_path):
+    res = stripify(_rotated(torus(8, 6)))
+    curve = generate_curve(res.mesh, direct_cycle(res.mesh, res.order), 5)
+    assert 6 * _CHUNK < len(curve.points) <= 7 * _CHUNK and len(curve.points) >= 10**5
+    path = tmp_path / "curve.obj"
+    export_curve(curve, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ROTATED_OBJ_DEPTH5
+    assert hashlib.sha256(dumps_curve_obj(curve).encode()).hexdigest() == GOLDEN_ROTATED_OBJ_DEPTH5
+
+
+# ranges of line-element indices: both ends near a power of ten up to 10**7
+# (sfc.MAX_POINTS needs 7 digits), single indices, and whole `_CHUNK` pieces
+# as `_obj_chunks` cuts them, ending on a chunk edge
+_near_power = st.builds(lambda k, off: max(1, 10**k + off), st.integers(0, 7), st.integers(-40, 40))
+_index_ranges = st.one_of(
+    st.builds(lambda lo, n: (lo, lo + n), _near_power, st.integers(1, 300)),
+    st.builds(lambda hi, n: (max(1, hi - n), hi), _near_power, st.integers(1, 300)).filter(lambda r: r[0] < r[1]),
+    st.builds(lambda lo: (lo, lo + 1), _near_power),
+    st.builds(
+        lambda m, n: (max(1, 1 + m * _CHUNK - n), 1 + m * _CHUNK),
+        st.integers(1, sfc.MAX_POINTS // _CHUNK),
+        st.sampled_from([1, 7, _CHUNK]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds=_index_ranges)
+def test_index_text_joins_the_decimal_indices(bounds):
+    lo, hi = bounds
+    assert _index_text(lo, hi) == " ".join(map(str, range(lo, hi)))
+
+
+# sha256 of the little-endian float64 bytes of the tetrahedron's depth-7
+# curve, as generated with batches of one triangle: past depth 6 the top
+# levels are now subdivided first, and the points must not move
+GOLDEN_TETRA_DEPTH7 = "6450aa7c1401801f5b33e6b8c9473d38ca661610bd843cce14255c8bd80491b6"
+
+
+def test_deep_curve_points_are_pinned(tetra_strip):
+    dc = direct_cycle(tetra_strip.mesh, tetra_strip.order)
+    assert 4 ** 7 > sfc._LEAF_BATCH
+    points = generate_curve(tetra_strip.mesh, dc, 7).points
+    assert hashlib.sha256(points.astype("<f8").tobytes()).hexdigest() == GOLDEN_TETRA_DEPTH7
+
+
+def test_top_levels_first_equal_recursive_search(tetra_strip, monkeypatch):
+    # a budget of 4 leaves puts depths 2 and 3 past one triangle a batch
+    res = tetra_strip
+    dc = direct_cycle(res.mesh, res.order)
+    monkeypatch.setattr(sfc, "_LEAF_BATCH", 4)
+    for depth in (2, 3):
+        points = generate_curve(res.mesh, dc, depth).points
+        assert list(map(tuple, points.tolist())) == sfc_curve_points(res.mesh, dc, depth)
+
+
+def test_deep_generation_peak_memory_does_not_grow(tetra_strip):
+    # past depth 6 one tetrahedron triangle holds more than _LEAF_BATCH
+    # leaves; its top levels are subdivided first, so the transient stays one
+    # batch's temporaries at depths 7 and 8
+    dc = direct_cycle(tetra_strip.mesh, tetra_strip.order)
+    transient = []
+    for depth in (7, 8):
+        tracemalloc.start()
+        try:
+            points = generate_curve(tetra_strip.mesh, dc, depth).points
+            transient.append(tracemalloc.get_traced_memory()[1] - points.nbytes)
+        finally:
+            tracemalloc.stop()
+        del points
+    assert abs(transient[1] - transient[0]) <= 2**20, transient
 
 
 def test_export_peak_memory_does_not_grow_with_the_curve(tmp_path):
