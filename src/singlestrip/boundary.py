@@ -12,6 +12,10 @@ depth-first by Warnsdorff's rule: it is deep, its spine covers most of a
 grid-like mesh, and few edges are doubled. A 200 x 200 grid grows by 0.5%,
 against 198% on a BFS tree.
 
+The tree is also the open path's connectivity check, so the dual is walked
+once: only `check_edges` runs before it, and a dual the tree does not span
+is reported with `validate`'s own report.
+
 `euler_strip` edits no mesh. Each doubled edge's midpoint and children get
 ids in closed form, so one plain loop over the doubled edges replays every
 midpoint split, with a record per split cell in a list indexed by cell id,
@@ -38,6 +42,7 @@ from .mesh import (
     ValidationError,
     ValidationReport,
     build_dual,
+    check_edges,
     validate,
 )
 # Unused here, but perfbench/test_perfbench.py checks that its tracer
@@ -77,14 +82,20 @@ def dual_spanning_tree(dual: dict[int, list[int]]) -> DualSpanningTree:
 
     The root is the smallest node of least degree. From the top of the
     stack the search steps to the unvisited neighbour with the fewest
-    unvisited neighbours, ties to the earlier one in the row, and pops the
-    top once it has none.
+    unvisited neighbours, ties to the earlier one in the row. `free[t]`
+    counts t's unvisited neighbours, so a top whose count is 0 pops without
+    a scan of its row; that needs a symmetric mapping, as `build_dual`'s
+    is. The search reaches every node of a connected mapping and nothing
+    else, so it is `strip_with_boundary`'s connectivity check: a mapping
+    it does not span raises PipelineError.
     """
     size = max(dual) + 1
     free = [0] * size  # per node, its unvisited neighbours
+    root, low = -1, -1
     for t, row in dual.items():
-        free[t] = len(row)
-    root = min(dual, key=lambda t: (free[t], t))
+        d = free[t] = len(row)
+        if root < 0 or d < low or (d == low and t < root):
+            root, low = t, d
     parent: list[int | None] = [None] * size
     children: list[list[int]] = [[] for _ in range(size)]
     seen = bytearray(size)
@@ -95,13 +106,13 @@ def dual_spanning_tree(dual: dict[int, list[int]]) -> DualSpanningTree:
     stack = [root]
     while stack:
         t = stack[-1]
+        if not free[t]:
+            stack.pop()
+            continue
         best, low = -1, size
         for u in dual[t]:
             if not seen[u] and free[u] < low:
                 best, low = u, free[u]
-        if best < 0:
-            stack.pop()
-            continue
         seen[best] = 1
         for u in dual[best]:
             free[u] -= 1
@@ -354,25 +365,33 @@ def _doubled_edges(tree: DualSpanningTree, spine: list[int]) -> list[tuple[int, 
 
 def strip_with_boundary(mesh: Mesh) -> StripResult:
     """Full open-strip pipeline for a connected mesh with boundary edges; the
-    input mesh is left untouched."""
+    input mesh is left untouched.
+
+    The checks run in this order: `check_edges`, the spanning tree (the
+    connectivity check), then the boundary check, so that a disconnected
+    closed mesh reads as disconnected. A mesh that fails either of the
+    first two raises `validate`'s own report.
+    """
     timer = StageTimer()
     with timer("validate"):
-        report = validate(mesh, "with_boundary")
-        if not report.ok:
-            raise ValidationError(report)
-        nb = mesh.neighbours  # stop at the first live row with a boundary slot
-        if not any(a and -1 in nb[3 * t : 3 * t + 3] for t, a in enumerate(mesh.alive)):
-            raise ValidationError(_closed_report(mesh))
+        if not check_edges(mesh, "with_boundary").ok:
+            raise ValidationError(validate(mesh, "with_boundary"))
         n_input = mesh.n_triangles
 
     with timer("strip"):
+        try:
+            tree = dual_spanning_tree(build_dual(mesh))
+        except PipelineError:  # the dual is disconnected
+            raise ValidationError(validate(mesh, "with_boundary")) from None
+        nb = mesh.neighbours  # stop at the first live row with a boundary slot
+        if not any(a and -1 in nb[3 * t : 3 * t + 3] for t, a in enumerate(mesh.alive)):
+            raise ValidationError(_closed_report(mesh))
         doubled: list[tuple[int, int]] = []
         if n_input <= 2:
             out = Mesh._built(list(mesh.vertices), [mesh.triangles[t] for t in mesh.alive_ids()])
             strip = list(range(n_input))
             spine_len = n_input - 1
         else:
-            tree = dual_spanning_tree(build_dual(mesh))
             e = balance_edge(tree)
             spine = spine_path(tree, e)
             spine_len = len(spine) - 1

@@ -26,7 +26,10 @@ Stats file (``stripify``, ``stripify-boundary`` and ``sfc``), schema 1:
   stats file.
   - ``stripify``: load, validate, eliminate, match, restore, cycles, nodal,
     splits, assemble, output, write.
-  - ``stripify-boundary``: load, validate, strip, verify, write.
+  - ``stripify-boundary``: load, validate, strip, verify, write. Its
+    validate stage checks the edges only: the dual's connectivity is
+    checked by the spanning tree, and the check for a boundary edge comes
+    after it, so both are timed in strip.
   - ``sfc``: the stages of ``stripify`` up to output, then curve and
     export.
 

@@ -259,9 +259,13 @@ class Mesh:
     def n_edges(self) -> int:
         """Number of distinct edges of the live triangles: the live slots
         across which the table holds -1 or a larger id. Of the triangles on
-        an edge only the first by id lists a larger one; on a `_built` mesh
-        this is the table's first read."""
-        nb = np.array(self.neighbours, dtype=np.int64).reshape(-1, 3)
+        an edge only the first by id lists a larger one. A `_built` mesh
+        whose table is not sorted yet counts the edge groups of one sort of
+        its slots instead, and leaves the table unsorted."""
+        if self._neighbours is None:
+            tri = _triangle_array(self, self.alive_ids())
+            return len(_edge_sort(tri, self.n_vertices)[1])
+        nb = np.array(self._neighbours, dtype=np.int64).reshape(-1, 3)
         first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
         return int(np.count_nonzero(first[np.array(self.alive, dtype=bool)]))
 
@@ -404,20 +408,12 @@ class ValidationReport:
 
 
 def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
-    """Check manifoldness, orientation consistency, and dual connectivity.
+    """Check manifoldness, orientation consistency, and dual connectivity:
+    the report of `check_edges`, to which `check_connected` adds its
+    violation unless the mesh is empty.
 
     `closed` mode additionally flags boundary (1-incident) edges. Degenerate
     and duplicate triangles are rejected at construction, not here.
-
-    One sort of the live triangles' edge slots groups them by edge. Edges
-    are reported in the order of their first slot, by triangle id and then
-    position in the triangle, and the triangles on an edge by id.
-    Connectivity is a search over the rows of the neighbour table from the
-    smallest live id. No two triangles can share two edges, as they would
-    share all three vertices: the constructor rejects duplicates; split
-    children hold a fresh midpoint; and an elimination ring (a, b, c) could
-    only duplicate a live triangle on the tetrahedron, whose four triangles
-    elimination never reduces.
 
     Vertex links are not checked, since that would cost every mesh a pass
     over its vertex fans: a pinched vertex, whose incident triangles form
@@ -425,6 +421,21 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     such a mesh; `merge_nodal` never toggles around that vertex, because the
     fan walk from its smallest triangle closes before it has met every
     triangle on the vertex.
+    """
+    report = check_edges(mesh, mode)
+    if mesh.n_triangles:
+        check_connected(mesh, report)
+    return report
+
+
+def check_edges(mesh: Mesh, mode: str) -> ValidationReport:
+    """`validate`'s report without the connectivity check: an empty mesh,
+    edges with more than two triangles, edges wound the same way by both
+    of theirs and, in `closed` mode, boundary edges.
+
+    One sort of the live triangles' edge slots groups them by edge. Edges
+    are reported in the order of their first slot, by triangle id and then
+    position in the triangle, and the triangles on an edge by id.
     """
     if mode not in ("closed", "with_boundary"):
         raise ValueError(f"unknown validation mode {mode!r}")
@@ -454,12 +465,25 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
             report.add("open_edge", f"edge {e} is incident to only triangle {t1[g]}")
         else:
             report.add("orientation", f"edge {e} has the same winding in triangles {t1[g]} and {t2[g]}")
+    return report
 
+
+def check_connected(mesh: Mesh, report: ValidationReport) -> None:
+    """Add a `disconnected_dual` violation to `report` unless every live
+    triangle of the non-empty `mesh` is reached from the smallest live id.
+
+    The search runs over the rows of the neighbour table. No two triangles
+    can share two edges, as they would share all three vertices: the
+    constructor rejects duplicates; split children hold a fresh midpoint;
+    and an elimination ring (a, b, c) could only duplicate a live triangle
+    on the tetrahedron, whose four triangles elimination never reduces.
+    """
     nb = mesh.neighbours
+    first = mesh.alive.index(True)
     seen = bytearray(len(mesh.triangles) + 1)
     seen[-1] = 1  # a boundary slot's -1 reads as seen
-    seen[live[0]] = 1
-    stack = [live[0]]
+    seen[first] = 1
+    stack = [first]
     while stack:
         t = 3 * stack.pop()
         for o in (nb[t], nb[t + 1], nb[t + 2]):
@@ -467,12 +491,11 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
                 seen[o] = 1
                 stack.append(o)
     reached = sum(seen) - 1
-    if reached != len(live):
+    if reached != mesh.n_triangles:
         report.add(
             "disconnected_dual",
-            f"dual graph has {len(live) - reached} triangle(s) unreachable from {live[0]}",
+            f"dual graph has {mesh.n_triangles - reached} triangle(s) unreachable from {first}",
         )
-    return report
 
 
 # -- dual graph -------------------------------------------------------------

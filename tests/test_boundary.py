@@ -39,7 +39,7 @@ from singlestrip.boundary import (
     spine_path,
     strip_with_boundary,
 )
-from singlestrip.generators import fan, gen_mk, icosphere, torus
+from singlestrip.generators import fan, gen_mk, icosphere, tetrahedron, torus
 from singlestrip.cli import main
 from singlestrip.fileio import dumps_obj, dumps_strip_order, load_mesh, read_strip_order, save_mesh
 from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
@@ -570,14 +570,63 @@ def test_strip_with_boundary_single_triangle():
     assert res.order == [0]
 
 
-def test_strip_with_boundary_rejects_closed():
-    with pytest.raises(ValidationError, match="no boundary"):
+def test_strip_with_boundary_rejects_closed(tmp_path):
+    with pytest.raises(ValidationError, match="no boundary") as info:
         strip_with_boundary(torus(4, 3))
+    assert [code for code, _ in info.value.report.violations] == ["closed_mesh"]
+    save_mesh(torus(4, 3), tmp_path / "in.off")
+    assert main(["stripify-boundary", str(tmp_path / "in.off"), "--out", str(tmp_path / "out")]) == 3
     # a dead row's -1 slots are stale and do not make a boundary
     mesh = torus(4, 3)
     mesh._retire(mesh._append((0, 1, 5), [-1, -1, -1]))
     with pytest.raises(ValidationError, match="no boundary"):
         strip_with_boundary(mesh)
+
+
+def _disjoint(*meshes):
+    """One mesh holding the given meshes side by side, sharing no vertex."""
+    vertices, triangles = [], []
+    for mesh in meshes:
+        v0 = len(vertices)
+        vertices += mesh.vertices
+        triangles += [tuple(v0 + v for v in mesh.triangles[t]) for t in mesh.alive_ids()]
+    return Mesh(vertices, triangles)
+
+
+def _flipped_one(mesh):
+    """The mesh with its first triangle wound the other way."""
+    triangles = [mesh.triangles[t] for t in mesh.alive_ids()]
+    a, b, c = triangles[0]
+    triangles[0] = (a, c, b)
+    return Mesh(mesh.vertices, triangles)
+
+
+_SINGLE_TRIANGLE = Mesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _disjoint(_open_grid(4, 3), _open_grid(3, 5)),
+        lambda: _disjoint(_open_grid(4, 3), tetrahedron()),
+        lambda: _disjoint(torus(4, 3), torus(5, 3)),
+        lambda: _disjoint(_SINGLE_TRIANGLE, _SINGLE_TRIANGLE),
+        lambda: _flipped_one(_disjoint(_open_grid(4, 3), _open_grid(3, 5))),
+    ],
+    ids=["two-grids", "grid-and-tetrahedron", "two-tori", "two-triangles", "two-grids-one-flipped"],
+)
+def test_a_disconnected_mesh_gets_the_validate_report(tmp_path, make):
+    # the spanning tree is the open path's connectivity check; what it
+    # rejects reads as `validate` reports it, edge violations first
+    mesh = make()
+    want = validate(mesh, "with_boundary")
+    assert want.violations[-1][0] == "disconnected_dual"
+    with pytest.raises(ValidationError) as info:
+        strip_with_boundary(mesh)
+    assert info.value.report.violations == want.violations
+    path = tmp_path / "in.off"
+    save_mesh(mesh, path)
+    assert main(["stripify-boundary", str(path), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_strip_with_boundary_deterministic():
@@ -677,6 +726,7 @@ def test_open_strip_sizes_are_pinned(make, sizes):
 # was still built by `split_pair` edits of a mesh copy; their duals are a
 # tree and a path, so every spanning tree is the same. holes.off was re-pinned
 # when the tree became depth-first (280 -> 154 triangles, 83 -> 20 splits).
+# grid.off and strip.off were pinned on the depth-first tree.
 GOLDEN_BOUNDARY = {
     "mk4.obj": (
         "f42bf7a2c2914d2131495d593726ea27b913d1a693563ff59446f06952b8a61f",
@@ -693,6 +743,23 @@ GOLDEN_BOUNDARY = {
         "94f84a412c8062c3be59fe3bf9e38c52919f09ca3a0c8debdf4e8f5b59fe1cf0",
         "ec53b8536fe52022ce84cdb454f5bd2e21396969ddabdcc8c12e27afaace13f8",
     ),
+    "grid.off": (
+        "5551239f91b7b4066cf1fad94f2a791fd519be657ae843476a90f190a0c9c0ba",
+        "b8a77465d3a2a25134669f5311d2a7dc3c14c682794d235e6cb25ce7586ff630",
+        "e7d3aa7f616f22f78c51ba6309c37a61316fbe7c9665f0f1a4a8858b3b42bc15",
+    ),
+    "strip.off": (
+        "be4df1dfa61fcef8a890cd61299d02e081a0fc18681d2dc7776bca06e99be11d",
+        "70a4d358339557ead53cb326d5cc38d9774006a4ab8e58b36d348e0c9ad3b4d8",
+        "78971c3055b849e1e6d7af56aa750f90f28df842a96584fd5fc3c19a1a40e1a7",
+    ),
+}
+
+# the relabelled inputs, saved as OFF
+_GOLDEN_OPEN = {
+    "holes.off": lambda: _open_grid(9, 7, 3),
+    "grid.off": lambda: _open_grid(12, 10),
+    "strip.off": lambda: _open_grid(3, 40),
 }
 
 
@@ -704,7 +771,7 @@ def test_stripify_boundary_output_bytes_are_pinned(tmp_path, name):
     elif name == "fan12.off":
         assert main(["gen", "fan(12)", "-o", str(path)]) == 0
     else:
-        save_mesh(relabel(_open_grid(9, 7, 3), random.Random(5)), path)
+        save_mesh(relabel(_GOLDEN_OPEN[name](), random.Random(5)), path)
     out = tmp_path / "out"
     assert main(["stripify-boundary", str(path), "--out", str(out)]) == 0
     stem = path.stem
