@@ -259,13 +259,9 @@ class Mesh:
     def n_edges(self) -> int:
         """Number of distinct edges of the live triangles: the live slots
         across which the table holds -1 or a larger id. Of the triangles on
-        an edge only the first by id lists a larger one. A `_built` mesh
-        whose table is not sorted yet counts the edge groups of one sort of
-        its slots instead, and leaves the table unsorted."""
-        if self._neighbours is None:
-            tri = _triangle_array(self, self.alive_ids())
-            return len(_edge_sort(tri, self.n_vertices)[1])
-        nb = np.array(self._neighbours, dtype=np.int64).reshape(-1, 3)
+        an edge only the first by id lists a larger one; on a `_built` mesh
+        this is the table's first read."""
+        nb = np.array(self.neighbours, dtype=np.int64).reshape(-1, 3)
         first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
         return int(np.count_nonzero(first[np.array(self.alive, dtype=bool)]))
 
@@ -409,8 +405,8 @@ class ValidationReport:
 
 def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     """Check manifoldness, orientation consistency, and dual connectivity:
-    the report of `check_edges`, to which `check_connected` adds its
-    violation unless the mesh is empty.
+    the report of `check_edges`, plus a `disconnected_dual` violation when a
+    non-empty mesh's dual is not connected.
 
     `closed` mode additionally flags boundary (1-incident) edges. Degenerate
     and duplicate triangles are rejected at construction, not here.
@@ -423,8 +419,33 @@ def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     triangle on the vertex.
     """
     report = check_edges(mesh, mode)
-    if mesh.n_triangles:
-        check_connected(mesh, report)
+    if not mesh.n_triangles:
+        return report
+
+    # Connectivity is a search over the rows of the neighbour table from the
+    # smallest live id. No two triangles can share two edges, as they would
+    # share all three vertices: the constructor rejects duplicates; split
+    # children hold a fresh midpoint; and an elimination ring (a, b, c) could
+    # only duplicate a live triangle on the tetrahedron, whose four triangles
+    # elimination never reduces.
+    nb = mesh.neighbours
+    first = mesh.alive.index(True)
+    seen = bytearray(len(mesh.triangles) + 1)
+    seen[-1] = 1  # a boundary slot's -1 reads as seen
+    seen[first] = 1
+    stack = [first]
+    while stack:
+        t = 3 * stack.pop()
+        for o in (nb[t], nb[t + 1], nb[t + 2]):
+            if not seen[o]:
+                seen[o] = 1
+                stack.append(o)
+    reached = sum(seen) - 1
+    if reached != mesh.n_triangles:
+        report.add(
+            "disconnected_dual",
+            f"dual graph has {mesh.n_triangles - reached} triangle(s) unreachable from {first}",
+        )
     return report
 
 
@@ -466,36 +487,6 @@ def check_edges(mesh: Mesh, mode: str) -> ValidationReport:
         else:
             report.add("orientation", f"edge {e} has the same winding in triangles {t1[g]} and {t2[g]}")
     return report
-
-
-def check_connected(mesh: Mesh, report: ValidationReport) -> None:
-    """Add a `disconnected_dual` violation to `report` unless every live
-    triangle of the non-empty `mesh` is reached from the smallest live id.
-
-    The search runs over the rows of the neighbour table. No two triangles
-    can share two edges, as they would share all three vertices: the
-    constructor rejects duplicates; split children hold a fresh midpoint;
-    and an elimination ring (a, b, c) could only duplicate a live triangle
-    on the tetrahedron, whose four triangles elimination never reduces.
-    """
-    nb = mesh.neighbours
-    first = mesh.alive.index(True)
-    seen = bytearray(len(mesh.triangles) + 1)
-    seen[-1] = 1  # a boundary slot's -1 reads as seen
-    seen[first] = 1
-    stack = [first]
-    while stack:
-        t = 3 * stack.pop()
-        for o in (nb[t], nb[t + 1], nb[t + 2]):
-            if not seen[o]:
-                seen[o] = 1
-                stack.append(o)
-    reached = sum(seen) - 1
-    if reached != mesh.n_triangles:
-        report.add(
-            "disconnected_dual",
-            f"dual graph has {mesh.n_triangles - reached} triangle(s) unreachable from {first}",
-        )
 
 
 # -- dual graph -------------------------------------------------------------

@@ -515,10 +515,9 @@ class StripResult:
     ``mesh`` is built once, unchecked (``Mesh._built``), from the live
     triangles in id order, by the closed pipeline's ``compact`` or by the
     open pipeline's ``euler_strip``. Its neighbour table is sorted on the
-    first read of ``mesh.neighbours``. No writer reads it: the OFF writer's
-    edge count (``mesh.n_edges``) sorts the edge slots without keeping a
-    table, and the OBJ writer and ``verify_order`` read only its vertices,
-    triangles and ``alive``.
+    first read of ``mesh.neighbours``, or of ``mesh.n_edges``, which the OFF
+    writer prints; the OBJ writer and ``verify_order`` read only its
+    vertices, triangles and ``alive``.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
     the whole call. The matching itself is not kept, as the later stages

@@ -25,8 +25,6 @@ from oracles import (
     relabel,
     triangle_edges,
 )
-from singlestrip.boundary import strip_with_boundary
-from singlestrip.fileio import dumps_off
 from singlestrip.generators import gen_mk, octahedron, torus
 from singlestrip.mesh import (
     Mesh,
@@ -225,20 +223,6 @@ def test_a_built_mesh_sorts_its_table_on_the_first_read(make):
     table = built.neighbours
     assert table == constructed.neighbours
     assert built.neighbours is table  # sorted once
-
-
-@pytest.mark.parametrize(
-    "make",
-    [*_MAKERS, lambda: strip_with_boundary(gen_mk(4)).mesh],
-    ids=["torus", "mk3", "octahedron", "open-strip-output"],
-)
-def test_n_edges_of_an_unread_built_mesh_leaves_its_table_unsorted(make):
-    # the OFF header's edge count is read off one sort of the edge slots
-    built, constructed = _built_and_constructed(make())
-    assert built.n_edges == constructed.n_edges
-    assert built._neighbours is None
-    assert dumps_off(built) == dumps_off(constructed)
-    assert built._neighbours is None
 
 
 def _split_known_pair(mesh, pair_from):
