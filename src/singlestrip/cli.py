@@ -27,9 +27,11 @@ Stats file (``stripify``, ``stripify-boundary`` and ``sfc``), schema 1:
   - ``stripify``: load, validate, eliminate, match, restore, cycles, nodal,
     splits, assemble, output, write.
   - ``stripify-boundary``: load, validate, strip, verify, write. Its
-    validate stage checks the edges only: the dual's connectivity is
-    checked by the spanning tree, and the check for a boundary edge comes
-    after it, so both are timed in strip.
+    validate stage checks the edges only, from the edges the loaded mesh's
+    constructor flagged when it sorted them for the neighbour table, so it
+    sorts nothing. The dual's connectivity is checked by the spanning tree,
+    and the check for a boundary edge comes after it, so both are timed in
+    strip.
   - ``sfc``: the stages of ``stripify`` up to output, then curve and
     export.
 

@@ -3,7 +3,10 @@ dual-neighbour table, manifold validation, and midpoint splitting.
 
 The table is the mesh's one adjacency: `build_dual` reads the dual graph
 (triangle -> neighbouring triangles) straight off its rows, and
-`shared_edge` recovers the mesh edge between two neighbours from a row.
+`shared_edge` recovers the mesh edge between two neighbours from a row. The
+constructor's one sort of the edge slots builds the table and also flags
+the edges that `check_edges` reports, so a mesh as loaded is validated
+without a second sort.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
 subdivision appends fresh ids, so ids the pipeline holds (matchings, removed
@@ -166,9 +169,30 @@ def _first_others(order: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.
     return table
 
 
-def _table(tri: np.ndarray, n: int) -> list[int]:
-    """The dual-neighbour table of an (m, 3) all-live triangle array."""
-    return _first_others(*_edge_sort(tri, n)[:3]).tolist()
+def _flag_edges(tri: np.ndarray, order, start, size, lo, hi):
+    """The edge groups of `_edge_sort(tri, n)` that validation flags: more
+    than two triangles, two triangles that wind the edge the same way, and
+    one triangle (an open edge, an error only in `closed` mode).
+
+    Returns arrays (size, lo, hi, r1, r2) with one entry per flagged group,
+    in the order of the group's first slot: its size, its edge, and the
+    rows of its first two slots (r2 means something only where size is 2).
+    """
+    second = np.minimum(start + 1, len(order) - 1)  # read only where size > 1
+    first_slot, second_slot = order[start], order[second]
+    forward = tri.ravel() < tri[:, [1, 2, 0]].ravel()  # slot runs from lo to hi
+    same_winding = (size == 2) & (forward[first_slot] == forward[second_slot])
+    groups = np.flatnonzero((size != 2) | same_winding)
+    groups = groups[np.argsort(first_slot[groups])]
+    s = first_slot[groups]
+    return size[groups], lo[s], hi[s], s // 3, second_slot[groups] // 3
+
+
+def _table(tri: np.ndarray, n: int):
+    """The dual-neighbour table of an (m, 3) all-live triangle array, and
+    the groups `_flag_edges` flags, from one sort of its edge slots."""
+    order, start, size, lo, hi = _edge_sort(tri, n)
+    return _first_others(order, start, size).tolist(), _flag_edges(tri, order, start, size, lo, hi)
 
 
 class Mesh:
@@ -186,8 +210,10 @@ class Mesh:
     Vertex triples are stored counter-clockwise with respect to a consistent
     surface orientation (checked by `validate`, not by the constructor). The
     constructor rejects non-finite coordinates and triangles that are out of
-    range, repeat a vertex or duplicate an earlier triangle; it builds the
-    table with one sort of the edge slots. `vertices` and `triangles` may be
+    range, repeat a vertex or duplicate an earlier triangle. One sort of the
+    edge slots builds both the table and the edge checks: the constructor
+    keeps the edge groups `check_edges` may report (open, non-manifold and
+    same-winding edges) and not the sort. `vertices` and `triangles` may be
     sequences or arrays: a float64 vertex array and an integer triangle
     array (as the OFF/OBJ readers pass them) are checked and sorted as they
     are, without a round trip through Python lists.
@@ -198,7 +224,9 @@ class Mesh:
     table is sorted on the first read of `neighbours`.
 
     Edits go through `_append`, `_retire`, `_reinstate` and `_repoint`; each
-    caller rewrites the rows on both sides of the edges it changes.
+    caller rewrites the rows on both sides of the edges it changes. Each of
+    them drops the kept edge groups, as does `copy`, and a `_built` mesh
+    holds none, so `check_edges` sorts such a mesh's live triangles again.
     """
 
     def __init__(self, vertices, triangles):
@@ -212,7 +240,9 @@ class Mesh:
             triangles = list(triangles)
         tri = _index_array(triangles, n)
         _check_triangles(tri, n, triangles)
-        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), _table(tri, n))
+        table, flagged = _table(tri, n)
+        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), table)
+        self._flagged = flagged
 
     @classmethod
     def _built(cls, vertices, triangles) -> "Mesh":
@@ -233,6 +263,9 @@ class Mesh:
         self.alive: list[bool] = [True] * m
         self._neighbours: list[int] | None = neighbours  # None: not sorted yet
         self._n_alive = m
+        # `_flag_edges`' groups of the triangles as constructed; None once
+        # edited, and on copies and `_built` meshes
+        self._flagged = None
 
     @property
     def neighbours(self) -> list[int]:
@@ -241,7 +274,7 @@ class Mesh:
         `triangles`, and `_append` reads the table before it appends."""
         if self._neighbours is None:
             tri = _triangle_array(self, range(len(self.triangles)))
-            self._neighbours = _table(tri, self.n_vertices)
+            self._neighbours = _table(tri, self.n_vertices)[0]
         return self._neighbours
 
     # -- counts ----------------------------------------------------------
@@ -281,18 +314,22 @@ class Mesh:
         self.alive.append(True)
         nb += row
         self._n_alive += 1
+        self._flagged = None
         return tid
 
     def _retire(self, tid: int) -> None:
         self.alive[tid] = False
         self._n_alive -= 1
+        self._flagged = None
 
     def _reinstate(self, tid: int) -> None:
         self.alive[tid] = True
         self._n_alive += 1
+        self._flagged = None
 
     def _repoint(self, tid: int, old: int, new: int) -> None:
         """In tid's row, replace neighbour `old` by `new`; -1 is left alone."""
+        self._flagged = None
         if tid >= 0:
             nb = self.neighbours
             nb[nb.index(old, 3 * tid, 3 * tid + 3)] = new
@@ -321,6 +358,7 @@ class Mesh:
         m.alive = list(self.alive)
         m._neighbours = list(self.neighbours)
         m._n_alive = self._n_alive
+        m._flagged = None
         return m
 
     def compact(self) -> tuple["Mesh", dict[int, int]]:
@@ -405,8 +443,9 @@ class ValidationReport:
 
 def validate(mesh: Mesh, mode: str = "closed") -> ValidationReport:
     """Check manifoldness, orientation consistency, and dual connectivity:
-    the report of `check_edges`, plus a `disconnected_dual` violation when a
-    non-empty mesh's dual is not connected.
+    the report of `check_edges` (no sort on a mesh as constructed, one on an
+    edited mesh), plus a `disconnected_dual` violation when a non-empty
+    mesh's dual is not connected, found by a search over the table rows.
 
     `closed` mode additionally flags boundary (1-incident) edges. Degenerate
     and duplicate triangles are rejected at construction, not here.
@@ -454,38 +493,37 @@ def check_edges(mesh: Mesh, mode: str) -> ValidationReport:
     edges with more than two triangles, edges wound the same way by both
     of theirs and, in `closed` mode, boundary edges.
 
-    One sort of the live triangles' edge slots groups them by edge. Edges
-    are reported in the order of their first slot, by triangle id and then
-    position in the triangle, and the triangles on an edge by id.
+    A mesh as constructed is reported from the edge groups its
+    constructor's sort flagged, with no sort here; an edited mesh, a copy
+    or a `_built` mesh gets one sort of its live triangles' edge slots.
+    Edges are reported in the order of their first slot, by triangle id and
+    then position in the triangle, and the triangles on an edge by id.
     """
     if mode not in ("closed", "with_boundary"):
         raise ValueError(f"unknown validation mode {mode!r}")
     report = ValidationReport(mode=mode)
-    live = mesh.alive_ids()
-    if not live:
+    if not mesh.n_triangles:
         report.add("empty", "mesh has no triangles")
         return report
 
-    rows = np.array(live)
-    tri = _triangle_array(mesh, live)
-    order, start, size, lo, hi = _edge_sort(tri, mesh.n_vertices)
-    # each group's rank: its first slot, which is the first by triangle id
-    # and then position, as the rows are in id order
-    groups = np.argsort(order[start])
-    second = np.minimum(start + 1, len(order) - 1)  # read only where size > 1
-    t1, t2 = rows[order[start] // 3], rows[order[second] // 3]
-    forward = tri.ravel() < tri[:, [1, 2, 0]].ravel()  # slot runs from lo to hi
-    same_winding = (size == 2) & (forward[order[start]] == forward[order[second]])
-    flagged = (size > 2) | same_winding | ((size == 1) & (mode == "closed"))
-    for g in groups[flagged[groups]].tolist():
-        s = order[start[g]]
-        e = (int(lo[s]), int(hi[s]))
-        if size[g] > 2:
-            report.add("non_manifold", f"edge {e} has {size[g]} incident triangles")
-        elif size[g] == 1:
-            report.add("open_edge", f"edge {e} is incident to only triangle {t1[g]}")
+    flagged = mesh._flagged
+    if flagged is None:
+        live = mesh.alive_ids()
+        tri = _triangle_array(mesh, live)
+        size, lo, hi, r1, r2 = _flag_edges(tri, *_edge_sort(tri, mesh.n_vertices))
+        rows = np.array(live)
+        flagged = size, lo, hi, rows[r1], rows[r2]
+    if mode != "closed":
+        keep = flagged[0] != 1
+        flagged = [x[keep] for x in flagged]
+    for k, a, b, t1, t2 in zip(*(x.tolist() for x in flagged)):
+        e = (a, b)
+        if k > 2:
+            report.add("non_manifold", f"edge {e} has {k} incident triangles")
+        elif k == 1:
+            report.add("open_edge", f"edge {e} is incident to only triangle {t1}")
         else:
-            report.add("orientation", f"edge {e} has the same winding in triangles {t1[g]} and {t2[g]}")
+            report.add("orientation", f"edge {e} has the same winding in triangles {t1} and {t2}")
     return report
 
 

@@ -6,12 +6,13 @@ exhaustive search, tree statistics from per-edge BFS, the depth-first dual
 tree from unvisited counts taken afresh at each step. The former library
 paths kept here as references (the recursive curve search, the point-by-
 point repeat filter, the set-based order check, the Euler strip by mesh
-edits and by a list replay, the BFS dual tree, the dict-based balance edge
-and spine, the set-based three-cycle elimination, the full-sweep nodal
-merge, the dict-based mesh, the heap greedy and its frozenset replay, the
-blossom with a base map, the cycle walk with a dict, and the OFF/OBJ and
-curve OBJ writers with one f-string per line) share only the primitives
-they were built on. `coplanar_parents` checks the midpoint splits from an
+edits and by a list replay, the BFS dual tree, the Warnsdorff tree on a
+node -> neighbours mapping, the dict-based balance edge and spine, the
+set-based three-cycle elimination, the full-sweep nodal merge, the
+dict-based mesh, the heap greedy and its frozenset replay, the blossom with
+a base map, the cycle walk with a dict, and the OFF/OBJ and curve OBJ
+writers with one f-string per line) share only the primitives they were
+built on. `coplanar_parents` checks the midpoint splits from an
 output mesh alone, by bit patterns and vertex sets. The test helpers
 (`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
 `cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
@@ -559,7 +560,8 @@ def euler_strip_by_lists(mesh, tree, spine):
 # -- spanning tree, balance edge and spine on dicts --------------------------------
 #
 # The open path's tree passes as the library ran them before they moved to
-# lists indexed by triangle id.
+# lists indexed by triangle id, and its list tree as it ran on a mapping
+# before it read the table rows.
 
 
 @dataclass
@@ -626,6 +628,51 @@ def warnsdorff_spanning_tree_by_dicts(dual) -> TreeByDicts:
         order.append(u)
         path.append(u)
     return _tree_by_dicts(dual, parent, order)
+
+
+def dual_spanning_tree_by_mapping(dual) -> tuple[list, list, list, list]:
+    """The library's Warnsdorff tree as it ran on `build_dual`'s node ->
+    neighbours mapping, before it read the table rows: (parent, children,
+    subtree, order), the first three lists indexed by node id up to the
+    largest node, None, [] and 0 off the tree."""
+    size = max(dual) + 1
+    free = [0] * size  # per node, its unvisited neighbours
+    root, low = -1, -1
+    for t, row in dual.items():
+        d = free[t] = len(row)
+        if root < 0 or d < low or (d == low and t < root):
+            root, low = t, d
+    parent = [None] * size
+    children = [[] for _ in range(size)]
+    seen = bytearray(size)
+    seen[root] = 1
+    for u in dual[root]:
+        free[u] -= 1
+    order = [root]
+    stack = [root]
+    while stack:
+        t = stack[-1]
+        if not free[t]:
+            stack.pop()
+            continue
+        best, low = -1, size
+        for u in dual[t]:
+            if not seen[u] and free[u] < low:
+                best, low = u, free[u]
+        seen[best] = 1
+        for u in dual[best]:
+            free[u] -= 1
+        parent[best] = t
+        children[t].append(best)
+        order.append(best)
+        stack.append(best)
+    assert len(order) == len(dual), "dual graph is disconnected"
+    subtree = [0] * size
+    for t in reversed(order):
+        subtree[t] += 1
+        if parent[t] is not None:
+            subtree[parent[t]] += subtree[t]
+    return parent, children, subtree, order
 
 
 def balance_edge_by_dicts(tree: TreeByDicts) -> tuple[int, int]:

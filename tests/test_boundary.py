@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from oracles import (
     bfs_spanning_tree_by_dicts,
     coplanar_parents,
     dual_by_shared_vertices,
+    dual_spanning_tree_by_mapping,
     euler_strip_by_lists,
     euler_strip_by_splits,
     flip_edges,
@@ -46,9 +48,30 @@ from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import PipelineError, stripify, verify_order
 
 
+def _as_table(dual):
+    """A node -> neighbours mapping of degree at most 3 as the tree's input:
+    a flat table of 3-slot rows padded with -1, and live flags, with a dead
+    slot for each id below the largest that is not a node."""
+    size = max(dual) + 1
+    nb, alive = [-1] * (3 * size), [False] * size
+    for t, row in dual.items():
+        nb[3 * t : 3 * t + len(row)] = row
+        alive[t] = True
+    return nb, alive
+
+
 def _tree_as_dual(adj):
     """A plain tree adjacency as a dual mapping, neighbours in id order."""
     return {v: sorted(ns) for v, ns in adj.items()}
+
+
+def _tree_as_table(adj):
+    """A plain tree adjacency of degree at most 3 as the tree's input."""
+    return _as_table(_tree_as_dual(adj))
+
+
+def _mesh_tree(mesh):
+    return dual_spanning_tree(mesh.neighbours, mesh.alive)
 
 
 def _path_tree(n):
@@ -91,8 +114,7 @@ def _list_tree(tree):
 def _euler_inputs(mesh, bfs=False):
     """The tree and spine `strip_with_boundary` would use; with `bfs`, the
     oracle's BFS tree instead, whose shallow shape doubles most tree edges."""
-    dual = build_dual(mesh)
-    tree = _list_tree(bfs_spanning_tree_by_dicts(dual)) if bfs else dual_spanning_tree(dual)
+    tree = _list_tree(bfs_spanning_tree_by_dicts(build_dual(mesh))) if bfs else _mesh_tree(mesh)
     return tree, spine_path(tree, balance_edge(tree))
 
 
@@ -131,7 +153,7 @@ def test_mk_rejects_bad_k():
 
 
 def test_balance_edge_path6_middle():
-    tree = dual_spanning_tree(_tree_as_dual(_path_tree(6)))
+    tree = dual_spanning_tree(*_tree_as_table(_path_tree(6)))
     child, parent = balance_edge(tree)
     low = min(tree.subtree[child], 6 - tree.subtree[child])
     assert low == 3
@@ -142,7 +164,7 @@ def test_balance_edge_m2_matches_enumeration():
     adj = dual_by_shared_vertices(mesh)
     splits = tree_edge_splits(adj)
     best = max(min(side, len(adj) - side) for _u, _v, side in splits)
-    tree = dual_spanning_tree(build_dual(mesh))
+    tree = _mesh_tree(mesh)
     child, _parent = balance_edge(tree)
     low = min(tree.subtree[child], tree.n - tree.subtree[child])
     assert low == best
@@ -158,7 +180,7 @@ def test_balance_edge_floor_bound_exhaustive_small_trees():
             adj = prufer_tree(seq)
             if max(len(v) for v in adj.values()) > 3:
                 continue
-            tree = dual_spanning_tree(_tree_as_dual(adj))
+            tree = dual_spanning_tree(*_tree_as_table(adj))
             child, _ = balance_edge(tree)
             low = min(tree.subtree[child], n - tree.subtree[child])
             assert low >= n // 3, f"tree {adj} split {low}"
@@ -174,7 +196,7 @@ def test_balance_edge_floor_bound_sampled_trees():
             if max(len(v) for v in adj.values()) > 3:
                 continue
             trials += 1
-            tree = dual_spanning_tree(_tree_as_dual(adj))
+            tree = dual_spanning_tree(*_tree_as_table(adj))
             child, _ = balance_edge(tree)
             low = min(tree.subtree[child], n - tree.subtree[child])
             assert low >= n // 3
@@ -182,21 +204,21 @@ def test_balance_edge_floor_bound_sampled_trees():
 
 def test_balance_edge_needs_three_nodes():
     with pytest.raises(ValueError):
-        balance_edge(dual_spanning_tree(_tree_as_dual(_path_tree(2))))
+        balance_edge(dual_spanning_tree(*_tree_as_table(_path_tree(2))))
 
 
 # -- spine -----------------------------------------------------------------------
 
 
 def test_spine_path6_whole_path():
-    tree = dual_spanning_tree(_tree_as_dual(_path_tree(6)))
+    tree = dual_spanning_tree(*_tree_as_table(_path_tree(6)))
     spine = spine_path(tree, balance_edge(tree))
     assert spine == [0, 1, 2, 3, 4, 5] or spine == [5, 4, 3, 2, 1, 0]
 
 
 def test_spine_mk_length_2k():
     for k in (1, 2, 3, 4, 5):
-        tree = dual_spanning_tree(build_dual(gen_mk(k)))
+        tree = _mesh_tree(gen_mk(k))
         spine = spine_path(tree, balance_edge(tree))
         assert len(spine) - 1 == 2 * k
 
@@ -205,7 +227,7 @@ def test_spine_single_node_side():
     # star: cutting any edge leaves a single-node side whose leaf is itself;
     # the tree is rooted at leaf 1, so the balance edge is (centre, 1)
     star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
-    tree = dual_spanning_tree(_tree_as_dual(star))
+    tree = dual_spanning_tree(*_tree_as_table(star))
     assert tree.order[0] == 1
     e = balance_edge(tree)
     spine = spine_path(tree, e)
@@ -219,8 +241,7 @@ def test_spine_single_node_side():
 
 def test_euler_strip_m1_is_6():
     mesh = gen_mk(1)
-    dual = build_dual(mesh)
-    tree = dual_spanning_tree(dual)
+    tree = _mesh_tree(mesh)
     spine = spine_path(tree, balance_edge(tree))
     strip, doubled, out = euler_strip(mesh, tree, spine)
     assert len(doubled) == 1
@@ -233,8 +254,7 @@ def test_euler_strip_count_identity_and_tree_only_crossings():
     # punch a hole: drop two adjacent triangles to create a boundary
     punch_holes(mesh, (0, 1))
     n = mesh.n_triangles
-    dual = build_dual(mesh)
-    tree = dual_spanning_tree(dual)
+    tree = _mesh_tree(mesh)
     tree_pairs = {frozenset(p) for p in tree_edges(tree)}
     spine = spine_path(tree, balance_edge(tree))
     before = _snapshot(mesh)
@@ -306,7 +326,7 @@ def _punch_tree_leaves(mesh, k):
     """Punch up to k leaves of the dual spanning tree out of `mesh`: dead
     slots whose removal leaves the rest of the dual connected."""
     if k and mesh.n_triangles > k + 2:
-        tree = dual_spanning_tree(build_dual(mesh))
+        tree = _mesh_tree(mesh)
         punch_holes(mesh, [t for t in tree.order if not tree.children[t]][:k])
 
 
@@ -386,12 +406,14 @@ def _prufer_dual(seq):
     return _tree_as_dual(prufer_tree(tuple(seq)))
 
 
+# the table holds three slots a node, as a triangle has three edges, so the
+# Prüfer trees are those of degree at most 3
 _tree_duals = st.one_of(
     st.builds(build_dual, _open_meshes),
     st.builds(lambda p, q: build_dual(torus(p, q)), st.integers(3, 9), st.integers(3, 9)),
-    st.lists(st.integers(0, 11), min_size=1, max_size=10).map(
-        lambda seq: _prufer_dual([v % (len(seq) + 2) for v in seq])
-    ),
+    st.lists(st.integers(0, 11), min_size=1, max_size=10)
+    .map(lambda seq: _prufer_dual([v % (len(seq) + 2) for v in seq]))
+    .filter(lambda dual: max(map(len, dual.values())) <= 3),
 )
 
 
@@ -407,7 +429,7 @@ def _sparse_relabel(dual, seed):
 @given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
 def test_list_tree_matches_the_dict_oracle(dual, seed):
     dual = _sparse_relabel(dual, seed)
-    tree = dual_spanning_tree(dual)
+    tree = dual_spanning_tree(*_as_table(dual))
     want = warnsdorff_spanning_tree_by_dicts(dual)
     assert tree_edges(tree) == want.tree_edges()
     assert tree.n == len(want.parent)
@@ -422,12 +444,27 @@ def test_list_tree_matches_the_dict_oracle(dual, seed):
 
 
 @settings(max_examples=80, deadline=None)
+@given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 6))
+def test_table_tree_matches_the_mapping_oracle(mesh, seed, holes):
+    # the tree read off the table rows against the tree of `build_dual`'s
+    # mapping, on relabelled meshes with dead slots, the largest id too
+    mesh = relabel(mesh, random.Random(seed))
+    _punch_tree_leaves(mesh, holes)
+    last = mesh.alive_ids()[-1]
+    if holes and mesh.n_triangles > 2 and not _mesh_tree(mesh).children[last]:
+        punch_holes(mesh, [last])
+    tree = _mesh_tree(mesh)
+    want = dual_spanning_tree_by_mapping(build_dual(mesh))
+    assert (tree.parent, tree.children, tree.subtree, tree.order) == want
+
+
+@settings(max_examples=80, deadline=None)
 @given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
 def test_tree_spans_the_dual_depth_first(dual, seed):
     # no oracle: the tree reaches every node over dual edges, and every dual
     # edge off the tree joins a node to one of its ancestors
     dual = _sparse_relabel(dual, seed)
-    tree = dual_spanning_tree(dual)
+    tree = dual_spanning_tree(*_as_table(dual))
     assert sorted(tree.order) == sorted(dual)
     assert tree.parent[tree.order[0]] is None
     seen = {tree.order[0]}
@@ -489,20 +526,36 @@ def test_the_pipeline_never_calls_the_checking_constructor(monkeypatch, run, mak
     ids=["open-mk4", "closed-centroids"],
 )
 def test_the_cli_sorts_only_the_input_table(monkeypatch, tmp_path, command, make):
-    # the output mesh's table is sorted only when read, and no writer reads it
+    # the output mesh's table is sorted only when read, and no writer reads
+    # it; the input's one edge sort yields both its table and its edge
+    # checks, and the open path's tree reads the table rows, not
+    # `build_dual`'s mapping, which the closed path builds once, to match
     mesh = make()
     path = tmp_path / "in.off"
     save_mesh(mesh, path)
-    calls = []
-    table = mesh_module._table
+    tables, sorts, duals = [], [], []
+    table, edge_sort, dual = mesh_module._table, mesh_module._edge_sort, mesh_module.build_dual
 
-    def counting(tri, n):
-        calls.append(len(tri))
+    def counting_table(tri, n):
+        tables.append(len(tri))
         return table(tri, n)
 
-    monkeypatch.setattr(mesh_module, "_table", counting)
+    def counting_sort(tri, n):
+        sorts.append(len(tri))
+        return edge_sort(tri, n)
+
+    def counting_dual(mesh):
+        duals.append(mesh.n_triangles)
+        return dual(mesh)
+
+    monkeypatch.setattr(mesh_module, "_table", counting_table)
+    monkeypatch.setattr(mesh_module, "_edge_sort", counting_sort)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("singlestrip") and getattr(module, "build_dual", None) is dual:
+            monkeypatch.setattr(module, "build_dual", counting_dual)
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
-    assert calls == [mesh.n_triangles]
+    assert tables == sorts == [mesh.n_triangles]
+    assert len(duals) == (command == "stripify")
 
 
 @pytest.mark.parametrize("shape", ["end", "start", "interior"])
@@ -512,7 +565,7 @@ def test_euler_strip_rejects_a_spine_triangle_with_two_doubled_children(shape):
     # neighbours off the path cannot be walked, and must say so
     mesh = gen_mk(2)
     dual = build_dual(mesh)
-    tree = dual_spanning_tree(dual)
+    tree = _mesh_tree(mesh)
     centre = next(
         t for t, nbrs in dual.items() if len(nbrs) == 3 and all(len(dual[u]) == 3 for u in nbrs)
     )

@@ -31,6 +31,7 @@ from singlestrip.mesh import (
     MeshError,
     _check_triangles,
     build_dual,
+    check_edges,
     shared_edge,
     split_pair,
     validate,
@@ -108,6 +109,11 @@ def test_table_mesh_matches_dict_oracle(seed, closed, steps):
         return
     mesh, oracle = built[1], expected[1]
     _assert_same(mesh, oracle, edited=False)
+    # the report from the constructor's sort equals a re-sort's, which a
+    # copy makes, as it holds no flagged edges
+    assert mesh._flagged is not None and mesh.copy()._flagged is None
+    for mode in ("closed", "with_boundary"):
+        assert check_edges(mesh, mode) == check_edges(mesh.copy(), mode)
     for _ in range(steps):
         # triangles whose edges each have at most two triangles
         simple = [
@@ -124,6 +130,9 @@ def test_table_mesh_matches_dict_oracle(seed, closed, steps):
             children = split_pair(mesh, e, pair)
             got = (e, mesh.n_vertices - 1, tuple(sorted(pair)), children)
             assert got == dict_split_pair(oracle, e)
+        else:
+            continue
+        assert mesh._flagged is None  # every edit drops the flagged edges
         _assert_same(mesh, oracle, edited=True)
 
 
