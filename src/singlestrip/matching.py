@@ -1,18 +1,25 @@
 """Maximum/perfect matching on the dual graph.
 
+A matching is one flat partner list indexed by triangle id: `partner[t]` is
+t's matched neighbour, or -1 where t is unmatched or a dead slot.
+
 A greedy phase applies the forced degree-1 and degree-2 reductions (pendant
 match, neighbor contraction) plus a deterministic smallest-id edge pick when
-neither applies, consuming the whole graph. Replaying the contraction log
-turns that into a maximal matching of the input. `blossom_maximum_matching`
-checks that seed with `validate_matching` and grows it in an augmentation
-phase (alternating BFS forest with union-find blossom bases) that finishes
-the job. On cubic bridgeless duals the result is perfect.
+neither applies, consuming the whole graph. It alone reads `build_dual`'s
+mapping, through neighbour sets (see `_adjacency`). Replaying the
+contraction log turns that into a maximal matching of the input.
+`blossom_maximum_matching` checks that seed with `validate_matching` and
+grows it in an augmentation phase (alternating BFS forest with union-find
+blossom bases) that finishes the job; both read the mesh's neighbour table
+rows in place. On cubic bridgeless duals the result is perfect.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+from .mesh import Mesh, build_dual
 
 
 class MatchingError(Exception):
@@ -29,13 +36,14 @@ class MatchingError(Exception):
 
 @dataclass
 class MatchState:
-    """A matching as a symmetric partner map, with phase statistics.
+    """A matching as a symmetric partner list (-1: unmatched), with phase
+    statistics.
 
     `augment_nodes` counts the nodes labelled by all augmenting searches of
     the blossom phase (see `_augment_from`); it is 0 when the replayed
     greedy seed is already perfect."""
 
-    partner: dict[int, int]
+    partner: list[int]
     greedy_matched: int = 0
     greedy_picks: int = 0
     augmentations: int = 0
@@ -53,20 +61,29 @@ def _adjacency(graph) -> dict[int, set[int]]:
     depends on the order they went in, and the reductions queue nodes in
     the order they iterate these sets. `build_dual`'s slot-order rows give
     the matching that the golden hashes pin; sets filled from sorted rows
-    give another one.
+    give another one. That fill is why `build_dual` still runs: nothing
+    after the greedy reads its mapping.
     """
     return {v: set(ns) for v, ns in graph.items()}
 
 
-def validate_matching(graph, partner: dict[int, int]) -> None:
-    """Raise unless partner is symmetric and matches only adjacent nodes of
-    the node -> neighbours mapping `graph`."""
-    get, row = partner.get, graph.get
-    for v, u in partner.items():
-        if get(u) != v:
-            raise MatchingError(f"matching is not symmetric at {v}<->{u}")
-        if u not in row(v, ()):
+def validate_matching(nb: list[int], alive: list[bool], partner: list[int]) -> None:
+    """Raise unless `partner` matches only live neighbours, both ways, in
+    the flat neighbour table `nb` with live flags `alive`. A dead slot's row
+    is stale and may still list its old neighbours, so liveness is checked
+    on both ends of a pair."""
+    for v, u in enumerate(partner):
+        if u < 0:
+            continue
+        i = 3 * v
+        if not alive[v]:
+            raise MatchingError(f"retired triangle {v} is matched to {u}")
+        if u != nb[i] and u != nb[i + 1] and u != nb[i + 2]:
             raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
+        if not alive[u]:
+            raise MatchingError(f"triangle {v} is matched to retired triangle {u}")
+        if partner[u] != v:
+            raise MatchingError(f"matching is not symmetric at {v}<->{u}")
 
 
 # -- greedy phase ------------------------------------------------------------
@@ -131,16 +148,16 @@ def _apply_reductions(adj, partner, log, queue: deque) -> None:
         # deg >= 3: stale entry, skip
 
 
-def _greedy_consume(adj) -> tuple[dict[int, int], list[tuple], int]:
+def _greedy_consume(adj, partner: list[int]) -> tuple[list[tuple], int]:
     """Forced reductions with a deterministic fallback until the graph is gone.
 
     When no node has degree <= 2, the smallest remaining node is matched to
     its smallest neighbor (Karp-Sipser's arbitrary pick, made deterministic).
     Which nodes the reductions queue, and in what order, follows the
     iteration order of the sets in `adj`, which depends on how they were
-    filled (see `_adjacency`). Returns (partner, log, picks).
+    filled (see `_adjacency`). The matches go into `partner`, a list of -1
+    with a slot per node id. Returns (log, picks).
     """
-    partner: dict[int, int] = {}
     log: list[tuple] = []
     picks = 0
     order = sorted(adj)
@@ -163,20 +180,18 @@ def _greedy_consume(adj) -> tuple[dict[int, int], list[tuple], int]:
                     queue.append(x)
         adj[v] = {u}
         _apply_reductions(adj, partner, log, queue)
-    return partner, log, picks
+    return log, picks
 
 
-def replay_reductions(partner: dict[int, int], log: list[tuple]) -> dict[int, int]:
+def replay_reductions(partner: list[int], log: list[tuple]) -> None:
     """Undo degree-2 contractions (in reverse) on a matching of the reduced
-    graph. When u's partner x was u's own neighbour, v matches w; otherwise
-    x came from w, so w takes x and v takes u. At that point neither v nor
-    w is in the graph, so x is neither, and testing x against the logged
-    neighbourhoods, which still hold v and w, is exact."""
-    partner = dict(partner)
-    get = partner.get
+    graph, in place. When u's partner x was u's own neighbour, v matches w;
+    otherwise x came from w, so w takes x and v takes u. At that point
+    neither v nor w is in the graph, so x is neither, and testing x against
+    the logged neighbourhoods, which still hold v and w, is exact."""
     for v, u, w, adj_u, adj_w in reversed(log):
-        x = get(u)
-        if x is None:
+        x = partner[u]
+        if x < 0:
             partner[u] = v
             partner[v] = u
         elif x in adj_u:
@@ -189,64 +204,68 @@ def replay_reductions(partner: dict[int, int], log: list[tuple]) -> dict[int, in
             partner[x] = w
             partner[u] = v
             partner[v] = u
-    return partner
 
 
 # -- blossom phase -----------------------------------------------------------
 
 
 def blossom_maximum_matching(
-    graph, seed: dict[int, int] | None = None, state: MatchState | None = None
-) -> dict[int, int]:
+    nb: list[int], alive: list[bool], partner: list[int] | None = None,
+    state: MatchState | None = None,
+) -> list[int]:
     """Edmonds' blossom algorithm: grow the seed matching to maximum size.
 
-    `graph` is a symmetric node -> neighbours mapping. The seed, such as
-    `perfect_match_dual`'s replayed greedy seed, is checked against `graph`
-    and left as it is; a copy of it is grown and returned. One alternating
-    BFS forest is grown per exposed node, in ascending id, and each search
-    reads a node's neighbours in ascending id; the rows are sorted once,
-    and only when the seed leaves a node exposed. Odd cycles are contracted
-    on the fly through a union-find that tracks blossom bases. When `state`
-    is given, its `augment_nodes` gains the nodes each search labelled.
+    The graph is the flat neighbour table `nb`, 3-slot rows padded with -1,
+    over the nodes that `alive` flags. The seed `partner`, such as
+    `perfect_match_dual`'s replayed greedy seed, is checked against the
+    table and grown in place; without one, the empty matching is grown in a
+    new list. One alternating BFS forest is grown per exposed node, in
+    ascending id, and each search reads a node's row in ascending id. Odd
+    cycles are contracted on the fly through a union-find that tracks
+    blossom bases. When `state` is given, its `augment_nodes` gains the
+    nodes each search labelled. Returns the grown list.
     """
-    if seed:
-        validate_matching(graph, seed)
-    match = dict(seed or ())
-    del seed  # a caller that passes its only reference frees it here
+    if partner is None:
+        partner = [-1] * len(alive)
+    else:
+        validate_matching(nb, alive, partner)
     labelled = 0
     # a search never unmatches a node, so only nodes the seed leaves exposed are roots
-    roots = sorted(set(graph).difference(match))
-    adj = {v: sorted(ns) for v, ns in graph.items()} if roots else {}
+    roots = [v for v, u in enumerate(partner) if u < 0 and alive[v]]
     for root in roots:
-        if root not in match:
-            labelled += _augment_from(adj, match, root)
+        if partner[root] < 0:
+            labelled += _augment_from(nb, partner, root)
     if state is not None:
         state.augment_nodes += labelled
-    return match
+    return partner
 
 
-def _augment_from(adj, match, root) -> int:
+def _augment_from(nb, match, root) -> int:
     """One alternating BFS from the exposed `root`. Flips the first
     augmenting path it finds and stops there, or gives up once no even node
     is left to scan. Returns how many nodes the search labelled: the even
     nodes it queued (the root, partners of reached nodes, and nodes a
-    blossom made even) and the odd nodes it reached.
+    blossom made even) and the odd nodes it reached. A node a blossom makes
+    even was reached first, so each label is counted as it is first given.
 
-    `parent` holds each reached node's tree parent; `up` is a union-find
-    over the nodes put in blossoms, each set rooted at its blossom's base,
-    so a node that is not a key of `up` is its own base.
+    `parent` holds each reached node's tree parent, -1 for none; `up` is a
+    union-find over the nodes put in blossoms, each set rooted at its
+    blossom's base, -1 for a node that is its own base; `used` flags the
+    queued nodes.
     """
-    parent: dict[int, int] = {}
-    up: dict[int, int] = {}
-    used = {root}
+    m = len(match)
+    parent = [-1] * m
+    up = [-1] * m
+    used = bytearray(m)
+    used[root] = 1
+    labelled = 1
     queue = deque([root])
     pop, push = queue.popleft, queue.append
-    get = match.get
 
     def base(x):
-        if x not in up:
-            return x
         r = up[x]
+        if r < 0:
+            return x
         while up[r] != r:
             r = up[r]
         while x != r:
@@ -258,8 +277,8 @@ def _augment_from(adj, match, root) -> int:
         x = base(a)
         while True:
             seen.add(x)
-            mx = get(x)
-            if mx is None:
+            mx = match[x]
+            if mx < 0:
                 break
             x = base(parent[mx])
         y = base(b)
@@ -278,13 +297,22 @@ def _augment_from(adj, match, root) -> int:
 
     while queue:
         v = pop()
-        mv = get(v)
-        bv = base(v) if v in up else v
-        for to in adj[v]:
-            if to == mv or to == bv or (to in up and base(to) == bv):
+        mv = match[v]
+        bv = base(v)
+        i = 3 * v
+        # the row in ascending id; a -1 slot sorts first
+        s0, s1, s2 = nb[i], nb[i + 1], nb[i + 2]
+        if s0 > s1:
+            s0, s1 = s1, s0
+        if s1 > s2:
+            s1, s2 = s2, s1
+            if s0 > s1:
+                s0, s1 = s1, s0
+        for to in (s0, s1, s2):
+            if to < 0 or to == mv or to == bv or (up[to] >= 0 and base(to) == bv):
                 continue
-            mt = get(to)
-            if to == root or (mt is not None and mt in parent):
+            mt = match[to]
+            if to == root or (mt >= 0 and parent[mt] >= 0):
                 # even node reached: an odd cycle closes, contract the blossom
                 b = lca(v, to)
                 marked: list = []
@@ -294,56 +322,61 @@ def _augment_from(adj, match, root) -> int:
                 up[b] = b
                 for node in marked:
                     up[node] = b
-                    if node not in used:
-                        used.add(node)
+                    if not used[node]:
+                        used[node] = 1
                         push(node)
                 bv = base(v)
-            elif to not in parent:
+            elif parent[to] < 0:
                 parent[to] = v
-                if mt is None:
+                if mt < 0:
                     # augmenting path: flip matched/unmatched along it
-                    labelled = len(used.union(parent))
                     node = to
-                    while node is not None:
+                    while node >= 0:
                         prev = parent[node]
-                        nxt = get(prev)
+                        nxt = match[prev]
                         match[node] = prev
                         match[prev] = node
                         node = nxt
-                    return labelled
-                used.add(mt)
+                    return labelled + 1
+                used[mt] = 1
                 push(mt)
-    return len(used.union(parent))
+                labelled += 2
+    return labelled
 
 
 # -- full pipeline -----------------------------------------------------------
 
 
-def _greedy_seed(dual, state: MatchState) -> dict[int, int]:
-    """The greedy phase's matching of `dual`, replayed, with its counts put
-    in `state`; its own matching and log go before the blossom phase."""
-    partner, log, state.greedy_picks = _greedy_consume(_adjacency(dual))
-    state.greedy_matched = len(partner) + 2 * len(log)
-    return replay_reductions(partner, log)
+def _greedy_seed(mesh: Mesh, state: MatchState) -> list[int]:
+    """The greedy phase's matching of the mesh's dual, replayed, in a list
+    with a slot per triangle id, with its counts put in `state`; the dual
+    mapping, the greedy's sets and its log go before the blossom phase."""
+    partner = [-1] * len(mesh.triangles)
+    log, state.greedy_picks = _greedy_consume(_adjacency(build_dual(mesh)), partner)
+    state.greedy_matched = len(partner) - partner.count(-1) + 2 * len(log)
+    replay_reductions(partner, log)
+    return partner
 
 
-def perfect_match_dual(dual: dict[int, list[int]]) -> MatchState:
+def perfect_match_dual(mesh: Mesh) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
-    `dual` is `build_dual`'s mapping. The replayed seed goes to
-    `blossom_maximum_matching` with no other reference, so the copy that
-    it grows replaces it. Raises MatchingError (with the unmatched node
-    set) if the result is not perfect, which signals a violated
-    precondition: the dual must be 3-regular and bridgeless.
+    The matching covers the mesh's live triangles, as a partner list with a
+    slot per triangle id; the blossom grows the replayed seed in place.
+    Raises MatchingError (with the unmatched node set) if the result is not
+    perfect, which signals a violated precondition: the dual must be
+    3-regular and bridgeless.
     """
-    state = MatchState({})
-    state.partner = partner = blossom_maximum_matching(dual, _greedy_seed(dual, state), state)
-    if len(partner) < len(dual):
-        unmatched = [v for v in sorted(dual) if v not in partner]
+    state = MatchState([])
+    partner = _greedy_seed(mesh, state)
+    state.partner = blossom_maximum_matching(mesh.neighbours, mesh.alive, partner, state)
+    matched = len(partner) - partner.count(-1)
+    if matched < mesh.n_triangles:
+        unmatched = [v for v in mesh.alive_ids() if partner[v] < 0]
         raise MatchingError(
             f"no perfect matching: {len(unmatched)} node(s) left unmatched "
             f"(dual not 3-regular/bridgeless?)",
             unmatched=unmatched,
         )
-    state.augmentations = (len(partner) - state.greedy_matched) // 2
+    state.augmentations = (matched - state.greedy_matched) // 2
     return state

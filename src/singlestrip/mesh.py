@@ -1,25 +1,28 @@
 """Triangle mesh core: indexed storage with stable triangle ids, a
 dual-neighbour table, manifold validation, and midpoint splitting.
 
-The table is the mesh's one adjacency: `build_dual` reads the dual graph
-(triangle -> neighbouring triangles) straight off its rows, and
-`shared_edge` recovers the mesh edge between two neighbours from a row. The
-constructor's one sort of the edge slots builds the table and also flags
-the edges that `check_edges` reports, so a mesh as loaded is validated
-without a second sort.
+The table is the mesh's one adjacency: the open path's tree, the closed
+path's blossom and its seed check, and the cycle walks read its rows in
+place, and `shared_edge` recovers the mesh edge between two neighbours from
+a row. `build_dual` copies the rows into a triangle -> neighbours mapping
+for one reader only, the greedy phase of matching, whose neighbour sets
+must be filled in slot order. The constructor's one sort of the edge slots
+builds the table and also flags the edges that `check_edges` reports, so a
+mesh as loaded is validated without a second sort.
 
 Triangle ids are never reused. Removing a triangle leaves a dead slot and
-subdivision appends fresh ids, so ids the pipeline holds (matchings, removed
-configurations, split pairs) stay valid across edits. The mesh is
-edited only by row edits of the neighbour table: three-cycle elimination
-and restoration, and `split_pair` on a pair its caller names.
+subdivision appends fresh ids, so ids the pipeline holds (the matching's
+partner list, indexed by triangle id, removed configurations, split pairs)
+stay valid across edits. The mesh is edited only by row edits of the
+neighbour table: three-cycle elimination and restoration, and `split_pair`
+on a pair its caller names.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -299,7 +302,7 @@ class Mesh:
         return int(np.count_nonzero(first[np.array(self.alive, dtype=bool)]))
 
     def alive_ids(self) -> list[int]:
-        return [t for t, a in enumerate(self.alive) if a]
+        return list(compress(range(len(self.alive)), self.alive))
 
     # -- edits -----------------------------------------------------------
 
@@ -533,7 +536,8 @@ def check_edges(mesh: Mesh, mode: str) -> ValidationReport:
 def build_dual(mesh: Mesh) -> dict[int, list[int]]:
     """The dual graph read off the neighbour table: each live triangle maps
     to its live neighbours in slot order, one per interior edge. The mapping
-    is symmetric; `shared_edge` names the mesh edge behind a dual edge."""
+    is symmetric; `shared_edge` names the mesh edge behind a dual edge. Only
+    the greedy phase of matching reads it (see `matching._adjacency`)."""
     nb = mesh.neighbours
     dual = {}
     for t in mesh.alive_ids():

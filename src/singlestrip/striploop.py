@@ -7,7 +7,8 @@ cycles around nodal vertices are merged by toggling their fans, and the
 remaining cycles are merged by splitting the matched pairs of a spanning
 tree that Kruskal's rule picks, leaving a single Hamiltonian triangle cycle.
 Both merges join cycles in one union-find over the walked cycles, which are
-not walked again.
+not walked again. The matching is one partner list indexed by triangle id
+(-1: unmatched), which every stage after matching edits in place.
 """
 
 from __future__ import annotations
@@ -20,14 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .matching import perfect_match_dual
-from .mesh import (
-    Mesh,
-    ValidationError,
-    build_dual,
-    shared_edge,
-    split_pair,
-    validate,
-)
+from .mesh import Mesh, ValidationError, shared_edge, split_pair, validate
 
 
 class PipelineError(Exception):
@@ -66,7 +60,9 @@ class RemovedConfig:
 def _vertex_fans(mesh: Mesh) -> tuple[list[int], list[int]]:
     """Per vertex id, the number of live triangles on it and the smallest of
     them (-1 where there is none): the fan size and the anchor that
-    `_fan_order` walks from."""
+    `_fan_order` walks from. Restoration brings back the live set that
+    elimination started from, so `stripify` takes these once, before
+    elimination, for both elimination and nodal merging."""
     count = [0] * mesh.n_vertices
     anchor = [-1] * mesh.n_vertices
     tris = mesh.triangles
@@ -95,7 +91,9 @@ def _fan_order(mesh: Mesh, v: int, t0: int, k: int) -> list[int] | None:
         ordered.append(t)
 
 
-def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
+def eliminate_three_cycles(
+    mesh: Mesh, fans: tuple[list[int], list[int]] | None = None
+) -> list[RemovedConfig]:
     """Remove every interior vertex with exactly three incident triangles.
 
     Mutates the mesh in place and returns the removal stack (LIFO order for
@@ -104,10 +102,11 @@ def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
     neighbours, which are re-pointed to it. Removal cascades: replacing a
     fan drops each ring vertex's triangle count by one, and a ring vertex
     left with three is queued. Stops rather than shrink the mesh below
-    `MIN_TRIANGLES`, so a tetrahedron is left as it is.
+    `MIN_TRIANGLES`, so a tetrahedron is left as it is. `fans` is the
+    mesh's `_vertex_fans`, if the caller has them; they are edited in a copy.
     """
     nb, tris = mesh.neighbours, mesh.triangles
-    count, anchor = _vertex_fans(mesh)
+    count, anchor = (f.copy() for f in fans) if fans is not None else _vertex_fans(mesh)
     queue = deque(v for v, k in enumerate(count) if k == 3)
     stack: list[RemovedConfig] = []
     while queue:
@@ -142,22 +141,21 @@ def eliminate_three_cycles(mesh: Mesh) -> list[RemovedConfig]:
     return stack
 
 
-def restore_three_cycles(
-    mesh: Mesh, partner: dict[int, int], stack: list[RemovedConfig]
-) -> None:
+def restore_three_cycles(mesh: Mesh, partner: list[int], stack: list[RemovedConfig]) -> None:
     """Re-insert removed configurations, keeping the matching perfect.
 
     The fan triangle owning the edge across which the replacement was matched
     inherits that match; the other two fan triangles are matched together, so
     no unmatched three-cycle appears. Each fan triangle gets back the
     replacement's neighbour across its ring edge, which is re-pointed to it.
-    Mutates mesh and partner in place.
+    Mutates mesh and partner in place; the retired replacement is unmatched.
     """
     nb, tris = mesh.neighbours, mesh.triangles
     for cfg in reversed(stack):
         r = cfg.replacement
-        x = partner.pop(r, None)
-        if x is None:
+        x = partner[r]
+        partner[r] = -1
+        if x < 0:
             raise PipelineError(
                 f"replacement triangle {r} is unmatched; matching not perfect", (r,)
             )
@@ -208,17 +206,17 @@ class CycleSet:
         return sum(r == i for i, r in enumerate(self.root))
 
 
-def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
+def extract_cycles(mesh: Mesh, partner: list[int]) -> CycleSet:
     """Partition the live triangles into cycles by walking unmatched dual
     edges, read off the mesh's neighbour table. Each cycle is walked from
     its smallest id, first to the triangle in the earlier unmatched slot.
-    A triangle whose partner is not in its row, or that has a boundary
+    A triangle whose partner is not in its row (an unmatched one's -1
+    included, which no boundary slot's -1 matches), or that has a boundary
     slot among its unmatched ones, raises `PipelineError` naming it."""
     nb = mesh.neighbours
     n = mesh.n_triangles
     cycles: list[list[int]] = []
     cycle_of = [-1] * len(mesh.triangles)
-    get = partner.get
     for start in mesh.alive_ids():
         if cycle_of[start] >= 0:
             continue
@@ -228,9 +226,11 @@ def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
         for _ in range(n + 1):  # a closed walk has at most n triangles
             i = 3 * cur
             a, b, c = nb[i : i + 3]
-            p = get(cur)
+            p = partner[cur]
             # x and y: cur's unmatched neighbours, the earlier slot first
-            if p == a:
+            if p < 0:
+                x = None
+            elif p == a:
                 x, y = b, c
             elif p == b:
                 x, y = a, c
@@ -261,7 +261,8 @@ def extract_cycles(mesh: Mesh, partner: dict[int, int]) -> CycleSet:
 
 
 def merge_nodal(
-    mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
+    mesh: Mesh, partner: list[int], cycleset: CycleSet,
+    fans: tuple[list[int], list[int]] | None = None,
 ) -> tuple[CycleSet, list[tuple[int, int]]]:
     """Toggle matched/unmatched fan edges around every nodal vertex.
 
@@ -284,11 +285,12 @@ def merge_nodal(
     (a pinched vertex) never qualifies, as its walk closes before it has met
     every triangle on it.
 
-    Returns the cycle set with each toggle's cycles joined in a copy of its
-    union-find, none walked again, and the (vertex, m) merges.
+    `fans` is the mesh's `_vertex_fans`, if the caller has them; they are
+    only read. Returns the cycle set with each toggle's cycles joined in a
+    copy of its union-find, none walked again, and the (vertex, m) merges.
     """
     nb, tris = mesh.neighbours, mesh.triangles
-    count, anchor = _vertex_fans(mesh)
+    count, anchor = fans if fans is not None else _vertex_fans(mesh)
     cycle_of = cycleset.cycle_of
     root = cycleset.root.copy()
     merges: list[tuple[int, int]] = []
@@ -310,7 +312,7 @@ def merge_nodal(
             s = nb[3 * t + (tris[t].index(v) + 2) % 3]
             if s < 0 or (s == t0) != (i == last):
                 break
-            matched = partner.get(t) == s
+            matched = partner[t] == s
             if matched == flag:
                 break
             flag = matched
@@ -337,7 +339,7 @@ def merge_nodal(
 
 
 def spanning_tree_splits(
-    mesh: Mesh, partner: dict[int, int], cycleset: CycleSet
+    mesh: Mesh, partner: list[int], cycleset: CycleSet
 ) -> list[tuple[tuple[int, int], int, int]]:
     """Split the matched pairs on a spanning tree of the merged cycles.
 
@@ -348,8 +350,10 @@ def spanning_tree_splits(
     pairs taken by their shared mesh edge, which is unique, so the tree does
     not depend on how cycles are numbered. Raises `PipelineError` naming the
     smallest id of each merged cycle left unjoined when the pairs cannot join
-    them all. Mutates mesh and partner in place and returns the split pairs
-    as (edge, t, u), in the order they were split.
+    them all. Mutates mesh and partner in place: the parents are unmatched,
+    and the children's entries are appended, as `split_pair` appends the
+    children. Returns the split pairs as (edge, t, u), in the order they
+    were split.
     """
     if cycleset.count <= 1:
         return []
@@ -358,8 +362,8 @@ def spanning_tree_splits(
     merged = [find(root, i) for i in range(len(root))]
     across = []  # (edge, t, u) of the matched pairs across two merged cycles
     for t in mesh.alive_ids():
-        u = partner.get(t)
-        if u is not None and t < u and merged[cycle_of[t]] != merged[cycle_of[u]]:
+        u = partner[t]
+        if t < u and merged[cycle_of[t]] != merged[cycle_of[u]]:
             across.append((shared_edge(mesh, t, u), t, u))
     across.sort()
     tree: list[tuple[tuple[int, int], int, int]] = []
@@ -377,19 +381,15 @@ def spanning_tree_splits(
 
     for e, t, u in tree:
         c0, c1, c2, c3 = split_pair(mesh, e, (t, u))
-        del partner[t]
-        del partner[u]
-        partner[c0] = c1
-        partner[c1] = c0
-        partner[c2] = c3
-        partner[c3] = c2
+        partner[t] = partner[u] = -1
+        partner += (c1, c0, c3, c2)
     return tree
 
 
 # -- assembly and verification -------------------------------------------------
 
 
-def assemble_cycle(mesh: Mesh, partner: dict[int, int]) -> list[int]:
+def assemble_cycle(mesh: Mesh, partner: list[int]) -> list[int]:
     """The single unmatched-edge cycle over all live triangles: the one
     cycle of `extract_cycles`, from the smallest live id. Raises
     `PipelineError` when the unmatched edges form more than one cycle, with
@@ -520,8 +520,9 @@ class StripResult:
     vertices, triangles and ``alive``.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
-    the whole call. The matching itself is not kept, as the later stages
-    edit it in place; ``stats`` keeps its greedy and augmentation counters.
+    the whole call. The matching itself, a partner list over the working
+    mesh's ids, is not kept, as the later stages edit it in place;
+    ``stats`` keeps its greedy and augmentation counters.
     """
 
     mesh: Mesh
@@ -534,7 +535,10 @@ def stripify(mesh: Mesh) -> StripResult:
     """Full closed-manifold pipeline; the input mesh is left untouched.
 
     Every stage after validation works on one copy of the mesh and edits its
-    neighbour table in place; the dual graph is built once, for matching.
+    neighbour table in place. The matching is one partner list that the
+    later stages edit in place; the dual mapping is built once, for the
+    greedy phase of matching alone. The vertex fans are taken once, before
+    elimination, and read again by nodal merging.
     """
     timer = StageTimer()
     with timer("validate"):
@@ -545,14 +549,13 @@ def stripify(mesh: Mesh) -> StripResult:
         work = mesh.copy()
 
     with timer("eliminate"):
-        stack = eliminate_three_cycles(work)
+        fans = _vertex_fans(work)
+        stack = eliminate_three_cycles(work, fans)
 
     with timer("match"):
-        dual = build_dual(work)
-        n_matched_dual = len(dual)
-        match_state = perfect_match_dual(dual)
+        n_matched_dual = work.n_triangles
+        match_state = perfect_match_dual(work)
         partner = match_state.partner  # restore, nodal and splits edit it in place
-        del dual  # no later stage reads it
 
     with timer("restore"):
         restore_three_cycles(work, partner, stack)
@@ -565,7 +568,7 @@ def stripify(mesh: Mesh) -> StripResult:
             raise PipelineError("an unmatched three-cycle survived elimination", three)
 
     with timer("nodal"):
-        cycleset, merges = merge_nodal(work, partner, cycleset)
+        cycleset, merges = merge_nodal(work, partner, cycleset, fans)
         cycles_after = cycleset.count
 
     with timer("splits"):

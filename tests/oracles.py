@@ -16,9 +16,10 @@ built on. `coplanar_parents` checks the midpoint splits from an
 output mesh alone, by bit patterns and vertex sets. The test helpers
 (`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
 `cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
-forced reductions on their own, the stats and JSON curve readers, and the
-mesh geometry, edge scans, table reads and edits) are not oracles: only
-tests use them, so they live here rather than in the library.
+forced reductions on their own, the stats and JSON curve readers, the
+conversions between mappings and tables or partner lists, and the mesh
+geometry, edge scans, table reads and edits) are not oracles: only tests
+use them, so they live here rather than in the library.
 """
 
 from __future__ import annotations
@@ -86,6 +87,50 @@ def all_perfect_matchings(adj: dict[int, set[int]]) -> list[dict[int, int]]:
 
     rec(nodes, {})
     return out
+
+
+def check_matching(adj, partner: dict[int, int]) -> None:
+    """Assert that the partner dict is symmetric and pairs only neighbours
+    in the node -> neighbours mapping `adj`, of any degree."""
+    for v, u in partner.items():
+        assert partner.get(u) == v, f"matching is not symmetric at {v}<->{u}"
+        assert u in adj[v], f"matched pair ({v}, {u}) is not an edge"
+
+
+# -- graphs as neighbour tables, matchings as partner lists ---------------------
+
+
+def as_table(graph) -> tuple[list[int], list[bool]]:
+    """A node -> neighbours mapping of degree at most 3 as the library's
+    graph input: a flat table of 3-slot rows, each in the mapping's order
+    and padded with -1, and live flags, with a dead slot for each id below
+    the largest that is not a node."""
+    size = max(graph, default=-1) + 1
+    nb, alive = [-1] * (3 * size), [False] * size
+    for t, row in graph.items():
+        assert len(row) <= 3, f"node {t} has degree {len(row)}"
+        nb[3 * t : 3 * t + len(row)] = row
+        alive[t] = True
+    return nb, alive
+
+
+def tree_as_table(adj) -> tuple[list[int], list[bool]]:
+    """A plain tree adjacency of degree at most 3 as a table, each row in
+    id order."""
+    return as_table({v: sorted(ns) for v, ns in adj.items()})
+
+
+def as_partner_list(partner: dict[int, int], size: int) -> list[int]:
+    """A partner dict as the library's partner list over `size` ids."""
+    out = [-1] * size
+    for v, u in partner.items():
+        out[v] = u
+    return out
+
+
+def as_partner_map(partner: list[int]) -> dict[int, int]:
+    """The matched entries of a partner list as a dict."""
+    return {v: u for v, u in enumerate(partner) if u >= 0}
 
 
 def unmatched_cycles(adj: dict[int, set[int]], partner: dict[int, int]) -> list[list[int]]:
@@ -1606,13 +1651,12 @@ def replay_reductions_by_frozensets(partner, log):
 
 
 def blossom_by_base_map(graph, seed=None):
-    """`blossom_maximum_matching` as first written."""
-    from singlestrip.matching import validate_matching
-
+    """`blossom_maximum_matching` as first written, on a node -> neighbours
+    mapping of any degree and a partner dict."""
     adj = {v: sorted(ns) for v, ns in graph.items()}
     match: dict[int, int] = {}
     if seed:
-        validate_matching(graph, seed)
+        check_matching(graph, seed)
         match.update(seed)
     for root in sorted(adj):
         if root not in match:

@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 from oracles import (
+    as_partner_list,
+    as_table,
     assert_coplanar,
     complete_graph,
     cube_graph,
@@ -104,7 +106,8 @@ def test_criterion_4_matching_oracle_equivalence():
     for k in (0, 1, 2):
         graphs[f"M_{k} dual"] = dual_by_shared_vertices(gen_mk(k))
     for name, adj in graphs.items():
-        got = len(blossom_maximum_matching(adj)) // 2
+        match = blossom_maximum_matching(*as_table(adj))
+        got = (len(match) - match.count(-1)) // 2
         want = max_matching_size(adj)
         assert got == want, f"{name}: blossom {got} != brute force {want}"
     elapsed = time.perf_counter() - t0
@@ -143,7 +146,8 @@ def test_criterion_5_no_unmatched_three_cycles():
             assert len(others) <= 1
             if others:
                 partner[t] = others[0]
-        cs = extract_cycles(res.mesh, partner) if len(partner) == len(dual) else None
+        partner = as_partner_list(partner, len(res.mesh.triangles))
+        cs = extract_cycles(res.mesh, partner) if -1 not in partner else None
         if cs is not None:
             assert all(len(c) >= 4 for c in cs.cycles), f"{name}: 3-cycle in output"
         # and on the pipeline's own intermediate state: rerun the stages
@@ -151,8 +155,7 @@ def test_criterion_5_no_unmatched_three_cycles():
         from singlestrip.striploop import eliminate_three_cycles, restore_three_cycles
 
         stack = [] if work.n_triangles == 4 else eliminate_three_cycles(work)
-        d2 = build_dual(work)
-        partner2 = perfect_match_dual(d2).partner
+        partner2 = perfect_match_dual(work).partner
         restore_three_cycles(work, partner2, stack)
         d2 = build_dual(work)
         cs2 = extract_cycles(work, partner2)
@@ -176,15 +179,15 @@ def test_criterion_6_nodal_merge_soundness():
 
         if stack is None:
             stack = eliminate_three_cycles(work)
-        d = build_dual(work)
-        partner = perfect_match_dual(d).partner
+        partner = perfect_match_dual(work).partner
         restore_three_cycles(work, partner, stack)
         d = build_dual(work)
         cs = extract_cycles(work, partner)
         initial = cs.count
         cs2, merges = merge_nodal(work, partner, cs)
-        validate_matching(d, partner)
-        assert len(partner) == len(d), f"{name}: matching not perfect after merging"
+        validate_matching(work.neighbours, work.alive, partner)
+        matched = len(partner) - partner.count(-1)
+        assert matched == len(d), f"{name}: matching not perfect after merging"
         assert all(m >= 2 for _v, m in merges)
         after = extract_cycles(work, partner).count  # a fresh walk, not the union-find
         assert initial - after == sum(m - 1 for _v, m in merges), name

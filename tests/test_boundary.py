@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    as_table,
     assert_same_as_checked_rebuild,
     balance_edge_by_dicts,
     bfs_spanning_tree_by_dicts,
@@ -27,6 +28,7 @@ from oracles import (
     punch_holes,
     relabel,
     spine_path_by_dicts,
+    tree_as_table,
     tree_edge_splits,
     tree_edges,
     warnsdorff_spanning_tree_by_dicts,
@@ -48,26 +50,9 @@ from singlestrip.mesh import Mesh, ValidationError, build_dual, validate
 from singlestrip.striploop import PipelineError, stripify, verify_order
 
 
-def _as_table(dual):
-    """A node -> neighbours mapping of degree at most 3 as the tree's input:
-    a flat table of 3-slot rows padded with -1, and live flags, with a dead
-    slot for each id below the largest that is not a node."""
-    size = max(dual) + 1
-    nb, alive = [-1] * (3 * size), [False] * size
-    for t, row in dual.items():
-        nb[3 * t : 3 * t + len(row)] = row
-        alive[t] = True
-    return nb, alive
-
-
 def _tree_as_dual(adj):
     """A plain tree adjacency as a dual mapping, neighbours in id order."""
     return {v: sorted(ns) for v, ns in adj.items()}
-
-
-def _tree_as_table(adj):
-    """A plain tree adjacency of degree at most 3 as the tree's input."""
-    return _as_table(_tree_as_dual(adj))
 
 
 def _mesh_tree(mesh):
@@ -153,7 +138,7 @@ def test_mk_rejects_bad_k():
 
 
 def test_balance_edge_path6_middle():
-    tree = dual_spanning_tree(*_tree_as_table(_path_tree(6)))
+    tree = dual_spanning_tree(*tree_as_table(_path_tree(6)))
     child, parent = balance_edge(tree)
     low = min(tree.subtree[child], 6 - tree.subtree[child])
     assert low == 3
@@ -180,7 +165,7 @@ def test_balance_edge_floor_bound_exhaustive_small_trees():
             adj = prufer_tree(seq)
             if max(len(v) for v in adj.values()) > 3:
                 continue
-            tree = dual_spanning_tree(*_tree_as_table(adj))
+            tree = dual_spanning_tree(*tree_as_table(adj))
             child, _ = balance_edge(tree)
             low = min(tree.subtree[child], n - tree.subtree[child])
             assert low >= n // 3, f"tree {adj} split {low}"
@@ -196,7 +181,7 @@ def test_balance_edge_floor_bound_sampled_trees():
             if max(len(v) for v in adj.values()) > 3:
                 continue
             trials += 1
-            tree = dual_spanning_tree(*_tree_as_table(adj))
+            tree = dual_spanning_tree(*tree_as_table(adj))
             child, _ = balance_edge(tree)
             low = min(tree.subtree[child], n - tree.subtree[child])
             assert low >= n // 3
@@ -204,14 +189,14 @@ def test_balance_edge_floor_bound_sampled_trees():
 
 def test_balance_edge_needs_three_nodes():
     with pytest.raises(ValueError):
-        balance_edge(dual_spanning_tree(*_tree_as_table(_path_tree(2))))
+        balance_edge(dual_spanning_tree(*tree_as_table(_path_tree(2))))
 
 
 # -- spine -----------------------------------------------------------------------
 
 
 def test_spine_path6_whole_path():
-    tree = dual_spanning_tree(*_tree_as_table(_path_tree(6)))
+    tree = dual_spanning_tree(*tree_as_table(_path_tree(6)))
     spine = spine_path(tree, balance_edge(tree))
     assert spine == [0, 1, 2, 3, 4, 5] or spine == [5, 4, 3, 2, 1, 0]
 
@@ -227,7 +212,7 @@ def test_spine_single_node_side():
     # star: cutting any edge leaves a single-node side whose leaf is itself;
     # the tree is rooted at leaf 1, so the balance edge is (centre, 1)
     star = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
-    tree = dual_spanning_tree(*_tree_as_table(star))
+    tree = dual_spanning_tree(*tree_as_table(star))
     assert tree.order[0] == 1
     e = balance_edge(tree)
     spine = spine_path(tree, e)
@@ -429,7 +414,7 @@ def _sparse_relabel(dual, seed):
 @given(dual=_tree_duals, seed=st.integers(0, 2**32 - 1))
 def test_list_tree_matches_the_dict_oracle(dual, seed):
     dual = _sparse_relabel(dual, seed)
-    tree = dual_spanning_tree(*_as_table(dual))
+    tree = dual_spanning_tree(*as_table(dual))
     want = warnsdorff_spanning_tree_by_dicts(dual)
     assert tree_edges(tree) == want.tree_edges()
     assert tree.n == len(want.parent)
@@ -464,7 +449,7 @@ def test_tree_spans_the_dual_depth_first(dual, seed):
     # no oracle: the tree reaches every node over dual edges, and every dual
     # edge off the tree joins a node to one of its ancestors
     dual = _sparse_relabel(dual, seed)
-    tree = dual_spanning_tree(*_as_table(dual))
+    tree = dual_spanning_tree(*as_table(dual))
     assert sorted(tree.order) == sorted(dual)
     assert tree.parent[tree.order[0]] is None
     seen = {tree.order[0]}

@@ -1,7 +1,14 @@
-"""Greedy reductions, contraction replay, blossom augmentation."""
+"""Greedy reductions, contraction replay, blossom augmentation.
+
+The blossom and its seed check read graphs as the library holds them: flat
+3-slot neighbour tables padded with -1, and partner lists. Abstract graphs
+go in through `as_table`, and so have degree at most 3, as every triangle
+dual has; the oracles keep their node -> neighbours mappings and partner
+dicts, of any degree."""
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -9,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    as_partner_list,
+    as_partner_map,
+    as_table,
     blossom_by_base_map,
+    check_matching,
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
@@ -43,14 +54,27 @@ def test_greedy_reduce_path4_all_forced():
     assert partner == {0: 1, 1: 0, 2: 3, 3: 2}
 
 
+def _n_matched(partner):
+    return len(partner) - partner.count(-1)
+
+
+def _grown(graph, start=None, state=None):
+    """`blossom_maximum_matching` on the table of `graph`, from the partner
+    dict `start` or from nothing, as a partner dict."""
+    nb, alive = as_table(graph)
+    seed = None if start is None else as_partner_list(start, len(alive))
+    return as_partner_map(blossom_maximum_matching(nb, alive, seed, state))
+
+
 def test_greedy_reduce_m2_dual_tree_is_maximum():
     mesh = gen_mk(2)
     dual = build_dual(mesh)
     reduced, partner, log = greedy_reduce(dual)
     assert reduced == {}
-    full = replay_reductions(partner, log)
-    validate_matching(dual, full)
-    assert len(full) // 2 == max_matching_size(dual_by_shared_vertices(mesh))
+    full = as_partner_list(partner, len(mesh.triangles))
+    replay_reductions(full, log)
+    validate_matching(mesh.neighbours, mesh.alive, full)
+    assert _n_matched(full) // 2 == max_matching_size(dual_by_shared_vertices(mesh))
 
 
 def test_greedy_reduce_cube_graph_no_move():
@@ -72,10 +96,13 @@ def test_greedy_reduce_postcondition_random():
         reduced, partner, log = greedy_reduce(adj)
         assert all(len(ns) >= 3 for ns in reduced.values())
         # replay must lift any maximum matching of the reduced graph to a
-        # valid matching of the input of the same total size
-        sub = blossom_maximum_matching(reduced) if reduced else {}
-        lifted = replay_reductions({**partner, **sub}, log)
-        validate_matching(adj, lifted)
+        # valid matching of the input of the same total size; the reduced
+        # graph's degree may exceed 3, so the oracle matches it
+        sub = blossom_by_base_map(reduced) if reduced else {}
+        lifted = as_partner_list({**partner, **sub}, n)
+        replay_reductions(lifted, log)
+        lifted = as_partner_map(lifted)
+        check_matching(adj, lifted)
         assert len(lifted) // 2 == max_matching_size(adj)
 
 
@@ -89,9 +116,10 @@ def test_greedy_reduce_postcondition_random():
 )
 def test_blossom_from_empty_matches_bruteforce(graph, size):
     assert max_matching_size(graph) == size  # freeze the oracle value
-    match = blossom_maximum_matching(graph)
-    validate_matching(graph, match)
-    assert len(match) // 2 == size
+    nb, alive = as_table(graph)
+    match = blossom_maximum_matching(nb, alive)
+    validate_matching(nb, alive, match)
+    assert _n_matched(match) // 2 == size
 
 
 def test_blossom_oracle_equivalence_random_graphs():
@@ -100,20 +128,25 @@ def test_blossom_oracle_equivalence_random_graphs():
         n = rng.randint(2, 12)
         adj = {i: set() for i in range(n)}
         for i, j in itertools.combinations(range(n), 2):
-            if rng.random() < rng.choice((0.15, 0.3, 0.6)):
+            # no triangle dual has a degree above 3
+            if rng.random() < rng.choice((0.15, 0.3, 0.6)) and max(len(adj[i]), len(adj[j])) < 3:
                 adj[i].add(j)
                 adj[j].add(i)
-        match = blossom_maximum_matching(adj)
-        validate_matching(adj, match)
-        assert len(match) // 2 == max_matching_size(adj)
+        nb, alive = as_table(adj)
+        match = blossom_maximum_matching(nb, alive)
+        validate_matching(nb, alive, match)
+        assert _n_matched(match) // 2 == max_matching_size(adj)
 
 
 def _random_graph(rng, n, degree):
+    """n nodes and up to n * degree / 2 random edges, none of them taking a
+    node past degree 3."""
     adj = {i: set() for i in range(n)}
     for _ in range(n * degree // 2):
         i, j = rng.sample(range(n), 2)
-        adj[i].add(j)
-        adj[j].add(i)
+        if max(len(adj[i]), len(adj[j])) < 3:
+            adj[i].add(j)
+            adj[j].add(i)
     return adj
 
 
@@ -170,17 +203,24 @@ def test_blossom_size_matches_networkx(kind, n, degree, seed):
     nx_graph.add_nodes_from(adj)
     nx_graph.add_edges_from((v, u) for v in adj for u in adj[v])
     size = len(nx.max_weight_matching(nx_graph, maxcardinality=True))
+    # the same graph with its rows in slot order and in id order
+    table, sorted_table = as_table(dual), as_table({v: sorted(ns) for v, ns in adj.items()})
     for start in (None, _random_seed_matching(rng, adj)):
-        match = blossom_maximum_matching(dual, start)
-        assert match == blossom_maximum_matching(adj, start)
-        assert len(match) // 2 == size
-        assert all(v in match for v in start or ())
-        validate_matching(dual, match)
-        validate_matching(adj, match)
+        seed = None if start is None else as_partner_list(start, len(table[1]))
+        match = blossom_maximum_matching(*table, None if seed is None else list(seed))
+        assert match == blossom_maximum_matching(*sorted_table, seed)
+        assert _n_matched(match) // 2 == size
+        assert all(match[v] >= 0 for v in start or ())
+        validate_matching(*table, match)
+        validate_matching(*sorted_table, match)
 
 
 def _greedy_seed(dual):
-    return replay_reductions(*_greedy_consume(_adjacency(dual))[:2])
+    """The greedy phase's replayed matching of `dual`, as a partner dict."""
+    partner = [-1] * (max(dual, default=-1) + 1)
+    log, _picks = _greedy_consume(_adjacency(dual), partner)
+    replay_reductions(partner, log)
+    return as_partner_map(partner)
 
 
 _ORACLE_INPUTS = dict(
@@ -205,11 +245,13 @@ def test_greedy_matches_the_heap_oracle(kind, n, degree, seed):
     # the oracle fills its sets from the same rows; sets filled from sorted
     # rows change the queue order and so the partner map
     _rng, dual = _oracle_input(kind, n, degree, seed)
-    partner, log, picks = _greedy_consume(_adjacency(dual))
+    partner = [-1] * (max(dual, default=-1) + 1)
+    log, picks = _greedy_consume(_adjacency(dual), partner)
     want, want_log, want_picks = greedy_consume_by_heap({v: set(ns) for v, ns in dual.items()})
-    assert partner == want
+    assert as_partner_map(partner) == want
     assert picks == want_picks
-    assert replay_reductions(partner, log) == replay_reductions_by_frozensets(want, want_log)
+    replay_reductions(partner, log)
+    assert as_partner_map(partner) == replay_reductions_by_frozensets(want, want_log)
 
 
 @settings(max_examples=80, deadline=None)
@@ -219,8 +261,8 @@ def test_blossom_matches_the_base_map_oracle(kind, n, degree, seed):
     adj = {v: set(ns) for v, ns in dual.items()}
     for start in (None, _random_seed_matching(rng, adj), _greedy_seed(dual)):
         want = blossom_by_base_map(dual, start)
-        assert blossom_maximum_matching(dual, start) == want
-        assert blossom_maximum_matching(adj, start) == want
+        assert _grown(dual, start) == want
+        assert _grown({v: sorted(ns) for v, ns in adj.items()}, start) == want
 
 
 def test_blossom_on_2000_nodes_matches_networkx():
@@ -243,12 +285,14 @@ def test_blossom_on_2000_nodes_matches_networkx():
     nx_graph.add_edges_from((v, u) for v in dual for u in dual[v])
     size = len(nx.max_weight_matching(nx_graph, maxcardinality=True))
     assert size == 1007  # freeze the networkx value
+    nb, alive = as_table(dual)
     for start in (None, _greedy_seed(dual)):
-        state = MatchState({})
-        match = blossom_maximum_matching(dual, start, state)
-        validate_matching(dual, match)
-        assert len(match) // 2 == size
-        assert match == blossom_by_base_map(dual, start)
+        state = MatchState([])
+        seed = None if start is None else as_partner_list(start, len(alive))
+        match = blossom_maximum_matching(nb, alive, seed, state)
+        validate_matching(nb, alive, match)
+        assert _n_matched(match) // 2 == size
+        assert as_partner_map(match) == blossom_by_base_map(dual, start)
         assert state.augment_nodes > 0
 
 
@@ -266,19 +310,19 @@ def test_blossom_on_2000_nodes_matches_networkx():
     ],
 )
 def test_augment_nodes_counts_the_labelled_nodes(graph, seed, labelled):
-    state = MatchState({})
-    match = blossom_maximum_matching(graph, seed, state)
+    state = MatchState([])
+    match = _grown(graph, seed, state)
     assert len(match) // 2 == max_matching_size({v: set(ns) for v, ns in graph.items()})
     assert state.augment_nodes == labelled
 
 
 def test_augment_nodes_is_zero_from_a_perfect_seed():
-    state = MatchState({})
+    state = MatchState([])
     seed = {0: 1, 1: 0, 2: 3, 3: 2}
-    assert blossom_maximum_matching(path_graph(4), seed, state) == seed
+    assert _grown(path_graph(4), seed, state) == seed
     assert state.augment_nodes == 0
     # the greedy phase matches all of a plain torus's dual
-    state = perfect_match_dual(build_dual(torus(12, 9)))
+    state = perfect_match_dual(torus(12, 9))
     assert state.augmentations == 0
     assert state.augment_nodes == 0
 
@@ -286,14 +330,14 @@ def test_augment_nodes_is_zero_from_a_perfect_seed():
 def test_blossom_respects_seed():
     graph = cube_graph()
     seed = {0: 1, 1: 0}
-    match = blossom_maximum_matching(graph, seed)
+    match = _grown(graph, seed)
     assert match[0] == 1
     assert len(match) // 2 == 4
 
 
 def test_blossom_rejects_invalid_seed():
     with pytest.raises(MatchingError):
-        blossom_maximum_matching(path_graph(4), {0: 2, 2: 0})
+        blossom_maximum_matching(*as_table(path_graph(4)), [2, -1, 0, -1])
 
 
 def test_greedy_consume_is_maximal():
@@ -305,9 +349,12 @@ def test_greedy_consume_is_maximal():
             if rng.random() < 0.35:
                 adj[i].add(j)
                 adj[j].add(i)
-        partner, log, _picks = _greedy_consume({v: set(ns) for v, ns in adj.items()})
-        lifted = replay_reductions(partner, log)
-        validate_matching(adj, lifted)
+        # the greedy takes any degree, so the oracle checks its matching
+        lifted = [-1] * n
+        log, _picks = _greedy_consume({v: set(ns) for v, ns in adj.items()}, lifted)
+        replay_reductions(lifted, log)
+        lifted = as_partner_map(lifted)
+        check_matching(adj, lifted)
         # maximal: no edge joins two unmatched nodes
         unmatched = set(adj) - set(lifted)
         for v in unmatched:
@@ -316,9 +363,9 @@ def test_greedy_consume_is_maximal():
 
 def test_perfect_match_tetra_leaves_one_4cycle(tetra):
     dual = build_dual(tetra)
-    state = perfect_match_dual(dual)
-    assert state.partner.keys() == set(dual)
-    cycles = unmatched_cycles({t: set(nbrs) for t, nbrs in dual.items()}, state.partner)
+    partner = as_partner_map(perfect_match_dual(tetra).partner)
+    assert partner.keys() == set(dual)
+    cycles = unmatched_cycles({t: set(nbrs) for t, nbrs in dual.items()}, partner)
     assert [len(c) for c in cycles] == [4]
 
 
@@ -334,44 +381,39 @@ def test_k4_every_perfect_matching_leaves_a_4cycle():
 
 
 def test_perfect_match_octahedron(octa):
-    state = perfect_match_dual(build_dual(octa))
-    assert len(state.partner) == 8
+    state = perfect_match_dual(octa)
+    assert _n_matched(state.partner) == 8
 
 
 def test_perfect_match_torus400(torus400):
-    dual = build_dual(torus400)
-    state = perfect_match_dual(dual)
-    assert len(state.partner) == 400
-    validate_matching(dual, state.partner)
+    state = perfect_match_dual(torus400)
+    assert _n_matched(state.partner) == 400
+    validate_matching(torus400.neighbours, torus400.alive, state.partner)
 
 
 def test_perfect_match_rejects_tree_dual():
-    dual = build_dual(gen_mk(2))
     with pytest.raises(MatchingError) as info:
-        perfect_match_dual(dual)
+        perfect_match_dual(gen_mk(2))
     assert info.value.unmatched
 
 
 def test_augmentation_accounting():
     mesh = torus(12, 9)
-    dual = build_dual(mesh)
-    state = perfect_match_dual(dual)
-    assert state.augmentations == (len(dual) - state.greedy_matched) // 2
+    state = perfect_match_dual(mesh)
+    assert state.augmentations == (mesh.n_triangles - state.greedy_matched) // 2
 
 
 def test_greedy_coverage_on_large_torus():
     mesh = torus(100, 60)  # 12000 triangles
-    dual = build_dual(mesh)
-    state = perfect_match_dual(dual)
-    coverage = state.greedy_matched / len(dual)
+    state = perfect_match_dual(mesh)
+    coverage = state.greedy_matched / mesh.n_triangles
     assert coverage >= 0.95
     print(f"greedy coverage on torus(100,60): {coverage:.4f}")
 
 
 def test_determinism():
-    dual = build_dual(torus(10, 8))
-    a = perfect_match_dual(dual).partner
-    b = perfect_match_dual(build_dual(torus(10, 8))).partner
+    a = perfect_match_dual(torus(10, 8)).partner
+    b = perfect_match_dual(torus(10, 8)).partner
     assert a == b
 
 
@@ -382,33 +424,77 @@ def _centroid_torus():
     return mesh
 
 
+def _off_the_dual(mesh, partner):
+    """The seed with two pairs (a, b), (c, d) re-paired as (a, c), (b, d),
+    where c is no neighbour of a."""
+    a = next(v for v, u in enumerate(partner) if u >= 0)
+    b = partner[a]
+    row = mesh.neighbours[3 * a : 3 * a + 3]
+    c = next(t for t in mesh.alive_ids() if t not in (a, b) and t not in row and partner[t] >= 0)
+    d = partner[c]
+    partner[a], partner[c], partner[b], partner[d] = c, a, d, b
+
+
+def _one_sided(mesh, partner):
+    """The first matched triangle pointed at another of its neighbours,
+    whose own entry is left as it is."""
+    a = next(v for v, u in enumerate(partner) if u >= 0)
+    partner[a] = next(u for u in mesh.neighbours[3 * a : 3 * a + 3] if u != partner[a])
+
+
+def _retired_pair(mesh, partner):
+    """Two retired triangles matched to each other, each listed in the
+    other's stale row: only their live flags tell them apart from a pair."""
+    nb, alive = mesh.neighbours, mesh.alive
+    t, u = next(
+        (t, u)
+        for t in range(len(alive)) if not alive[t]
+        for u in nb[3 * t : 3 * t + 3] if u >= 0 and not alive[u] and t in nb[3 * u : 3 * u + 3]
+    )
+    partner[t], partner[u] = u, t
+
+
+def _stripify_with_a_replayed_seed(monkeypatch, mesh, corrupt):
+    """`stripify(mesh)`, with `corrupt(work mesh, seed)` applied to the
+    replayed greedy seed in place; returns the MatchingError it raises."""
+    from singlestrip import matching
+    from singlestrip.striploop import stripify
+
+    seen = {}
+
+    def dual_of(work):
+        seen["mesh"] = work
+        return build_dual(work)
+
+    def replay(partner, log):
+        replay_reductions(partner, log)
+        corrupt(seen["mesh"], partner)
+
+    monkeypatch.setattr(matching, "build_dual", dual_of)
+    monkeypatch.setattr(matching, "replay_reductions", replay)
+    with pytest.raises(MatchingError) as info:
+        stripify(mesh)
+    return info.value
+
+
 @pytest.mark.parametrize(
     "make", [lambda: torus(6, 5), _centroid_torus], ids=["torus", "torus-with-centroids"]
 )
 def test_a_replayed_seed_off_the_dual_ends_in_a_typed_error(monkeypatch, make):
     # a seed that pairs two non-adjacent triangles is caught by the seed
     # check of the blossom phase, in the match stage, before any order
-    from singlestrip import matching
-    from singlestrip.striploop import stripify
+    error = _stripify_with_a_replayed_seed(monkeypatch, make(), _off_the_dual)
+    assert "is not an edge" in str(error)
+    assert error.stage == "match"
 
-    seen = {}
 
-    def adjacency(graph):
-        seen["dual"] = graph
-        return _adjacency(graph)
-
-    def replay(partner, log):
-        out = replay_reductions(partner, log)
-        dual = seen["dual"]
-        a = min(out)
-        b = out[a]
-        c = next(t for t in sorted(out) if t not in (a, b) and t not in dual[a])
-        d = out[c]
-        out.update({a: c, c: a, b: d, d: b})
-        return out
-
-    monkeypatch.setattr(matching, "_adjacency", adjacency)
-    monkeypatch.setattr(matching, "replay_reductions", replay)
-    with pytest.raises(MatchingError, match="not an edge") as info:
-        stripify(make())
-    assert info.value.stage == "match"
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_one_sided, "^matching is not symmetric at "), (_retired_pair, "^retired triangle ")],
+    ids=["one-sided", "retired-pair"],
+)
+def test_the_seed_check_rejects_a_one_sided_or_retired_pair(monkeypatch, corrupt, message):
+    # the retired pair is two fan triangles of an eliminated centroid
+    error = _stripify_with_a_replayed_seed(monkeypatch, _centroid_torus(), corrupt)
+    assert re.match(message, str(error))
+    assert error.stage == "match"
