@@ -222,44 +222,50 @@ def blossom_maximum_matching(
     new list. One alternating BFS forest is grown per exposed node, in
     ascending id, and each search reads a node's row in ascending id. Odd
     cycles are contracted on the fly through a union-find that tracks
-    blossom bases. When `state` is given, its `augment_nodes` gains the
+    blossom bases. The searches share one set of per-node arrays, and each
+    search resets only the entries of the nodes it labelled, so it costs
+    what it labels. When `state` is given, its `augment_nodes` gains the
     nodes each search labelled. Returns the grown list.
     """
     if partner is None:
         partner = [-1] * len(alive)
     else:
         validate_matching(nb, alive, partner)
+    m = len(partner)
+    parent = [-1] * m
+    up = [-1] * m
+    used = bytearray(m)
     labelled = 0
     # a search never unmatches a node, so only nodes the seed leaves exposed are roots
     roots = [v for v, u in enumerate(partner) if u < 0 and alive[v]]
     for root in roots:
         if partner[root] < 0:
-            labelled += _augment_from(nb, partner, root)
+            reached = _augment_from(nb, partner, root, parent, up, used)
+            labelled += len(reached)
+            for x in reached:
+                parent[x] = up[x] = -1
+                used[x] = 0
     if state is not None:
         state.augment_nodes += labelled
     return partner
 
 
-def _augment_from(nb, match, root) -> int:
+def _augment_from(nb, match, root, parent, up, used) -> list[int]:
     """One alternating BFS from the exposed `root`. Flips the first
     augmenting path it finds and stops there, or gives up once no even node
-    is left to scan. Returns how many nodes the search labelled: the even
-    nodes it queued (the root, partners of reached nodes, and nodes a
-    blossom made even) and the odd nodes it reached. A node a blossom makes
-    even was reached first, so each label is counted as it is first given.
+    is left to scan. Returns the nodes the search labelled, each once as it
+    is first labelled: the root, each odd node it reached, and the partner
+    it queued with it. A blossom makes even only nodes already labelled.
 
-    `parent` holds each reached node's tree parent, -1 for none; `up` is a
-    union-find over the nodes put in blossoms, each set rooted at its
-    blossom's base, -1 for a node that is its own base; `used` flags the
-    queued nodes.
+    The arrays come in at their rest values and the search sets entries of
+    labelled nodes alone. `parent` holds each reached node's tree parent, -1
+    for none; `up` is a union-find over the nodes put in blossoms, each set
+    rooted at its blossom's base, -1 for a node that is its own base;
+    `used` flags the queued nodes.
     """
-    m = len(match)
-    parent = [-1] * m
-    up = [-1] * m
-    used = bytearray(m)
     used[root] = 1
-    labelled = 1
-    queue = deque([root])
+    reached = [root]
+    queue = deque(reached)
     pop, push = queue.popleft, queue.append
 
     def base(x):
@@ -337,11 +343,12 @@ def _augment_from(nb, match, root) -> int:
                         match[node] = prev
                         match[prev] = node
                         node = nxt
-                    return labelled + 1
+                    reached.append(to)
+                    return reached
                 used[mt] = 1
                 push(mt)
-                labelled += 2
-    return labelled
+                reached += (to, mt)
+    return reached
 
 
 # -- full pipeline -----------------------------------------------------------

@@ -92,7 +92,7 @@ def _fan_order(mesh: Mesh, v: int, t0: int, k: int) -> list[int] | None:
 
 
 def eliminate_three_cycles(
-    mesh: Mesh, fans: tuple[list[int], list[int]] | None = None
+    mesh: Mesh, fans: tuple[list[int], list[int]]
 ) -> list[RemovedConfig]:
     """Remove every interior vertex with exactly three incident triangles.
 
@@ -103,10 +103,10 @@ def eliminate_three_cycles(
     fan drops each ring vertex's triangle count by one, and a ring vertex
     left with three is queued. Stops rather than shrink the mesh below
     `MIN_TRIANGLES`, so a tetrahedron is left as it is. `fans` is the
-    mesh's `_vertex_fans`, if the caller has them; they are edited in a copy.
+    mesh's `_vertex_fans`; they are edited in a copy.
     """
     nb, tris = mesh.neighbours, mesh.triangles
-    count, anchor = (f.copy() for f in fans) if fans is not None else _vertex_fans(mesh)
+    count, anchor = (f.copy() for f in fans)
     queue = deque(v for v, k in enumerate(count) if k == 3)
     stack: list[RemovedConfig] = []
     while queue:
@@ -261,8 +261,7 @@ def extract_cycles(mesh: Mesh, partner: list[int]) -> CycleSet:
 
 
 def merge_nodal(
-    mesh: Mesh, partner: list[int], cycleset: CycleSet,
-    fans: tuple[list[int], list[int]] | None = None,
+    mesh: Mesh, partner: list[int], cycleset: CycleSet, fans: tuple[list[int], list[int]]
 ) -> tuple[CycleSet, list[tuple[int, int]]]:
     """Toggle matched/unmatched fan edges around every nodal vertex.
 
@@ -285,12 +284,13 @@ def merge_nodal(
     (a pinched vertex) never qualifies, as its walk closes before it has met
     every triangle on it.
 
-    `fans` is the mesh's `_vertex_fans`, if the caller has them; they are
-    only read. Returns the cycle set with each toggle's cycles joined in a
-    copy of its union-find, none walked again, and the (vertex, m) merges.
+    `fans` is the mesh's `_vertex_fans`, or those taken before elimination
+    once restoration has brought back that live set; they are only read.
+    Returns the cycle set with each toggle's cycles joined in a copy of its
+    union-find, none walked again, and the (vertex, m) merges.
     """
     nb, tris = mesh.neighbours, mesh.triangles
-    count, anchor = fans if fans is not None else _vertex_fans(mesh)
+    count, anchor = fans
     cycle_of = cycleset.cycle_of
     root = cycleset.root.copy()
     merges: list[tuple[int, int]] = []
@@ -352,9 +352,14 @@ def spanning_tree_splits(
     smallest id of each merged cycle left unjoined when the pairs cannot join
     them all. Mutates mesh and partner in place: the parents are unmatched,
     and the children's entries are appended, as `split_pair` appends the
-    children. Returns the split pairs as (edge, t, u), in the order they
-    were split.
+    children, so `partner` must hold one entry per triangle slot of the mesh
+    (`ValueError` otherwise). Returns the split pairs as (edge, t, u), in
+    the order they were split.
     """
+    if len(partner) != len(mesh.triangles):
+        raise ValueError(
+            f"partner list has {len(partner)} entries for {len(mesh.triangles)} triangle slots"
+        )
     if cycleset.count <= 1:
         return []
     cycle_of = cycleset.cycle_of

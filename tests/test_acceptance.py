@@ -152,9 +152,9 @@ def test_criterion_5_no_unmatched_three_cycles():
             assert all(len(c) >= 4 for c in cs.cycles), f"{name}: 3-cycle in output"
         # and on the pipeline's own intermediate state: rerun the stages
         work = mesh.copy()
-        from singlestrip.striploop import eliminate_three_cycles, restore_three_cycles
+        from singlestrip.striploop import _vertex_fans, eliminate_three_cycles, restore_three_cycles
 
-        stack = [] if work.n_triangles == 4 else eliminate_three_cycles(work)
+        stack = [] if work.n_triangles == 4 else eliminate_three_cycles(work, _vertex_fans(work))
         partner2 = perfect_match_dual(work).partner
         restore_three_cycles(work, partner2, stack)
         d2 = build_dual(work)
@@ -175,16 +175,18 @@ def test_criterion_6_nodal_merge_soundness():
         work = mesh.copy()
         stack = [] if work.n_triangles == 4 else None
         # run the pre-merge stages on the untouched mesh copy
-        from singlestrip.striploop import eliminate_three_cycles, restore_three_cycles
+        from singlestrip.striploop import _vertex_fans, eliminate_three_cycles, restore_three_cycles
 
+        # taken before elimination and read again after restoration, as in stripify
+        fans = _vertex_fans(work)
         if stack is None:
-            stack = eliminate_three_cycles(work)
+            stack = eliminate_three_cycles(work, fans)
         partner = perfect_match_dual(work).partner
         restore_three_cycles(work, partner, stack)
         d = build_dual(work)
         cs = extract_cycles(work, partner)
         initial = cs.count
-        cs2, merges = merge_nodal(work, partner, cs)
+        cs2, merges = merge_nodal(work, partner, cs, fans)
         validate_matching(work.neighbours, work.alive, partner)
         matched = len(partner) - partner.count(-1)
         assert matched == len(d), f"{name}: matching not perfect after merging"

@@ -30,7 +30,7 @@ from singlestrip.mesh import (
     split_pair,
     validate,
 )
-from singlestrip.striploop import eliminate_three_cycles, stripify
+from singlestrip.striploop import _vertex_fans, eliminate_three_cycles, stripify
 
 
 def test_edge_key_canonical():
@@ -68,7 +68,7 @@ def _centroid_torus():
 
 def _eliminated_torus():
     mesh = _centroid_torus()
-    eliminate_three_cycles(mesh)
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
     return mesh
 
 

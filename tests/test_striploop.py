@@ -75,7 +75,7 @@ def _before_nodal(mesh):
     """(work mesh, dual, partner, cycle set) as `stripify` has them just
     before nodal merging."""
     work = mesh.copy()
-    stack = eliminate_three_cycles(work)
+    stack = eliminate_three_cycles(work, _vertex_fans(work))
     partner = perfect_match_dual(work).partner
     restore_three_cycles(work, partner, stack)
     dual = build_dual(work)
@@ -89,7 +89,7 @@ def test_eliminate_single_config():
     mesh = icosphere(0)
     insert_centroid(mesh, 0)
     n = mesh.n_triangles
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert len(stack) == 1
     assert mesh.n_triangles == n - 2
     assert validate(mesh, "closed").ok
@@ -97,7 +97,7 @@ def test_eliminate_single_config():
 
 def test_eliminate_icosahedron_unchanged():
     mesh = icosphere(0)  # every vertex has 5 incident triangles
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert stack == []
     assert mesh.n_triangles == 20
 
@@ -107,7 +107,7 @@ def test_eliminate_nested_double_centroid():
     before = _live_triangle_sets(mesh)
     _g1, children = insert_centroid(mesh, 0)
     insert_centroid(mesh, children[0])
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert len(stack) == 2
     assert _live_triangle_sets(mesh) == before
     assert validate(mesh, "closed").ok
@@ -118,7 +118,7 @@ def test_eliminate_names_the_anchor_of_a_fan_that_does_not_close(monkeypatch):
     v, fan = insert_centroid(mesh, 0)
     monkeypatch.setattr(striploop, "_fan_order", lambda *args: None)
     with pytest.raises(PipelineError, match=f"^vertex {v} has 3 triangles but no closed fan$") as info:
-        eliminate_three_cycles(mesh)
+        eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert info.value.triangles == (min(fan),)
 
 
@@ -128,7 +128,7 @@ def test_eliminate_stops_at_tetrahedron_scale():
     _, children = insert_centroid(mesh, 0)
     insert_centroid(mesh, children[1])
     assert mesh.n_triangles == 8
-    eliminate_three_cycles(mesh)
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert mesh.n_triangles >= 4
 
 
@@ -158,7 +158,7 @@ def test_eliminate_matches_set_based_oracle(shape, centroids, relabel_after, see
     if relabel_after:
         mesh = relabel(mesh, rng)
     oracle = mesh.copy()
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert stack == eliminate_three_cycles_by_sets(oracle)
     assert mesh.neighbours == oracle.neighbours
     assert mesh.alive == oracle.alive
@@ -215,7 +215,7 @@ def test_restore_matches_owner_and_pairs_rest():
     mesh = torus(5, 4)
     for t in (0, 7, 14):
         insert_centroid(mesh, t)
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert len(stack) == 3
     partner = perfect_match_dual(mesh).partner
     snapshot = {cfg.replacement: partner[cfg.replacement] for cfg in stack}
@@ -241,7 +241,7 @@ def test_restore_matches_owner_and_pairs_rest():
 def test_restore_errors_name_the_replacement():
     mesh = torus(5, 4)
     insert_centroid(mesh, 0)
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     partner = perfect_match_dual(mesh).partner
     r = stack[0].replacement
     far = next(u for u in mesh.alive_ids() if u != r and u not in mesh.neighbours[3 * r : 3 * r + 3])
@@ -259,7 +259,7 @@ def test_restore_leaves_no_unmatched_three_cycle():
     rng = random.Random(3)
     for t in rng.sample(range(mesh.n_triangles), 12):
         insert_centroid(mesh, t)
-    stack = eliminate_three_cycles(mesh)
+    stack = eliminate_three_cycles(mesh, _vertex_fans(mesh))
     assert stack
     partner = perfect_match_dual(mesh).partner
     restore_three_cycles(mesh, partner, stack)
@@ -417,7 +417,7 @@ def test_merge_nodal_octahedron_two_cycles_to_one(octa):
     partner = as_partner_list(two_cycle, 8)
     cs = extract_cycles(octa, partner)
     assert cs.count == 2
-    cs, merges = merge_nodal(octa, partner, cs)
+    cs, merges = merge_nodal(octa, partner, cs, _vertex_fans(octa))
     assert extract_cycles(octa, partner).count == cs.count == 1
     assert sum(m - 1 for _, m in merges) == 1
     validate_matching(octa.neighbours, octa.alive, partner)
@@ -428,7 +428,7 @@ def test_merge_nodal_rejects_odd_fans():
     mesh = icosphere(0)
     partner = perfect_match_dual(mesh).partner
     cs = extract_cycles(mesh, partner)
-    cs2, merges = merge_nodal(mesh, partner, cs)
+    cs2, merges = merge_nodal(mesh, partner, cs, _vertex_fans(mesh))
     assert merges == []
     assert extract_cycles(mesh, partner).count == cs2.count == cs.count
 
@@ -439,7 +439,7 @@ def test_merge_nodal_preserves_matching_and_counts():
         partner = perfect_match_dual(mesh).partner
         cs = extract_cycles(mesh, partner)
         before = cs.count
-        cs, merges = merge_nodal(mesh, partner, cs)
+        cs, merges = merge_nodal(mesh, partner, cs, _vertex_fans(mesh))
         validate_matching(mesh.neighbours, mesh.alive, partner)
         after = extract_cycles(mesh, partner).count
         assert after == cs.count == before - sum(m - 1 for _, m in merges)
@@ -488,7 +488,7 @@ def test_merge_nodal_matches_full_sweep_oracle(shape, splits, any_matching, seed
     work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
     oracle_partner = as_partner_map(partner)
     oracle_merges = merge_nodal_full_sweep(work, oracle_partner, cs)
-    _cs, merges = merge_nodal(work, partner, cs)
+    _cs, merges = merge_nodal(work, partner, cs, _vertex_fans(work))
     assert merges == oracle_merges
     assert as_partner_map(partner) == oracle_partner
 
@@ -500,7 +500,7 @@ def test_merge_nodal_cycles_match_a_fresh_walk(shape, splits, any_matching, seed
     # matching must find the same partition of the triangles, and each
     # merged cycle's root is its walked cycle of smallest id
     work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
-    joined, _merges = merge_nodal(work, partner, cs)
+    joined, _merges = merge_nodal(work, partner, cs, _vertex_fans(work))
     walked = extract_cycles(work, partner)
     assert joined.cycles is cs.cycles and joined.cycle_of is cs.cycle_of
     assert cs.root == list(range(len(cs.cycles)))  # merged in a copy
@@ -526,7 +526,7 @@ def test_pinched_vertex_is_accepted_and_never_toggled():
     res = stripify(mesh)
     assert verify_order(res.mesh, res.order, closed=True) == (True, None)
     work, dual, partner, cs = _before_nodal(mesh)
-    _cs, merges = merge_nodal(work, partner, cs)
+    _cs, merges = merge_nodal(work, partner, cs, _vertex_fans(work))
     assert all(v != 0 for v, _m in merges)
 
 
@@ -545,7 +545,7 @@ def test_splits_no_op_for_single_cycle(tetra):
 @given(**_NODAL_INPUTS, shuffle=st.randoms(use_true_random=False))
 def test_splits_do_not_depend_on_cycle_numbering(shape, splits, any_matching, seed, shuffle):
     work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
-    cs, _merges = merge_nodal(work, partner, cs)
+    cs, _merges = merge_nodal(work, partner, cs, _vertex_fans(work))
     # the same cycle set under new indices: cycle i becomes cycle new[i]
     new = list(range(len(cs.cycles)))
     shuffle.shuffle(new)
@@ -607,6 +607,22 @@ def test_splits_merge_two_cycles(octa):
     assert octa.n_triangles == 10
     order = assemble_cycle(octa, partner)
     assert verify_order(octa, order, closed=True) == (True, None)
+
+
+def test_splits_reject_a_partner_list_of_another_length(octa):
+    # the children's entries are appended, so they land on the children's
+    # ids only when the list has one entry per triangle slot
+    dual = build_dual(octa)
+    adj = {t: set(nbrs) for t, nbrs in dual.items()}
+    two_cycle = next(
+        p for p in all_perfect_matchings(adj)
+        if sorted(len(c) for c in unmatched_cycles(adj, p)) == [4, 4]
+    )
+    partner = as_partner_list(two_cycle, 8)
+    cs = extract_cycles(octa, partner)
+    with pytest.raises(ValueError, match="^partner list has 9 entries for 8 triangle slots$"):
+        spanning_tree_splits(octa, partner + [-1], cs)
+    assert octa.n_triangles == 8 and len(octa.triangles) == 8
 
 
 # -- assembly and verification --------------------------------------------------------
@@ -707,7 +723,7 @@ def _real_orders():
     """(mesh, order, closed) from both pipelines: the closed one on its
     working mesh, whose split parents are dead slots, and an open strip."""
     work, _dual, partner, cs = _before_nodal(torus(10, 10))
-    cs, _merges = merge_nodal(work, partner, cs)
+    cs, _merges = merge_nodal(work, partner, cs, _vertex_fans(work))
     assert spanning_tree_splits(work, partner, cs)
     res = strip_with_boundary(gen_mk(3))
     return [(work, assemble_cycle(work, partner), True), (res.mesh, res.order, False)]
@@ -801,7 +817,7 @@ def _check_matching_stats(res, mesh, n_dual):
     on an eliminated copy of `mesh` whose dual has `n_dual` nodes; returns
     the rerun's match state."""
     eliminated = mesh.copy()
-    eliminate_three_cycles(eliminated)
+    eliminate_three_cycles(eliminated, _vertex_fans(eliminated))
     state = perfect_match_dual(eliminated)
     assert eliminated.n_triangles == n_dual
     # symmetric, and pairs only live dual neighbours
@@ -839,7 +855,8 @@ def test_stripify_stats_report_the_matching_after_elimination():
     insert_centroid(mesh, 200)
     assert mesh.n_triangles == 404
     res = stripify(mesh)
-    assert len(eliminate_three_cycles(mesh.copy())) == 2
+    copy = mesh.copy()
+    assert len(eliminate_three_cycles(copy, _vertex_fans(copy))) == 2
     # coverage is over the eliminated dual's 400 nodes, not the input's 404
     _check_matching_stats(res, mesh, 400)
 
