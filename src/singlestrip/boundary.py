@@ -410,6 +410,7 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
             spine_len = len(spine) - 1
             strip, doubled, out = euler_strip(mesh, tree, spine)
 
+    # the result is made inside the last stage, so the stages cover the call
     with timer("verify"):
         ok, why = verify_order(out, strip, closed=False)
         if not ok:
@@ -418,23 +419,23 @@ def strip_with_boundary(mesh: Mesh) -> StripResult:
             raise PipelineError(
                 f"strip length {len(strip)} != {n_input} + 2*{len(doubled)} splits"
             )
-
-    n_output = out.n_triangles
-    bound = 3 * n_input - 4 * math.log2(n_input) if n_input > 0 else 0.0
-    stats = {
-        "input_triangles": n_input,
-        "output_triangles": n_output,
-        "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
-        "cycles_initial": None,
-        "cycles_after_nodal": None,
-        "splits": len(doubled),
-        "spine_edges": spine_len,
-        "bound_3n_minus_4log2n": round(bound, 3),
-        "bound_gap": round(n_output - bound, 3),
-        "verified": True,
-        "elapsed_ms": timer.ms,
-    }
-    return StripResult(mesh=out, order=strip, closed=False, stats=stats)
+        n_output = out.n_triangles
+        bound = 3 * n_input - 4 * math.log2(n_input) if n_input > 0 else 0.0
+        stats = {
+            "input_triangles": n_input,
+            "output_triangles": n_output,
+            "percent_increase": round(100.0 * (n_output - n_input) / n_input, 2),
+            "cycles_initial": None,
+            "cycles_after_nodal": None,
+            "splits": len(doubled),
+            "spine_edges": spine_len,
+            "bound_3n_minus_4log2n": round(bound, 3),
+            "bound_gap": round(n_output - bound, 3),
+            "verified": True,
+            "elapsed_ms": timer.ms,
+        }
+        result = StripResult(mesh=out, order=strip, closed=False, stats=stats)
+    return result
 
 
 def _closed_report(mesh: Mesh) -> ValidationReport:

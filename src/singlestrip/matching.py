@@ -5,13 +5,14 @@ t's matched neighbour, or -1 where t is unmatched or a dead slot.
 
 A greedy phase applies the forced degree-1 and degree-2 reductions (pendant
 match, neighbor contraction) plus a deterministic smallest-id edge pick when
-neither applies, consuming the whole graph. It alone reads `build_dual`'s
-mapping, through neighbour sets (see `_adjacency`). Replaying the
+neither applies, consuming the whole graph: the neighbour sets that
+`build_dual` fills from the table, in slot order. Replaying the
 contraction log turns that into a maximal matching of the input.
 `blossom_maximum_matching` checks that seed with `validate_matching` and
-grows it in an augmentation phase (alternating BFS forest with union-find
-blossom bases) that finishes the job; both read the mesh's neighbour table
-rows in place. On cubic bridgeless duals the result is perfect.
+grows it in place in an augmentation phase (alternating BFS forest with
+union-find blossom bases) that finishes the job; both read the mesh's
+neighbour table rows in place. On cubic bridgeless duals the result is
+perfect.
 """
 
 from __future__ import annotations
@@ -36,35 +37,18 @@ class MatchingError(Exception):
 
 @dataclass
 class MatchState:
-    """A matching as a symmetric partner list (-1: unmatched), with phase
-    statistics.
+    """`perfect_match_dual`'s result: the matching as a symmetric partner
+    list (-1: dead slot), with phase statistics.
 
     `augment_nodes` counts the nodes labelled by all augmenting searches of
     the blossom phase (see `_augment_from`); it is 0 when the replayed
     greedy seed is already perfect."""
 
     partner: list[int]
-    greedy_matched: int = 0
-    greedy_picks: int = 0
-    augmentations: int = 0
-    augment_nodes: int = 0
-
-
-def _adjacency(graph) -> dict[int, set[int]]:
-    """A node -> neighbours mapping as sets, for the greedy phase to consume.
-
-    Every graph here is symmetric (u lists v whenever v lists u), as
-    `build_dual` returns it; no missing reverse edge is filled in.
-
-    Each set is filled in its row's order, and that order is part of the
-    greedy's output: CPython iterates a set of ints in an order that
-    depends on the order they went in, and the reductions queue nodes in
-    the order they iterate these sets. `build_dual`'s slot-order rows give
-    the matching that the golden hashes pin; sets filled from sorted rows
-    give another one. That fill is why `build_dual` still runs: nothing
-    after the greedy reads its mapping.
-    """
-    return {v: set(ns) for v, ns in graph.items()}
+    greedy_matched: int
+    greedy_picks: int
+    augmentations: int
+    augment_nodes: int
 
 
 def validate_matching(nb: list[int], alive: list[bool], partner: list[int]) -> None:
@@ -155,8 +139,8 @@ def _greedy_consume(adj, partner: list[int]) -> tuple[list[tuple], int]:
     its smallest neighbor (Karp-Sipser's arbitrary pick, made deterministic).
     Which nodes the reductions queue, and in what order, follows the
     iteration order of the sets in `adj`, which depends on how they were
-    filled (see `_adjacency`). The matches go into `partner`, a list of -1
-    with a slot per node id. Returns (log, picks).
+    filled (see `build_dual`). `adj` is emptied. The matches go into
+    `partner`, a list of -1 with a slot per node id. Returns (log, picks).
     """
     log: list[tuple] = []
     picks = 0
@@ -209,28 +193,21 @@ def replay_reductions(partner: list[int], log: list[tuple]) -> None:
 # -- blossom phase -----------------------------------------------------------
 
 
-def blossom_maximum_matching(
-    nb: list[int], alive: list[bool], partner: list[int] | None = None,
-    state: MatchState | None = None,
-) -> list[int]:
+def blossom_maximum_matching(nb: list[int], alive: list[bool], partner: list[int]) -> int:
     """Edmonds' blossom algorithm: grow the seed matching to maximum size.
 
     The graph is the flat neighbour table `nb`, 3-slot rows padded with -1,
-    over the nodes that `alive` flags. The seed `partner`, such as
-    `perfect_match_dual`'s replayed greedy seed, is checked against the
-    table and grown in place; without one, the empty matching is grown in a
-    new list. One alternating BFS forest is grown per exposed node, in
-    ascending id, and each search reads a node's row in ascending id. Odd
-    cycles are contracted on the fly through a union-find that tracks
-    blossom bases. The searches share one set of per-node arrays, and each
-    search resets only the entries of the nodes it labelled, so it costs
-    what it labels. When `state` is given, its `augment_nodes` gains the
-    nodes each search labelled. Returns the grown list.
+    over the nodes that `alive` flags. The seed `partner`, a partner list
+    with a slot per node id such as `perfect_match_dual`'s replayed greedy
+    seed, is checked against the table and grown in place. One alternating
+    BFS forest is grown per exposed node, in ascending id, and each search
+    reads a node's row in ascending id. Odd cycles are contracted on the fly
+    through a union-find that tracks blossom bases. The searches share one
+    set of per-node arrays, and each search resets only the entries of the
+    nodes it labelled, so it costs what it labels. Returns the number of
+    nodes all searches labelled.
     """
-    if partner is None:
-        partner = [-1] * len(alive)
-    else:
-        validate_matching(nb, alive, partner)
+    validate_matching(nb, alive, partner)
     m = len(partner)
     parent = [-1] * m
     up = [-1] * m
@@ -245,9 +222,7 @@ def blossom_maximum_matching(
             for x in reached:
                 parent[x] = up[x] = -1
                 used[x] = 0
-    if state is not None:
-        state.augment_nodes += labelled
-    return partner
+    return labelled
 
 
 def _augment_from(nb, match, root, parent, up, used) -> list[int]:
@@ -354,29 +329,23 @@ def _augment_from(nb, match, root, parent, up, used) -> list[int]:
 # -- full pipeline -----------------------------------------------------------
 
 
-def _greedy_seed(mesh: Mesh, state: MatchState) -> list[int]:
-    """The greedy phase's matching of the mesh's dual, replayed, in a list
-    with a slot per triangle id, with its counts put in `state`; the dual
-    mapping, the greedy's sets and its log go before the blossom phase."""
-    partner = [-1] * len(mesh.triangles)
-    log, state.greedy_picks = _greedy_consume(_adjacency(build_dual(mesh)), partner)
-    state.greedy_matched = len(partner) - partner.count(-1) + 2 * len(log)
-    replay_reductions(partner, log)
-    return partner
-
-
 def perfect_match_dual(mesh: Mesh) -> MatchState:
     """Greedy phase, contraction replay, then blossom augmentation.
 
-    The matching covers the mesh's live triangles, as a partner list with a
-    slot per triangle id; the blossom grows the replayed seed in place.
-    Raises MatchingError (with the unmatched node set) if the result is not
-    perfect, which signals a violated precondition: the dual must be
-    3-regular and bridgeless.
+    The greedy consumes `build_dual`'s neighbour sets, the one mapping the
+    match stage builds; its log goes before the blossom phase grows the
+    replayed seed in place. The matching covers the mesh's live triangles,
+    as a partner list with a slot per triangle id. Raises MatchingError
+    (with the unmatched node set) if the result is not perfect, which
+    signals a violated precondition: the dual must be 3-regular and
+    bridgeless.
     """
-    state = MatchState([])
-    partner = _greedy_seed(mesh, state)
-    state.partner = blossom_maximum_matching(mesh.neighbours, mesh.alive, partner, state)
+    partner = [-1] * len(mesh.triangles)
+    log, picks = _greedy_consume(build_dual(mesh), partner)
+    greedy_matched = len(partner) - partner.count(-1) + 2 * len(log)
+    replay_reductions(partner, log)
+    del log
+    labelled = blossom_maximum_matching(mesh.neighbours, mesh.alive, partner)
     matched = len(partner) - partner.count(-1)
     if matched < mesh.n_triangles:
         unmatched = [v for v in mesh.alive_ids() if partner[v] < 0]
@@ -385,5 +354,5 @@ def perfect_match_dual(mesh: Mesh) -> MatchState:
             f"(dual not 3-regular/bridgeless?)",
             unmatched=unmatched,
         )
-    state.augmentations = (matched - state.greedy_matched) // 2
-    return state
+    augmentations = (matched - greedy_matched) // 2
+    return MatchState(partner, greedy_matched, picks, augmentations, labelled)

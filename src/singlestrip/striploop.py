@@ -541,9 +541,10 @@ def stripify(mesh: Mesh) -> StripResult:
 
     Every stage after validation works on one copy of the mesh and edits its
     neighbour table in place. The matching is one partner list that the
-    later stages edit in place; the dual mapping is built once, for the
-    greedy phase of matching alone. The vertex fans are taken once, before
-    elimination, and read again by nodal merging.
+    later stages edit in place. Besides the table, the match stage builds
+    one adjacency, `build_dual`'s neighbour sets, which its greedy phase
+    consumes. The vertex fans are taken once, before elimination, and read
+    again by nodal merging.
     """
     timer = StageTimer()
     with timer("validate"):

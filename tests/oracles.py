@@ -17,9 +17,10 @@ output mesh alone, by bit patterns and vertex sets. The test helpers
 (`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
 `cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
 forced reductions on their own, the stats and JSON curve readers, the
-conversions between mappings and tables or partner lists, and the mesh
-geometry, edge scans, table reads and edits) are not oracles: only tests
-use them, so they live here rather than in the library.
+conversions between mappings and tables or partner lists, the table rows in
+slot order, and the mesh geometry, edge scans, table reads and edits) are
+not oracles: only tests use them, so they live here rather than in the
+library.
 """
 
 from __future__ import annotations
@@ -131,6 +132,13 @@ def as_partner_list(partner: dict[int, int], size: int) -> list[int]:
 def as_partner_map(partner: list[int]) -> dict[int, int]:
     """The matched entries of a partner list as a dict."""
     return {v: u for v, u in enumerate(partner) if u >= 0}
+
+
+def dual_rows(mesh) -> dict[int, list[int]]:
+    """Each live triangle's live neighbours as a list in its table row's
+    slot order: `build_dual`'s sets, in the order they are filled."""
+    nb = mesh.neighbours
+    return {t: [o for o in nb[3 * t : 3 * t + 3] if o >= 0] for t in mesh.alive_ids()}
 
 
 def unmatched_cycles(adj: dict[int, set[int]], partner: dict[int, int]) -> list[list[int]]:
@@ -846,9 +854,9 @@ def greedy_reduce(graph):
     The reduced graph has minimum degree >= 3 or is empty; replaying the log
     in reverse lifts any matching of the reduced graph to the input graph.
     """
-    from singlestrip.matching import _adjacency, _apply_reductions
+    from singlestrip.matching import _apply_reductions
 
-    adj = _adjacency(graph)
+    adj = {v: set(ns) for v, ns in graph.items()}
     partner: dict[int, int] = {}
     log: list[tuple] = []
     _apply_reductions(adj, partner, log, deque(sorted(v for v in adj if len(adj[v]) <= 2)))

@@ -106,7 +106,9 @@ def test_criterion_4_matching_oracle_equivalence():
     for k in (0, 1, 2):
         graphs[f"M_{k} dual"] = dual_by_shared_vertices(gen_mk(k))
     for name, adj in graphs.items():
-        match = blossom_maximum_matching(*as_table(adj))
+        nb, alive = as_table(adj)
+        match = [-1] * len(alive)
+        blossom_maximum_matching(nb, alive, match)
         got = (len(match) - match.count(-1)) // 2
         want = max_matching_size(adj)
         assert got == want, f"{name}: blossom {got} != brute force {want}"

@@ -17,6 +17,7 @@ from oracles import (
     bfs_spanning_tree_by_dicts,
     coplanar_parents,
     dual_by_shared_vertices,
+    dual_rows,
     dual_spanning_tree_by_mapping,
     euler_strip_by_lists,
     euler_strip_by_splits,
@@ -99,7 +100,7 @@ def _list_tree(tree):
 def _euler_inputs(mesh, bfs=False):
     """The tree and spine `strip_with_boundary` would use; with `bfs`, the
     oracle's BFS tree instead, whose shallow shape doubles most tree edges."""
-    tree = _list_tree(bfs_spanning_tree_by_dicts(build_dual(mesh))) if bfs else _mesh_tree(mesh)
+    tree = _list_tree(bfs_spanning_tree_by_dicts(dual_rows(mesh))) if bfs else _mesh_tree(mesh)
     return tree, spine_path(tree, balance_edge(tree))
 
 
@@ -394,8 +395,8 @@ def _prufer_dual(seq):
 # the table holds three slots a node, as a triangle has three edges, so the
 # Prüfer trees are those of degree at most 3
 _tree_duals = st.one_of(
-    st.builds(build_dual, _open_meshes),
-    st.builds(lambda p, q: build_dual(torus(p, q)), st.integers(3, 9), st.integers(3, 9)),
+    st.builds(dual_rows, _open_meshes),
+    st.builds(lambda p, q: dual_rows(torus(p, q)), st.integers(3, 9), st.integers(3, 9)),
     st.lists(st.integers(0, 11), min_size=1, max_size=10)
     .map(lambda seq: _prufer_dual([v % (len(seq) + 2) for v in seq]))
     .filter(lambda dual: max(map(len, dual.values())) <= 3),
@@ -431,7 +432,7 @@ def test_list_tree_matches_the_dict_oracle(dual, seed):
 @settings(max_examples=80, deadline=None)
 @given(mesh=_open_meshes, seed=st.integers(0, 2**32 - 1), holes=st.integers(0, 6))
 def test_table_tree_matches_the_mapping_oracle(mesh, seed, holes):
-    # the tree read off the table rows against the tree of `build_dual`'s
+    # the tree read off the table rows against the tree of the rows as a
     # mapping, on relabelled meshes with dead slots, the largest id too
     mesh = relabel(mesh, random.Random(seed))
     _punch_tree_leaves(mesh, holes)
@@ -439,7 +440,7 @@ def test_table_tree_matches_the_mapping_oracle(mesh, seed, holes):
     if holes and mesh.n_triangles > 2 and not _mesh_tree(mesh).children[last]:
         punch_holes(mesh, [last])
     tree = _mesh_tree(mesh)
-    want = dual_spanning_tree_by_mapping(build_dual(mesh))
+    want = dual_spanning_tree_by_mapping(dual_rows(mesh))
     assert (tree.parent, tree.children, tree.subtree, tree.order) == want
 
 
@@ -549,7 +550,7 @@ def test_euler_strip_rejects_a_spine_triangle_with_two_doubled_children(shape):
     # each of those; a spine through the centre that leaves two of its
     # neighbours off the path cannot be walked, and must say so
     mesh = gen_mk(2)
-    dual = build_dual(mesh)
+    dual = dual_rows(mesh)
     tree = _mesh_tree(mesh)
     centre = next(
         t for t, nbrs in dual.items() if len(nbrs) == 3 and all(len(dual[u]) == 3 for u in nbrs)

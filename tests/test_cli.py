@@ -20,10 +20,17 @@ from singlestrip.sfc import CurveError
 from singlestrip.striploop import stripify
 
 
-def test_gen_writes_mesh(tmp_path, capsys):
+def test_gen_writes_mesh(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.off"
     assert main(["gen", "torus(5,4)", "-o", str(out)]) == 0
     assert load_mesh(out).n_triangles == 40
+    # without -o, the file is named after the spec as parsed
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for spec, name, count in [("torus( 4,3 )", "torus(4,3).off", 24), ("octahedron", "octahedron.off", 8)]:
+        assert main(["gen", spec]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {name}: ")
+        assert load_mesh(tmp_path / name).n_triangles == count
 
 
 @pytest.mark.parametrize(
@@ -45,8 +52,15 @@ def test_gen_format_follows_the_out_suffix_unless_given(tmp_path, name, argv, he
         assert load_mesh(out).n_triangles == 48
 
 
-def test_gen_bad_spec_is_parse_error(tmp_path):
-    assert main(["gen", "hypercube(4)", "-o", str(tmp_path / "x.off")]) == 2
+def test_gen_bad_spec_is_parse_error(tmp_path, capsys):
+    for spec, message in [
+        ("hypercube(4)", "unknown generator 'hypercube'"),
+        ("torus(4", "cannot parse generator spec 'torus(4'"),
+        ("icosphere(8)", "subdivision level > 7"),
+    ]:
+        assert main(["gen", spec, "-o", str(tmp_path / "x.off")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "x.off").exists()
 
 
 def test_usage_error_is_1():
@@ -84,14 +98,27 @@ def test_stripify_artifacts_roundtrip(tmp_path, capsys):
     assert main(["verify", str(out / "torus.strip.obj"), str(out / "torus.strip.txt")]) == 0
 
 
-def test_stripify_open_mesh_is_validation_error(tmp_path):
+def test_stripify_open_mesh_is_validation_error(tmp_path, capsys):
     path = tmp_path / "fan.obj"
     save_mesh(fan(4), path)
     assert main(["stripify", str(path)]) == 3
+    # a report lists its first 12 violations: mk(3) has 24 boundary edges
+    save_mesh(gen_mk(3), path)
+    capsys.readouterr()
+    assert main(["stripify", str(path), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["validation failed:", "24 violation(s) in closed mode"]
+    assert len(err) == 2 + 12 + 1 and err[-1] == "  ... 12 more"
 
 
-def test_stripify_missing_file_is_parse_error(tmp_path):
+def test_stripify_missing_file_is_parse_error(tmp_path, capsys):
     assert main(["stripify", str(tmp_path / "nope.off")]) == 2
+    # a file of an unknown format is read, then refused by its suffix
+    path = tmp_path / "m.ply"
+    path.write_text("ply\n")
+    capsys.readouterr()
+    assert main(["stripify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown mesh format 'ply' for {path}\n"
 
 
 def test_stripify_boundary_artifacts(tmp_path):
@@ -122,6 +149,17 @@ def test_verify_detects_duplicate(tmp_path):
         f"cycle {len(order)}\n" + "\n".join(map(str, order)) + "\n"
     )
     assert main(["verify", str(out / "t.strip.obj"), str(out / "t.strip.txt")]) == 4
+
+
+def test_verify_malformed_strip_order_is_parse_error(tmp_path, capsys):
+    mesh_path = tmp_path / "t.off"
+    main(["gen", "torus(4,3)", "-o", str(mesh_path)])
+    strip = tmp_path / "t.txt"
+    for text in ("cycle 3\n0\nx\n1\n", "cycle\n0\n1\n", "strip 2.0\n0\n1\n"):
+        strip.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(mesh_path), str(strip)]) == 2
+        assert capsys.readouterr().err == "error: malformed strip order file\n"
 
 
 @pytest.mark.parametrize("triangles,order,closed,bad", [

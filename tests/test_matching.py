@@ -9,6 +9,7 @@ dicts, of any degree."""
 import itertools
 import random
 import re
+from dataclasses import fields
 
 import networkx as nx
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     complete_graph,
     cube_graph,
     dual_by_shared_vertices,
+    dual_rows,
     greedy_consume_by_heap,
     greedy_reduce,
     insert_centroid,
@@ -42,10 +44,10 @@ from singlestrip.matching import (
     perfect_match_dual,
     replay_reductions,
     validate_matching,
-    _adjacency,
     _greedy_consume,
 )
 from singlestrip.mesh import build_dual
+from singlestrip.striploop import _vertex_fans, eliminate_three_cycles
 
 
 def test_greedy_reduce_path4_all_forced():
@@ -58,17 +60,19 @@ def _n_matched(partner):
     return len(partner) - partner.count(-1)
 
 
-def _grown(graph, start=None, state=None):
+def _grown(graph, start=None):
     """`blossom_maximum_matching` on the table of `graph`, from the partner
-    dict `start` or from nothing, as a partner dict."""
+    dict `start` or from nothing: (the grown matching as a partner dict,
+    the number of nodes its searches labelled)."""
     nb, alive = as_table(graph)
-    seed = None if start is None else as_partner_list(start, len(alive))
-    return as_partner_map(blossom_maximum_matching(nb, alive, seed, state))
+    seed = as_partner_list(start or {}, len(alive))
+    labelled = blossom_maximum_matching(nb, alive, seed)
+    return as_partner_map(seed), labelled
 
 
 def test_greedy_reduce_m2_dual_tree_is_maximum():
     mesh = gen_mk(2)
-    dual = build_dual(mesh)
+    dual = dual_rows(mesh)
     reduced, partner, log = greedy_reduce(dual)
     assert reduced == {}
     full = as_partner_list(partner, len(mesh.triangles))
@@ -117,7 +121,8 @@ def test_greedy_reduce_postcondition_random():
 def test_blossom_from_empty_matches_bruteforce(graph, size):
     assert max_matching_size(graph) == size  # freeze the oracle value
     nb, alive = as_table(graph)
-    match = blossom_maximum_matching(nb, alive)
+    match = [-1] * len(alive)
+    blossom_maximum_matching(nb, alive, match)
     validate_matching(nb, alive, match)
     assert _n_matched(match) // 2 == size
 
@@ -133,7 +138,8 @@ def test_blossom_oracle_equivalence_random_graphs():
                 adj[i].add(j)
                 adj[j].add(i)
         nb, alive = as_table(adj)
-        match = blossom_maximum_matching(nb, alive)
+        match = [-1] * len(alive)
+        blossom_maximum_matching(nb, alive, match)
         validate_matching(nb, alive, match)
         assert _n_matched(match) // 2 == max_matching_size(adj)
 
@@ -160,7 +166,7 @@ def _perturbed_dual(rng, kind, cut):
         mesh = icosphere(rng.randint(0, 2))
     for t in rng.sample(range(mesh.n_triangles), rng.randint(0, 6)):
         insert_centroid(mesh, t)
-    dual = build_dual(relabel(mesh, rng))
+    dual = dual_rows(relabel(mesh, rng))
     for _ in range(cut):
         t = rng.choice(sorted(dual))
         if dual[t]:
@@ -206,9 +212,11 @@ def test_blossom_size_matches_networkx(kind, n, degree, seed):
     # the same graph with its rows in slot order and in id order
     table, sorted_table = as_table(dual), as_table({v: sorted(ns) for v, ns in adj.items()})
     for start in (None, _random_seed_matching(rng, adj)):
-        seed = None if start is None else as_partner_list(start, len(table[1]))
-        match = blossom_maximum_matching(*table, None if seed is None else list(seed))
-        assert match == blossom_maximum_matching(*sorted_table, seed)
+        match = as_partner_list(start or {}, len(table[1]))
+        by_id = list(match)
+        blossom_maximum_matching(*table, match)
+        blossom_maximum_matching(*sorted_table, by_id)
+        assert match == by_id
         assert _n_matched(match) // 2 == size
         assert all(match[v] >= 0 for v in start or ())
         validate_matching(*table, match)
@@ -218,7 +226,7 @@ def test_blossom_size_matches_networkx(kind, n, degree, seed):
 def _greedy_seed(dual):
     """The greedy phase's replayed matching of `dual`, as a partner dict."""
     partner = [-1] * (max(dual, default=-1) + 1)
-    log, _picks = _greedy_consume(_adjacency(dual), partner)
+    log, _picks = _greedy_consume({v: set(ns) for v, ns in dual.items()}, partner)
     replay_reductions(partner, log)
     return as_partner_map(partner)
 
@@ -246,7 +254,7 @@ def test_greedy_matches_the_heap_oracle(kind, n, degree, seed):
     # rows change the queue order and so the partner map
     _rng, dual = _oracle_input(kind, n, degree, seed)
     partner = [-1] * (max(dual, default=-1) + 1)
-    log, picks = _greedy_consume(_adjacency(dual), partner)
+    log, picks = _greedy_consume({v: set(ns) for v, ns in dual.items()}, partner)
     want, want_log, want_picks = greedy_consume_by_heap({v: set(ns) for v, ns in dual.items()})
     assert as_partner_map(partner) == want
     assert picks == want_picks
@@ -261,8 +269,8 @@ def test_blossom_matches_the_base_map_oracle(kind, n, degree, seed):
     adj = {v: set(ns) for v, ns in dual.items()}
     for start in (None, _random_seed_matching(rng, adj), _greedy_seed(dual)):
         want = blossom_by_base_map(dual, start)
-        assert _grown(dual, start) == want
-        assert _grown({v: sorted(ns) for v, ns in adj.items()}, start) == want
+        assert _grown(dual, start)[0] == want
+        assert _grown({v: sorted(ns) for v, ns in adj.items()}, start)[0] == want
 
 
 def test_blossom_on_2000_nodes_matches_networkx():
@@ -272,7 +280,7 @@ def test_blossom_on_2000_nodes_matches_networkx():
     mesh = torus(40, 25)
     for t in rng.sample(range(mesh.n_triangles), 7):
         insert_centroid(mesh, t)
-    dual = build_dual(relabel(mesh, rng))
+    dual = dual_rows(relabel(mesh, rng))
     for _ in range(60):
         t = rng.choice(sorted(dual))
         if dual[t]:
@@ -287,13 +295,12 @@ def test_blossom_on_2000_nodes_matches_networkx():
     assert size == 1007  # freeze the networkx value
     nb, alive = as_table(dual)
     for start in (None, _greedy_seed(dual)):
-        state = MatchState([])
-        seed = None if start is None else as_partner_list(start, len(alive))
-        match = blossom_maximum_matching(nb, alive, seed, state)
+        match = as_partner_list(start or {}, len(alive))
+        labelled = blossom_maximum_matching(nb, alive, match)
         validate_matching(nb, alive, match)
         assert _n_matched(match) // 2 == size
         assert as_partner_map(match) == blossom_by_base_map(dual, start)
-        assert state.augment_nodes > 0
+        assert labelled > 0
 
 
 @pytest.mark.parametrize(
@@ -310,17 +317,14 @@ def test_blossom_on_2000_nodes_matches_networkx():
     ],
 )
 def test_augment_nodes_counts_the_labelled_nodes(graph, seed, labelled):
-    state = MatchState([])
-    match = _grown(graph, seed, state)
+    match, count = _grown(graph, seed)
     assert len(match) // 2 == max_matching_size({v: set(ns) for v, ns in graph.items()})
-    assert state.augment_nodes == labelled
+    assert count == labelled
 
 
 def test_augment_nodes_is_zero_from_a_perfect_seed():
-    state = MatchState([])
     seed = {0: 1, 1: 0, 2: 3, 3: 2}
-    assert _grown(path_graph(4), seed, state) == seed
-    assert state.augment_nodes == 0
+    assert _grown(path_graph(4), seed) == (seed, 0)
     # the greedy phase matches all of a plain torus's dual
     state = perfect_match_dual(torus(12, 9))
     assert state.augmentations == 0
@@ -330,7 +334,7 @@ def test_augment_nodes_is_zero_from_a_perfect_seed():
 def test_blossom_respects_seed():
     graph = cube_graph()
     seed = {0: 1, 1: 0}
-    match = _grown(graph, seed)
+    match, _labelled = _grown(graph, seed)
     assert match[0] == 1
     assert len(match) // 2 == 4
 
@@ -415,6 +419,23 @@ def test_determinism():
     a = perfect_match_dual(torus(10, 8)).partner
     b = perfect_match_dual(torus(10, 8)).partner
     assert a == b
+    # twice on one mesh object, with dead slots and an augmenting search:
+    # the greedy consumes its sets, so a run that cached or shared them, or
+    # edited the table, would leave the second run another matching
+    rng = random.Random(1)
+    mesh = icosphere(2)
+    for t in rng.sample(range(mesh.n_triangles), 20):
+        insert_centroid(mesh, t)
+    mesh = relabel(mesh, rng)
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
+    neighbours, alive = list(mesh.neighbours), list(mesh.alive)
+    first, second = perfect_match_dual(mesh), perfect_match_dual(mesh)
+    assert first.augmentations == 1 and first.augment_nodes > 0
+    assert first.partner is not second.partner
+    for field in fields(MatchState):
+        assert getattr(first, field.name) == getattr(second, field.name), field.name
+    assert mesh.neighbours == neighbours
+    assert mesh.alive == alive
 
 
 def _centroid_torus():

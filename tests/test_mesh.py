@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     cube_graph,
     dual_by_shared_vertices,
+    dual_rows,
     edge_triangles,
     flip_edges,
     graphs_isomorphic_small,
@@ -16,6 +17,7 @@ from oracles import (
     mesh_edges,
     plane_distance,
     punch_holes,
+    relabel,
     triangle_area,
     triangle_points,
     vertex_triangles,
@@ -162,6 +164,15 @@ def test_dual_matches_bruteforce_oracle():
         dual = build_dual(mesh)
         oracle = dual_by_shared_vertices(mesh)
         assert {t: set(nbrs) for t, nbrs in dual.items()} == oracle
+
+
+def test_dual_sets_are_filled_in_slot_order():
+    # the greedy queues nodes in the order it iterates these sets, which
+    # follows the order they were filled in: on the relabelled torus, sets
+    # filled from sorted rows iterate otherwise
+    for mesh in (torus(4, 3), gen_mk(3), relabel(torus(6, 5), random.Random(1))):
+        want = {t: list(set(row)) for t, row in dual_rows(mesh).items()}
+        assert {t: list(nbrs) for t, nbrs in build_dual(mesh).items()} == want
 
 
 def test_dual_octahedron_is_cube_graph(octa):

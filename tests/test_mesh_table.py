@@ -19,6 +19,7 @@ from oracles import (
     dict_neighbours,
     dict_split_pair,
     dict_validate,
+    dual_rows,
     edge_triangles,
     insert_centroid,
     other_triangle,
@@ -30,7 +31,6 @@ from singlestrip.mesh import (
     Mesh,
     MeshError,
     _check_triangles,
-    build_dual,
     check_edges,
     shared_edge,
     split_pair,
@@ -73,7 +73,7 @@ def _assert_same(mesh, oracle, edited):
     assert mesh.vertices == oracle.vertices
     assert mesh.n_triangles == oracle.n_triangles
     want = dict_neighbours(oracle)
-    dual = build_dual(mesh)
+    dual = dual_rows(mesh)
     assert dual == want
     for t, nbrs in dual.items():
         for u in nbrs:

@@ -22,6 +22,7 @@ from oracles import (
     assert_same_as_checked_rebuild,
     coplanar_parents,
     cycle_lengths,
+    dual_rows,
     edge_triangles,
     eliminate_three_cycles_by_sets,
     extract_cycles_by_dict,
@@ -78,7 +79,7 @@ def _before_nodal(mesh):
     stack = eliminate_three_cycles(work, _vertex_fans(work))
     partner = perfect_match_dual(work).partner
     restore_three_cycles(work, partner, stack)
-    dual = build_dual(work)
+    dual = dual_rows(work)
     return work, dual, partner, extract_cycles(work, partner)
 
 
@@ -324,7 +325,9 @@ def test_extract_on_open_meshes_matches_the_dict_oracle(k):
     # unmatched ones, and an unmatched one, raise as the oracle does; an
     # unmatched triangle's -1 is no match for its boundary slot's -1
     mesh = gen_mk(k)
-    for partner in ([-1] * mesh.n_triangles, blossom_maximum_matching(mesh.neighbours, mesh.alive)):
+    grown = [-1] * mesh.n_triangles
+    blossom_maximum_matching(mesh.neighbours, mesh.alive, grown)
+    for partner in ([-1] * mesh.n_triangles, grown):
         with pytest.raises(PipelineError) as want:
             extract_cycles_by_dict(mesh, as_partner_map(partner))
         with pytest.raises(PipelineError) as got:
@@ -476,7 +479,8 @@ def _nodal_input(shape, splits, any_matching, seed):
             if start[t] < 0 and start[u] < 0:
                 start[t] = u
                 start[u] = t
-        partner = blossom_maximum_matching(work.neighbours, work.alive, start)
+        blossom_maximum_matching(work.neighbours, work.alive, start)
+        partner = start
         assert len(as_partner_map(partner)) == len(dual)
         cs = extract_cycles(work, partner)
     return work, partner, cs
@@ -929,7 +933,7 @@ def test_stripify_names_an_unmatched_three_cycle(monkeypatch):
         partner[t], partner[x] = x, t
     rest = nx.Graph()
     rest.add_edges_from(
-        (t, u) for t, row in build_dual(mesh).items() for u in row
+        (t, u) for t, row in dual_rows(mesh).items() for u in row
         if t not in partner and u not in partner
     )
     for t, u in nx.max_weight_matching(rest, maxcardinality=True):

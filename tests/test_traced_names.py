@@ -117,3 +117,23 @@ def test_every_traced_layer_records_a_span(tmp_path):
         if f"{module_name}.{stem}" not in spanned
     ]
     assert silent == ["sfc.dumps_curve_obj"]
+
+
+def test_a_closed_run_builds_one_dual_mapping(tmp_path):
+    # the table is the one adjacency the pipelines share; beside it, a
+    # closed run builds `build_dual`'s sets once, for the greedy phase of
+    # matching, and the open path builds none
+    closed, open_ = _inputs(tmp_path)
+    tracer = _load_tracer()
+    out = ["--out", str(tmp_path)]
+    argvs = {
+        "stripify": ["stripify", closed, *out],
+        "sfc": ["sfc", closed, "--depth", "1", *out],
+        "stripify-boundary": ["stripify-boundary", open_, *out],
+    }
+    duals = {}
+    for command, argv in argvs.items():
+        run = _traced(tracer, [argv])
+        assert run.missing == [] and run.errors == {}
+        duals[command] = sum(span[0] == "mesh.build_dual" for span in run.spans)
+    assert duals == {"stripify": 1, "sfc": 1, "stripify-boundary": 0}
