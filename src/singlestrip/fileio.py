@@ -39,17 +39,22 @@ class ParseError(Exception):
 
 
 def load_mesh(path, fmt: str | None = None) -> Mesh:
-    """Load an OFF or OBJ mesh; the format defaults to the file extension."""
+    """Load an OFF or OBJ mesh; the format defaults to the file extension.
+    The format is resolved before the file is opened, so a file of another
+    format is refused unread, and a file that is not UTF-8 text is a
+    `ParseError` naming the file."""
     path = Path(path)
     if fmt is None:
-        fmt = path.suffix.lstrip(".").lower()
+        fmt = path.suffix.lstrip(".")
     fmt = fmt.lower()
-    text = path.read_text()
-    if fmt == "off":
-        return loads_off(text)
-    if fmt == "obj":
-        return loads_obj(text)
-    raise ParseError(f"unknown mesh format {fmt!r} for {path}")
+    reader = {"off": loads_off, "obj": loads_obj}.get(fmt)
+    if reader is None:
+        raise ParseError(f"unknown mesh format {fmt!r} for {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
+    return reader(text)
 
 
 def save_mesh(mesh: Mesh, path, fmt: str | None = None) -> None:

@@ -20,7 +20,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .mesh import Mesh, build_dual
+import numpy as np
+
+from .mesh import Mesh, _flags, _ints, build_dual
 
 
 class MatchingError(Exception):
@@ -55,19 +57,29 @@ def validate_matching(nb: list[int], alive: list[bool], partner: list[int]) -> N
     """Raise unless `partner` matches only live neighbours, both ways, in
     the flat neighbour table `nb` with live flags `alive`. A dead slot's row
     is stale and may still list its old neighbours, so liveness is checked
-    on both ends of a pair."""
-    for v, u in enumerate(partner):
-        if u < 0:
-            continue
-        i = 3 * v
-        if not alive[v]:
-            raise MatchingError(f"retired triangle {v} is matched to {u}")
-        if u != nb[i] and u != nb[i + 1] and u != nb[i + 2]:
-            raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
-        if not alive[u]:
-            raise MatchingError(f"triangle {v} is matched to retired triangle {u}")
-        if partner[u] != v:
-            raise MatchingError(f"matching is not symmetric at {v}<->{u}")
+    on both ends of a pair.
+
+    One array pass finds the first triangle v whose entry fails; its checks
+    are then made in order, to name the failure: v is dead, its partner is
+    not in its row, its partner is dead, its partner's entry is not v. The
+    partners are read as int64, so one beyond int32 is still a non-edge."""
+    u, live = _ints(partner), _flags(alive)
+    v = np.arange(len(u))
+    row = _ints(nb).reshape(-1, 3)
+    edge = (row[:, 0] == u) | (row[:, 1] == u) | (row[:, 2] == u)
+    w = np.where(edge, u, v)  # the partner where it is in v's row
+    ok = (u < 0) | (live & edge & live[w] & (u[w] == v))
+    if ok.all():
+        return
+    v = int(ok.argmin())
+    u = partner[v]
+    if not alive[v]:
+        raise MatchingError(f"retired triangle {v} is matched to {u}")
+    if u not in nb[3 * v : 3 * v + 3]:
+        raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
+    if not alive[u]:
+        raise MatchingError(f"triangle {v} is matched to retired triangle {u}")
+    raise MatchingError(f"matching is not symmetric at {v}<->{u}")
 
 
 # -- greedy phase ------------------------------------------------------------
@@ -214,7 +226,7 @@ def blossom_maximum_matching(nb: list[int], alive: list[bool], partner: list[int
     used = bytearray(m)
     labelled = 0
     # a search never unmatches a node, so only nodes the seed leaves exposed are roots
-    roots = [v for v, u in enumerate(partner) if u < 0 and alive[v]]
+    roots = np.flatnonzero((_ints(partner) < 0) & _flags(alive)).tolist()
     for root in roots:
         if partner[root] < 0:
             reached = _augment_from(nb, partner, root, parent, up, used)

@@ -104,8 +104,11 @@ def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
     """Raise MeshError for the first triangle that is out of range, repeats
     a vertex or has the vertex set of an earlier triangle, checked in that
     order. Duplicates are found by a lexicographic sort of the sorted
-    triples, which no vertex count can overflow. `source` holds the
-    caller's own triangles, for the message (default: `tri`)."""
+    triples, which no vertex count can overflow. That sort runs only when a
+    sort of the triples packed into one int64 each finds two equal: equal
+    triples pack alike, even where the packing wraps, and below 2**21
+    vertices distinct ones never do. `source` holds the caller's own
+    triangles, for the message (default: `tri`)."""
     if not len(tri):
         return
     # each row in ascending order, by a three-element sorting network
@@ -114,11 +117,13 @@ def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
     s0, s1, s2 = np.minimum(lo, c), np.maximum(lo, np.minimum(hi, c)), np.maximum(hi, c)
     out = (s0 < 0) | (s2 >= n)
     repeated = (s0 == s1) | (s1 == s2)
-    order = np.lexsort((s2, s1, s0))
-    later, earlier = order[1:], order[:-1]
-    same = (s0[later] == s0[earlier]) & (s1[later] == s1[earlier]) & (s2[later] == s2[earlier])
     duplicate = np.zeros(len(tri), dtype=bool)
-    duplicate[later[same]] = True
+    packed = np.sort((s0 * n + s1) * n + s2)
+    if (packed[1:] == packed[:-1]).any():
+        order = np.lexsort((s2, s1, s0))
+        later, earlier = order[1:], order[:-1]
+        same = (s0[later] == s0[earlier]) & (s1[later] == s1[earlier]) & (s2[later] == s2[earlier])
+        duplicate[later[same]] = True
     bad = out | repeated | duplicate
     if not bad.any():
         return
@@ -131,10 +136,38 @@ def _check_triangles(tri: np.ndarray, n: int, source=None) -> None:
     raise MeshError(f"duplicate triangle {abc}")
 
 
-def _triangle_array(mesh: "Mesh", ids: list[int]) -> np.ndarray:
-    tris = mesh.triangles
-    flat = chain.from_iterable(tris[t] for t in ids)
-    return np.fromiter(flat, dtype=np.int64, count=3 * len(ids)).reshape(-1, 3)
+def _ints(values: list[int]) -> np.ndarray:
+    """A list of ints as an int64 array, read by numpy's iterator reader,
+    which is faster on a list than `np.array`."""
+    return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
+def _flags(values: list[bool]) -> np.ndarray:
+    """A list of bools as a read-only bool array, by one copy of its bytes."""
+    return np.frombuffer(bytes(values), dtype=bool)
+
+
+def _triangle_array(triangles, m: int) -> np.ndarray:
+    """The first m vertex triples that `triangles` yields, as an (m, 3)
+    array."""
+    flat = chain.from_iterable(triangles)
+    return np.fromiter(flat, dtype=np.int64, count=3 * m).reshape(-1, 3)
+
+
+def _live_triangles(mesh: "Mesh") -> np.ndarray:
+    """The live triangles' vertex triples as an array, in id order."""
+    return _triangle_array(compress(mesh.triangles, mesh.alive), mesh.n_triangles)
+
+
+def _slot_edges(tri: np.ndarray, n: int):
+    """Per edge slot of an (m, 3) triangle array, slot 3r + i being edge
+    (tri[r, i], tri[r, i + 1 mod 3]): its endpoints lo < hi and the packed
+    key lo * n + hi, which fits in int64 for any vertex count below 3e9."""
+    u = tri.ravel()
+    v = tri[:, [1, 2, 0]].ravel()
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    return lo, hi, lo * max(n, 1) + hi
 
 
 def _edge_sort(tri: np.ndarray, n: int):
@@ -143,19 +176,30 @@ def _edge_sort(tri: np.ndarray, n: int):
     Slot 3r + i is edge (tri[r, i], tri[r, i + 1 mod 3]). Returns (order,
     start, size, lo, hi): `order` lists the slots grouped by edge, each
     group in row order; group g occupies order[start[g] : start[g] +
-    size[g]]; `lo` and `hi` are each slot's edge endpoints. The packed key
-    lo * n + hi fits in int64 for any vertex count below 3e9.
+    size[g]]; `lo` and `hi` are `_slot_edges`' endpoints of each slot.
+
+    The key sort is numpy's unstable one, about twice as fast as the stable
+    sort here, and each group's slots are then put back in slot order: a
+    pair by one swap, a larger group by a sort of its slots. The result is
+    the stable sort's.
     """
-    u = tri.ravel()
-    v = tri[:, [1, 2, 0]].ravel()
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    order = np.argsort(lo * max(n, 1) + hi, kind="stable")
-    ko_lo, ko_hi = lo[order], hi[order]
+    lo, hi, key = _slot_edges(tri, n)
+    order = np.argsort(key)
+    sorted_key = key[order]
     head = np.ones(len(order), dtype=bool)
-    head[1:] = (ko_lo[1:] != ko_lo[:-1]) | (ko_hi[1:] != ko_hi[:-1])
+    head[1:] = sorted_key[1:] != sorted_key[:-1]
     start = np.flatnonzero(head)
     size = np.diff(np.append(start, len(order)))
+    pair = start[size == 2]
+    a, b = order[pair], order[pair + 1]
+    swap = a > b
+    order[pair[swap]], order[pair[swap] + 1] = b[swap], a[swap]
+    big = np.flatnonzero(size > 2)
+    if len(big):
+        n_big = size[big]
+        at = np.repeat(start[big] - np.cumsum(n_big) + n_big, n_big) + np.arange(n_big.sum())
+        slots = order[at]
+        order[at] = slots[np.lexsort((slots, np.repeat(big, n_big)))]
     return order, start, size, lo, hi
 
 
@@ -244,7 +288,7 @@ class Mesh:
         tri = _index_array(triangles, n)
         _check_triangles(tri, n, triangles)
         table, flagged = _table(tri, n)
-        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), table)
+        self._fill(list(zip(*pts.T.tolist())), list(zip(*tri.T.tolist())), table)
         self._flagged = flagged
 
     @classmethod
@@ -276,7 +320,7 @@ class Mesh:
         read, from its triangles as built: until then no edit may change
         `triangles`, and `_append` reads the table before it appends."""
         if self._neighbours is None:
-            tri = _triangle_array(self, range(len(self.triangles)))
+            tri = _triangle_array(self.triangles, len(self.triangles))
             self._neighbours = _table(tri, self.n_vertices)[0]
         return self._neighbours
 
@@ -293,13 +337,18 @@ class Mesh:
 
     @property
     def n_edges(self) -> int:
-        """Number of distinct edges of the live triangles: the live slots
-        across which the table holds -1 or a larger id. Of the triangles on
-        an edge only the first by id lists a larger one; on a `_built` mesh
-        this is the table's first read."""
-        nb = np.array(self.neighbours, dtype=np.int64).reshape(-1, 3)
+        """Number of distinct edges of the live triangles. Once the table is
+        sorted, these are the live slots across which it holds -1 or a
+        larger id: of the triangles on an edge only the first by id lists a
+        larger one. A `_built` mesh whose table is not sorted yet counts the
+        distinct edge keys of its live triangles instead, and leaves the
+        table unsorted."""
+        if self._neighbours is None:
+            tri = _live_triangles(self)
+            return len(np.unique(_slot_edges(tri, self.n_vertices)[2]))
+        nb = _ints(self._neighbours).reshape(-1, 3)
         first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
-        return int(np.count_nonzero(first[np.array(self.alive, dtype=bool)]))
+        return int(np.count_nonzero(first[_flags(self.alive)]))
 
     def alive_ids(self) -> list[int]:
         return list(compress(range(len(self.alive)), self.alive))
@@ -368,8 +417,8 @@ class Mesh:
         """Fresh mesh holding only live triangles, plus the old->new id map.
         Its table is sorted on its first read."""
         ids = self.alive_ids()
-        mesh = Mesh._built(list(self.vertices), [self.triangles[t] for t in ids])
-        return mesh, {old: new for new, old in enumerate(ids)}
+        mesh = Mesh._built(list(self.vertices), list(compress(self.triangles, self.alive)))
+        return mesh, dict(zip(ids, range(len(ids))))
 
 
 def split_pair(mesh: Mesh, e: tuple[int, int], pair: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -511,10 +560,9 @@ def check_edges(mesh: Mesh, mode: str) -> ValidationReport:
 
     flagged = mesh._flagged
     if flagged is None:
-        live = mesh.alive_ids()
-        tri = _triangle_array(mesh, live)
+        tri = _live_triangles(mesh)
         size, lo, hi, r1, r2 = _flag_edges(tri, *_edge_sort(tri, mesh.n_vertices))
-        rows = np.array(live)
+        rows = np.flatnonzero(_flags(mesh.alive))
         flagged = size, lo, hi, rows[r1], rows[r2]
     if mode != "closed":
         keep = flagged[0] != 1
@@ -543,14 +591,18 @@ def build_dual(mesh: Mesh) -> dict[int, set[int]]:
     the greedy's output: CPython iterates a set of ints in an order that
     depends on the order they went in, and the reductions queue nodes in the
     order they iterate these sets. Sets filled from sorted rows give another
-    matching on larger meshes, such as torus(300,160).
+    matching on larger meshes, such as torus(300,160). The rows are read as
+    triples off one iterator of the table, the live ones picked by `alive`,
+    so no slice of the table is made. A row holding -1 gets the set of its
+    other entries, -1 never inserted: a set that held -1 would keep the
+    other entries where the -1 had pushed them.
     """
-    nb = mesh.neighbours
-    dual = {}
-    for t in mesh.alive_ids():
-        row = nb[3 * t : 3 * t + 3]
-        dual[t] = {o for o in row if o >= 0} if -1 in row else set(row)
-    return dual
+    it = iter(mesh.neighbours)
+    rows = compress(zip(it, it, it), mesh.alive)
+    return {
+        t: {o for o in row if o >= 0} if -1 in row else set(row)
+        for t, row in zip(mesh.alive_ids(), rows)
+    }
 
 
 def shared_edge(mesh: Mesh, t: int, u: int) -> tuple[int, int]:

@@ -21,7 +21,16 @@ from itertools import chain
 import numpy as np
 
 from .matching import perfect_match_dual
-from .mesh import Mesh, ValidationError, shared_edge, split_pair, validate
+from .mesh import (
+    Mesh,
+    ValidationError,
+    _flags,
+    _ints,
+    _live_triangles,
+    shared_edge,
+    split_pair,
+    validate,
+)
 
 
 class PipelineError(Exception):
@@ -60,17 +69,17 @@ class RemovedConfig:
 def _vertex_fans(mesh: Mesh) -> tuple[list[int], list[int]]:
     """Per vertex id, the number of live triangles on it and the smallest of
     them (-1 where there is none): the fan size and the anchor that
-    `_fan_order` walks from. Restoration brings back the live set that
-    elimination started from, so `stripify` takes these once, before
+    `_fan_order` walks from. Both come from one array of the live rows, by
+    a count and a minimum per vertex. Restoration brings back the live set
+    that elimination started from, so `stripify` takes these once, before
     elimination, for both elimination and nodal merging."""
-    count = [0] * mesh.n_vertices
-    anchor = [-1] * mesh.n_vertices
-    tris = mesh.triangles
-    for t in reversed(mesh.alive_ids()):
-        for v in tris[t]:
-            count[v] += 1
-            anchor[v] = t
-    return count, anchor
+    n = mesh.n_vertices
+    corners = _live_triangles(mesh).ravel()
+    count = np.bincount(corners, minlength=n)
+    anchor = np.full(n, len(mesh.triangles), dtype=np.int64)
+    np.minimum.at(anchor, corners, np.repeat(np.flatnonzero(_flags(mesh.alive)), 3))
+    anchor[count == 0] = -1
+    return count.tolist(), anchor.tolist()
 
 
 def _fan_order(mesh: Mesh, v: int, t0: int, k: int) -> list[int] | None:
@@ -107,7 +116,7 @@ def eliminate_three_cycles(
     """
     nb, tris = mesh.neighbours, mesh.triangles
     count, anchor = (f.copy() for f in fans)
-    queue = deque(v for v, k in enumerate(count) if k == 3)
+    queue = deque(np.flatnonzero(_ints(count) == 3).tolist())
     stack: list[RemovedConfig] = []
     while queue:
         v = queue.popleft()
@@ -225,7 +234,7 @@ def extract_cycles(mesh: Mesh, partner: list[int]) -> CycleSet:
         prev, cur = None, start
         for _ in range(n + 1):  # a closed walk has at most n triangles
             i = 3 * cur
-            a, b, c = nb[i : i + 3]
+            a, b, c = nb[i], nb[i + 1], nb[i + 2]
             p = partner[cur]
             # x and y: cur's unmatched neighbours, the earlier slot first
             if p < 0:
@@ -275,32 +284,46 @@ def merge_nodal(
     other, leaving two unmatched pairs of w's fan on the one merged cycle;
     and only such toggles change a partner in w's fan.
 
+    Only candidates are walked: vertices with an even k >= 4 on which no
+    live triangle has its matched edge opposite the vertex. One array pass
+    before the loop takes each live row's matched slot, the vertex opposite
+    it, and from those a flag per vertex. The walk would reject a flagged
+    vertex anyway: the triangle matched across the edge opposite it has
+    both of its fan edges unmatched, which breaks the alternation, unless
+    the fan closes before reaching it, which rejects the vertex too. The
+    flags stay valid while the loop toggles: a toggle changes partners only
+    inside the toggled fan, so only the vertices of that fan can change
+    their flag, and those are rejected after the toggle, as proved above.
+
     Each fan is walked off the neighbour table, as `_fan_order` walks it,
     from the vertex's smallest triangle, and the walk stops at the first
     step that leaves the fan, breaks the alternation or meets a cycle that
-    an earlier unmatched pair of the fan is on. A vertex is rejected at once
-    when that triangle's partner does not hold it, as alternation matches
-    every fan triangle inside the fan. A vertex whose link is several fans
-    (a pinched vertex) never qualifies, as its walk closes before it has met
-    every triangle on it.
+    an earlier unmatched pair of the fan is on. A vertex whose link is
+    several fans (a pinched vertex) never qualifies, as its walk closes
+    before it has met every triangle on it.
 
     `fans` is the mesh's `_vertex_fans`, or those taken before elimination
     once restoration has brought back that live set; they are only read.
     Returns the cycle set with each toggle's cycles joined in a copy of its
     union-find, none walked again, and the (vertex, m) merges.
     """
-    nb, tris = mesh.neighbours, mesh.triangles
+    nb, tris, alive = mesh.neighbours, mesh.triangles, mesh.alive
     count, anchor = fans
     cycle_of = cycleset.cycle_of
     root = cycleset.root.copy()
     merges: list[tuple[int, int]] = []
-    for v, k in enumerate(count):
-        if k < 4 or k % 2 != 0:
-            continue
+    # the vertex opposite each live triangle's matched edge is no candidate
+    live = np.flatnonzero(_flags(alive))
+    row = _ints(nb).reshape(-1, 3)[live]
+    c0, c1, c2 = _live_triangles(mesh).T
+    p = _ints(partner)[live]
+    size = _ints(count)
+    excluded = np.zeros(len(size), dtype=bool)
+    for opposite, slot in ((c2, 0), (c0, 1), (c1, 2)):
+        excluded[opposite[row[:, slot] == p]] = True
+    for v in np.flatnonzero((size >= 4) & (size % 2 == 0) & ~excluded).tolist():
+        k = count[v]
         t0 = anchor[v]
-        # alternation matches every fan triangle inside the fan
-        if v not in tris[partner[t0]]:
-            continue
         # step i goes from the fan's i-th triangle t to the next one, s, and
         # must close the fan at t0 on step k - 1 and not before
         last = k - 1
@@ -364,12 +387,16 @@ def spanning_tree_splits(
         return []
     cycle_of = cycleset.cycle_of
     root = cycleset.root.copy()
-    merged = [find(root, i) for i in range(len(root))]
-    across = []  # (edge, t, u) of the matched pairs across two merged cycles
-    for t in mesh.alive_ids():
-        u = partner[t]
-        if t < u and merged[cycle_of[t]] != merged[cycle_of[u]]:
-            across.append((shared_edge(mesh, t, u), t, u))
+    # the matched pairs t < u across two merged cycles, picked by arrays
+    merged = _ints([find(root, i) for i in range(len(root))])
+    first = np.flatnonzero(_flags(mesh.alive))
+    second = _ints(partner)[first]
+    keep = first < second
+    first, second = first[keep], second[keep]
+    on = _ints(cycle_of)
+    keep = merged[on[first]] != merged[on[second]]
+    pairs = zip(first[keep].tolist(), second[keep].tolist())
+    across = [(shared_edge(mesh, t, u), t, u) for t, u in pairs]
     across.sort()
     tree: list[tuple[tuple[int, int], int, int]] = []
     for e, t, u in across:
@@ -608,7 +635,7 @@ def stripify(mesh: Mesh) -> StripResult:
         }
         result = StripResult(
             mesh=final,
-            order=[remap[t] for t in order],
+            order=list(map(remap.__getitem__, order)),
             closed=True,
             stats=stats,
         )

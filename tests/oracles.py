@@ -10,9 +10,9 @@ edits and by a list replay, the BFS dual tree, the Warnsdorff tree on a
 node -> neighbours mapping, the dict-based balance edge and spine, the
 set-based three-cycle elimination, the full-sweep nodal merge, the
 dict-based mesh, the heap greedy and its frozenset replay, the blossom with
-a base map, the cycle walk with a dict, and the OFF/OBJ and curve OBJ
-writers with one f-string per line) share only the primitives they were
-built on. `coplanar_parents` checks the midpoint splits from an
+a base map, the cycle walk with a dict, the OFF/OBJ and curve OBJ
+writers with one f-string per line, and the closed path's whole-mesh scans
+as Python loops) share only the primitives they were built on. `coplanar_parents` checks the midpoint splits from an
 output mesh alone, by bit patterns and vertex sets. The test helpers
 (`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
 `cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
@@ -1780,3 +1780,78 @@ def extract_cycles_by_dict(mesh, partner):
                 raise PipelineError("unmatched-edge walk does not close")
         cycles.append(cycle)
     return cycles, cycle_of
+
+
+# -- whole-mesh scans as Python loops --------------------------------------------
+#
+# The closed path's scans over every vertex or table row as the library ran
+# them before they became array passes: the fan counts, the seed check, the
+# dual's neighbour sets from row slices, and the pick of the matched pairs
+# that the spanning tree may split.
+
+
+def vertex_fans_by_loop(mesh) -> tuple[list[int], list[int]]:
+    """`_vertex_fans`: per vertex, its live triangle count and the smallest
+    of them (-1 where there is none), by one loop over the live rows."""
+    count = [0] * mesh.n_vertices
+    anchor = [-1] * mesh.n_vertices
+    tris = mesh.triangles
+    for t in reversed(mesh.alive_ids()):
+        for v in tris[t]:
+            count[v] += 1
+            anchor[v] = t
+    return count, anchor
+
+
+def validate_matching_by_loop(nb, alive, partner) -> None:
+    """`validate_matching` as a loop over the partner list, raising the
+    library's `MatchingError` with the same messages."""
+    from singlestrip.matching import MatchingError
+
+    for v, u in enumerate(partner):
+        if u < 0:
+            continue
+        i = 3 * v
+        if not alive[v]:
+            raise MatchingError(f"retired triangle {v} is matched to {u}")
+        if u != nb[i] and u != nb[i + 1] and u != nb[i + 2]:
+            raise MatchingError(f"matched pair ({v}, {u}) is not an edge")
+        if not alive[u]:
+            raise MatchingError(f"triangle {v} is matched to retired triangle {u}")
+        if partner[u] != v:
+            raise MatchingError(f"matching is not symmetric at {v}<->{u}")
+
+
+def build_dual_by_slices(mesh) -> dict[int, set[int]]:
+    """`build_dual` from one slice of the table per live row, each set
+    filled in slot order."""
+    nb = mesh.neighbours
+    dual = {}
+    for t in mesh.alive_ids():
+        row = nb[3 * t : 3 * t + 3]
+        dual[t] = {o for o in row if o >= 0} if -1 in row else set(row)
+    return dual
+
+
+def spanning_tree_by_loop(mesh, partner, cycleset) -> list[tuple[tuple[int, int], int, int]]:
+    """The (edge, t, u) pairs `spanning_tree_splits` splits, in order, from a
+    loop over the live triangles that picks each matched pair t < u across
+    two merged cycles; splits nothing."""
+    from singlestrip.mesh import shared_edge
+    from singlestrip.striploop import find
+
+    cycle_of = cycleset.cycle_of
+    root = cycleset.root.copy()
+    merged = [find(root, i) for i in range(len(root))]
+    across = []
+    for t in mesh.alive_ids():
+        u = partner[t]
+        if t < u and merged[cycle_of[t]] != merged[cycle_of[u]]:
+            across.append((shared_edge(mesh, t, u), t, u))
+    tree = []
+    for e, t, u in sorted(across):
+        a, b = find(root, cycle_of[t]), find(root, cycle_of[u])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+            tree.append((e, t, u))
+    return tree
