@@ -113,12 +113,24 @@ def test_stripify_open_mesh_is_validation_error(tmp_path, capsys):
 
 def test_stripify_missing_file_is_parse_error(tmp_path, capsys):
     assert main(["stripify", str(tmp_path / "nope.off")]) == 2
-    # a file of an unknown format is read, then refused by its suffix
-    path = tmp_path / "m.ply"
-    path.write_text("ply\n")
+    # a file of an unknown format is refused by its suffix before it is read:
+    # a binary one is not decoded, and a missing one is not looked for
+    capsys.readouterr()
+    binary = tmp_path / "b.ply"
+    binary.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + bytes(range(256)) * 8)
+    for path in (tmp_path / "m.ply", binary):
+        assert main(["stripify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown mesh format 'ply' for {path}\n"
+
+
+def test_a_mesh_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "m.off"
+    path.write_bytes(b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\xff\xff\n")
+    with pytest.raises(ParseError, match=r"m\.off is not UTF-8 text \(byte 36\)$"):
+        load_mesh(path)
     capsys.readouterr()
     assert main(["stripify", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: unknown mesh format 'ply' for {path}\n"
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (byte 36)\n"
 
 
 def test_stripify_boundary_artifacts(tmp_path):

@@ -9,6 +9,7 @@ dicts, of any degree."""
 import itertools
 import random
 import re
+import tracemalloc
 from dataclasses import fields
 
 import networkx as nx
@@ -35,6 +36,7 @@ from oracles import (
     relabel,
     replay_reductions_by_frozensets,
     unmatched_cycles,
+    validate_matching_by_loop,
 )
 from singlestrip.generators import gen_mk, icosphere, torus
 from singlestrip.matching import (
@@ -519,3 +521,106 @@ def test_the_seed_check_rejects_a_one_sided_or_retired_pair(monkeypatch, corrupt
     error = _stripify_with_a_replayed_seed(monkeypatch, _centroid_torus(), corrupt)
     assert re.match(message, str(error))
     assert error.stage == "match"
+
+
+# -- the seed check against its loop ---------------------------------------------
+
+_CORRUPTIONS = ("one-sided", "retired-pair", "non-edge", "beyond", "int32", "minus-two", "dead-to-live")
+
+
+def _eliminated_centroid_torus():
+    # dead slots: the eliminated centroids' fan triangles, whose stale rows
+    # still list each other
+    mesh = _centroid_torus()
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
+    return mesh
+
+
+def _corrupt(mesh, partner, kind, pick):
+    """Apply one corruption of `kind` to `partner`, at the pick-th place."""
+    nb, alive = mesh.neighbours, mesh.alive
+    live = mesh.alive_ids()
+    dead = [t for t in range(len(alive)) if not alive[t]]
+    a = live[pick % len(live)]
+    row = nb[3 * a : 3 * a + 3]
+    if kind == "one-sided":
+        partner[a] = next(u for u in row if u != partner[a])
+    elif kind == "retired-pair":
+        pairs = [
+            (t, u) for t in dead
+            for u in nb[3 * t : 3 * t + 3] if u >= 0 and not alive[u] and t in nb[3 * u : 3 * u + 3]
+        ]
+        t, u = pairs[pick % len(pairs)]
+        partner[t], partner[u] = u, t
+    elif kind == "non-edge":
+        partner[a] = next(t for t in live[pick % len(live):] + live if t != a and t not in row)
+    elif kind == "beyond":
+        partner[a] = len(partner) + pick % 3
+    elif kind == "int32":
+        partner[a] = 2**31
+    elif kind == "minus-two":
+        partner[a] = -2
+    else:
+        partner[dead[pick % len(dead)]] = a
+
+
+def _seed_check_outcome(check, nb, alive, partner):
+    try:
+        check(nb, alive, partner)
+    except MatchingError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", _CORRUPTIONS)
+def test_the_seed_check_names_what_its_loop_names(kind):
+    mesh = _eliminated_centroid_torus()
+    partner = perfect_match_dual(mesh).partner
+    assert _seed_check_outcome(validate_matching, mesh.neighbours, mesh.alive, partner) is None
+    _corrupt(mesh, partner, kind, 5)
+    got = _seed_check_outcome(validate_matching, mesh.neighbours, mesh.alive, partner)
+    assert got is not None
+    assert got == _seed_check_outcome(validate_matching_by_loop, mesh.neighbours, mesh.alive, partner)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CORRUPTIONS), st.integers(0, 10**6)), max_size=4))
+def test_the_seed_check_agrees_with_its_loop_on_corrupted_seeds(corruptions):
+    mesh = _eliminated_centroid_torus()
+    partner = perfect_match_dual(mesh).partner
+    for kind, pick in corruptions:
+        _corrupt(mesh, partner, kind, pick)
+    nb, alive = mesh.neighbours, mesh.alive
+    got = _seed_check_outcome(validate_matching, nb, alive, partner)
+    assert got == _seed_check_outcome(validate_matching_by_loop, nb, alive, partner)
+
+
+# -- the match stage's heap peak ---------------------------------------------------
+
+# bytes per live triangle by which perfect_match_dual's heap peak rises above
+# its start on the mesh below: 304.1 as measured, and the figure repeats
+# exactly, plus 2%. A 10% margin would catch neither fault this guards
+# against: an int64 copy of the table held at the peak adds 9%, and a greedy
+# log that keeps the popped sets in place of tuples adds 4.5%.
+MATCH_PEAK_BYTES_PER_TRIANGLE = 304.1 * 1.02
+
+
+def test_the_match_stage_heap_peak_stays_pinned():
+    # the greedy's neighbour sets and its contraction log set the peak, so
+    # a stray array or a log that keeps whole sets shows here before it
+    # shows in RSS
+    rng = random.Random(1)
+    mesh = relabel(torus(60, 30), rng)
+    for t in rng.sample(range(mesh.n_triangles), 108):
+        insert_centroid(mesh, t)
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
+    assert mesh.n_triangles == 3600
+    mesh.neighbours  # sorted before the trace starts
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        perfect_match_dual(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / mesh.n_triangles <= MATCH_PEAK_BYTES_PER_TRIANGLE

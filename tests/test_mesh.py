@@ -6,6 +6,7 @@ import re
 import pytest
 
 from oracles import (
+    build_dual_by_slices,
     cube_graph,
     dual_by_shared_vertices,
     dual_rows,
@@ -82,6 +83,14 @@ def _split_octahedron():
     return mesh
 
 
+def _retired_built():
+    # a `_built` mesh edited before its table was read
+    mesh = stripify(torus(6, 5)).mesh
+    for t in (0, 7, 8):
+        mesh._retire(t)
+    return mesh
+
+
 @pytest.mark.parametrize("make", [
     _fin4,
     _holed_torus,
@@ -91,14 +100,18 @@ def _split_octahedron():
     _split_octahedron,
     lambda: gen_mk(4),
     lambda: stripify(torus(10, 10)).mesh,
+    _retired_built,
     lambda: Mesh([], []),
 ], ids=["fin4", "holed-torus", "flipped-icosphere", "centroid-torus", "eliminated-torus",
-        "split-octahedron", "mk4", "built", "empty"])
+        "split-octahedron", "mk4", "built", "retired-built", "empty"])
 def test_n_edges_counts_the_distinct_edges(make):
     # read off the table: exact for constructor tables, non-manifold edges
-    # included, and for tables the edits left
+    # included, and for tables the edits left; a `_built` mesh counts its
+    # edge keys and leaves its table unsorted
     mesh = make()
+    unsorted = mesh._neighbours is None
     assert mesh.n_edges == len(mesh_edges(mesh))
+    assert (mesh._neighbours is None) == unsorted
 
 
 def test_constructor_rejects_bad_index():
@@ -173,6 +186,16 @@ def test_dual_sets_are_filled_in_slot_order():
     for mesh in (torus(4, 3), gen_mk(3), relabel(torus(6, 5), random.Random(1))):
         want = {t: list(set(row)) for t, row in dual_rows(mesh).items()}
         assert {t: list(nbrs) for t, nbrs in build_dual(mesh).items()} == want
+
+
+@pytest.mark.parametrize("make", [_holed_torus, _eliminated_torus, lambda: fan(6), lambda: gen_mk(3)],
+                         ids=["holed-torus", "eliminated-torus", "fan6", "mk3"])
+def test_dual_equals_the_sets_from_row_slices(make):
+    # rows holding -1 and dead slots: the same sets, iterating alike
+    mesh = make()
+    got, want = build_dual(mesh), build_dual_by_slices(mesh)
+    assert list(got) == list(want)
+    assert all(list(got[t]) == list(want[t]) for t in want)
 
 
 def test_dual_octahedron_is_cube_graph(octa):

@@ -31,6 +31,8 @@ from singlestrip.mesh import (
     Mesh,
     MeshError,
     _check_triangles,
+    _edge_sort,
+    _slot_edges,
     check_edges,
     shared_edge,
     split_pair,
@@ -259,3 +261,33 @@ def test_edits_of_an_unread_built_mesh_match_a_constructed_mesh(make, edit):
     want = edit(constructed, reference) or constructed
     assert _fields(got) == _fields(want)
     assert _fields(built) == _fields(constructed)
+
+
+def _slot_soup(n, rows, seed):
+    """`rows` random triangles on n vertices, as an (rows, 3) array."""
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, 3, replace=False) for _ in range(rows)], dtype=np.int64).reshape(-1, 3)
+
+
+def _assert_stable_edge_sort(tri, n):
+    order, start, size, _lo, _hi = _edge_sort(tri, n)
+    key = _slot_edges(tri, n)[2]
+    stable = np.argsort(key, kind="stable")
+    assert order.tolist() == stable.tolist()
+    assert start.tolist() == np.flatnonzero(np.diff(key[stable], prepend=-1)).tolist()
+    assert size.sum() == len(key)
+    return size
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 9), rows=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_edge_sort_equals_the_stable_sort(n, rows, seed):
+    # few vertices and many rows put several slots on one edge; the fix-up
+    # after the unstable sort must leave each group's slots in slot order,
+    # as the stable sort does
+    _assert_stable_edge_sort(_slot_soup(n, rows, seed), n)
+
+
+def test_edge_sort_puts_groups_of_three_to_five_in_slot_order():
+    size = _assert_stable_edge_sort(_slot_soup(6, 20, 0), 6)
+    assert set(size.tolist()) >= {2, 3, 4, 5}

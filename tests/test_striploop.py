@@ -30,10 +30,13 @@ from oracles import (
     insert_centroid,
     merge_nodal_full_sweep,
     other_triangle,
+    punch_holes,
     relabel,
+    spanning_tree_by_loop,
     triangle_edges,
     unmatched_cycles,
     verify_order_by_sets,
+    vertex_fans_by_loop,
     vertex_triangles,
 )
 from singlestrip import striploop
@@ -84,6 +87,44 @@ def _before_nodal(mesh):
 
 
 # -- elimination ----------------------------------------------------------------
+
+
+def _isolated_vertex_torus():
+    # vertex 0 is on no triangle
+    base = torus(5, 4)
+    return Mesh([(9.0, 9.0, 9.0)] + base.vertices, [tuple(v + 1 for v in t) for t in base.triangles])
+
+
+def _eliminated_centroid_torus():
+    # dead slots, and the removed centroids left on no live triangle
+    mesh = torus(6, 5)
+    for t in (0, 9, 22, 23):
+        insert_centroid(mesh, t)
+    eliminate_three_cycles(mesh, _vertex_fans(mesh))
+    return mesh
+
+
+def _holed_icosphere():
+    mesh = relabel(icosphere(2), random.Random(4))
+    punch_holes(mesh, (0, 5, 6, 40))
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_isolated_vertex_torus, _eliminated_centroid_torus, _holed_icosphere, tetrahedron],
+    ids=["isolated-vertex", "eliminated", "holed", "tetrahedron"],
+)
+def test_vertex_fans_equal_the_loop(make):
+    mesh = make()
+    assert _vertex_fans(mesh) == vertex_fans_by_loop(mesh)
+
+
+def test_vertex_fans_mark_vertices_on_no_live_triangle():
+    count, anchor = _vertex_fans(_eliminated_centroid_torus())
+    empty = [v for v, k in enumerate(count) if k == 0]
+    assert len(empty) == 4 and all(anchor[v] == -1 for v in empty)
+    assert _vertex_fans(_isolated_vertex_torus())[1][0] == -1
 
 
 def test_eliminate_single_config():
@@ -518,6 +559,27 @@ def test_merge_nodal_cycles_match_a_fresh_walk(shape, splits, any_matching, seed
     assert joined.count == len(merged) == walked.count
 
 
+def test_merge_nodal_skips_masked_vertices_next_to_a_toggled_fan():
+    # merge_nodal walks only the vertices that no live triangle's match
+    # leaves out, taken before any toggle; here ring vertices of the fan
+    # toggled at vertex 1 are such vertices, which the full sweep tries
+    # again after the toggle and still rejects
+    work, partner, cs = _nodal_input(("torus", 4, 4), 0, False, 2)
+    left_out = {
+        v for t in work.alive_ids()
+        for v in set(work.triangles[t]) - set(work.triangles[partner[t]])
+    }
+    fans = vertex_triangles(work)
+    ring = {w for t in fans[1] for w in work.triangles[t]} - {1}
+    masked = {w for w in ring & left_out if len(fans[w]) >= 4 and len(fans[w]) % 2 == 0}
+    assert {2, 12, 15} <= masked
+    oracle_partner = as_partner_map(partner)
+    oracle = merge_nodal_full_sweep(work, oracle_partner, cs)
+    _cs, merges = merge_nodal(work, partner, cs, _vertex_fans(work))
+    assert merges == oracle and [v for v, _m in merges] == [1]
+    assert as_partner_map(partner) == oracle_partner
+
+
 def test_pinched_vertex_is_accepted_and_never_toggled():
     # torus(8,4) with the far-apart vertices 0 and 18 identified: every edge
     # still has two triangles, but the link of vertex 0 is two separate fans
@@ -543,6 +605,15 @@ def test_splits_no_op_for_single_cycle(tetra):
     assert cs.count == 1
     assert spanning_tree_splits(tetra, partner, cs) == []
     assert tetra.n_triangles == 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_NODAL_INPUTS)
+def test_splits_pick_the_tree_of_a_loop_over_the_pairs(shape, splits, any_matching, seed):
+    work, partner, cs = _nodal_input(shape, splits, any_matching, seed)
+    cs, _merges = merge_nodal(work, partner, cs, _vertex_fans(work))
+    want = spanning_tree_by_loop(work, partner, cs)
+    assert spanning_tree_splits(work, partner, cs) == want
 
 
 @settings(max_examples=30, deadline=None)
