@@ -307,19 +307,20 @@ def merge_nodal(
     Returns the cycle set with each toggle's cycles joined in a copy of its
     union-find, none walked again, and the (vertex, m) merges.
     """
-    nb, tris, alive = mesh.neighbours, mesh.triangles, mesh.alive
+    nb, tris = mesh.neighbours, mesh.triangles
     count, anchor = fans
     cycle_of = cycleset.cycle_of
     root = cycleset.root.copy()
     merges: list[tuple[int, int]] = []
-    # the vertex opposite each live triangle's matched edge is no candidate
-    live = np.flatnonzero(_flags(alive))
+    # the vertex opposite each live triangle's matched edge is no candidate;
+    # slot i holds edge (c_i, c_i+1), so the vertex opposite it is c_i+2
+    live = np.flatnonzero(_flags(mesh.alive))
     row = _ints(nb).reshape(-1, 3)[live]
     c0, c1, c2 = _live_triangles(mesh).T
     p = _ints(partner)[live]
     size = _ints(count)
     excluded = np.zeros(len(size), dtype=bool)
-    for opposite, slot in ((c2, 0), (c0, 1), (c1, 2)):
+    for slot, opposite in ((0, c2), (1, c0), (2, c1)):
         excluded[opposite[row[:, slot] == p]] = True
     for v in np.flatnonzero((size >= 4) & (size % 2 == 0) & ~excluded).tolist():
         k = count[v]
@@ -572,6 +573,11 @@ def stripify(mesh: Mesh) -> StripResult:
     one adjacency, `build_dual`'s neighbour sets, which its greedy phase
     consumes. The vertex fans are taken once, before elimination, and read
     again by nodal merging.
+
+    The scans over every vertex or table row are numpy passes or C-level
+    iterators: the fan counts, the nodal candidates, the seed check, the
+    pairs the splits may take and the dual's sets. Python runs only the
+    walks: the fan and cycle walks, the greedy and the blossom searches.
     """
     timer = StageTimer()
     with timer("validate"):
