@@ -159,15 +159,13 @@ def _live_triangles(mesh: "Mesh") -> np.ndarray:
     return _triangle_array(compress(mesh.triangles, mesh.alive), mesh.n_triangles)
 
 
-def _slot_edges(tri: np.ndarray, n: int):
+def _slot_edges(tri: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per edge slot of an (m, 3) triangle array, slot 3r + i being edge
-    (tri[r, i], tri[r, i + 1 mod 3]): its endpoints lo < hi and the packed
-    key lo * n + hi, which fits in int64 for any vertex count below 3e9."""
+    (tri[r, i], tri[r, i + 1 mod 3]): its endpoints lo < hi. The packed key
+    lo * n + hi fits in int64 for any vertex count n below 3e9."""
     u = tri.ravel()
     v = tri[:, [1, 2, 0]].ravel()
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    return lo, hi, lo * max(n, 1) + hi
+    return np.minimum(u, v), np.maximum(u, v)
 
 
 def _edge_sort(tri: np.ndarray, n: int):
@@ -178,16 +176,16 @@ def _edge_sort(tri: np.ndarray, n: int):
     group in row order; group g occupies order[start[g] : start[g] +
     size[g]]; `lo` and `hi` are `_slot_edges`' endpoints of each slot.
 
-    The key sort is numpy's unstable one, about twice as fast as the stable
-    sort here, and each group's slots are then put back in slot order: a
-    pair by one swap, a larger group by a sort of its slots. The result is
-    the stable sort's.
+    The packed keys are sorted by numpy's unstable sort, about twice as fast
+    as the stable sort here, and each group's slots are then put back in
+    slot order: a pair by one swap, a larger group by a sort of its slots.
+    The result is the stable sort's.
     """
-    lo, hi, key = _slot_edges(tri, n)
-    order = np.argsort(key)
-    sorted_key = key[order]
+    lo, hi = _slot_edges(tri)
+    order = np.argsort(lo * max(n, 1) + hi)
+    ko_lo, ko_hi = lo[order], hi[order]
     head = np.ones(len(order), dtype=bool)
-    head[1:] = sorted_key[1:] != sorted_key[:-1]
+    head[1:] = (ko_lo[1:] != ko_lo[:-1]) | (ko_hi[1:] != ko_hi[:-1])
     start = np.flatnonzero(head)
     size = np.diff(np.append(start, len(order)))
     pair = start[size == 2]
@@ -344,8 +342,8 @@ class Mesh:
         distinct edge keys of its live triangles instead, and leaves the
         table unsorted."""
         if self._neighbours is None:
-            tri = _live_triangles(self)
-            return len(np.unique(_slot_edges(tri, self.n_vertices)[2]))
+            lo, hi = _slot_edges(_live_triangles(self))
+            return len(np.unique(lo * max(self.n_vertices, 1) + hi))
         nb = _ints(self._neighbours).reshape(-1, 3)
         first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
         return int(np.count_nonzero(first[_flags(self.alive)]))

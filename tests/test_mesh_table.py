@@ -271,7 +271,8 @@ def _slot_soup(n, rows, seed):
 
 def _assert_stable_edge_sort(tri, n):
     order, start, size, _lo, _hi = _edge_sort(tri, n)
-    key = _slot_edges(tri, n)[2]
+    lo, hi = _slot_edges(tri)
+    key = lo * n + hi
     stable = np.argsort(key, kind="stable")
     assert order.tolist() == stable.tolist()
     assert start.tolist() == np.flatnonzero(np.diff(key[stable], prepend=-1)).tolist()
