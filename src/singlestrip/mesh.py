@@ -286,7 +286,7 @@ class Mesh:
         tri = _index_array(triangles, n)
         _check_triangles(tri, n, triangles)
         table, flagged = _table(tri, n)
-        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), table)
+        self._fill(list(zip(*pts.T.tolist())), list(zip(*tri.T.tolist())), table)
         self._flagged = flagged
 
     @classmethod
@@ -339,11 +339,13 @@ class Mesh:
         sorted, these are the live slots across which it holds -1 or a
         larger id: of the triangles on an edge only the first by id lists a
         larger one. A `_built` mesh whose table is not sorted yet counts the
-        distinct edge keys of its live triangles instead, and leaves the
-        table unsorted."""
+        distinct edge keys of its live triangles instead, by one sort (here
+        several times faster than `np.unique`), and leaves the table
+        unsorted."""
         if self._neighbours is None:
             lo, hi = _slot_edges(_live_triangles(self))
-            return len(np.unique(lo * max(self.n_vertices, 1) + hi))
+            key = np.sort(lo * max(self.n_vertices, 1) + hi)
+            return int(np.count_nonzero(key[1:] != key[:-1])) + (len(key) > 0)
         nb = _ints(self._neighbours).reshape(-1, 3)
         first = (nb < 0) | (nb > np.arange(len(nb))[:, None])
         return int(np.count_nonzero(first[_flags(self.alive)]))

@@ -548,9 +548,9 @@ class StripResult:
     ``mesh`` is built once, unchecked (``Mesh._built``), from the live
     triangles in id order, by the closed pipeline's ``compact`` or by the
     open pipeline's ``euler_strip``. Its neighbour table is sorted on the
-    first read of ``mesh.neighbours``, or of ``mesh.n_edges``, which the OFF
-    writer prints; the OBJ writer and ``verify_order`` read only its
-    vertices, triangles and ``alive``.
+    first read of ``mesh.neighbours``; ``mesh.n_edges``, which the OFF
+    writer prints, counts its edges without the table, and the OBJ writer
+    and ``verify_order`` read only its vertices, triangles and ``alive``.
 
     ``stats["elapsed_ms"]`` holds each stage's wall time; the stages cover
     the whole call. The matching itself, a partner list over the working

@@ -12,8 +12,9 @@ set-based three-cycle elimination, the full-sweep nodal merge, the
 dict-based mesh, the heap greedy and its frozenset replay, the blossom with
 a base map, the cycle walk with a dict, the OFF/OBJ and curve OBJ
 writers with one f-string per line, and the closed path's whole-mesh scans
-as Python loops) share only the primitives they were built on. `coplanar_parents` checks the midpoint splits from an
-output mesh alone, by bit patterns and vertex sets. The test helpers
+as Python loops) share only the primitives they were built on.
+`coplanar_parents` checks the midpoint splits from an output mesh alone,
+by bit patterns and vertex sets. The test helpers
 (`relabel`, `flip_edges`, `mk_triangle_count`, `tree_edges`,
 `cycle_lengths`, `mesh_edges`, `vertex_triangles`, `greedy_reduce`, the
 forced reductions on their own, the stats and JSON curve readers, the
