@@ -286,7 +286,7 @@ class Mesh:
         tri = _index_array(triangles, n)
         _check_triangles(tri, n, triangles)
         table, flagged = _table(tri, n)
-        self._fill(list(zip(*pts.T.tolist())), list(zip(*tri.T.tolist())), table)
+        self._fill(list(map(tuple, pts.tolist())), list(map(tuple, tri.tolist())), table)
         self._flagged = flagged
 
     @classmethod
